@@ -13,7 +13,6 @@ from .cyclotomic import (
     make_root_of_unity,
     nth_root_in_field,
     omega,
-    rational_integer_value,
 )
 from .linalg import (
     CMatrix,
@@ -39,7 +38,6 @@ __all__ = [
     "make_root_of_unity",
     "nth_root_in_field",
     "omega",
-    "rational_integer_value",
     "CMatrix",
     "FieldPoly",
     "algebra_dimension",

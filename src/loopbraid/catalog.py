@@ -209,7 +209,7 @@ def binomial_rep(lams, c) -> LBRep:
     k = CycNum.from_rational((-1) ** d, a.conductor) / cc
     from . import extend  # deferred: extend builds on repcore/catalog types
 
-    return extend.build_standard_extension(a, b, k)
+    return extend.build_standard_extension(a, b, k)[0]
 
 
 def counterexample6() -> LBRep:

@@ -83,9 +83,12 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _load_rep(path: str) -> LBRep:
+def _load_rep(path: str, need_pair: bool = False) -> LBRep:
     with open(path) as fh:
-        return rep_from_obj(json.load(fh))
+        rep = rep_from_obj(json.load(fh))
+    if need_pair and rep.A is None:
+        raise ValueError("input has no braid pair A, B")
+    return rep
 
 
 def _meta(input_path: str | None) -> dict:
@@ -100,45 +103,40 @@ def _meta(input_path: str | None) -> dict:
 
 def _cmd_construct(args) -> int:
     lam = [parse_scalar(s) for s in args.lam or []]
-    try:
-        if args.family == "tw2":
-            rep = catalog.tw2(*_arity(lam, 2), family=args.variant or 2)
-        elif args.family == "tw3":
-            rep = catalog.tw3(*_arity(lam, 3))
-        elif args.family == "tw4":
-            rep = catalog.tw4(_arity(lam, 4), parse_scalar(_req(args.gamma2, "--gamma2")))
-        elif args.family == "tw5":
-            rep = catalog.tw5(_arity(lam, 5), parse_scalar(_req(args.gamma, "--gamma")))
-        elif args.family == "binomial":
-            rep = catalog.binomial_rep(lam, parse_scalar(_req(args.c, "--c")))
-        elif args.family == "counterexample6":
-            rep = catalog.counterexample6()
-        elif args.family == "v1":
-            rep = catalog.v1_family(
-                parse_scalar(_req(args.lam and args.lam[0], "--lambda")),
-                parse_scalar(args.x or "0"),
-            )
-        elif args.family == "abeq":
-            rep = catalog.abeq_family(
-                args.n,
-                parse_scalar(_req(args.mu, "--mu")),
-                parse_scalar(_req(args.sqrt_mu, "--sqrt-mu")),
-                variant_a1=args.variant_a1,
-                variant_a2=args.variant_a2,
-                sign=args.sign,
-            )
-        elif args.family == "lkb3":
-            rep = catalog.lkb3(
-                parse_scalar(_req(args.q, "--q")), parse_scalar(_req(args.t, "--t"))
-            )
-        elif args.family == "perm3":
-            rep = catalog.perm3(parse_scalar(_req(args.t, "--t")))
-        else:
-            print(f"unknown family {args.family!r}", file=sys.stderr)
-            return 2
-    except (LoopBraidError, ValueError) as exc:
-        print(f"constraint violated: {exc}", file=sys.stderr)
-        return 2
+    if args.family == "tw2":
+        rep = catalog.tw2(*_arity(lam, 2), family=args.variant or 2)
+    elif args.family == "tw3":
+        rep = catalog.tw3(*_arity(lam, 3))
+    elif args.family == "tw4":
+        rep = catalog.tw4(_arity(lam, 4), parse_scalar(_req(args.gamma2, "--gamma2")))
+    elif args.family == "tw5":
+        rep = catalog.tw5(_arity(lam, 5), parse_scalar(_req(args.gamma, "--gamma")))
+    elif args.family == "binomial":
+        rep = catalog.binomial_rep(lam, parse_scalar(_req(args.c, "--c")))
+    elif args.family == "counterexample6":
+        rep = catalog.counterexample6()
+    elif args.family == "v1":
+        rep = catalog.v1_family(
+            parse_scalar(_req(args.lam and args.lam[0], "--lambda")),
+            parse_scalar(args.x or "0"),
+        )
+    elif args.family == "abeq":
+        rep = catalog.abeq_family(
+            args.n,
+            parse_scalar(_req(args.mu, "--mu")),
+            parse_scalar(_req(args.sqrt_mu, "--sqrt-mu")),
+            variant_a1=args.variant_a1,
+            variant_a2=args.variant_a2,
+            sign=args.sign,
+        )
+    elif args.family == "lkb3":
+        rep = catalog.lkb3(
+            parse_scalar(_req(args.q, "--q")), parse_scalar(_req(args.t, "--t"))
+        )
+    elif args.family == "perm3":
+        rep = catalog.perm3(parse_scalar(_req(args.t, "--t")))
+    else:
+        raise ValueError(f"unknown family {args.family!r}")
     _emit(rep_to_obj(rep), args.out)
     return 0
 
@@ -159,12 +157,8 @@ def _req(value, flag: str):
 
 
 def _cmd_verify(args) -> int:
-    try:
-        rep = _load_rep(args.file)
-        report = verify(rep, GroupKind[args.group])
-    except (LoopBraidError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = _load_rep(args.file)
+    report = verify(rep, GroupKind[args.group])
     payload = {
         "meta": _meta(args.file),
         "group": args.group,
@@ -180,23 +174,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    try:
-        rep = _load_rep(args.file)
-    except (LoopBraidError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.mode == "standard":
-            return _extend_standard(rep, args)
-        if args.mode == "nonstandard3":
-            return _extend_nonstandard3(rep, args)
-        if args.mode == "vb3":
-            return _extend_vb3(rep, args)
-        print(f"unknown mode {args.mode!r}", file=sys.stderr)
-        return 2
-    except LoopBraidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = _load_rep(args.file, need_pair=True)
+    if args.mode == "standard":
+        return _extend_standard(rep, args)
+    if args.mode == "nonstandard3":
+        return _extend_nonstandard3(rep, args)
+    if args.mode == "vb3":
+        return _extend_vb3(rep, args)
+    raise ValueError(f"unknown mode {args.mode!r}")
 
 
 def _extend_standard(rep: LBRep, args) -> int:
@@ -204,8 +189,15 @@ def _extend_standard(rep: LBRep, args) -> int:
     if not search.candidates:
         reason = {
             "cube-not-scalar": "(AB)^3 is not scalar",
+            "not-cyclotomic": f"k^3 must equal {search.k_cubed}, which has no cube "
+            "root in any cyclotomic field",
             "no-root-in-field": "no cube root of Det-scalar in the field "
-            f"(k^3 must equal {search.k_cubed}); suggested conductor x3",
+            f"(k^3 must equal {search.k_cubed}); "
+            + (
+                f"suggested conductor {search.suggested_conductor}"
+                if search.suggested_conductor
+                else "no larger conductor was confirmed"
+            ),
             "no-integer-trace": "no k gives Tr(kAB) a rational integer",
         }[search.reason]
         print(f"no standard extension: {reason}", file=sys.stderr)
@@ -213,24 +205,16 @@ def _extend_standard(rep: LBRep, args) -> int:
     if args.k is not None:
         want = parse_scalar(args.k)
         matches = [
-            (kk, mm)
-            for kk, mm in search.candidates
+            kk
+            for kk, _ in search.candidates
             if kk.conductor % want.conductor == 0 and kk == want.promote(kk.conductor)
         ]
         if not matches:
-            print("error: --k is not a valid candidate", file=sys.stderr)
-            return 2
-        k, m = matches[0]
+            raise ValueError("--k is not a valid candidate")
+        k = matches[0]
     else:
-        k, m = search.candidates[0]
-    built = extend.build_standard_extension(rep.A, rep.B, k)
-    s = (built.A @ built.B).scalar_mul(k.promote(built.conductor))
-    cert = extend.ExtensionCertificate(
-        k=k.promote(built.conductor),
-        S=s,
-        params=extend.default_extension_params(s),
-        trace_value=m,
-    )
+        k = search.candidates[0][0]
+    built, cert = extend.build_standard_extension(rep.A, rep.B, k)
     payload = {
         "meta": _meta(args.file),
         "mode": "standard",
@@ -243,9 +227,8 @@ def _extend_standard(rep: LBRep, args) -> int:
 
 
 def _extend_nonstandard3(rep: LBRep, args) -> int:
-    if rep.A is None or rep.A.dim != 3:
-        print("error: nonstandard3 mode needs a 3-dimensional braid pair", file=sys.stderr)
-        return 2
+    if rep.A.dim != 3:
+        raise ValueError("nonstandard3 mode needs a 3-dimensional braid pair")
     l1, l2, l3 = (rep.A.rows[i][i] for i in range(3))
     if l3 != -l2:
         print(
@@ -256,8 +239,7 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
         return 3
     check = catalog.tw3(l1, l2, l3)
     if check.A != rep.A or check.B != rep.B:
-        print("error: input is not in the tw3 normal form", file=sys.stderr)
-        return 2
+        raise ValueError("input is not in the tw3 normal form")
     z = parse_scalar(_req(args.z, "--z"))
     built = extend.nonstandard_3d(l1, l2, z, sign=args.sign)
     payload = {
@@ -274,11 +256,9 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
 
 def _extend_vb3(rep: LBRep, args) -> int:
     if rep.S1 is None or rep.S2 is None:
-        print("error: vb3 mode needs a verified LB3 representation", file=sys.stderr)
-        return 2
+        raise ValueError("vb3 mode needs a verified LB3 representation")
     if not verify(rep, GroupKind.LB3).all_hold:
-        print("error: input does not verify LB3", file=sys.stderr)
-        return 2
+        raise ValueError("input does not verify LB3")
     search = extend.standard_k_candidates(rep.A, rep.B)
     if args.k is not None:
         k = parse_scalar(args.k)
@@ -303,46 +283,40 @@ def _extend_vb3(rep: LBRep, args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        rep = _load_rep(args.file)
-    except (LoopBraidError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = _load_rep(args.file)
     sections = {}
     run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
-    try:
-        if args.irreducible or run_all:
-            from .repcore import is_irreducible
+    if args.irreducible or run_all:
+        from .repcore import is_irreducible
 
-            sections["irreducible"] = is_irreducible(rep)
-        if (args.uniqueness or run_all) and rep.A is not None and rep.dim in (4, 5):
-            lin = extend.uniqueness_linearized(rep.A, rep.B)
-            obj = linearized_to_obj(lin)
+        sections["irreducible"] = is_irreducible(rep)
+    if (args.uniqueness or run_all) and rep.A is not None and rep.dim in (4, 5):
+        try:
+            obj = linearized_to_obj(extend.uniqueness_linearized(rep.A, rep.B))
             obj.pop("matrix")  # rank and sizes suffice for the report
             sections["uniqueness"] = obj
-        if (args.slb3 or run_all) and rep.S1 is not None:
-            sections["slb3"] = {"direct": extend.slb3_test(rep, "direct")}
-            try:
-                sections["slb3"]["commutator"] = extend.slb3_test(rep, "commutator")
-            except LoopBraidError as exc:
-                sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
-        if (args.poly_s or run_all) and rep.S1 is not None:
-            try:
-                ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-                sections["polynomial_S"] = [cycnum_to_obj(c) for c in ps.coefficients]
-            except LoopBraidError as exc:
-                sections["polynomial_S"] = f"unavailable: {exc}"
-        if run_all and rep.A is not None:
-            search = extend.standard_k_candidates(rep.A, rep.B)
-            sections["k_candidates"] = {
-                "candidates": [
-                    {"k": cycnum_to_obj(k), "m": m} for k, m in search.candidates
-                ],
-                "reason": search.reason,
-            }
-    except LoopBraidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except LoopBraidError as exc:
+            sections["uniqueness"] = f"unavailable: {exc}"
+    if (args.slb3 or run_all) and rep.A is not None and rep.S1 is not None:
+        sections["slb3"] = {"direct": extend.slb3_test(rep, "direct")}
+        try:
+            sections["slb3"]["commutator"] = extend.slb3_test(rep, "commutator")
+        except LoopBraidError as exc:
+            sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
+    if (args.poly_s or run_all) and rep.A is not None and rep.S1 is not None:
+        try:
+            ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
+            sections["polynomial_S"] = [cycnum_to_obj(c) for c in ps.coefficients]
+        except LoopBraidError as exc:
+            sections["polynomial_S"] = f"unavailable: {exc}"
+    if run_all and rep.A is not None:
+        search = extend.standard_k_candidates(rep.A, rep.B)
+        sections["k_candidates"] = {
+            "candidates": [
+                {"k": cycnum_to_obj(k), "m": m} for k, m in search.candidates
+            ],
+            "reason": search.reason,
+        }
     payload = {"meta": _meta(args.file), "analysis": sections}
     _emit(payload, args.out)
     return 0
@@ -352,19 +326,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    try:
-        rep = _load_rep(args.file)
-        report = extend.certify_no_extension(
-            rep.A,
-            rep.B,
-            starts=args.starts,
-            tol=args.tol,
-            cluster_radius=args.cluster_radius,
-            seed=_seed_default(args.seed),
-        )
-    except (LoopBraidError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rep = _load_rep(args.file, need_pair=True)
+    report = extend.certify_no_extension(
+        rep.A,
+        rep.B,
+        starts=args.starts,
+        tol=args.tol,
+        cluster_radius=args.cluster_radius,
+        seed=_seed_default(args.seed),
+    )
     payload = {"meta": _meta(args.file), "report": certify_report_to_obj(report)}
     _emit(payload, args.out)
     return 0
@@ -374,13 +344,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        report = extend.standard_extension_sweep(
-            args.family, args.draws, _seed_default(args.seed)
-        )
-    except (LoopBraidError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = extend.standard_extension_sweep(
+        args.family, args.draws, _seed_default(args.seed)
+    )
     payload = {"meta": _meta(None), "sweep": report}
     _emit(payload, args.out)
     return 0
@@ -461,8 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad input of any kind exits 2 here."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LoopBraidError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -133,6 +133,28 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(num), den
 
 
+def _power_map(num: Sequence[int], fld: _Field, step: int) -> list[int]:
+    # The image of sum c_j zeta^j under zeta -> zeta_M^(j*step), M = fld.n:
+    # a Galois automorphism when M is the conductor, else an embedding.
+    out = [0] * fld.phi
+    for j, c in enumerate(num):
+        if c:
+            row = fld.xpow[(j * step) % fld.n]
+            for i in range(fld.phi):
+                out[i] += c * row[i]
+    return out
+
+
+def _mul_num(a: Sequence[int], b: Sequence[int], fld: _Field) -> list[int]:
+    conv = [0] * (2 * fld.phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    return _reduce(conv, fld)
+
+
 def _reduce(conv: list[int], fld: _Field) -> list[int]:
     # Fold a raw convolution (length <= 2*phi-1) back onto the power basis.
     phi = fld.phi
@@ -299,36 +321,24 @@ class CycNum:
             return NotImplemented
         other = self._coerce(other)
         fld = _field(self.conductor)
-        phi = fld.phi
-        a, b = self._num, other._num
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return CycNum(self.conductor, _reduce(conv, fld), self._den * other._den)
+        num = _mul_num(self._num, other._num, fld)
+        return CycNum(self.conductor, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNum":
+        """x^-1 = prod_{a != 1} sigma_a(x) / N(x), over the Galois maps
+        sigma_a: zeta -> zeta^a; the norm N(x) = x * prod is rational."""
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        fld = _field(self.conductor)
-        # extended Euclid over Q[x]: s*f + t*Phi = gcd = nonzero constant
-        f = [Fraction(v, self._den) for v in self._num]
-        mod = [Fraction(c) for c in fld.modulus]
-        r0, r1 = mod, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _poly_deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0] if r1 else Fraction(0)
-        if c == 0:  # pragma: no cover - cannot happen over a field
-            raise DivisionByZero("element not invertible")
-        inv_coeffs = [s / c for s in s1] + [Fraction(0)] * (fld.phi - len(s1))
-        return CycNum.from_coeffs(self.conductor, inv_coeffs[: fld.phi])
+        n = self.conductor
+        fld = _field(n)
+        prod = [1] + [0] * (fld.phi - 1)
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                prod = _mul_num(prod, _power_map(self._num, fld, a), fld)
+        norm = _mul_num(self._num, prod, fld)[0]
+        return CycNum(n, [c * self._den for c in prod], norm)
 
     def __truediv__(self, other) -> "CycNum":
         other = self._coerce(other)
@@ -354,14 +364,7 @@ class CycNum:
     def conj(self) -> "CycNum":
         """Complex conjugation: the Galois map zeta -> zeta^(N-1)."""
         n = self.conductor
-        fld = _field(n)
-        out = [0] * fld.phi
-        for j, c in enumerate(self._num):
-            if c:
-                row = fld.xpow[(n - j) % n]
-                for i in range(fld.phi):
-                    out[i] += c * row[i]
-        return CycNum(n, out, self._den)
+        return CycNum(n, _power_map(self._num, _field(n), n - 1), self._den)
 
     def promote(self, m: int) -> "CycNum":
         """The same field element viewed in Q(zeta_m); requires conductor | m."""
@@ -370,15 +373,7 @@ class CycNum:
             raise NotASubfield(f"Q(zeta_{n}) is not a subfield of Q(zeta_{m})")
         if m == n:
             return self
-        fld = _field(m)
-        step = m // n
-        out = [0] * fld.phi
-        for j, c in enumerate(self._num):
-            if c:
-                row = fld.xpow[(j * step) % m]
-                for i in range(fld.phi):
-                    out[i] += c * row[i]
-        return CycNum(m, out, self._den)
+        return CycNum(m, _power_map(self._num, _field(m), m // n), self._den)
 
     def to_complex(self) -> complex:
         """Evaluation at the canonical embedding zeta_N = exp(2*pi*i/N)."""
@@ -400,11 +395,6 @@ def omega(conductor: int = 3) -> CycNum:
     if conductor % 3 != 0:
         raise NotASubfield(f"conductor {conductor} is not divisible by 3")
     return make_root_of_unity(conductor, conductor // 3)
-
-
-def rational_integer_value(x: CycNum) -> int | None:
-    """The rational-integer value of x, or None when x is not one."""
-    return x.as_integer()
 
 
 def dot(xs: Sequence[CycNum], ys: Sequence[CycNum]) -> CycNum:
@@ -439,50 +429,6 @@ def dot(xs: Sequence[CycNum], ys: Sequence[CycNum]) -> CycNum:
                     if bj:
                         conv[i + j] += aval * bj
     return CycNum(n, _reduce(conv, fld), den)
-
-
-# -- small polynomial helpers over Fractions (for inv) ------------------------
-
-def _poly_deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    db = _poly_deg(b)
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a))
-    lead = b[db]
-    for i in range(_poly_deg(r), db - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] / lead
-        q[i - db] = c
-        for j in range(db + 1):
-            r[i - db + j] -= c * b[j]
-    return q[: max(1, _poly_deg(q) + 1)], r[: max(1, _poly_deg(r) + 1)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    m = max(len(a), len(b))
-    out = [Fraction(0)] * m
-    for i in range(m):
-        if i < len(a):
-            out[i] += a[i]
-        if i < len(b):
-            out[i] -= b[i]
-    return out
 
 
 # -- n-th roots inside the field ----------------------------------------------

@@ -5,6 +5,12 @@ class LoopBraidError(Exception):
     """Base class for all toolkit errors."""
 
 
+# -- input files -------------------------------------------------------------
+
+class MalformedInput(LoopBraidError, ValueError):
+    """A JSON object does not follow the wire format."""
+
+
 # -- cyclotomic arithmetic ---------------------------------------------------
 
 class ConductorMismatch(LoopBraidError):

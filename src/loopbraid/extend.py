@@ -14,7 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum, nth_root_in_field, omega
+from .cyclotomic import (
+    CycNum,
+    nth_root_in_field,
+    omega,
+    rational_nth_root,
+    roots_of_unity,
+)
 from .errors import (
     BadBasisChange,
     BadCandidate,
@@ -61,9 +67,11 @@ class StandardKSearch:
 
     candidates is the (possibly empty) list of (k, m) with (AB)^3 = k^-3 I
     and Tr(kAB) = m a rational integer.  When empty, `reason` is one of
-    "cube-not-scalar", "no-root-in-field" (with suggested_conductor set) or
-    "no-integer-trace"; k_cubed records the required value of k^3 whenever
-    (AB)^3 is scalar.
+    "cube-not-scalar", "not-cyclotomic" (k^3 is a rational non-cube times
+    a root of unity, so no cyclotomic field holds k), "no-root-in-field"
+    (suggested_conductor is set only when Q(zeta_3N) is confirmed to hold
+    k) or "no-integer-trace"; k_cubed records the required value of k^3
+    whenever (AB)^3 is scalar.
     """
 
     candidates: list[tuple[CycNum, int]]
@@ -86,12 +94,15 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     k_cubed = c.inv()
     roots = nth_root_in_field(k_cubed, 3)
     if not roots:
+        if _rational_part_is_noncube(k_cubed):
+            return StandardKSearch([], True, k_cubed=k_cubed, reason="not-cyclotomic")
+        bigger = 3 * a.conductor
         return StandardKSearch(
             [],
             True,
             k_cubed=k_cubed,
             reason="no-root-in-field",
-            suggested_conductor=3 * a.conductor,
+            suggested_conductor=bigger if nth_root_in_field(k_cubed.promote(bigger), 3) else None,
         )
     tr = ab.trace()
     out = []
@@ -104,6 +115,20 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     return StandardKSearch(out, True, k_cubed=k_cubed)
 
 
+def _rational_part_is_noncube(x: CycNum) -> bool:
+    """True when x = q*u for a root of unity u and a rational non-cube q.
+
+    Then no abelian field, so no cyclotomic field, holds a cube root of x:
+    it would hold a real cube root of q, whose field Q(q^(1/3)) is not
+    normal over Q.
+    """
+    for u in roots_of_unity(x.conductor):
+        q = (x / u).as_rational()
+        if q is not None:
+            return rational_nth_root(q, 3) is None
+    return False
+
+
 def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
     """The power-trace form of the existence criterion.
 
@@ -114,8 +139,7 @@ def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
     if k.conductor != a.conductor:
         raise ConductorMismatch("promote k to the matrices' conductor first")
     ab = a @ b
-    mp = ab.min_poly()
-    if mp.gcd(mp.derivative()).degree() != 0:
+    if not ab.is_diagonalizable():
         return False
     d = a.dim
     m = (k * ab.trace()).as_integer()
@@ -173,25 +197,17 @@ class ExtensionCertificate:
     trace_value: int
 
 
-def _eigen_data(s: CMatrix):
+def default_extension_params(s: CMatrix) -> ExtensionParams:
+    """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l."""
     ident = CMatrix.identity(s.dim, s.conductor)
     if s.matpow(3) != ident:
         raise NotOrderThree("S^3 != I")
     w = omega(s.conductor)
-    v1 = (s - ident).kernel()
-    vw = (s - ident.scalar_mul(w)).kernel()
-    vw2 = (s - ident.scalar_mul(w * w)).kernel()
+    v1, vw, vw2 = ((s - ident.scalar_mul(u)).kernel() for u in (1, w, w * w))
     if len(vw) != len(vw2) or len(v1) + len(vw) + len(vw2) != s.dim:
         raise NotOrderThree("eigenspace dimensions do not fit an order-3 operator")
-    return v1, vw, vw2
-
-
-def default_extension_params(s: CMatrix) -> ExtensionParams:
-    """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l."""
-    v1, vw, vw2 = _eigen_data(s)
     ell, t = len(v1), len(vw)
-    cols = list(v1) + list(vw) + list(vw2)
-    m = CMatrix([[cols[j][i] for j in range(s.dim)] for i in range(s.dim)], s.conductor)
+    m = CMatrix([*v1, *vw, *vw2], s.conductor).transpose()
     g = CMatrix.identity(t, s.conductor) if t else None
     nmat = CMatrix.identity(ell, s.conductor) if ell else None
     return ExtensionParams(M=m, G=g, a=ell, N=nmat)
@@ -228,10 +244,32 @@ def _diag_pattern(ell: int, t: int, conductor: int) -> CMatrix:
     )
 
 
+def _standard_seed(a: CMatrix, b: CMatrix, k: CycNum) -> tuple[CMatrix, int]:
+    """S = kAB and the integer Tr(S); BadCandidate unless S^3 = I, Tr(S) in Z."""
+    s = (a @ b).scalar_mul(k)
+    if s.matpow(3) != CMatrix.identity(a.dim, a.conductor):
+        raise BadCandidate("(kAB)^3 != I")
+    m = s.trace().as_integer()
+    if m is None:
+        raise BadCandidate("Tr(kAB) is not a rational integer")
+    return s, m
+
+
+def _conjugated_involution(params: ExtensionParams, s: CMatrix) -> CMatrix:
+    """S1 = M J M^-1 for the block involution J of (G, a, N), inverting M once.
+
+    Raises BadBasisChange when M^-1 S M != diag(I_l, w I_t, w^2 I_t).
+    """
+    minv = params.M.inverse()
+    if minv @ s @ params.M != _diag_pattern(params.ell, params.t, s.conductor):
+        raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
+    return params.M @ _block_involution(params, s.dim, s.conductor) @ minv
+
+
 def build_standard_extension(
     a: CMatrix, b: CMatrix, k: CycNum, params: ExtensionParams | None = None
-) -> LBRep:
-    """Assemble the loop representation with S = kAB from explicit data.
+) -> tuple[LBRep, ExtensionCertificate]:
+    """Assemble the loop representation with S = kAB and its certificate.
 
     The image of s_1 is M S1 M^-1 for the block involution S1 determined
     by (G, a, N); s_2 maps to s_1's image times S.  Raises BadCandidate
@@ -239,30 +277,19 @@ def build_standard_extension(
     not diagonalize S to the required pattern.
     """
     (a, b, k), n = _with_omega(a, b, k)
-    s = (a @ b).scalar_mul(k)
-    ident = CMatrix.identity(a.dim, n)
-    if s.matpow(3) != ident:
-        raise BadCandidate("(kAB)^3 != I")
-    m_int = s.trace().as_integer()
-    if m_int is None:
-        raise BadCandidate("Tr(kAB) is not a rational integer")
+    s, m_int = _standard_seed(a, b, k)
     if params is None:
         params = default_extension_params(s)
     else:
-        mats = [params.M] + [x for x in (params.G, params.N) if x is not None]
-        if any(x.conductor != n for x in mats):
-            params = ExtensionParams(
-                M=params.M.promote(n),
-                G=None if params.G is None else params.G.promote(n),
-                a=params.a,
-                N=None if params.N is None else params.N.promote(n),
-            )
-    pattern = _diag_pattern(params.ell, params.t, n)
-    if params.M.inverse() @ s @ params.M != pattern:
-        raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
-    s1 = params.M @ _block_involution(params, a.dim, n) @ params.M.inverse()
-    s2 = s1 @ s
-    return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
+        params = ExtensionParams(
+            M=params.M.promote(n),
+            G=None if params.G is None else params.G.promote(n),
+            a=params.a,
+            N=None if params.N is None else params.N.promote(n),
+        )
+    s1 = _conjugated_involution(params, s)
+    rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s1 @ s)
+    return rep, ExtensionCertificate(k=k, S=s, params=params, trace_value=m_int)
 
 
 def standard_extensions(
@@ -270,17 +297,7 @@ def standard_extensions(
 ) -> list[tuple[LBRep, ExtensionCertificate]]:
     """Build one verified representation per in-field candidate k."""
     search = standard_k_candidates(a, b)
-    out = []
-    for k, m in search.candidates:
-        rep = build_standard_extension(a, b, k, params)
-        kp = k.promote(rep.conductor)
-        s = (rep.A @ rep.B).scalar_mul(kp)
-        cert = ExtensionCertificate(
-            k=kp, S=s, params=default_extension_params(s) if params is None else params,
-            trace_value=m,
-        )
-        out.append((rep, cert))
-    return out
+    return [build_standard_extension(a, b, k, params) for k, _ in search.candidates]
 
 
 def involution_param_dimension(ell: int, m: int) -> int:
@@ -342,11 +359,10 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
     vw2 = pw2.apply(v)
     if all(e.is_zero for e in vw) or all(e.is_zero for e in vw2):
         raise EigenlineChosen("line must avoid the two eigenlines of S")
+    # the swap of the two eigenlines: the t = 1 block involution with G = I
     wmat = CMatrix([[vw[0], vw2[0]], [vw[1], vw2[1]]], n)
-    swap = CMatrix([[0, 1], [1, 0]], n)
-    s1 = wmat @ swap @ wmat.inverse()
-    s2 = s1 @ s
-    return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
+    s1 = _conjugated_involution(ExtensionParams(wmat, CMatrix.identity(1, n), 0, None), s)
+    return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s1 @ s)
 
 
 @dataclass
@@ -446,10 +462,8 @@ def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> PolynomialS:
     """The unique coefficients with S = sum a_n B^n A B (exact linear solve)."""
     if b.min_poly() != b.char_poly():
         raise MinPolyMismatch("min poly of B must equal its char poly")
-    try:
-        s.inverse()
-    except SingularMatrix:
-        raise SingularMatrix("S must be invertible") from None
+    if s.det().is_zero:
+        raise SingularMatrix("S must be invertible")
     basis = _basis_matrices(a, b)
     flat = [m.flatten() for m in basis]
     rows = [[flat[n][i] for n in range(a.dim)] for i in range(a.dim**2)]
@@ -586,22 +600,15 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
     rep = rep.promote(n)
     k = k.promote(n)
     a, b = rep.A, rep.B
-    ab = a @ b
-    c = ab.matpow(3).is_scalar()
-    if c is None or not (k**3 * c).is_one:
-        raise BadCandidate("(AB)^3 != k^-3 I")
-    if (k * ab.trace()).as_integer() is None:
-        raise BadCandidate("Tr(kAB) is not a rational integer")
+    _standard_seed(a, b, k)
     s_new = (b @ b @ rep.S).scalar_mul(k)
     ident = CMatrix.identity(a.dim, n)
     if s_new.matpow(3) != ident:
         raise ConstraintViolated("k B^2 S' does not cube to the identity")
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    params = default_extension_params(s_new)
-    s1 = params.M @ _block_involution(params, a.dim, n) @ params.M.inverse()
-    s2 = s1 @ s_new
-    return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
+    s1 = _conjugated_involution(default_extension_params(s_new), s_new)
+    return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s1 @ s_new)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over a fixed cyclotomic field.
 
-Everything here is exact: Gaussian elimination uses field division with
-first-nonzero pivoting (no stability concerns over an exact field),
-char_poly is Faddeev-LeVerrier, min_poly comes from Krylov sequences.
+Everything here is exact.  All elimination (det, inverse, rank, kernel,
+linear solves, Krylov annihilators, algebra closure) runs through one
+incremental echelon basis, `Echelon`, with first-nonzero pivoting (no
+stability concerns over an exact field); char_poly is Faddeev-LeVerrier.
 Vectors are plain tuples of CycNum.
 """
 
@@ -237,68 +238,33 @@ class CMatrix:
         return acc
 
     def det(self) -> CycNum:
-        rows = [list(r) for r in self.rows]
-        d = self.dim
-        sign = 1
+        ech = Echelon(self.dim, self.conductor)
         det = CycNum.one(self.conductor)
-        for col in range(d):
-            piv = next((r for r in range(col, d) if not rows[r][col].is_zero), None)
-            if piv is None:
+        for row in self.rows:
+            pivot = ech.insert(row)[1]
+            if pivot is None:
                 return CycNum.zero(self.conductor)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            p = rows[col][col]
-            det = det * p
-            pinv = p.inv()
-            for r in range(col + 1, d):
-                f = rows[r][col] * pinv
-                if not f.is_zero:
-                    rows[r] = [
-                        rows[r][j] - f * rows[col][j] for j in range(d)
-                    ]
-        return det if sign == 1 else -det
+            det = det * pivot
+        # the residuals are triangular with their columns in pivot order
+        piv = ech.pivots
+        swaps = sum(p > q for i, p in enumerate(piv) for q in piv[i + 1 :])
+        return -det if swaps % 2 else det
 
     def inverse(self) -> "CMatrix":
+        """Reduce [M | I] to [I | M^-1]."""
         d = self.dim
-        one = CycNum.one(self.conductor)
-        zero = CycNum.zero(self.conductor)
-        aug = [
-            list(r) + [one if i == j else zero for j in range(d)]
-            for i, r in enumerate(self.rows)
-        ]
-        for col in range(d):
-            piv = next((r for r in range(col, d) if not aug[r][col].is_zero), None)
-            if piv is None:
+        ech = Echelon(d, self.conductor)
+        for row, unit in zip(self.rows, CMatrix.identity(d, self.conductor).rows):
+            if ech.insert(row + unit)[1] is None:
                 raise SingularMatrix("matrix is not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pinv = aug[col][col].inv()
-            aug[col] = [pinv * e for e in aug[col]]
-            for r in range(d):
-                if r != col and not aug[r][col].is_zero:
-                    f = aug[r][col]
-                    aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * d)]
-        return CMatrix([r[d:] for r in aug], self.conductor)
+        return CMatrix([row[d:] for _, row in ech.rref()], self.conductor)
 
     def rank(self) -> int:
-        _, pivots = rref([list(r) for r in self.rows])
-        return len(pivots)
+        return matrix_rank(self.rows)
 
     def kernel(self) -> list[Vector]:
         """Exact basis of the null space; empty iff invertible."""
-        reduced, pivots = rref([list(r) for r in self.rows])
-        d = self.dim
-        zero = CycNum.zero(self.conductor)
-        one = CycNum.one(self.conductor)
-        free = [j for j in range(d) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [zero] * d
-            v[j] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced[r][j]
-            basis.append(tuple(v))
-        return basis
+        return Echelon(self.dim, self.conductor, self.rows).kernel()
 
     def char_poly(self) -> "FieldPoly":
         """Monic characteristic polynomial via Faddeev-LeVerrier."""
@@ -312,46 +278,26 @@ class CMatrix:
         return FieldPoly(tuple(reversed(coeffs)))
 
     def min_poly(self) -> "FieldPoly":
-        """Monic minimal polynomial: lcm of Krylov annihilators of e_1..e_d."""
-        d = self.dim
-        n = self.conductor
-        best = FieldPoly((CycNum.one(n),))
-        zero = CycNum.zero(n)
-        one = CycNum.one(n)
+        """Monic minimal polynomial: lcm of Krylov annihilators of e_1..e_d.
+
+        The annihilator of v comes from the first A^k v that reduces to
+        zero, with the combination of v..A^k v riding along.
+        """
+        d, n = self.dim, self.conductor
+        zero, one = CycNum.zero(n), CycNum.one(n)
+        best = FieldPoly((one,))
         for idx in range(d):
             if best.degree() == d:
                 break
-            v = tuple(one if i == idx else zero for i in range(d))
-            ann = self._krylov_annihilator(v)
-            best = best.lcm(ann)
+            ech = Echelon(d, n)
+            vec = tuple(one if i == idx else zero for i in range(d))
+            for k in range(d + 1):
+                residual, pivot = ech.insert([*vec, *[zero] * k, one, *[zero] * (d - k)])
+                if pivot is None:
+                    best = best.lcm(FieldPoly(residual[d : d + k + 1]))
+                    break
+                vec = self.apply(vec)
         return best
-
-    def _krylov_annihilator(self, v: Vector) -> "FieldPoly":
-        d = self.dim
-        n = self.conductor
-        # echelon rows plus the combination over the original Krylov vectors
-        echelon: list[tuple[list[CycNum], list[CycNum], int]] = []
-        vec = list(v)
-        combo_len = d + 1
-        k = 0
-        while True:
-            combo = [CycNum.zero(n) for _ in range(combo_len)]
-            combo[k] = CycNum.one(n)
-            w = list(vec)
-            for row, rcombo, piv in echelon:
-                f = w[piv]
-                if not f.is_zero:
-                    w = [a - f * b for a, b in zip(w, row)]
-                    combo = [a - f * b for a, b in zip(combo, rcombo)]
-            piv = next((i for i, e in enumerate(w) if not e.is_zero), None)
-            if piv is None:
-                return FieldPoly(tuple(combo[: k + 1]))
-            pinv = w[piv].inv()
-            echelon.append(
-                ([pinv * e for e in w], [pinv * e for e in combo], piv)
-            )
-            vec = list(self.apply(vec))
-            k += 1
 
     def is_diagonalizable(self) -> bool:
         """Squarefree minimal polynomial test."""
@@ -491,36 +437,81 @@ class FieldPoly:
         return acc
 
 
-# -- generic elimination ------------------------------------------------------
+# -- the elimination kernel ------------------------------------------------------
 
 
-def rref(rows: list[list[CycNum]]) -> tuple[list[list[CycNum]], list[int]]:
-    """Reduced row echelon form (in place); returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
+def _eliminate(vec: list[CycNum], f: CycNum, row: Sequence[CycNum], start: int) -> None:
+    """vec -= f * row in place, over the columns from start (row vanishes before)."""
+    if f.is_zero:
+        return
+    for j in range(start, len(vec)):
+        b = row[j]
+        if not b.is_zero:
+            vec[j] = vec[j] - f * b
+
+
+class Echelon:
+    """Incremental row-echelon basis: the one elimination loop of this module.
+
+    A row is reduced against the stored rows in insertion order; if one of
+    its first `width` entries survives, the first such is its pivot and
+    the row is stored scaled to pivot 1.  Columns past `width` hold no
+    pivot and ride along: the I of [M | I], a right-hand side, or the
+    Krylov combination a residual stands for.  A stored row vanishes
+    before its pivot and at every earlier pivot, so one pass reduces.
+    """
+
+    def __init__(self, width: int, conductor: int, rows: Iterable[Sequence[CycNum]] = ()):
+        self.width, self.conductor = width, conductor
+        self.rows: list[list[CycNum]] = []
+        self.pivots: list[int] = []
+        for row in rows:
+            self.insert(row)
+
+    def insert(self, row: Sequence[CycNum]) -> tuple[list[CycNum], CycNum | None]:
+        """Reduce row and keep it when independent: (residual, pivot entry).
+
+        The pivot entry is None when the first `width` entries reduce to 0.
+        """
+        vec = list(row)
+        for piv, basis_row in zip(self.pivots, self.rows):
+            _eliminate(vec, vec[piv], basis_row, piv)
+        piv = next((j for j in range(self.width) if not vec[j].is_zero), None)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = rows[r][c].inv()
-        rows[r] = [pinv * e for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            return vec, None
+        pinv = vec[piv].inv()
+        self.rows.append([e if e.is_zero else pinv * e for e in vec])
+        self.pivots.append(piv)
+        return vec, vec[piv]
+
+    def rref(self) -> list[tuple[int, list[CycNum]]]:
+        """Back-substitute in place; (pivot, row) pairs in pivot order.
+
+        Rows below row i already vanish at its pivot, so it stays 1.
+        """
+        rows, pivots = self.rows, self.pivots
+        for i in range(len(rows) - 2, -1, -1):
+            for piv, lower in zip(pivots[i + 1 :], rows[i + 1 :]):
+                _eliminate(rows[i], rows[i][piv], lower, piv)
+        return sorted(zip(pivots, rows), key=lambda pr: pr[0])
+
+    def kernel(self) -> list[Vector]:
+        """Null space of the first `width` columns, one vector per free column."""
+        reduced = self.rref()
+        zero, one = CycNum.zero(self.conductor), CycNum.one(self.conductor)
+        basis = []
+        for j in sorted(set(range(self.width)) - set(self.pivots)):
+            v = [zero] * self.width
+            v[j] = one
+            for pc, row in reduced:
+                v[pc] = -row[j]
+            basis.append(tuple(v))
+        return basis
 
 
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
-    return len(rref([list(r) for r in rows])[1])
+    rows = list(rows)
+    return len(Echelon(len(rows[0]), rows[0][0].conductor, rows).rows) if rows else 0
 
 
 def solve_linear(
@@ -534,30 +525,15 @@ def solve_linear(
     if not rows:
         return tuple(), []
     ncols = len(rows[0])
-    conductor = rows[0][0].conductor
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    # a pivot in the rhs column means inconsistency
-    if ncols in pivots:
-        return None
-    zero = CycNum.zero(conductor)
-    one = CycNum.one(conductor)
-    sol = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = reduced[r][ncols]
-    free = [j for j in range(ncols) if j not in pivots]
-    kern = []
-    for j in free:
-        v = [zero] * ncols
-        v[j] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][j]
-        kern.append(tuple(v))
-    return tuple(sol), kern
-
-
-def span_dimension(vectors: Iterable[Sequence[CycNum]]) -> int:
-    return matrix_rank(vectors)
+    ech = Echelon(ncols, rows[0][0].conductor)
+    for row, b in zip(rows, rhs):
+        residual, pivot = ech.insert([*row, b])
+        if pivot is None and not residual[ncols].is_zero:
+            return None  # 0 = nonzero
+    sol = [CycNum.zero(ech.conductor)] * ncols
+    for pc, row in ech.rref():
+        sol[pc] = row[ncols]
+    return tuple(sol), ech.kernel()
 
 
 def is_proportional(x: CMatrix, y: CMatrix) -> bool:
@@ -609,20 +585,10 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
             raise DimMismatch("generators must share a dimension")
         if g.conductor != n:
             raise ConductorMismatch("generators must share a conductor")
-    echelon: list[tuple[int, Vector]] = []  # (pivot index, normalized vector)
+    ech = Echelon(d * d, n)
 
     def insert(mat: CMatrix) -> bool:
-        vec = list(mat.flatten())
-        for piv, row in echelon:
-            f = vec[piv]
-            if not f.is_zero:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        piv = next((i for i, e in enumerate(vec) if not e.is_zero), None)
-        if piv is None:
-            return False
-        pinv = vec[piv].inv()
-        echelon.append((piv, tuple(pinv * e for e in vec)))
-        return True
+        return ech.insert(mat.flatten())[1] is not None
 
     frontier: list[CMatrix] = []
     for mat in [CMatrix.identity(d, n), *gens]:
@@ -638,4 +604,4 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
                 if insert(prod):
                     new_frontier.append(prod)
         frontier = new_frontier
-    return len(echelon)
+    return len(ech.rows)

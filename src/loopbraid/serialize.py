@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .cyclotomic import CycNum
+from .errors import MalformedInput
 from .extend import (
     ExtensionCertificate,
     ExtensionParams,
@@ -35,8 +36,21 @@ def cycnum_to_obj(x: CycNum) -> dict:
     return {"conductor": x.conductor, "coeffs": [_frac_str(c) for c in x.coeffs]}
 
 
+def _member(obj, key: str, kind: type, what: str):
+    """obj[key] when obj is a JSON object holding a `kind` there."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedInput(f"{what} needs {key!r} of type {kind.__name__}")
+    return value
+
+
 def cycnum_from_obj(obj: dict) -> CycNum:
-    return CycNum.from_coeffs(obj["conductor"], [Fraction(c) for c in obj["coeffs"]])
+    conductor = _member(obj, "conductor", int, "a scalar")
+    coeffs = _member(obj, "coeffs", list, "a scalar")
+    try:
+        return CycNum.from_coeffs(conductor, [Fraction(c) for c in coeffs])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"bad scalar: {exc}") from None
 
 
 def matrix_to_obj(m: CMatrix) -> dict:
@@ -48,10 +62,14 @@ def matrix_to_obj(m: CMatrix) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> CMatrix:
-    rows = [[cycnum_from_obj(e) for e in row] for row in obj["entries"]]
-    m = CMatrix(rows, obj["conductor"])
-    if m.dim != obj["dim"]:
-        raise ValueError("matrix dim field disagrees with the entries")
+    dim = _member(obj, "dim", int, "a matrix")
+    conductor = _member(obj, "conductor", int, "a matrix")
+    entries = _member(obj, "entries", list, "a matrix")
+    if not all(isinstance(row, list) for row in entries):
+        raise MalformedInput("a matrix needs 'entries' as a list of rows")
+    m = CMatrix([[cycnum_from_obj(e) for e in row] for row in entries], conductor)
+    if m.dim != dim:
+        raise MalformedInput("matrix dim field disagrees with the entries")
     return m
 
 
@@ -72,8 +90,11 @@ def rep_from_obj(obj: dict) -> LBRep:
     def opt(o):
         return None if o is None else matrix_from_obj(o)
 
+    target = _member(obj, "target", str, "a representation")
+    if target not in GroupKind.__members__:
+        raise MalformedInput(f"unknown target {target!r}")
     return LBRep(
-        target=GroupKind[obj["target"]],
+        target=GroupKind[target],
         A=opt(obj.get("A")),
         B=opt(obj.get("B")),
         S1=opt(obj.get("S1")),

@@ -57,16 +57,8 @@ def extension_corpus():
                 # constructor already embeds its standard extension
                 search = extend.standard_k_candidates(rep.A, rep.B)
                 assert search.candidates, (family, params)
-                k, m = search.candidates[0]
-                built = extend.build_standard_extension(rep.A, rep.B, k)
-                s = (built.A @ built.B).scalar_mul(k.promote(built.conductor))
-                cert = extend.ExtensionCertificate(
-                    k=k.promote(built.conductor),
-                    S=s,
-                    params=extend.default_extension_params(s),
-                    trace_value=m,
-                )
-                pairs = [(built, cert)]
+                k, _ = search.candidates[0]
+                pairs = [extend.build_standard_extension(rep.A, rep.B, k)]
             else:
                 pairs = extend.standard_extensions(rep.A, rep.B)
             assert pairs, (family, params)

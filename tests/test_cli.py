@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from loopbraid import catalog
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
+from loopbraid.linalg import CMatrix
+from loopbraid.repcore import LBRep
+from loopbraid.serialize import rep_from_obj, rep_to_obj
+
+
+TW4_ARGS = ["tw4", "--lambda", "1", "2", "3", "2/3", "--gamma2", "2"]
 
 
 def run(args, capsys):
@@ -186,3 +193,85 @@ def test_negative_scalar_literals_in_parens(capsys):
     code = main(["construct", "tw2", "--lambda", "1", "(-1)", "--family", "2"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_extend_tw3_123_reports_no_cyclotomic_root(tmp_path, capsys):
+    rep_file = tmp_path / "tw3.json"
+    assert main(["construct", "tw3", "--lambda", "1", "2", "3", "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    assert main(["extend", str(rep_file)]) == 3
+    err = capsys.readouterr().err
+    assert "no cube root in any cyclotomic field" in err
+    assert "suggested conductor" not in err
+
+
+def test_analyze_dense_tw4_reports_uniqueness_unavailable(tmp_path, capsys):
+    rep_file = tmp_path / "tw4.json"
+    assert main(["construct", *TW4_ARGS, "--out", str(rep_file)]) == 0
+    rep = rep_from_obj(json.loads(rep_file.read_text()))
+    upper = CMatrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]], rep.conductor)
+    p = upper @ upper.transpose()  # unimodular and dense
+    pinv = p.inverse()
+    dense = LBRep(target=rep.target, A=p @ rep.A @ pinv, B=p @ rep.B @ pinv)
+    rep_file.write_text(json.dumps(rep_to_obj(dense)))
+    capsys.readouterr()
+    code, out = run(["analyze", str(rep_file)], capsys)
+    assert code == 0
+    sections = json.loads(out)["analysis"]
+    assert sections["uniqueness"].startswith("unavailable: ")
+    assert sections["irreducible"] is True
+    assert sections["k_candidates"]["candidates"]
+
+
+@pytest.fixture(scope="module")
+def malformed_inputs(tmp_path_factory):
+    """The three bad files: a rep without a target, a matrix entry written
+    as [[1]], and an extend report in place of a representation."""
+    root = tmp_path_factory.mktemp("malformed")
+    rep_file = root / "tw4.json"
+    report_file = root / "report.json"
+    assert main(["construct", *TW4_ARGS, "--out", str(rep_file)]) == 0
+    assert main(["extend", str(rep_file), "--out", str(report_file)]) == 0
+    bad_entry = json.loads(rep_file.read_text())
+    bad_entry["A"]["entries"][0][0] = [[1]]
+    files = {
+        "null-A": {"A": None},
+        "list-entry": bad_entry,
+        "extend-report": json.loads(report_file.read_text()),
+    }
+    for name, obj in files.items():
+        (root / f"{name}.json").write_text(json.dumps(obj))
+    return root
+
+
+@pytest.mark.parametrize("name", ["null-A", "list-entry", "extend-report"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "{}", "--group", "B3"],
+        ["extend", "{}"],
+        ["extend", "{}", "--mode", "vb3"],
+        ["analyze", "{}"],
+        ["certify", "{}", "--starts", "10"],
+    ],
+    ids=["verify", "extend", "extend-vb3", "analyze", "certify"],
+)
+def test_malformed_input_exits_2(malformed_inputs, name, command, capsys):
+    path = str(malformed_inputs / f"{name}.json")
+    capsys.readouterr()
+    code = main([arg.format(path) for arg in command])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_commands_needing_a_braid_pair_exit_2(tmp_path, capsys):
+    rep_file = tmp_path / "s3.json"
+    obj = rep_to_obj(catalog.perm3(2))
+    obj.update(target="S3", A=None, B=None)
+    rep_file.write_text(json.dumps(obj))
+    for command in (["extend"], ["certify", "--starts", "10"]):
+        assert main([command[0], str(rep_file), *command[1:]]) == 2
+        assert capsys.readouterr().err == "error: input has no braid pair A, B\n"
+    code, out = run(["analyze", str(rep_file)], capsys)
+    assert code == 0
+    assert set(json.loads(out)["analysis"]) == {"irreducible"}

@@ -39,14 +39,30 @@ def test_k_candidates_tw4_unique():
 
 def test_k_candidates_tw3_123_requires_bigger_field():
     # k^3 = 1/36 has no root in any cyclotomic field; the search reports a
-    # structured empty result carrying the target value of k^3.
+    # structured empty result carrying the target value of k^3, and
+    # suggests no conductor.
     rep = catalog.tw3(1, 2, 3)
     res = extend.standard_k_candidates(rep.A, rep.B)
     assert res.cube_is_scalar
     assert res.candidates == []
-    assert res.reason == "no-root-in-field"
+    assert res.reason == "not-cyclotomic"
     assert res.k_cubed == Fraction(1, 36)
-    assert res.suggested_conductor == 3 * rep.conductor
+    assert res.suggested_conductor is None
+
+
+def test_k_candidates_suggests_only_a_confirmed_conductor():
+    # (AB)^3 = w I, so k^3 = w^2: no cube root in Q(zeta_3), but zeta_9^2
+    # is one in Q(zeta_9)
+    w = omega(3)
+    z = CycNum.zero(3)
+    a = CMatrix([[z, z, w], [1, z, z], [z, 1, z]], 3)
+    res = extend.standard_k_candidates(a, CMatrix.identity(3, 3))
+    assert res.candidates == []
+    assert res.reason == "no-root-in-field"
+    assert res.suggested_conductor == 9
+    assert extend.standard_k_candidates(
+        a.promote(9), CMatrix.identity(3, 9)
+    ).candidates
 
 
 def test_k_candidates_counterexample_no_integer_trace():
@@ -119,12 +135,12 @@ def test_build_tw4_default_params():
 
 def test_build_dim1():
     one = CMatrix([[1]], 1)
-    rep = extend.build_standard_extension(one, one, CycNum.one(1))
+    rep, _ = extend.build_standard_extension(one, one, CycNum.one(1))
     assert verify(rep, GroupKind.LB3).all_hold
     assert rep.S1.rows[0][0].is_one
     params = extend.default_extension_params(CMatrix.identity(1, 3))
     params = extend.ExtensionParams(M=params.M, G=params.G, a=0, N=params.N)
-    rep = extend.build_standard_extension(one, one, CycNum.one(1), params)
+    rep, _ = extend.build_standard_extension(one, one, CycNum.one(1), params)
     assert rep.S1.rows[0][0] == -1 and rep.S2.rows[0][0] == -1
 
 
@@ -169,7 +185,7 @@ def test_randomized_params_still_verify():
     g = CMatrix([[2]], n) if base.t == 1 else None
     for aa in range(base.ell + 1):
         params = extend.ExtensionParams(M=base.M, G=g or base.G, a=aa, N=base.N)
-        built = extend.build_standard_extension(a, b, kp, params)
+        built, _ = extend.build_standard_extension(a, b, kp, params)
         assert verify(built, GroupKind.LB3).all_hold
 
 

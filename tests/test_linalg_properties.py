@@ -1,0 +1,124 @@
+"""Property tests of the exact elimination kernel behind det, inverse, rank,
+kernel, solve_linear and min_poly, at conductors 1 and 12."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopbraid.cyclotomic import CycNum, make_root_of_unity
+from loopbraid.errors import SingularMatrix
+from loopbraid.linalg import CMatrix, matrix_rank, solve_linear
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def scalars(draw, n):
+    """Zero a quarter of the time, else a small rational times a root of unity."""
+    if draw(st.integers(0, 3)) == 0:
+        return CycNum.zero(n)
+    q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return make_root_of_unity(n, draw(st.integers(0, n - 1))) * q
+
+
+@st.composite
+def matrices(draw, n=None, dim=None):
+    """A d x d matrix; a third are singular by a repeated combination of rows."""
+    n = draw(st.sampled_from([1, 12])) if n is None else n
+    d = draw(st.integers(1, 3)) if dim is None else dim
+    rows = [[draw(scalars(n)) for _ in range(d)] for _ in range(d)]
+    if d > 1 and draw(st.integers(0, 2)) == 0:
+        c = draw(scalars(n))
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1 % (d - 1)])]
+    return CMatrix(rows, n)
+
+
+def _zero_vector(m: CMatrix):
+    return (CycNum.zero(m.conductor),) * m.dim
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_nullity_and_kernel_vectors(m):
+    kernel = m.kernel()
+    assert m.rank() + len(kernel) == m.dim
+    assert matrix_rank(m.rows) == m.rank()
+    for v in kernel:
+        assert m.apply(v) == _zero_vector(m)
+
+
+@PROPERTY
+@given(matrices())
+def test_inverse_exactly_when_det_nonzero(m):
+    if m.det().is_zero:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        assert m.rank() < m.dim
+    else:
+        ident = CMatrix.identity(m.dim, m.conductor)
+        assert m @ m.inverse() == ident
+        assert m.inverse() @ m == ident
+
+
+@PROPERTY
+@given(st.sampled_from([1, 12]).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.tuples(matrices(n, d), matrices(n, d))
+    )
+))
+def test_det_multiplicative(xy):
+    x, y = xy
+    assert (x @ y).det() == x.det() * y.det()
+
+
+@PROPERTY
+@given(st.sampled_from([1, 12]).flatmap(
+    lambda n: st.tuples(
+        st.integers(1, 4).flatmap(
+            lambda r: st.integers(1, 3).flatmap(
+                lambda c: st.lists(
+                    st.lists(scalars(n), min_size=c, max_size=c), min_size=r, max_size=r
+                )
+            )
+        ),
+        st.lists(scalars(n), min_size=4, max_size=4),
+    )
+))
+def test_solve_linear_solutions_satisfy_the_system(system):
+    rows, rhs = system
+    rhs = rhs[: len(rows)]
+    n = rows[0][0].conductor
+    zero = CycNum.zero(n)
+
+    def apply(x):
+        return [sum((a * b for a, b in zip(row, x)), zero) for row in rows]
+
+    out = solve_linear(rows, rhs)
+    if out is None:  # inconsistent: rhs raises the rank
+        assert matrix_rank([[*r, b] for r, b in zip(rows, rhs)]) > matrix_rank(rows)
+        return
+    sol, kernel = out
+    assert apply(sol) == rhs
+    assert matrix_rank(rows) + len(kernel) == len(rows[0])
+    for v in kernel:
+        assert apply(v) == [zero] * len(rows)
+
+
+@PROPERTY
+@given(matrices())
+def test_min_poly_annihilates_and_divides_char_poly(m):
+    mp = m.min_poly()
+    assert mp.is_monic
+    assert mp.eval_matrix(m).is_zero
+    assert mp.divides(m.char_poly())
+
+
+@PROPERTY
+@given(matrices(n=1))
+def test_rank_and_det_match_sympy_at_conductor_1(m):
+    ref = sympy.Matrix([[sympy.Rational(str(e.as_rational())) for e in r] for r in m.rows])
+    assert m.rank() == ref.rank()
+    assert m.det().as_rational() == Fraction(str(ref.det()))
