@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 relation violation, 2 bad input, 3 no extension.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -24,15 +25,7 @@ from . import catalog
 from .cyclotomic import CycNum, make_root_of_unity
 from .errors import LoopBraidError
 from .repcore import GroupKind, LBRep, verify
-from .serialize import (
-    certificate_to_obj,
-    certify_report_to_obj,
-    cycnum_to_obj,
-    dumps,
-    linearized_to_obj,
-    rep_from_obj,
-    rep_to_obj,
-)
+from .serialize import dumps, rep_from_obj, report_to_obj
 
 _SCALAR_RE = re.compile(
     r"^(?P<rat>[+-]?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?P<root>z(?P<n>\d+)(?:\^(?P<k>-?\d+))?)?$"
@@ -74,8 +67,9 @@ def _file_sha256(path: str | None) -> str | None:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = dumps(payload)
+def _emit(payload, out: str | None) -> None:
+    """Write a report: domain objects take their wire formats here."""
+    text = dumps(report_to_obj(payload))
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -137,7 +131,7 @@ def _cmd_construct(args) -> int:
         rep = catalog.perm3(parse_scalar(_req(args.t, "--t")))
     else:
         raise ValueError(f"unknown family {args.family!r}")
-    _emit(rep_to_obj(rep), args.out)
+    _emit(rep, args.out)
     return 0
 
 
@@ -218,8 +212,8 @@ def _extend_standard(rep: LBRep, args) -> int:
     payload = {
         "meta": _meta(args.file),
         "mode": "standard",
-        "representation": rep_to_obj(built),
-        "certificate": certificate_to_obj(cert),
+        "representation": built,
+        "certificate": cert,
         "candidate_count": len(search.candidates),
     }
     _emit(payload, args.out)
@@ -245,9 +239,9 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
     payload = {
         "meta": _meta(args.file),
         "mode": "nonstandard3",
-        "z": cycnum_to_obj(z),
+        "z": z,
         "sign": args.sign,
-        "representation": rep_to_obj(built),
+        "representation": built,
         "verifies_SLB3": verify(built, GroupKind.SLB3).all_hold,
     }
     _emit(payload, args.out)
@@ -259,21 +253,21 @@ def _extend_vb3(rep: LBRep, args) -> int:
         raise ValueError("vb3 mode needs a verified LB3 representation")
     if not verify(rep, GroupKind.LB3).all_hold:
         raise ValueError("input does not verify LB3")
-    search = extend.standard_k_candidates(rep.A, rep.B)
     if args.k is not None:
         k = parse_scalar(args.k)
-    elif search.candidates:
-        k = search.candidates[0][0]
     else:
-        print("no VB3 lift: no standard-extension candidate k exists", file=sys.stderr)
-        return 3
+        search = extend.standard_k_candidates(rep.A, rep.B)
+        if not search.candidates:
+            print("no VB3 lift: no standard-extension candidate k exists", file=sys.stderr)
+            return 3
+        k = search.candidates[0][0]
     built = extend.vb3_lift(rep, k)
     payload = {
         "meta": _meta(args.file),
         "mode": "vb3",
-        "k": cycnum_to_obj(k),
-        "representation": rep_to_obj(built),
-        "trace_of_S": cycnum_to_obj(built.S.trace()),
+        "k": k,
+        "representation": built,
+        "trace_of_S": built.S.trace(),
     }
     _emit(payload, args.out)
     return 0
@@ -292,9 +286,9 @@ def _cmd_analyze(args) -> int:
         sections["irreducible"] = is_irreducible(rep)
     if (args.uniqueness or run_all) and rep.A is not None and rep.dim in (4, 5):
         try:
-            obj = linearized_to_obj(extend.uniqueness_linearized(rep.A, rep.B))
-            obj.pop("matrix")  # rank and sizes suffice for the report
-            sections["uniqueness"] = obj
+            lin = extend.uniqueness_linearized(rep.A, rep.B)
+            # rank and sizes suffice for the report
+            sections["uniqueness"] = {k: v for k, v in vars(lin).items() if k != "matrix"}
         except LoopBraidError as exc:
             sections["uniqueness"] = f"unavailable: {exc}"
     if (args.slb3 or run_all) and rep.A is not None and rep.S1 is not None:
@@ -306,15 +300,13 @@ def _cmd_analyze(args) -> int:
     if (args.poly_s or run_all) and rep.A is not None and rep.S1 is not None:
         try:
             ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-            sections["polynomial_S"] = [cycnum_to_obj(c) for c in ps.coefficients]
+            sections["polynomial_S"] = ps.coefficients
         except LoopBraidError as exc:
             sections["polynomial_S"] = f"unavailable: {exc}"
     if run_all and rep.A is not None:
         search = extend.standard_k_candidates(rep.A, rep.B)
         sections["k_candidates"] = {
-            "candidates": [
-                {"k": cycnum_to_obj(k), "m": m} for k, m in search.candidates
-            ],
+            "candidates": [{"k": k, "m": m} for k, m in search.candidates],
             "reason": search.reason,
         }
     payload = {"meta": _meta(args.file), "analysis": sections}
@@ -335,7 +327,7 @@ def _cmd_certify(args) -> int:
         cluster_radius=args.cluster_radius,
         seed=_seed_default(args.seed),
     )
-    payload = {"meta": _meta(args.file), "report": certify_report_to_obj(report)}
+    payload = {"meta": _meta(args.file), "report": report}
     _emit(payload, args.out)
     return 0
 
@@ -426,9 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the parser is built once per process; main only reads it
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; bad input of any kind exits 2 here."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (LoopBraidError, ValueError, OSError) as exc:

@@ -468,7 +468,8 @@ def rational_nth_root(q: Rational, n: int) -> Rational | None:
 
 
 def roots_of_unity(conductor: int) -> list[CycNum]:
-    """All roots of unity contained in Q(zeta_N): the group <+-zeta_N>."""
+    """All roots of unity contained in Q(zeta_N): the group <+-zeta_N>,
+    listed as gen^0, gen^1, ..., so roots[-j] is the inverse of roots[j]."""
     n = conductor
     if n % 2 == 0:
         gen = make_root_of_unity(n, 1)
@@ -499,9 +500,9 @@ def nth_root_in_field(x: CycNum, n: int) -> list[CycNum]:
     if x.is_zero:
         return [CycNum.zero(x.conductor)]
     found: dict[tuple, CycNum] = {}
-    for u in roots_of_unity(x.conductor):
-        t = x / u**n
-        q = t.as_rational()
+    roots = roots_of_unity(x.conductor)
+    for j, u in enumerate(roots):
+        q = (x * roots[(-n * j) % len(roots)]).as_rational()  # x / u^n
         if q is None:
             continue
         r = rational_nth_root(q, n)

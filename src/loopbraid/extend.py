@@ -122,8 +122,9 @@ def _rational_part_is_noncube(x: CycNum) -> bool:
     it would hold a real cube root of q, whose field Q(q^(1/3)) is not
     normal over Q.
     """
-    for u in roots_of_unity(x.conductor):
-        q = (x / u).as_rational()
+    roots = roots_of_unity(x.conductor)
+    for j in range(len(roots)):
+        q = (x * roots[-j]).as_rational()  # x / roots[j]
         if q is not None:
             return rational_nth_root(q, 3) is None
     return False

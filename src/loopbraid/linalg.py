@@ -357,16 +357,6 @@ class FieldPoly:
     def __repr__(self) -> str:
         return "FieldPoly[" + ", ".join(map(str, self.coeffs)) + "]"
 
-    def __add__(self, other: "FieldPoly") -> "FieldPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = CycNum.zero(self.conductor)
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return FieldPoly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "FieldPoly") -> "FieldPoly":
-        return self + FieldPoly([-c for c in other.coeffs])
-
     def __mul__(self, other: "FieldPoly") -> "FieldPoly":
         z = CycNum.zero(self.conductor)
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -377,9 +367,6 @@ class FieldPoly:
                 if not b.is_zero:
                     out[i + j] = out[i + j] + a * b
         return FieldPoly(out)
-
-    def scalar_mul(self, c: CycNum) -> "FieldPoly":
-        return FieldPoly([c * x for x in self.coeffs])
 
     def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         if other.is_zero:
@@ -423,12 +410,6 @@ class FieldPoly:
         return FieldPoly(
             [c * k for k, c in enumerate(self.coeffs) if k > 0]
         )
-
-    def eval_scalar(self, x: CycNum) -> CycNum:
-        acc = CycNum.zero(self.conductor)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, x: CMatrix) -> CMatrix:
         acc = CMatrix.zero(x.dim, x.conductor)

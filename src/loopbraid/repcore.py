@@ -61,10 +61,6 @@ _WEAKER: dict[GroupKind, set[GroupKind]] = {
 }
 
 
-def kind_relations(kind: GroupKind) -> tuple[str, ...]:
-    return _KIND_RELATIONS[kind]
-
-
 def is_weaker_or_equal(kind: GroupKind, target: GroupKind) -> bool:
     return kind in _WEAKER[target]
 
@@ -141,9 +137,6 @@ class LBRep:
             S1=None if self.S1 is None else self.S1.promote(m),
             S2=None if self.S2 is None else self.S2.promote(m),
         )
-
-    def with_target(self, kind: GroupKind) -> "LBRep":
-        return LBRep(target=kind, A=self.A, B=self.B, S1=self.S1, S2=self.S2)
 
 
 @dataclass

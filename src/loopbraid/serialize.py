@@ -7,23 +7,25 @@ Certificate  {"k": CycNum, "S": CMatrix, "params": {...}, "trace_value": m}
 
 Rationals travel as base-10 "p/q" strings, so round-trips are exact.
 Complex numbers in oracle reports are [re, im] pairs.
+
+Output reports are encoded field by field from their dataclasses by
+`report_to_obj`: a dataclass field is a key of the JSON body.  So a
+diagnostic, such as a timing, must never become a field of a report
+dataclass, since the body stays byte-identical for identical input and
+seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 from fractions import Fraction
 from typing import Any
 
 from .cyclotomic import CycNum
 from .errors import MalformedInput
-from .extend import (
-    ExtensionCertificate,
-    ExtensionParams,
-    LinearizedSystem,
-    NoExtensionReport,
-    OracleReport,
-)
+from .extend import ExtensionCertificate, ExtensionParams
 from .linalg import CMatrix
 from .repcore import GroupKind, LBRep
 
@@ -48,7 +50,7 @@ def cycnum_from_obj(obj: dict) -> CycNum:
     conductor = _member(obj, "conductor", int, "a scalar")
     coeffs = _member(obj, "coeffs", list, "a scalar")
     try:
-        return CycNum.from_coeffs(conductor, [Fraction(c) for c in coeffs])
+        return CycNum.from_coeffs(conductor, coeffs)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad scalar: {exc}") from None
 
@@ -73,17 +75,32 @@ def matrix_from_obj(obj: dict) -> CMatrix:
     return m
 
 
-def rep_to_obj(rep: LBRep) -> dict:
-    def opt(m):
-        return None if m is None else matrix_to_obj(m)
+def report_to_obj(x: Any) -> Any:
+    """The JSON object of a report value: dataclasses field by field.
 
-    return {
-        "target": rep.target.value,
-        "A": opt(rep.A),
-        "B": opt(rep.B),
-        "S1": opt(rep.S1),
-        "S2": opt(rep.S2),
-    }
+    Scalars and matrices take their wire formats, an enum its value and a
+    complex number an [re, im] pair; dicts, lists and tuples are walked,
+    and any other value passes through unchanged.
+    """
+    if isinstance(x, CMatrix):
+        return matrix_to_obj(x)
+    if isinstance(x, CycNum):
+        return cycnum_to_obj(x)
+    if isinstance(x, (list, tuple)):
+        return [report_to_obj(v) for v in x]
+    if isinstance(x, dict):
+        return {k: report_to_obj(v) for k, v in x.items()}
+    if isinstance(x, enum.Enum):
+        return x.value
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if dataclasses.is_dataclass(x):
+        return {f.name: report_to_obj(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
+
+
+def rep_to_obj(rep: LBRep) -> dict:
+    return report_to_obj(rep)
 
 
 def rep_from_obj(obj: dict) -> LBRep:
@@ -102,15 +119,6 @@ def rep_from_obj(obj: dict) -> LBRep:
     )
 
 
-def params_to_obj(p: ExtensionParams) -> dict:
-    return {
-        "M": matrix_to_obj(p.M),
-        "G": None if p.G is None else matrix_to_obj(p.G),
-        "a": p.a,
-        "N": None if p.N is None else matrix_to_obj(p.N),
-    }
-
-
 def params_from_obj(obj: dict) -> ExtensionParams:
     return ExtensionParams(
         M=matrix_from_obj(obj["M"]),
@@ -120,15 +128,6 @@ def params_from_obj(obj: dict) -> ExtensionParams:
     )
 
 
-def certificate_to_obj(cert: ExtensionCertificate) -> dict:
-    return {
-        "k": cycnum_to_obj(cert.k),
-        "S": matrix_to_obj(cert.S),
-        "params": params_to_obj(cert.params),
-        "trace_value": cert.trace_value,
-    }
-
-
 def certificate_from_obj(obj: dict) -> ExtensionCertificate:
     return ExtensionCertificate(
         k=cycnum_from_obj(obj["k"]),
@@ -136,67 +135,6 @@ def certificate_from_obj(obj: dict) -> ExtensionCertificate:
         params=params_from_obj(obj["params"]),
         trace_value=obj["trace_value"],
     )
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def oracle_to_obj(rep: OracleReport) -> dict:
-    return {
-        "dim": rep.dim,
-        "starts": rep.starts,
-        "converged": rep.converged,
-        "tol": rep.tol,
-        "cluster_radius": rep.cluster_radius,
-        "seed": rep.seed,
-        "clusters": [
-            {
-                "centroid": [_complex_pair(z) for z in c.centroid],
-                "size": c.size,
-                "max_residual": c.max_residual,
-                "trace": _complex_pair(c.trace),
-                "nearest_candidate": c.nearest_candidate,
-                "nearest_distance": c.nearest_distance,
-            }
-            for c in rep.clusters
-        ],
-    }
-
-
-def certify_report_to_obj(rep: NoExtensionReport) -> dict:
-    return {
-        "dim": rep.dim,
-        "conductor": rep.conductor,
-        "candidates": [
-            {
-                "coefficients": [cycnum_to_obj(c) for c in v.coefficients],
-                "intertwines": v.intertwines,
-                "cubes_to_identity": v.cubes_to_identity,
-                "trace": cycnum_to_obj(v.trace),
-                "trace_is_integer": v.trace_is_integer,
-                "trace_is_real": v.trace_is_real,
-            }
-            for v in rep.candidates
-        ],
-        "oracle": oracle_to_obj(rep.oracle),
-        "exact_steps_pass": rep.exact_steps_pass,
-        "all_traces_non_integer": rep.all_traces_non_integer,
-        "oracle_exhaustive": rep.oracle_exhaustive,
-        "verdict": rep.verdict,
-    }
-
-
-def linearized_to_obj(lin: LinearizedSystem) -> dict:
-    return {
-        "d": lin.d,
-        "monomials": [list(mn) for mn in lin.monomials],
-        "n_unknowns": lin.n_unknowns,
-        "n_equations": lin.n_equations,
-        "rank": lin.rank,
-        "verdict": lin.verdict,
-        "matrix": [[cycnum_to_obj(e) for e in row] for row in lin.matrix],
-    }
 
 
 def dumps(obj: Any) -> str:

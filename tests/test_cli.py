@@ -275,3 +275,21 @@ def test_commands_needing_a_braid_pair_exit_2(tmp_path, capsys):
     code, out = run(["analyze", str(rep_file)], capsys)
     assert code == 0
     assert set(json.loads(out)["analysis"]) == {"irreducible"}
+
+
+def test_extend_vb3_with_k(tmp_path, capsys):
+    rep_file = tmp_path / "tw4.json"
+    lb3_file = tmp_path / "lb3.json"
+    assert main(["construct", *TW4_ARGS, "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    _, out = run(["extend", str(rep_file)], capsys)
+    lb3_file.write_text(json.dumps(json.loads(out)["representation"]))
+    _, out = run(["extend", str(lb3_file), "--mode", "vb3"], capsys)
+    searched = json.loads(out)
+    assert searched["k"]["coeffs"][0] == "-1/2"  # the only candidate of tw4
+    code, out = run(["extend", str(lb3_file), "--mode", "vb3", "--k", "(-1/2)"], capsys)
+    assert code == 0
+    assert json.loads(out)["representation"] == searched["representation"]
+    # (kAB)^3 = -I for k = 1/2, so it is no candidate
+    assert main(["extend", str(lb3_file), "--mode", "vb3", "--k", "1/2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -8,7 +8,6 @@ from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.repcore import GroupKind
 from loopbraid.serialize import (
     certificate_from_obj,
-    certificate_to_obj,
     cycnum_from_obj,
     cycnum_to_obj,
     dumps,
@@ -16,6 +15,7 @@ from loopbraid.serialize import (
     matrix_to_obj,
     rep_from_obj,
     rep_to_obj,
+    report_to_obj,
 )
 
 
@@ -61,7 +61,7 @@ def test_rep_round_trip_with_and_without_s():
 def test_certificate_round_trip():
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
     (built, cert), = extend.standard_extensions(rep.A, rep.B)
-    obj = certificate_to_obj(cert)
+    obj = report_to_obj(cert)
     back = certificate_from_obj(json.loads(json.dumps(obj)))
     assert back.k == cert.k
     assert back.S == cert.S
