@@ -467,9 +467,11 @@ def rational_nth_root(q: Rational, n: int) -> Rational | None:
     return Fraction(sign * a, b)
 
 
-def roots_of_unity(conductor: int) -> list[CycNum]:
+@lru_cache(maxsize=None)
+def roots_of_unity(conductor: int) -> tuple[CycNum, ...]:
     """All roots of unity contained in Q(zeta_N): the group <+-zeta_N>,
-    listed as gen^0, gen^1, ..., so roots[-j] is the inverse of roots[j]."""
+    listed as gen^0, gen^1, ..., so roots[-j] is the inverse of roots[j].
+    Built once per conductor; the tuple is shared between callers."""
     n = conductor
     if n % 2 == 0:
         gen = make_root_of_unity(n, 1)
@@ -482,7 +484,7 @@ def roots_of_unity(conductor: int) -> list[CycNum]:
     for _ in range(order):
         out.append(u)
         u = u * gen
-    return out
+    return tuple(out)
 
 
 def nth_root_in_field(x: CycNum, n: int) -> list[CycNum]:

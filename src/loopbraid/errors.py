@@ -107,3 +107,7 @@ class BadCandidate(LoopBraidError):
 
 class CandidateInvalid(LoopBraidError):
     """A no-extension candidate fails its exact structural checks."""
+
+
+class InvalidOption(LoopBraidError, ValueError):
+    """A numeric option lies outside the range it is defined on."""

@@ -30,6 +30,7 @@ from .errors import (
     DimMismatch,
     EigenlineChosen,
     HypothesisUnmet,
+    InvalidOption,
     MinPolyMismatch,
     NoSolution,
     NotOrderThree,
@@ -729,7 +730,7 @@ def certify_no_extension(
         v.intertwines and v.cubes_to_identity for v in verdicts
     )
     no_integer = bool(verdicts) and all(not v.trace_is_integer for v in verdicts)
-    exhaustive = oracle.clusters and all(
+    exhaustive = bool(oracle.clusters) and all(
         c.nearest_candidate is not None and c.nearest_distance <= cluster_radius
         for c in oracle.clusters
     )
@@ -742,6 +743,10 @@ def certify_no_extension(
         verdict = "inconclusive: a candidate admits an integer trace (extension exists)"
     elif not exact_ok:
         verdict = "inconclusive: candidate structure checks failed"
+    elif not oracle.converged:
+        verdict = (
+            f"inconclusive: no oracle start converged (0 of {oracle.starts} starts)"
+        )
     else:
         verdict = "inconclusive: oracle found unmatched solution clusters"
     return NoExtensionReport(
@@ -751,7 +756,7 @@ def certify_no_extension(
         oracle=oracle,
         exact_steps_pass=exact_ok,
         all_traces_non_integer=no_integer,
-        oracle_exhaustive=bool(exhaustive),
+        oracle_exhaustive=exhaustive,
         verdict=verdict,
     )
 
@@ -782,6 +787,28 @@ class OracleReport:
     clusters: list[OracleCluster]
 
 
+# starts per Newton block; peak memory grows with it, not with `starts`
+_ORACLE_BLOCK = 256
+
+
+def _cubic_jacobian_t(s, s2, ecol, erow):
+    """Transposed Jacobian of F(b) = S(b)^3 - I, S(b) = sum_k b_k E_k.
+
+    For a stack of n matrices S (with s2 = S @ S), returns shape
+    (n, d, d*d): row k is dF/db_k = E_k S^2 + S E_k S + S^2 E_k flattened
+    in F's (i, l) order.  ecol is E reshaped to (d*d, d), rows (k, i);
+    erow is E transposed to (d, d*d), columns (k, j).  Three wide
+    matmuls, accumulated in one buffer laid out (n, i, k, l).
+    """
+    n, d = s.shape[0], s.shape[1]
+    jac = s2 @ erow  # S^2 E_k
+    es = (ecol @ s).reshape(n, d, d, d).transpose(0, 2, 1, 3)  # (E_k S)_il
+    jac += s @ es.reshape(n, d, d * d)  # S E_k S
+    jac4 = jac.reshape(n, d, d, d)
+    jac4 += (ecol @ s2).reshape(n, d, d, d).transpose(0, 2, 1, 3)  # E_k S^2
+    return jac4.transpose(0, 2, 1, 3).reshape(n, d, d * d)
+
+
 def numeric_cubic_oracle(
     a: CMatrix,
     b: CMatrix,
@@ -800,6 +827,11 @@ def numeric_cubic_oracle(
     """
     import numpy as np
 
+    if starts < 1:
+        raise InvalidOption(f"starts must be at least 1, got {starts}")
+    for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidOption(f"{name} must be finite and > 0, got {value}")
     d = a.dim
     if d > 8:
         raise DimMismatch("oracle supports dimensions up to 8")
@@ -813,35 +845,36 @@ def numeric_cubic_oracle(
         ]
     )
     ident = np.eye(d, dtype=complex)
+    eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
+    ecol = e.reshape(d * d, d)  # rows (k, i)
+    erow = e.transpose(1, 0, 2).reshape(d, d * d)  # columns (k, j)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
     alive = np.ones(starts, dtype=bool)
-    damping = 1e-12
+    damping = 1e-12 * np.eye(d)
     for _ in range(max_iter):
-        s = np.einsum("sk,kij->sij", bvec, e)
+        s = (bvec @ eflat).reshape(starts, d, d)
         s2 = s @ s
         f = s2 @ s - ident
         res = np.abs(f).reshape(starts, -1).max(axis=1)
         alive &= np.isfinite(res)
-        active = alive & (res > tol * 0.01)
-        if not active.any():
+        active = np.flatnonzero(alive & (res > tol * 0.01))
+        if not len(active):
             break
-        sa = s[active]
-        s2a = s2[active]
-        t1 = np.einsum("kij,sjl->skil", e, s2a)
-        t2 = np.einsum("sij,kjl,slm->skim", sa, e, sa)
-        t3 = np.einsum("sij,kjl->skil", s2a, e)
-        jac = np.transpose(t1 + t2 + t3, (0, 2, 3, 1)).reshape(-1, d * d, d)
-        fa = f[active].reshape(-1, d * d, 1)
-        jh = np.conj(np.transpose(jac, (0, 2, 1)))
-        gram = jh @ jac + damping * np.eye(d)[None]
-        try:
-            delta = np.linalg.solve(gram, -(jh @ fa))
-        except np.linalg.LinAlgError:  # pragma: no cover
-            delta = -np.linalg.pinv(gram) @ (jh @ fa)
-        bnew = bvec[active] + delta[..., 0]
-        bvec[active] = bnew
-    s = np.einsum("sk,kij->sij", bvec, e)
+        # each start's step depends on that start alone, so blocks of
+        # starts bound the Jacobian's memory without changing the result
+        for lo in range(0, len(active), _ORACLE_BLOCK):
+            blk = active[lo : lo + _ORACLE_BLOCK]
+            jt = _cubic_jacobian_t(s[blk], s2[blk], ecol, erow)
+            jh = jt.conj()
+            gram = jh @ jt.transpose(0, 2, 1) + damping
+            rhs = jh @ f[blk].reshape(-1, d * d, 1)
+            try:
+                delta = np.linalg.solve(gram, -rhs)
+            except np.linalg.LinAlgError:  # pragma: no cover
+                delta = -np.linalg.pinv(gram) @ rhs
+            bvec[blk] += delta[..., 0]
+    s = (bvec @ eflat).reshape(starts, d, d)
     f = s @ s @ s - ident
     res = np.abs(f).reshape(starts, -1).max(axis=1)
     good = np.isfinite(res) & (res < tol)
@@ -875,7 +908,7 @@ def numeric_cubic_oracle(
     for ci, members in enumerate(clusters):
         pts = solutions[members]
         centroid = pts.mean(axis=0)
-        strace = np.einsum("k,kij->ij", centroid, e).trace()
+        strace = (centroid @ eflat).reshape(d, d).trace()
         nearest = None
         ndist = None
         if cand_vecs is not None and len(cand_vecs):

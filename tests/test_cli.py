@@ -293,3 +293,30 @@ def test_extend_vb3_with_k(tmp_path, capsys):
     # (kAB)^3 = -I for k = 1/2, so it is no candidate
     assert main(["extend", str(lb3_file), "--mode", "vb3", "--k", "1/2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def c6_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("c6") / "c6.json"
+    assert main(["construct", "counterexample6", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--starts", "0"],
+        ["--starts", "-5"],
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--cluster-radius", "0"],
+        ["--cluster-radius", "inf"],
+    ],
+    ids=["starts-0", "starts-neg", "tol-neg", "tol-nan", "radius-0", "radius-inf"],
+)
+def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
+    capsys.readouterr()
+    assert main(["certify", str(c6_file), *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert option[0].lstrip("-").replace("-", "_") in err

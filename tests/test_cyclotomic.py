@@ -227,3 +227,14 @@ def test_coeff_vector_always_reduced_length():
         assert len(x.coeffs) == euler_phi(n)
         y = x**5 + x
         assert len(y.coeffs) == euler_phi(n)
+
+
+def test_roots_of_unity_built_once_per_conductor():
+    first = roots_of_unity(60)
+    assert isinstance(first, tuple)
+    assert roots_of_unity(60) is first
+    gen = make_root_of_unity(60, 1)
+    assert first[1] == gen
+    for j, u in enumerate(first):
+        assert u == gen**j
+        assert (u * first[-j]).is_one

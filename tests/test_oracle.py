@@ -1,5 +1,8 @@
 """Numeric cubic oracle: convergence, clustering, determinism."""
 
+import numpy as np
+import pytest
+
 from loopbraid import catalog, extend
 from loopbraid.linalg import CMatrix
 
@@ -51,3 +54,62 @@ def test_oracle_matches_exact_candidates():
     for c in report.clusters:
         assert c.nearest_candidate is not None
         assert c.nearest_distance < 1e-8
+
+
+def _einsum_jacobian_t(e, s):
+    # the Jacobian as the oracle first computed it, kept as the reference
+    s2 = s @ s
+    t1 = np.einsum("kij,sjl->skil", e, s2)
+    t2 = np.einsum("sij,kjl,slm->skim", s, e, s)
+    t3 = np.einsum("sij,kjl->skil", s2, e)
+    return (t1 + t2 + t3).reshape(len(s), len(e), -1)
+
+
+def _stacked_jacobian_t(e, s):
+    d = len(e)
+    ecol = e.reshape(d * d, d)
+    erow = e.transpose(1, 0, 2).reshape(d, d * d)
+    return extend._cubic_jacobian_t(s, s @ s, ecol, erow)
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_jacobian_matches_einsum_and_finite_differences(d):
+    rng = np.random.default_rng(d)
+    e = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    bvec = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+    s = (bvec @ e.reshape(d, d * d)).reshape(5, d, d)
+    jt = _stacked_jacobian_t(e, s)
+    assert jt.shape == (5, d, d * d)
+    assert np.abs(jt - _einsum_jacobian_t(e, s)).max() < 1e-12
+
+    def cube(b):
+        m = (b @ e.reshape(d, d * d)).reshape(d, d)
+        return (m @ m @ m - np.eye(d)).reshape(-1)
+
+    h = 1e-6
+    for n, b in enumerate(bvec):
+        for k in range(d):
+            step = np.zeros(d)
+            step[k] = h
+            fd = (cube(b + step) - cube(b - step)) / (2 * h)
+            scale = max(1.0, np.abs(fd).max())
+            assert np.abs(fd - jt[n, k]).max() < 1e-6 * scale
+
+
+def test_oracle_report_independent_of_block_size(monkeypatch):
+    rep = catalog.tw3(1, 1, 1)
+    default = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+    monkeypatch.setattr(extend, "_ORACLE_BLOCK", 7)
+    blocked = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+    assert default.converged > 0
+    assert blocked == default
+
+
+def test_no_converged_start_gives_honest_verdict():
+    rep = catalog.counterexample6()
+    report = extend.certify_no_extension(rep.A, rep.B, starts=1, seed=0)
+    assert report.oracle.converged == 0
+    assert report.oracle.clusters == []
+    assert report.oracle_exhaustive is False
+    assert report.verdict == "inconclusive: no oracle start converged (0 of 1 starts)"
+
