@@ -198,11 +198,7 @@ def _extend_standard(rep: LBRep, args) -> int:
         return 3
     if args.k is not None:
         want = parse_scalar(args.k)
-        matches = [
-            kk
-            for kk, _ in search.candidates
-            if kk.conductor % want.conductor == 0 and kk == want.promote(kk.conductor)
-        ]
+        matches = [kk for kk, _ in search.candidates if kk == want]
         if not matches:
             raise ValueError("--k is not a valid candidate")
         k = matches[0]

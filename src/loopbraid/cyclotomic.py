@@ -9,6 +9,9 @@ exactly one representation per field element.
 Conductor mixing is always explicit: binary operations on elements of
 different conductors raise ConductorMismatch; use promote() first.  Plain
 ints and Fractions coerce into any conductor (Q embeds everywhere).
+Equality is that of field elements: across conductors the two sides are
+compared in the lcm field, and the hash agrees with it (and with the hash
+of a rational value).
 """
 
 from __future__ import annotations
@@ -52,6 +55,23 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def _mobius(n: int) -> int:
+    qs = prime_factors(n)
+    return (-1) ** len(qs) if math.prod(qs) == n else 0
+
+
 def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     # Exact division of integer polynomials, divisor monic.  Lowest degree first.
     num = list(num)
@@ -83,7 +103,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _Field:
     """Cached reduction tables for one conductor."""
 
-    __slots__ = ("n", "phi", "modulus", "xpow")
+    __slots__ = ("n", "phi", "modulus", "xpow", "trace_weights", "trace_den")
 
     def __init__(self, n: int):
         self.n = n
@@ -107,6 +127,14 @@ class _Field:
             cur = nxt
             rows.append(tuple(cur))
         self.xpow = tuple(rows)
+        # Tr(zeta^j) / phi(n) = mu(m) / phi(m) with m = n / gcd(j, n), over
+        # the common denominator trace_den: the normalized trace of an
+        # element does not depend on the field it is viewed in.
+        orders = [n // math.gcd(j, n) for j in range(phi)]
+        self.trace_den = math.lcm(*(euler_phi(m) for m in orders))
+        self.trace_weights = tuple(
+            _mobius(m) * (self.trace_den // euler_phi(m)) for m in orders
+        )
 
 
 @lru_cache(maxsize=None)
@@ -256,16 +284,19 @@ class CycNum:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(other, self.conductor)
-        if not isinstance(other, CycNum):
+        elif not isinstance(other, CycNum):
             return NotImplemented
-        return (
-            self.conductor == other.conductor
-            and self._den == other._den
-            and self._num == other._num
-        )
+        elif other.conductor != self.conductor:
+            n = math.lcm(self.conductor, other.conductor)
+            return self.promote(n) == other.promote(n)
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.conductor, self._num, self._den))
+        """The hash of the normalized trace Tr(x) / phi(N), a rational that
+        is the same in every field holding x and is x itself for rational x."""
+        fld = _field(self.conductor)
+        trace = sum(c * w for c, w in zip(self._num, fld.trace_weights))
+        return hash(Fraction(trace, self._den * fld.trace_den))
 
     def __repr__(self) -> str:
         terms = []

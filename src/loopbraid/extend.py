@@ -462,7 +462,7 @@ def _basis_matrices(a: CMatrix, b: CMatrix) -> list[CMatrix]:
 
 def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> PolynomialS:
     """The unique coefficients with S = sum a_n B^n A B (exact linear solve)."""
-    if b.min_poly() != b.char_poly():
+    if not b.is_cyclic():
         raise MinPolyMismatch("min poly of B must equal its char poly")
     if s.det().is_zero:
         raise SingularMatrix("S must be invertible")
@@ -583,7 +583,7 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
     if route == "direct":
         return b @ a @ s2 == s1 @ b @ a
     if route == "commutator":
-        if a.min_poly() != a.char_poly() or b.min_poly() != b.char_poly():
+        if not (a.is_cyclic() and b.is_cyclic()):
             raise HypothesisUnmet("commutator route needs min poly = char poly")
         if (a @ b).matpow(3).is_scalar() is None:
             raise HypothesisUnmet("commutator route needs (AB)^3 scalar")
@@ -688,7 +688,7 @@ def certify_no_extension(
     cluster_radius: float = 1e-6,
     seed: int = 0,
 ) -> NoExtensionReport:
-    if b.min_poly() != b.char_poly():
+    if not b.is_cyclic():
         raise MinPolyMismatch("certification requires min poly of B = char poly")
     provided = candidates is not None
     (a, b), n = _with_omega(a, b)

@@ -5,13 +5,20 @@ linear solves, Krylov annihilators, algebra closure) runs through one
 incremental echelon basis, `Echelon`, with first-nonzero pivoting (no
 stability concerns over an exact field); char_poly is Faddeev-LeVerrier.
 Vectors are plain tuples of CycNum.
+
+The three rank-type questions (`matrix_rank`, `algebra_dimension`,
+`CMatrix.is_cyclic`) first ask the same question mod p (see `modular`):
+full rank there proves full rank here, and anything less falls back to
+the exact answer, so every result is exact.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import modular
 from .cyclotomic import CycNum, dot, omega
 from .errors import (
     ConductorMismatch,
@@ -299,6 +306,27 @@ class CMatrix:
                 vec = self.apply(vec)
         return best
 
+    def is_cyclic(self) -> bool:
+        """min poly == char poly: some vector's Krylov basis spans the space.
+
+        A Krylov basis v, Mv, ..., M^(d-1)v of full rank mod p, for v one of
+        (1, ..., 1), (1, 2, ..., d) or e_1, proves it; otherwise the exact
+        polynomials decide.
+        """
+        d = self.dim
+        image = modular.reduce_rows(self.rows, self.conductor)
+        if image is not None:
+            p = modular.ring_map(self.conductor)[0]
+            for vec in ([1] * d, list(range(1, d + 1)), [1] + [0] * (d - 1)):
+                ech = modular.EchelonModP(p)
+                for _ in range(d):
+                    if not ech.insert(vec):
+                        break
+                    vec = modular.matvec(image, vec, p)
+                else:
+                    return True
+        return self.min_poly() == self.char_poly()
+
     def is_diagonalizable(self) -> bool:
         """Squarefree minimal polynomial test."""
         mp = self.min_poly()
@@ -491,8 +519,20 @@ class Echelon:
 
 
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
+    """Exact rank; full rank mod p answers without exact elimination."""
     rows = list(rows)
-    return len(Echelon(len(rows[0]), rows[0][0].conductor, rows).rows) if rows else 0
+    if not rows:
+        return 0
+    width, n = len(rows[0]), rows[0][0].conductor
+    full = min(len(rows), width)
+    image = modular.reduce_rows(rows, n)
+    if image is not None:
+        ech = modular.EchelonModP(modular.ring_map(n)[0])
+        for row in image:
+            ech.insert(row)
+        if len(ech.rows) == full:
+            return full
+    return len(Echelon(width, n, rows).rows)
 
 
 def solve_linear(
@@ -550,12 +590,42 @@ def eigenprojectors_order3(s: CMatrix) -> tuple[CMatrix, CMatrix, CMatrix]:
     return p1, pw, pw2
 
 
+def _span_closure(ident, gens, mul, insert, full: int) -> int:
+    """Size of the span of all words in gens, ident being the empty word.
+
+    Seed with ident and the generators, then multiply each element that
+    entered the span by every generator, until the span stabilizes (capped
+    at full + 1 rounds) or reaches full.  insert(x) adds x to the span and
+    says whether it was independent.
+    """
+    size = 0
+    frontier = []
+    for mat in [ident, *gens]:
+        if insert(mat):
+            size += 1
+            frontier.append(mat)
+    rounds = 0
+    while frontier and size < full and rounds <= full:
+        rounds += 1
+        new_frontier = []
+        for mat in frontier:
+            for g in gens:
+                prod = mul(g, mat)
+                if insert(prod):
+                    size += 1
+                    if size == full:
+                        return size
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return size
+
+
 def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     """Dimension of the unital matrix algebra generated by gens.
 
-    Span closure on flattened d^2 vectors: seed with I and the generators,
-    multiply new basis elements by generators until the span stabilizes
-    (capped at d^2 + 1 rounds).
+    Span closure on flattened d^2 vectors, first mod p: reaching d^2 there
+    proves d^2 (Burnside: irreducible).  Otherwise the exact closure gives
+    the dimension.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -566,23 +636,26 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
             raise DimMismatch("generators must share a dimension")
         if g.conductor != n:
             raise ConductorMismatch("generators must share a conductor")
-    ech = Echelon(d * d, n)
-
-    def insert(mat: CMatrix) -> bool:
-        return ech.insert(mat.flatten())[1] is not None
-
-    frontier: list[CMatrix] = []
-    for mat in [CMatrix.identity(d, n), *gens]:
-        if insert(mat):
-            frontier.append(mat)
-    rounds = 0
-    while frontier and rounds <= d * d:
-        rounds += 1
-        new_frontier = []
-        for mat in frontier:
-            for g in gens:
-                prod = g @ mat
-                if insert(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return len(ech.rows)
+    full = d * d
+    images = [modular.reduce_rows(g.rows, n) for g in gens]
+    if None not in images:
+        p = modular.ring_map(n)[0]
+        ech_p = modular.EchelonModP(p)
+        ident = [[int(i == j) for j in range(d)] for i in range(d)]
+        size = _span_closure(
+            ident,
+            images,
+            lambda g, m: modular.matmul(g, m, p),
+            lambda m: ech_p.insert([x for row in m for x in row]),
+            full,
+        )
+        if size == full:
+            return full
+    ech = Echelon(full, n)
+    return _span_closure(
+        CMatrix.identity(d, n),
+        gens,
+        operator.matmul,
+        lambda m: ech.insert(m.flatten())[1] is not None,
+        full,
+    )

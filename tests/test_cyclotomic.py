@@ -105,6 +105,32 @@ def test_promote_round_trip_preserves_value():
         assert abs(x.to_complex() - y.to_complex()) < 1e-12
 
 
+@pytest.mark.parametrize("n, m", [(3, 6), (3, 12), (4, 12), (12, 60), (5, 15), (1, 7), (6, 18)])
+def test_equality_and_hash_across_conductors(n, m):
+    rng = random.Random(n * 100 + m)
+    for _ in range(10):
+        x = rand_cyc(rng, n)
+        y = x.promote(m)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x != y + 1 and y + 1 != x
+    # equal in the lcm field, unequal outside the common subfield
+    assert make_root_of_unity(m, m // n) == make_root_of_unity(n, 1)
+    assert make_root_of_unity(m, 1) != CycNum.one(n)
+    assert CycNum.one(3) == CycNum.one(6) and hash(CycNum.one(3)) == hash(CycNum.one(6))
+    assert omega(3) != make_root_of_unity(4, 1)
+    assert omega(3) == omega(12) and omega(3) != omega(12) * omega(12)
+
+
+def test_hash_agrees_with_rational_values():
+    for q in (0, 1, -3, Fraction(2, 3), Fraction(-7, 5)):
+        for n in (1, 3, 12, 60):
+            assert hash(CycNum.from_rational(q, n)) == hash(q)
+    assert len({CycNum.one(3), 1}) == 1
+    assert 1 in {CycNum.one(3)} and CycNum.one(12) in {1}
+    assert {Fraction(1, 2), CycNum.from_rational(Fraction(1, 2), 5)} == {Fraction(1, 2)}
+    assert len({omega(3), omega(12), omega(3) * omega(3), 1, CycNum.one(60)}) == 3
+
+
 def test_is_rational_integer():
     w = omega(3)
     x = 1 + w + w * w + 5

@@ -1,0 +1,171 @@
+"""The ring map into F_p and the mod-p fast paths of matrix_rank,
+algebra_dimension and CMatrix.is_cyclic: the prime and root, rank mod p
+against the exact rank, and every fast path against its exact fallback."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopbraid import catalog, extend, linalg, modular, sampling
+from loopbraid.cyclotomic import CycNum, cyclotomic_polynomial, make_root_of_unity
+from loopbraid.errors import LoopBraidError
+from loopbraid.linalg import CMatrix, Echelon, algebra_dimension, matrix_rank
+from loopbraid.repcore import LBRep, tensor_product
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 60, 105])
+def test_ring_map_prime_and_root(n):
+    p, r = modular.ring_map(n)
+    assert p > 2**31 and (p - 1) % n == 0
+    assert modular.is_prime(p) and sympy.isprime(p)
+    # the smallest such prime: no q = 1 (mod n) between 2^31 and p is prime
+    assert not any(sympy.isprime(q) for q in range(p - n, 2**31, -n))
+    phi_n = cyclotomic_polynomial(n)
+    assert sum(c * pow(r, j, p) for j, c in enumerate(phi_n)) % p == 0
+    assert modular.ring_map(n) is modular.ring_map(n)
+
+
+@PROPERTY
+@given(st.one_of(st.integers(0, 10**6), st.integers(2**31, 2**31 + 10**6)))
+def test_is_prime_matches_sympy(n):
+    assert modular.is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_on_carmichael_numbers():
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 3215031751, 2152302898747):
+        assert not modular.is_prime(n)
+
+
+@st.composite
+def scalars(draw, n):
+    """Zero a quarter of the time, else a small rational times a root of unity."""
+    if draw(st.integers(0, 3)) == 0:
+        return CycNum.zero(n)
+    q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return make_root_of_unity(n, draw(st.integers(0, n - 1))) * q
+
+
+@st.composite
+def row_lists(draw):
+    """r x c rows; a third repeat a combination of two rows."""
+    n = draw(st.sampled_from([1, 12]))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(scalars(n)) for _ in range(c)] for _ in range(r)]
+    if r > 2 and draw(st.integers(0, 2)) == 0:
+        f = draw(scalars(n))
+        rows[-1] = [x + f * y for x, y in zip(rows[0], rows[1])]
+    return n, rows
+
+
+@PROPERTY
+@given(row_lists())
+def test_rank_mod_p_bounds_the_exact_rank(case):
+    n, rows = case
+    exact = len(Echelon(len(rows[0]), n, rows).rows)
+    image = modular.reduce_rows(rows, n)
+    assert image is not None
+    ech = modular.EchelonModP(modular.ring_map(n)[0])
+    independent = [ech.insert(row) for row in image]
+    assert sum(independent) == len(ech.rows) <= exact
+    assert matrix_rank(rows) == exact
+
+
+# -- every fast path against its exact fallback --------------------------------
+
+
+def _inputs():
+    """Sampling-family pairs and their standard extensions, tw2 tensor
+    squares (reducible), a dense conjugate and counterexample6."""
+    rng = sampling.rng_for(5)
+    reps = []
+    for fam in ("tw3", "tw4", "tw5", "binomial", "perm3", "lkb3"):
+        rep, _ = sampling.draw_family(fam, rng)
+        reps.append(rep)
+        if rep.S1 is None:
+            reps += [ext for ext, _ in extend.standard_extensions(rep.A, rep.B)[:1]]
+    for l1, l2 in ((1, 2), (3, Fraction(-1, 2))):
+        base = catalog.tw2(l1, l2, family=2)
+        ext, _ = extend.standard_extensions(base.A, base.B)[0]
+        reps.append(tensor_product(ext, ext))
+    tw4 = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
+    g = CMatrix.build(4, 1, lambda i, j: 1 + i * j + (i == j))
+    gi = g.inverse()
+    reps.append(LBRep(target=tw4.target, A=g @ tw4.A @ gi, B=g @ tw4.B @ gi))
+    reps.append(catalog.counterexample6())
+    return reps
+
+
+def _answers(rep):
+    gens = rep.present()
+    d, n = rep.dim, rep.conductor
+    words = [CMatrix.identity(d, n), *gens, *(x @ y for x in gens for y in gens)]
+    out = {
+        "algdim": algebra_dimension(gens),
+        "rank": matrix_rank([w.flatten() for w in words]),
+        "cyclic": [g.is_cyclic() for g in gens],
+    }
+    if rep.A is not None and d in (4, 5):
+        try:
+            out["uniqueness"] = extend.uniqueness_linearized(rep.A, rep.B).rank
+        except LoopBraidError as exc:
+            out["uniqueness"] = str(exc)
+    return out
+
+
+def test_fast_paths_match_the_exact_fallback(monkeypatch):
+    reps = _inputs()
+    fast = [_answers(rep) for rep in reps]
+    monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
+    exact = [_answers(rep) for rep in reps]
+    assert fast == exact
+    # the pool holds both verdicts of each question
+    assert {a["algdim"] == r.dim**2 for a, r in zip(exact, reps)} == {True, False}
+    assert {c for a in exact for c in a["cyclic"]} == {True, False}
+    assert any(a.get("uniqueness") == 9 for a in exact)
+
+
+def test_full_rank_mod_p_answers_without_exact_elimination(monkeypatch):
+    def no_exact(*args, **kwargs):
+        raise AssertionError("exact elimination ran")
+
+    monkeypatch.setattr(linalg, "Echelon", no_exact)
+    rep = catalog.counterexample6()
+    assert algebra_dimension([rep.A, rep.B]) == 36
+    assert matrix_rank([rep.A.flatten(), rep.B.flatten()]) == 2
+    assert rep.B.is_cyclic()
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path():
+    p = modular.ring_map(12)[0]
+    tiny = CycNum.from_rational(Fraction(1, p), 12)
+    one = CycNum.one(12)
+    assert modular.reduce_rows([[tiny]], 12) is None
+    assert matrix_rank([[tiny, one], [one, p * one]]) == 1
+    assert matrix_rank([[tiny, 0 * one], [0 * one, one]]) == 2
+    m = CMatrix.diagonal([tiny, one], 12)
+    assert algebra_dimension([m]) == 2
+    assert m.is_cyclic()
+
+
+def test_rank_lost_mod_p_takes_the_exact_path():
+    # p = 0 and 1 + p = 1 in F_p: every answer mod p falls short
+    p = modular.ring_map(1)[0]
+    assert matrix_rank(CMatrix.diagonal([p, 1], 1).rows) == 2
+    m = CMatrix.diagonal([1, 1 + p], 1)
+    assert algebra_dimension([m]) == 2
+    assert m.is_cyclic()
+
+
+def test_is_cyclic_examples():
+    assert not CMatrix.diagonal([2, 2, 2], 1).is_cyclic()
+    assert not CMatrix.diagonal([1, 1, 2], 1).is_cyclic()
+    assert CMatrix.diagonal([1, 2, 3], 1).is_cyclic()
+    # the companion matrix of x^3 - 2x + 5
+    assert CMatrix([[0, 0, -5], [1, 0, 2], [0, 1, 0]], 1).is_cyclic()
+    w = make_root_of_unity(12, 4)
+    assert CMatrix.diagonal([w, w * w, w * w], 12).is_cyclic() is False
