@@ -255,21 +255,13 @@ def v1_family(lam, x) -> LBRep:
     return LBRep(target=GroupKind.LB3, A=a, B=a, S1=swap, S2=swap)
 
 
-def abeq_family(
-    n_half: int,
-    mu,
-    sqrt_mu,
-    variant_a1: int = 0,
-    variant_a2: int = 0,
-    sign: int = -1,
-) -> LBRep:
+def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     """The 2n-dimensional A = B families with S = mu^-1 w A^2 and V_1 = 0.
 
     A = diag(A1, A2) in n x n blocks; A2's companion blocks carry mu*w and
-    S2 swaps the two blocks.  A1 uses variant 1 (sqrt(mu) then companion
-    blocks, n odd) or variant 2 (sqrt(mu), companion blocks, -+sqrt(mu),
-    n even); A2's variants mirror that parity.  Variant 0 picks the one
-    consistent with the parity of n.
+    S2 swaps the two blocks.  The parity of n picks the blocks: for n odd
+    A1 is sqrt(mu) then companion blocks, for n even sqrt(mu), companion
+    blocks, -+sqrt(mu); A2 mirrors that parity.
     """
     if n_half < 1:
         raise InvalidBlockCombination("block size n must be >= 1")
@@ -278,13 +270,6 @@ def abeq_family(
         raise ZeroParameter("mu must be nonzero")
     if sm * sm != m:
         raise NotASquareRoot("sqrt_mu^2 != mu")
-    parity_variant = 1 if n_half % 2 == 1 else 2
-    variant_a1 = variant_a1 or parity_variant
-    variant_a2 = variant_a2 or parity_variant
-    if variant_a1 != parity_variant or variant_a2 != parity_variant:
-        raise InvalidBlockCombination(
-            f"variant pair ({variant_a1}, {variant_a2}) does not tile size {n_half}"
-        )
     if sign not in (1, -1):
         raise InvalidBlockCombination("sign must be +1 or -1")
     w = omega(n)
@@ -305,15 +290,13 @@ def abeq_family(
             at += len(blk)
         return rows
 
-    if variant_a1 == 1:
+    if n_half % 2 == 1:
         a1 = diag_blocks([[[sm]]] + [companion(m)] * ((n_half - 1) // 2))
+        a2 = diag_blocks([companion(m * w)] * ((n_half - 1) // 2) + [[[sm * w * w]]])
     else:
         a1 = diag_blocks(
             [[[sm]]] + [companion(m)] * ((n_half - 2) // 2) + [[[sign * sm]]]
         )
-    if variant_a2 == 1:
-        a2 = diag_blocks([companion(m * w)] * ((n_half - 1) // 2) + [[[sm * w * w]]])
-    else:
         a2 = diag_blocks([companion(m * w)] * (n_half // 2))
     a = CMatrix(diag_blocks([a1, a2]), n)
     s2 = CMatrix.build(

@@ -119,8 +119,6 @@ def _cmd_construct(args) -> int:
             args.n,
             parse_scalar(_req(args.mu, "--mu")),
             parse_scalar(_req(args.sqrt_mu, "--sqrt-mu")),
-            variant_a1=args.variant_a1,
-            variant_a2=args.variant_a2,
             sign=args.sign,
         )
     elif args.family == "lkb3":
@@ -364,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, help="abeq half-dimension")
     c.add_argument("--mu", metavar="CYC")
     c.add_argument("--sqrt-mu", dest="sqrt_mu", metavar="CYC")
-    c.add_argument("--variant-a1", dest="variant_a1", type=int, default=0)
-    c.add_argument("--variant-a2", dest="variant_a2", type=int, default=0)
     c.add_argument("--sign", type=int, default=-1)
     c.add_argument("--q", metavar="CYC")
     c.add_argument("--t", metavar="CYC")

@@ -64,7 +64,7 @@ class ZeroParameter(LoopBraidError):
 
 
 class InvalidBlockCombination(LoopBraidError):
-    """Block variant flags do not yield square blocks of the requested size."""
+    """Block parameters (size, sign) do not give a valid block matrix."""
 
 
 class NotASquareRoot(LoopBraidError):

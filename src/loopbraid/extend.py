@@ -523,8 +523,9 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
 
     sq = pair_products(basis)
     fq = pair_products(fbasis)
+    ab2 = ab @ ab
     for i, j in positions:
-        if not (basis[0] @ basis[0]).rows[i][j].is_zero:
+        if not ab2.rows[i][j].is_zero:
             raise WrongForm("(AB)^2 is not skew upper triangular")
     rows: list[tuple[CycNum, ...]] = []
     for table in (sq, fq):

@@ -1,15 +1,15 @@
 """Exact dense linear algebra over a fixed cyclotomic field.
 
 Everything here is exact.  All elimination (det, inverse, rank, kernel,
-linear solves, Krylov annihilators, algebra closure) runs through one
-incremental echelon basis, `Echelon`, with first-nonzero pivoting (no
-stability concerns over an exact field); char_poly is Faddeev-LeVerrier.
-Vectors are plain tuples of CycNum.
+linear solves, the span of powers behind min_poly, algebra closure) runs
+through one incremental echelon basis, `Echelon`, with first-nonzero
+pivoting (no stability concerns over an exact field); char_poly is
+Faddeev-LeVerrier.  Vectors are plain tuples of CycNum.
 
-The three rank-type questions (`matrix_rank`, `algebra_dimension`,
-`CMatrix.is_cyclic`) first ask the same question mod p (see `modular`):
-full rank there proves full rank here, and anything less falls back to
-the exact answer, so every result is exact.
+The rank-type questions (`matrix_rank`, `algebra_dimension`, and through
+it `CMatrix.is_cyclic`) first ask the same question mod p (see
+`modular`): full rank there proves full rank here, and anything less
+falls back to the exact answer, so every result is exact.
 """
 
 from __future__ import annotations
@@ -125,14 +125,11 @@ class CMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.conductor == other.conductor
-            and self.rows == other.rows
-        )
+        # entries compare (and hash) alike across conductors
+        return self.dim == other.dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.dim, self.conductor, self.rows))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "\n ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows)
@@ -214,16 +211,20 @@ class CMatrix:
         return tuple(dot(row, vec) for row in self.rows)
 
     def matpow(self, e: int) -> "CMatrix":
+        """Square-and-multiply that starts at the lowest set bit: M^1 costs
+        no product and M^3 two."""
         if e < 0:
             return self.inverse().matpow(-e)
-        result = CMatrix.identity(self.dim, self.conductor)
-        base = self
-        while e:
+        if e == 0:
+            return CMatrix.identity(self.dim, self.conductor)
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base @ base
 
     def kron(self, other: "CMatrix") -> "CMatrix":
         """Kronecker product, conductors must already agree."""
@@ -285,47 +286,23 @@ class CMatrix:
         return FieldPoly(tuple(reversed(coeffs)))
 
     def min_poly(self) -> "FieldPoly":
-        """Monic minimal polynomial: lcm of Krylov annihilators of e_1..e_d.
-
-        The annihilator of v comes from the first A^k v that reduces to
-        zero, with the combination of v..A^k v riding along.
-        """
+        """Monic minimal polynomial: the first power M^k that reduces to zero
+        against I, M, ..., M^(k-1), with the combination riding along."""
         d, n = self.dim, self.conductor
         zero, one = CycNum.zero(n), CycNum.one(n)
-        best = FieldPoly((one,))
-        for idx in range(d):
-            if best.degree() == d:
-                break
-            ech = Echelon(d, n)
-            vec = tuple(one if i == idx else zero for i in range(d))
-            for k in range(d + 1):
-                residual, pivot = ech.insert([*vec, *[zero] * k, one, *[zero] * (d - k)])
-                if pivot is None:
-                    best = best.lcm(FieldPoly(residual[d : d + k + 1]))
-                    break
-                vec = self.apply(vec)
-        return best
+        ech = Echelon(d * d, n)
+        k, power = 0, CMatrix.identity(d, n)
+        while True:  # Cayley-Hamilton: stops at k = d at the latest
+            residual, pivot = ech.insert(
+                [*power.flatten(), *[zero] * k, one, *[zero] * (d - k)]
+            )
+            if pivot is None:
+                return FieldPoly(residual[d * d : d * d + k + 1])
+            k, power = k + 1, power @ self
 
     def is_cyclic(self) -> bool:
-        """min poly == char poly: some vector's Krylov basis spans the space.
-
-        A Krylov basis v, Mv, ..., M^(d-1)v of full rank mod p, for v one of
-        (1, ..., 1), (1, 2, ..., d) or e_1, proves it; otherwise the exact
-        polynomials decide.
-        """
-        d = self.dim
-        image = modular.reduce_rows(self.rows, self.conductor)
-        if image is not None:
-            p = modular.ring_map(self.conductor)[0]
-            for vec in ([1] * d, list(range(1, d + 1)), [1] + [0] * (d - 1)):
-                ech = modular.EchelonModP(p)
-                for _ in range(d):
-                    if not ech.insert(vec):
-                        break
-                    vec = modular.matvec(image, vec, p)
-                else:
-                    return True
-        return self.min_poly() == self.char_poly()
+        """min poly == char poly: the powers of M span d dimensions."""
+        return algebra_dimension([self]) == self.dim
 
     def is_diagonalizable(self) -> bool:
         """Squarefree minimal polynomial test."""
@@ -385,17 +362,6 @@ class FieldPoly:
     def __repr__(self) -> str:
         return "FieldPoly[" + ", ".join(map(str, self.coeffs)) + "]"
 
-    def __mul__(self, other: "FieldPoly") -> "FieldPoly":
-        z = CycNum.zero(self.conductor)
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return FieldPoly(out)
-
     def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -424,13 +390,6 @@ class FieldPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def lcm(self, other: "FieldPoly") -> "FieldPoly":
-        if self.is_zero or other.is_zero:
-            return FieldPoly([CycNum.zero(self.conductor)])
-        g = self.gcd(other)
-        q, _ = (self * other).divmod(g)
-        return q.monic()
 
     def derivative(self) -> "FieldPoly":
         if len(self.coeffs) == 1:
@@ -466,7 +425,7 @@ class Echelon:
     its first `width` entries survives, the first such is its pivot and
     the row is stored scaled to pivot 1.  Columns past `width` hold no
     pivot and ride along: the I of [M | I], a right-hand side, or the
-    Krylov combination a residual stands for.  A stored row vanishes
+    combination of powers a residual stands for.  A stored row vanishes
     before its pivot and at every earlier pivot, so one pass reduces.
     """
 
@@ -623,9 +582,10 @@ def _span_closure(ident, gens, mul, insert, full: int) -> int:
 def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     """Dimension of the unital matrix algebra generated by gens.
 
-    Span closure on flattened d^2 vectors, first mod p: reaching d^2 there
-    proves d^2 (Burnside: irreducible).  Otherwise the exact closure gives
-    the dimension.
+    Span closure on flattened d^2 vectors, first mod p: reaching the cap
+    there proves it (d^2 is Burnside's irreducibility; d for one generator
+    is min poly == char poly).  Otherwise the exact closure gives the
+    dimension.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -636,7 +596,8 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
             raise DimMismatch("generators must share a dimension")
         if g.conductor != n:
             raise ConductorMismatch("generators must share a conductor")
-    full = d * d
+    # Cayley-Hamilton: the powers of one matrix span at most d dimensions
+    full = d if len(gens) == 1 else d * d
     images = [modular.reduce_rows(g.rows, n) for g in gens]
     if None not in images:
         p = modular.ring_map(n)[0]
@@ -651,7 +612,7 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
         )
         if size == full:
             return full
-    ech = Echelon(full, n)
+    ech = Echelon(d * d, n)
     return _span_closure(
         CMatrix.identity(d, n),
         gens,

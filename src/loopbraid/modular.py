@@ -99,11 +99,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> li
     return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
-def matvec(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> list[int]:
-    """a v over F_p."""
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
-
-
 class EchelonModP:
     """Incremental row-echelon basis over F_p.
 

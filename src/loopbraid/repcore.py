@@ -51,18 +51,9 @@ _KIND_RELATIONS: dict[GroupKind, tuple[str, ...]] = {
 _NEEDS_AB = {"B1", "L1", "L2", "L2prime"}
 _NEEDS_S = {"Sigma1", "Sigma2", "L1", "L2", "L2prime"}
 
-# weaker-or-equal partial order on the shared alphabet
-_WEAKER: dict[GroupKind, set[GroupKind]] = {
-    GroupKind.B3: {GroupKind.B3},
-    GroupKind.S3: {GroupKind.S3},
-    GroupKind.VB3: {GroupKind.B3, GroupKind.S3, GroupKind.VB3},
-    GroupKind.LB3: {GroupKind.B3, GroupKind.S3, GroupKind.VB3, GroupKind.LB3},
-    GroupKind.SLB3: set(GroupKind),
-}
-
-
 def is_weaker_or_equal(kind: GroupKind, target: GroupKind) -> bool:
-    return kind in _WEAKER[target]
+    """kind's relations are among target's (a partial order on the kinds)."""
+    return set(_KIND_RELATIONS[kind]) <= set(_KIND_RELATIONS[target])
 
 
 def _required_generators(kind: GroupKind) -> tuple[bool, bool]:

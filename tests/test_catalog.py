@@ -259,9 +259,7 @@ def test_abeq_block_validation():
     with pytest.raises(NotASquareRoot):
         catalog.abeq_family(1, 2, 1)
     with pytest.raises(InvalidBlockCombination):
-        catalog.abeq_family(2, 1, 1, variant_a1=1)  # parity mismatch
-    with pytest.raises(InvalidBlockCombination):
-        catalog.abeq_family(3, 1, 1, variant_a2=2)
+        catalog.abeq_family(0, 1, 1)
 
 
 def test_abeq_sign_variants_both_verify():

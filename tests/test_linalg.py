@@ -88,6 +88,37 @@ def test_det_multiplicative_trace_cyclic():
         assert (x @ y).trace() == (y @ x).trace()
 
 
+def test_matpow_squares_only_up_to_the_top_bit(monkeypatch):
+    a = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2).A
+    matmul = CMatrix.__matmul__
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return matmul(x, y)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", counted)
+    counts = []
+    for e in range(9):
+        calls.clear()
+        power = a.matpow(e)
+        counts.append(len(calls))
+        expected = CMatrix.identity(4, a.conductor)
+        for _ in range(e):
+            expected = matmul(expected, a)
+        assert power == expected
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3]
+
+
+def test_equality_and_hash_across_conductors():
+    assert CMatrix.identity(2, 3) == CMatrix.identity(2, 6)
+    assert hash(CMatrix.identity(2, 3)) == hash(CMatrix.identity(2, 6))
+    w = omega(3)
+    m = CMatrix.diagonal([w, w * w], 3)
+    assert m == m.promote(12) and hash(m) == hash(m.promote(12))
+    assert m != CMatrix.diagonal([w * w, w], 3).promote(12)
+
+
 def test_negative_power_of_singular_raises():
     z = CMatrix.zero(2, 1)
     with pytest.raises(SingularMatrix):

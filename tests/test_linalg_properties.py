@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import SingularMatrix
-from loopbraid.linalg import CMatrix, matrix_rank, solve_linear
+from loopbraid.linalg import CMatrix, algebra_dimension, matrix_rank, solve_linear
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -114,6 +114,7 @@ def test_min_poly_annihilates_and_divides_char_poly(m):
     assert mp.is_monic
     assert mp.eval_matrix(m).is_zero
     assert mp.divides(m.char_poly())
+    assert mp.degree() == algebra_dimension([m])
 
 
 @PROPERTY

@@ -13,6 +13,7 @@ from loopbraid.repcore import (
     GroupKind,
     LBRep,
     is_irreducible,
+    is_weaker_or_equal,
     restrict,
     tensor_product,
     verify,
@@ -200,6 +201,20 @@ def test_restrict():
     assert verify(rl, GroupKind.LB3).all_hold
     with pytest.raises(NotAWeakening):
         restrict(rl, GroupKind.SLB3)
+
+
+def test_weaker_or_equal_order_on_all_pairs():
+    B3, S3, VB3, LB3, SLB3 = (GroupKind[k] for k in ("B3", "S3", "VB3", "LB3", "SLB3"))
+    weaker = {
+        B3: {B3},
+        S3: {S3},
+        VB3: {B3, S3, VB3},
+        LB3: {B3, S3, VB3, LB3},
+        SLB3: {B3, S3, VB3, LB3, SLB3},
+    }
+    for target in GroupKind:
+        for kind in GroupKind:
+            assert is_weaker_or_equal(kind, target) == (kind in weaker[target])
 
 
 def test_derived_s_is_recomputed():
