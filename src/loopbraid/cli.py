@@ -98,7 +98,7 @@ def _meta(input_path: str | None) -> dict:
 def _cmd_construct(args) -> int:
     lam = [parse_scalar(s) for s in args.lam or []]
     if args.family == "tw2":
-        rep = catalog.tw2(*_arity(lam, 2), family=args.variant or 2)
+        rep = catalog.tw2(*_arity(lam, 2), family=args.variant)
     elif args.family == "tw3":
         rep = catalog.tw3(*_arity(lam, 3))
     elif args.family == "tw4":
@@ -111,12 +111,12 @@ def _cmd_construct(args) -> int:
         rep = catalog.counterexample6()
     elif args.family == "v1":
         rep = catalog.v1_family(
-            parse_scalar(_req(args.lam and args.lam[0], "--lambda")),
+            _arity(lam, 1)[0],
             parse_scalar(args.x or "0"),
         )
     elif args.family == "abeq":
         rep = catalog.abeq_family(
-            args.n,
+            _req(args.n, "--n"),
             parse_scalar(_req(args.mu, "--mu")),
             parse_scalar(_req(args.sqrt_mu, "--sqrt-mu")),
             sign=args.sign,
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         "v1", "abeq", "lkb3", "perm3",
     ])
     c.add_argument("--lambda", dest="lam", nargs="*", metavar="CYC")
-    c.add_argument("--family", dest="variant", type=int, help="tw2 family (1 or 2)")
+    c.add_argument("--family", dest="variant", type=int, default=2, help="tw2 family (1 or 2)")
     c.add_argument("--gamma2", metavar="CYC")
     c.add_argument("--gamma", metavar="CYC")
     c.add_argument("--c", metavar="CYC")

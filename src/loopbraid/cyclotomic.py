@@ -41,18 +41,8 @@ def _divisors(n: int) -> list[int]:
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    qs = prime_factors(n)
+    return n // math.prod(qs) * math.prod(q - 1 for q in qs)
 
 
 def prime_factors(n: int) -> list[int]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     CycNum,
+    dot,
     nth_root_in_field,
     omega,
     rational_nth_root,
@@ -46,7 +47,7 @@ from .linalg import (
     matrix_rank,
     solve_linear,
 )
-from .repcore import GroupKind, LBRep
+from .repcore import GroupKind, LBRep, relation_holds
 
 
 def _with_omega(*mats_and_scalars):
@@ -343,7 +344,7 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
         raise DimMismatch("standard_extension_2d needs 2x2 matrices")
     if a == b:
         raise ConstraintViolated("requires A != B")
-    if a @ b @ a != b @ a @ b:
+    if not relation_holds({"A": a, "B": b}, "B1"):
         raise ConstraintViolated("braid relation fails")
     ab = a @ b
     tr = ab.trace()
@@ -382,7 +383,7 @@ def extension_exists_3d(a: CMatrix, b: CMatrix) -> ThreeDimExtension:
         raise DimMismatch("extension_exists_3d needs 3x3 matrices")
     if a == b:
         raise ConstraintViolated("requires A != B")
-    if a @ b @ a != b @ a @ b:
+    if not relation_holds({"A": a, "B": b}, "B1"):
         raise ConstraintViolated("braid relation fails")
     ab = a @ b
     exists = ab.trace().is_zero and (ab @ ab).trace().is_zero
@@ -507,30 +508,24 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
         for j in range(d):
             if i + j < d - 1 and not ab.rows[i][j].is_zero:
                 raise WrongForm("AB is not skew lower triangular")
-    basis = _basis_matrices(a, b)
-    fbasis = [b @ e @ a for e in basis]
-    monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
     positions = [(i, j) for i in range(d) for j in range(d) if i + j >= d]
-
-    def pair_products(mats):
-        prod = {}
-        for m, n in monomials:
-            if m == n:
-                prod[(m, n)] = mats[m] @ mats[m]
-            else:
-                prod[(m, n)] = mats[m] @ mats[n] + mats[n] @ mats[m]
-        return prod
-
-    sq = pair_products(basis)
-    fq = pair_products(fbasis)
     ab2 = ab @ ab
     for i, j in positions:
         if not ab2.rows[i][j].is_zero:
             raise WrongForm("(AB)^2 is not skew upper triangular")
+    basis = _basis_matrices(a, b)
+    fbasis = [b @ e @ a for e in basis]
+    monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
     rows: list[tuple[CycNum, ...]] = []
-    for table in (sq, fq):
+    for mats in (basis, fbasis):
+        cols = [e.columns() for e in mats]
         for i, j in positions:
-            rows.append(tuple(table[(m, n)].rows[i][j] for m, n in monomials))
+            # entry (i, j) of E_m E_n + E_n E_m, or of E_m^2 when m = n
+            row = []
+            for m, n in monomials:
+                x = dot(mats[m].rows[i], cols[n][j])
+                row.append(x if m == n else x + dot(mats[n].rows[i], cols[m][j]))
+            rows.append(tuple(row))
     n_d = (d + 2) * (d - 1) // 2
     assert len(monomials) == n_d
     rank = matrix_rank(rows)
@@ -580,10 +575,10 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
     the minimal and characteristic polynomials of A and B agree and
     (AB)^3 is scalar (HypothesisUnmet otherwise).
     """
-    a, b, s1, s2 = rep.A, rep.B, rep.S1, rep.S2
     if route == "direct":
-        return b @ a @ s2 == s1 @ b @ a
+        return relation_holds(rep.images(), "L2prime")
     if route == "commutator":
+        a, b, s1, s2 = rep.A, rep.B, rep.S1, rep.S2
         if not (a.is_cyclic() and b.is_cyclic()):
             raise HypothesisUnmet("commutator route needs min poly = char poly")
         if (a @ b).matpow(3).is_scalar() is None:
@@ -951,6 +946,8 @@ def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
     """
     from . import sampling
 
+    if draws < 0:
+        raise InvalidOption(f"draws must be at least 0, got {draws}")
     rng = sampling.rng_for(seed)
     results = []
     for i in range(draws):

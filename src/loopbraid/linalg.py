@@ -552,17 +552,15 @@ def eigenprojectors_order3(s: CMatrix) -> tuple[CMatrix, CMatrix, CMatrix]:
 def _span_closure(ident, gens, mul, insert, full: int) -> int:
     """Size of the span of all words in gens, ident being the empty word.
 
-    Seed with ident and the generators, then multiply each element that
+    Seed the span with ident and the generators, and the frontier with the
+    generators alone (g @ ident is g).  Then multiply each element that
     entered the span by every generator, until the span stabilizes (capped
     at full + 1 rounds) or reaches full.  insert(x) adds x to the span and
     says whether it was independent.
     """
-    size = 0
-    frontier = []
-    for mat in [ident, *gens]:
-        if insert(mat):
-            size += 1
-            frontier.append(mat)
+    size = int(insert(ident))
+    frontier = [g for g in gens if insert(g)]
+    size += len(frontier)
     rounds = 0
     while frontier and size < full and rounds <= full:
         rounds += 1

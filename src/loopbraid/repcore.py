@@ -1,17 +1,20 @@
 """Representation data model and relation verification.
 
 The five target groups share the generator alphabet sigma_1, sigma_2
-(images A, B) and s_1, s_2 (images S1, S2).  Their defining relations nest:
+(images A, B) and s_1, s_2 (images S1, S2).  Their defining relations nest,
+and RELATION_WORDS states each once, as equations between two words in the
+generators (the empty word is I):
 
     B1      A B A = B A B
     Sigma1  S1 S2 S1 = S2 S1 S2
-    Sigma2  S1^2 = S2^2 = I
+    Sigma2  S1 S1 = I,  S2 S2 = I
     L1      S1 S2 A = B S1 S2
     L2      A B S1 = S2 A B
     L2'     B A S2 = S1 B A
 
 B3 checks {B1}; S3 checks {Sigma1, Sigma2}; VB3 adds L1, LB3 adds L2 and
-SLB3 adds L2'.  Verdicts are exact matrix equalities, never numeric.
+SLB3 adds L2'.  Verdicts are exact matrix equalities, never numeric, and
+one verify call forms each distinct word product once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,16 @@ class GroupKind(enum.Enum):
     SLB3 = "SLB3"
 
 
-RELATIONS = ("B1", "Sigma1", "Sigma2", "L1", "L2", "L2prime")
+# relation -> its equations, each a pair of words in A, B, S1, S2
+RELATION_WORDS: dict[str, tuple[tuple[str, str], ...]] = {
+    "B1": (("A B A", "B A B"),),
+    "Sigma1": (("S1 S2 S1", "S2 S1 S2"),),
+    "Sigma2": (("S1 S1", ""), ("S2 S2", "")),
+    "L1": (("S1 S2 A", "B S1 S2"),),
+    "L2": (("A B S1", "S2 A B"),),
+    "L2prime": (("B A S2", "S1 B A"),),
+}
+RELATIONS = tuple(RELATION_WORDS)
 
 _KIND_RELATIONS: dict[GroupKind, tuple[str, ...]] = {
     GroupKind.B3: ("B1",),
@@ -48,21 +60,16 @@ _KIND_RELATIONS: dict[GroupKind, tuple[str, ...]] = {
     GroupKind.SLB3: ("B1", "Sigma1", "Sigma2", "L1", "L2", "L2prime"),
 }
 
-_NEEDS_AB = {"B1", "L1", "L2", "L2prime"}
-_NEEDS_S = {"Sigma1", "Sigma2", "L1", "L2", "L2prime"}
 
 def is_weaker_or_equal(kind: GroupKind, target: GroupKind) -> bool:
     """kind's relations are among target's (a partial order on the kinds)."""
     return set(_KIND_RELATIONS[kind]) <= set(_KIND_RELATIONS[target])
 
 
-def _required_generators(kind: GroupKind) -> tuple[bool, bool]:
-    """(needs A/B, needs S1/S2) for a target kind."""
-    rels = _KIND_RELATIONS[kind]
-    return (
-        any(r in _NEEDS_AB for r in rels),
-        any(r in _NEEDS_S for r in rels),
-    )
+def _letters(kind: GroupKind) -> set[str]:
+    """The generators that the relations of a kind are words in."""
+    words = (w for rel in _KIND_RELATIONS[kind] for eq in RELATION_WORDS[rel] for w in eq)
+    return set(" ".join(words).split())
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,24 @@ class LBRep:
                 raise ConductorMismatch(
                     "generator images must share a conductor; promote first"
                 )
-        needs_ab, needs_s = _required_generators(self.target)
-        if needs_ab and (self.A is None or self.B is None):
-            raise MissingGenerator(f"{self.target.value} requires images for sigma_1, sigma_2")
-        if needs_s and (self.S1 is None or self.S2 is None):
-            raise MissingGenerator(f"{self.target.value} requires images for s_1, s_2")
-        if not needs_s and (self.S1 is not None or self.S2 is not None):
+        needs = _letters(self.target)
+        missing = needs - self.images().keys()
+        if missing:
+            raise MissingGenerator(
+                f"{self.target.value} requires images for {', '.join(sorted(missing))}"
+            )
+        if "S1" not in needs and (self.S1 is not None or self.S2 is not None):
             raise ConstraintViolated(
                 "s-generator images make no sense for a pure braid target"
             )
 
+    def images(self) -> dict[str, CMatrix]:
+        """The present generator images by letter: A, B, S1, S2."""
+        mats = {"A": self.A, "B": self.B, "S1": self.S1, "S2": self.S2}
+        return {g: m for g, m in mats.items() if m is not None}
+
     def present(self) -> list[CMatrix]:
-        return [m for m in (self.A, self.B, self.S1, self.S2) if m is not None]
+        return list(self.images().values())
 
     @property
     def dim(self) -> int:
@@ -121,13 +134,7 @@ class LBRep:
         return self.S1 @ self.S2
 
     def promote(self, m: int) -> "LBRep":
-        return LBRep(
-            target=self.target,
-            A=None if self.A is None else self.A.promote(m),
-            B=None if self.B is None else self.B.promote(m),
-            S1=None if self.S1 is None else self.S1.promote(m),
-            S2=None if self.S2 is None else self.S2.promote(m),
-        )
+        return LBRep(self.target, **{g: x.promote(m) for g, x in self.images().items()})
 
 
 @dataclass
@@ -151,22 +158,34 @@ class RelationReport:
         return self.verdicts.get(relation) == "holds"
 
 
-def _relation_holds(rep: LBRep, relation: str) -> bool:
-    a, b, s1, s2 = rep.A, rep.B, rep.S1, rep.S2
-    if relation == "B1":
-        return a @ b @ a == b @ a @ b
-    if relation == "Sigma1":
-        return s1 @ s2 @ s1 == s2 @ s1 @ s2
-    if relation == "Sigma2":
-        ident = CMatrix.identity(rep.dim, rep.conductor)
-        return s1 @ s1 == ident and s2 @ s2 == ident
-    if relation == "L1":
-        return s1 @ s2 @ a == b @ s1 @ s2
-    if relation == "L2":
-        return a @ b @ s1 == s2 @ a @ b
-    if relation == "L2prime":
-        return b @ a @ s2 == s1 @ b @ a
-    raise ValueError(f"unknown relation {relation!r}")
+def relation_holds(gens: dict[str, CMatrix], relation: str, memo: dict | None = None) -> bool:
+    """Do both words of every equation of `relation` agree on gens?
+
+    gens maps the letters A, B, S1, S2 to matrices; only the letters the
+    relation uses are read.  Word products go into memo, keyed by letter
+    tuple, so one memo passed to several calls on the same gens shares
+    them.  A new word costs one matmul: g @ product(rest) when that suffix
+    is known, else product(prefix) @ g.
+    """
+    memo = {} if memo is None else memo
+
+    def product(word: tuple[str, ...]) -> CMatrix:
+        if len(word) == 1:
+            return gens[word[0]]
+        if word not in memo:
+            if not word:
+                g = next(iter(gens.values()))
+                memo[word] = CMatrix.identity(g.dim, g.conductor)
+            elif word[1:] in memo:
+                memo[word] = gens[word[0]] @ memo[word[1:]]
+            else:
+                memo[word] = product(word[:-1]) @ gens[word[-1]]
+        return memo[word]
+
+    return all(
+        product(tuple(lhs.split())) == product(tuple(rhs.split()))
+        for lhs, rhs in RELATION_WORDS[relation]
+    )
 
 
 def verify(rep: LBRep, kind: GroupKind | str | None = None) -> RelationReport:
@@ -180,16 +199,15 @@ def verify(rep: LBRep, kind: GroupKind | str | None = None) -> RelationReport:
     if isinstance(kind, str):
         kind = GroupKind[kind]
     wanted = _KIND_RELATIONS[kind]
-    needs_ab, needs_s = _required_generators(kind)
-    if needs_ab and (rep.A is None or rep.B is None):
-        raise MissingGenerator(f"{kind.value} verification needs A and B")
-    if needs_s and (rep.S1 is None or rep.S2 is None):
-        raise MissingGenerator(f"{kind.value} verification needs S1 and S2")
+    gens, memo = rep.images(), {}
+    missing = _letters(kind) - gens.keys()
+    if missing:
+        raise MissingGenerator(f"{kind.value} verification needs {' and '.join(sorted(missing))}")
     report = RelationReport(kind=kind)
     for rel in RELATIONS:
         if rel in wanted:
             report.verdicts[rel] = (
-                "holds" if _relation_holds(rep, rel) else "fails"
+                "holds" if relation_holds(gens, rel, memo) else "fails"
             )
         else:
             report.verdicts[rel] = "not-applicable"
@@ -211,33 +229,15 @@ def tensor_product(r1: LBRep, r2: LBRep) -> LBRep:
     if r1.target != r2.target:
         raise ConstraintViolated("tensor factors must share a target group")
     n = math.lcm(r1.conductor, r2.conductor)
-    r1, r2 = r1.promote(n), r2.promote(n)
-
-    def _kron(x: CMatrix | None, y: CMatrix | None) -> CMatrix | None:
-        if x is None or y is None:
-            if (x is None) != (y is None):
-                raise MissingGenerator("tensor factors disagree on present images")
-            return None
-        return x.kron(y)
-
-    return LBRep(
-        target=r1.target,
-        A=_kron(r1.A, r2.A),
-        B=_kron(r1.B, r2.B),
-        S1=_kron(r1.S1, r2.S1),
-        S2=_kron(r1.S2, r2.S2),
-    )
+    g1, g2 = r1.promote(n).images(), r2.promote(n).images()
+    if g1.keys() != g2.keys():
+        raise MissingGenerator("tensor factors disagree on present images")
+    return LBRep(r1.target, **{g: x.kron(g2[g]) for g, x in g1.items()})
 
 
 def restrict(rep: LBRep, kind: GroupKind) -> LBRep:
     """Forget the generators that `kind` does not use."""
     if not is_weaker_or_equal(kind, rep.target):
         raise NotAWeakening(f"{kind.value} is not weaker than {rep.target.value}")
-    needs_ab, needs_s = _required_generators(kind)
-    return LBRep(
-        target=kind,
-        A=rep.A if needs_ab else None,
-        B=rep.B if needs_ab else None,
-        S1=rep.S1 if needs_s else None,
-        S2=rep.S2 if needs_s else None,
-    )
+    needs = _letters(kind)
+    return LBRep(kind, **{g: x for g, x in rep.images().items() if g in needs})

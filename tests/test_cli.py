@@ -320,3 +320,21 @@ def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert option[0].lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "abeq", "--mu", "1", "--sqrt-mu", "1"],
+        ["construct", "tw2", "--lambda", "1", "2", "--family", "0"],
+        ["construct", "v1", "--lambda", "1", "2", "3"],
+        ["sweep", "--family", "tw2", "--draws", "-1"],
+    ],
+    ids=["abeq-without-n", "tw2-family-0", "v1-three-lambdas", "sweep-negative-draws"],
+)
+def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

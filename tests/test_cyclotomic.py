@@ -1,5 +1,6 @@
 """Exact field arithmetic: examples, axioms, and the floating shadow."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,11 @@ def rand_cyc(rng, n, height=5):
 
 def test_phi_and_cyclotomic_polys():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 5, 12, 60)] == [1, 1, 2, 2, 4, 4, 16]
+    for n in range(1, 200):
+        assert euler_phi(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            euler_phi(n)
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)

@@ -14,6 +14,7 @@ from loopbraid.repcore import (
     LBRep,
     is_irreducible,
     is_weaker_or_equal,
+    relation_holds,
     restrict,
     tensor_product,
     verify,
@@ -228,3 +229,97 @@ def test_b3_target_forbids_s_images():
     rep = catalog.perm3(2)
     with pytest.raises(ConstraintViolated):
         LBRep(target=GroupKind.B3, A=rep.A, B=rep.B, S1=rep.S1, S2=rep.S2)
+
+
+# Each case fails exactly the named relation under SLB3 ("none": all hold).
+# S1, S2 swap coordinates (0 1) and (1 2); J is all ones, N = E_{02}.
+_P1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+_P2 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+_J = [[1] * 3] * 3
+_N = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+_ZERO = [[0] * 3] * 3
+
+
+def _slb3(a, b, s1, s2):
+    a, b, s1, s2 = (CMatrix(m, 1) for m in (a, b, s1, s2))
+    return LBRep(target=GroupKind.SLB3, A=a, B=b, S1=s1, S2=s2)
+
+
+_TWICE_P1 = [[2 * x for x in r] for r in _P1]
+_TWICE_P2 = [[2 * x for x in r] for r in _P2]
+_ONLY_ONE_FAILS = {
+    "none": catalog.perm3(2),
+    "B1": _slb3([[-1, -1, 0], [-1, 0, 0], [0, 0, -1]], [[-1, 0, 0], [0, -1, -1], [0, -1, 0]], _P1, _P2),
+    "Sigma1": _slb3(_ZERO, _ZERO, [[1, 0, 0], [0, -1, 0], [0, 0, 1]], _P2),
+    "Sigma2": _slb3(_J, _J, _TWICE_P1, _TWICE_P2),
+    "L1": _slb3(_N, _N, _P1, _P2),
+    "L2": _slb3([[-1, -1, -1], [0, 0, 1], [0, 0, -1]], [[-1, 0, 0], [-1, -1, -1], [1, 0, 0]], _P1, _P2),
+    "L2prime": _slb3([[-1, -1, -1], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [-1, -1, -1], [0, 1, 0]], _P1, _P2),
+}
+_KIND_RELATIONS = {
+    "B3": {"B1"},
+    "S3": {"Sigma1", "Sigma2"},
+    "VB3": {"B1", "Sigma1", "Sigma2", "L1"},
+    "LB3": {"B1", "Sigma1", "Sigma2", "L1", "L2"},
+    "SLB3": {"B1", "Sigma1", "Sigma2", "L1", "L2", "L2prime"},
+}
+
+
+def _direct_verdicts(rep):
+    """Every equation evaluated on its own, left to right, nothing shared."""
+    a, b, s1, s2 = rep.A, rep.B, rep.S1, rep.S2
+    ident = CMatrix.identity(rep.dim, rep.conductor)
+    holds = {
+        "B1": a @ b @ a == b @ a @ b,
+        "Sigma1": s1 @ s2 @ s1 == s2 @ s1 @ s2,
+        "Sigma2": s1 @ s1 == ident and s2 @ s2 == ident,
+        "L1": s1 @ s2 @ a == b @ s1 @ s2,
+        "L2": a @ b @ s1 == s2 @ a @ b,
+        "L2prime": b @ a @ s2 == s1 @ b @ a,
+    }
+    return {rel: "holds" if h else "fails" for rel, h in holds.items()}
+
+
+@pytest.mark.parametrize("failing", list(_ONLY_ONE_FAILS))
+def test_verify_matches_direct_evaluation(failing):
+    rep = _ONLY_ONE_FAILS[failing]
+    direct = _direct_verdicts(rep)
+    assert [r for r, v in direct.items() if v == "fails"] == (
+        [] if failing == "none" else [failing]
+    )
+    for kind, wanted in _KIND_RELATIONS.items():
+        report = verify(rep, kind)
+        assert report.verdicts == {
+            rel: direct[rel] if rel in wanted else "not-applicable" for rel in direct
+        }
+        assert report.all_hold == (failing not in wanted)
+    for rel, verdict in direct.items():
+        assert relation_holds(rep.images(), rel) == (verdict == "holds")
+
+
+def test_second_sigma2_equation_is_checked():
+    # S1^2 = I but S2^2 = 4I
+    rep = _slb3(_J, _J, _P1, _TWICE_P2)
+    assert rep.S1 @ rep.S1 == CMatrix.identity(3, 1)
+    assert _direct_verdicts(rep)["Sigma2"] == "fails"
+    assert verify(rep, GroupKind.S3).verdicts["Sigma2"] == "fails"
+    assert not relation_holds({"S1": rep.S1, "S2": rep.S2}, "Sigma2")
+
+
+def test_verify_forms_each_product_once(monkeypatch):
+    calls = []
+    matmul = CMatrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", counting)
+    rep = catalog.perm3(2)
+    counts = {}
+    for kind in ("B3", "S3", "VB3", "LB3", "SLB3"):
+        calls.clear()
+        assert verify(rep, kind).all_hold
+        counts[kind] = len(calls)
+    # one product per distinct word of two or more letters
+    assert counts == {"B3": 3, "S3": 5, "VB3": 10, "LB3": 12, "SLB3": 15}
