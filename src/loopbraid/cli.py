@@ -28,7 +28,7 @@ from .repcore import GroupKind, LBRep, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
 
 _SCALAR_RE = re.compile(
-    r"^(?P<rat>[+-]?\d+(?:/\d+)?)?(?:(?<=\d)\*)?(?P<root>z(?P<n>\d+)(?:\^(?P<k>-?\d+))?)?$"
+    r"^(?P<rat>[+-]?\d+(?:/0*[1-9]\d*)?)?(?:(?<=\d)\*)?(?P<root>z(?P<n>\d+)(?:\^(?P<k>-?\d+))?)?$"
 )
 
 
@@ -36,7 +36,8 @@ def parse_scalar(text: str) -> CycNum:
     """Parse a CYC literal: RATIONAL, zN[^K], or RATIONAL*zN[^K].
 
     Literals may be wrapped in parentheses, which keeps argparse from
-    mistaking negative values like "(-1/2*z3)" for option flags.
+    mistaking negative values like "(-1/2*z3)" for option flags.  A zero
+    denominator ("1/0", "0/0") does not parse.
     """
     text = text.strip().replace(" ", "")
     while text.startswith("(") and text.endswith(")"):
@@ -218,16 +219,15 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
     if rep.A.dim != 3:
         raise ValueError("nonstandard3 mode needs a 3-dimensional braid pair")
     l1, l2, l3 = (rep.A.rows[i][i] for i in range(3))
-    if l3 != -l2:
-        print(
-            "no nonstandard extension: requires lambda3 = -lambda2 "
-            "(relabel the eigenvalues)",
-            file=sys.stderr,
-        )
-        return 3
-    check = catalog.tw3(l1, l2, l3)
-    if check.A != rep.A or check.B != rep.B:
+    # the normal form first (tw3 has no zero lambda): no verdict outside it
+    check = None if any(x.is_zero for x in (l1, l2, l3)) else catalog.tw3(l1, l2, l3)
+    if check is None or check.A != rep.A or check.B != rep.B:
         raise ValueError("input is not in the tw3 normal form")
+    if l3 != -l2:
+        # relabeling helps only when another pair of eigenvalues sums to 0
+        hint = " (relabel the eigenvalues)" if -l1 in (l2, l3) else ""
+        print(f"no nonstandard extension: requires lambda3 = -lambda2{hint}", file=sys.stderr)
+        return 3
     z = parse_scalar(_req(args.z, "--z"))
     built = extend.nonstandard_3d(l1, l2, z, sign=args.sign)
     payload = {

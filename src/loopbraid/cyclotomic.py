@@ -38,6 +38,7 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be a positive integer")
@@ -192,11 +193,11 @@ class CycNum:
     __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, num: Iterable[int], den: int = 1):
-        fld = _field(conductor)
         numl = list(num)
-        if len(numl) != fld.phi:
+        phi = euler_phi(conductor)  # not _field: its tables cost n * phi(n)
+        if len(numl) != phi:
             raise ValueError(
-                f"coefficient vector must have length phi({conductor}) = {fld.phi}"
+                f"coefficient vector must have length phi({conductor}) = {phi}"
             )
         object.__setattr__(self, "conductor", conductor)
         n, d = _normalize(numl, den)

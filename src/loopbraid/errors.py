@@ -105,9 +105,5 @@ class BadCandidate(LoopBraidError):
     """k is not a valid standard-extension candidate for (A, B)."""
 
 
-class CandidateInvalid(LoopBraidError):
-    """A no-extension candidate fails its exact structural checks."""
-
-
 class InvalidOption(LoopBraidError, ValueError):
     """A numeric option lies outside the range it is defined on."""

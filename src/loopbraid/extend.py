@@ -7,6 +7,12 @@ Existence is equivalent to (AB)^3 = k^-3 I together with Tr(kAB) being a
 rational integer; the toolkit must additionally manage the field of
 definition, so k is searched inside the working cyclotomic field and a
 structured empty result tells the caller how to proceed.
+
+Every order-three S becomes its involutions (S1, S2 = S1 S) through one
+step, `_complete`, whether S = kAB (`build_standard_extension`, with the
+2-dimensional line route as a front end) or the VB3 twist k B^2 S'
+(`vb3_lift`).  S^3 = I is proved once per S: by a cube where S is formed,
+or by its eigenspaces filling the space in `default_extension_params`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .cyclotomic import (
 from .errors import (
     BadBasisChange,
     BadCandidate,
-    CandidateInvalid,
     ConductorMismatch,
     ConstraintViolated,
     DimMismatch,
@@ -201,10 +206,13 @@ class ExtensionCertificate:
 
 
 def default_extension_params(s: CMatrix) -> ExtensionParams:
-    """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l."""
+    """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l.
+
+    The 1-, w- and w^2-eigenspaces of S filling the space proves S^3 = I
+    (NotOrderThree otherwise), and M^-1 S M = diag(I_l, w I_t, w^2 I_t)
+    holds by construction.
+    """
     ident = CMatrix.identity(s.dim, s.conductor)
-    if s.matpow(3) != ident:
-        raise NotOrderThree("S^3 != I")
     w = omega(s.conductor)
     v1, vw, vw2 = ((s - ident.scalar_mul(u)).kernel() for u in (1, w, w * w))
     if len(vw) != len(vw2) or len(v1) + len(vw) + len(vw2) != s.dim:
@@ -258,15 +266,14 @@ def _standard_seed(a: CMatrix, b: CMatrix, k: CycNum) -> tuple[CMatrix, int]:
     return s, m
 
 
-def _conjugated_involution(params: ExtensionParams, s: CMatrix) -> CMatrix:
-    """S1 = M J M^-1 for the block involution J of (G, a, N), inverting M once.
+def _complete(s: CMatrix, params: ExtensionParams) -> tuple[CMatrix, CMatrix]:
+    """(S1, S2) = (M J M^-1, S1 S) for the block involution J of (G, a, N).
 
-    Raises BadBasisChange when M^-1 S M != diag(I_l, w I_t, w^2 I_t).
+    The one completion step of every order-three S; M must already be
+    known to conjugate S to diag(I_l, w I_t, w^2 I_t).
     """
-    minv = params.M.inverse()
-    if minv @ s @ params.M != _diag_pattern(params.ell, params.t, s.conductor):
-        raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
-    return params.M @ _block_involution(params, s.dim, s.conductor) @ minv
+    s1 = params.M @ _block_involution(params, s.dim, s.conductor) @ params.M.inverse()
+    return s1, s1 @ s
 
 
 def build_standard_extension(
@@ -290,8 +297,10 @@ def build_standard_extension(
             a=params.a,
             N=None if params.N is None else params.N.promote(n),
         )
-    s1 = _conjugated_involution(params, s)
-    rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s1 @ s)
+        if params.M.inverse() @ s @ params.M != _diag_pattern(params.ell, params.t, n):
+            raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
+    s1, s2 = _complete(s, params)
+    rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
     return rep, ExtensionCertificate(k=k, S=s, params=params, trace_value=m_int)
 
 
@@ -338,7 +347,8 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
 
     S = -Tr(AB)^-1 AB; the spanning vector v of the line splits as
     v_w + v_w2 over the omega eigenspaces and S1 is the involution
-    swapping the two components.
+    swapping the two components: the standard extension with M = (v_w v_w2)
+    and the t = 1 block G = I.
     """
     if a.dim != 2:
         raise DimMismatch("standard_extension_2d needs 2x2 matrices")
@@ -346,26 +356,21 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
         raise ConstraintViolated("requires A != B")
     if not relation_holds({"A": a, "B": b}, "B1"):
         raise ConstraintViolated("braid relation fails")
+    (a, b), n = _with_omega(a, b)
     ab = a @ b
     tr = ab.trace()
     if tr.is_zero:
         raise TraceZero("Tr(AB) = 0 cannot occur for 2-dim braid pairs")
-    (a, b), n = _with_omega(a, b)
-    ab = a @ b
-    s = ab.scalar_mul(-ab.trace().inv())
-    if not s.matpow(3).is_identity:
-        raise ConstraintViolated("S^3 != I; input is not a braid pair")
-    _, pw, pw2 = eigenprojectors_order3(s)
-    v = tuple(x if isinstance(x, CycNum) else CycNum.from_rational(x, n) for x in line)
-    v = tuple(x.promote(n) for x in v)
+    k = -tr.inv()
+    _, pw, pw2 = eigenprojectors_order3(ab.scalar_mul(k))
+    v = tuple(x.promote(n) if isinstance(x, CycNum) else CycNum.from_rational(x, n) for x in line)
     vw = pw.apply(v)
     vw2 = pw2.apply(v)
     if all(e.is_zero for e in vw) or all(e.is_zero for e in vw2):
         raise EigenlineChosen("line must avoid the two eigenlines of S")
-    # the swap of the two eigenlines: the t = 1 block involution with G = I
     wmat = CMatrix([[vw[0], vw2[0]], [vw[1], vw2[1]]], n)
-    s1 = _conjugated_involution(ExtensionParams(wmat, CMatrix.identity(1, n), 0, None), s)
-    return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s1 @ s)
+    params = ExtensionParams(wmat, CMatrix.identity(1, n), 0, None)
+    return build_standard_extension(a, b, k, params)[0]
 
 
 @dataclass
@@ -605,8 +610,8 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
         raise ConstraintViolated("k B^2 S' does not cube to the identity")
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    s1 = _conjugated_involution(default_extension_params(s_new), s_new)
-    return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s1 @ s_new)
+    s1, s2 = _complete(s_new, default_extension_params(s_new))
+    return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +683,6 @@ class NoExtensionReport:
 def certify_no_extension(
     a: CMatrix,
     b: CMatrix,
-    candidates: list[PolynomialS] | None = None,
     starts: int = 2000,
     tol: float = 1e-9,
     cluster_radius: float = 1e-6,
@@ -686,22 +690,14 @@ def certify_no_extension(
 ) -> NoExtensionReport:
     if not b.is_cyclic():
         raise MinPolyMismatch("certification requires min poly of B = char poly")
-    provided = candidates is not None
     (a, b), n = _with_omega(a, b)
-    if candidates is None:
-        candidates = default_polynomial_candidates(a, b)
-    cands = [
-        PolynomialS(tuple(c.promote(n) for c in cand.coefficients))
-        for cand in candidates
-    ]
+    cands = default_polynomial_candidates(a, b)
     ident = CMatrix.identity(a.dim, n)
     verdicts = []
     for cand in cands:
         s = cand.matrix(a, b)
         intertwines = s @ a == b @ s
         cubes = s.matpow(3) == ident
-        if provided and not (intertwines and cubes):
-            raise CandidateInvalid("provided candidate fails SA = BS or S^3 = I")
         tr = s.trace()
         verdicts.append(
             CandidateVerdict(
@@ -785,6 +781,8 @@ class OracleReport:
 
 # starts per Newton block; peak memory grows with it, not with `starts`
 _ORACLE_BLOCK = 256
+# Gauss-Newton steps per start
+_ORACLE_MAX_ITER = 80
 
 
 def _cubic_jacobian_t(s, s2, ecol, erow):
@@ -813,7 +811,6 @@ def numeric_cubic_oracle(
     cluster_radius: float = 1e-6,
     seed: int = 0,
     exact_candidates: list[PolynomialS] | None = None,
-    max_iter: int = 80,
 ) -> OracleReport:
     """Multistart Gauss-Newton for S(b)^3 = I with S = sum b_i B^i A B.
 
@@ -848,7 +845,7 @@ def numeric_cubic_oracle(
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
     alive = np.ones(starts, dtype=bool)
     damping = 1e-12 * np.eye(d)
-    for _ in range(max_iter):
+    for _ in range(_ORACLE_MAX_ITER):
         s = (bvec @ eflat).reshape(starts, d, d)
         s2 = s @ s
         f = s2 @ s - ident

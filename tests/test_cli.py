@@ -112,13 +112,37 @@ def test_extend_nonstandard3(tmp_path, capsys):
     assert payload["verifies_SLB3"] is True
 
 
-def test_extend_nonstandard3_needs_negated_eigenvalue(tmp_path, capsys):
+def _nonstandard3_on_tw3(tmp_path, capsys, lams):
     rep_file = tmp_path / "tw3.json"
-    assert main(
-        ["construct", "tw3", "--lambda", "1", "2", "3", "--out", str(rep_file)]
-    ) == 0
+    assert main(["construct", "tw3", "--lambda", *lams, "--out", str(rep_file)]) == 0
+    capsys.readouterr()
     code = main(["extend", str(rep_file), "--mode", "nonstandard3", "--z", "2"])
+    return code, capsys.readouterr().err
+
+
+def test_extend_nonstandard3_needs_negated_eigenvalue(tmp_path, capsys):
+    code, err = _nonstandard3_on_tw3(tmp_path, capsys, ["1", "2", "3"])
     assert code == 3
+    assert err.startswith("no nonstandard extension")
+    assert "relabel" not in err  # no pair of eigenvalues sums to 0
+
+
+def test_extend_nonstandard3_suggests_relabeling_when_it_helps(tmp_path, capsys):
+    code, err = _nonstandard3_on_tw3(tmp_path, capsys, ["1", "(-1)", "2"])
+    assert code == 3
+    assert "relabel the eigenvalues" in err  # lambda1 + lambda2 = 0
+
+
+@pytest.mark.parametrize(
+    "construct", [["perm3", "--t", "2"], ["lkb3", "--q", "2", "--t", "3"]]
+)
+def test_extend_nonstandard3_outside_tw3_normal_form_exits_2(tmp_path, capsys, construct):
+    rep_file = tmp_path / "rep.json"
+    assert main(["construct", *construct, "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    code = main(["extend", str(rep_file), "--mode", "nonstandard3", "--z", "2"])
+    assert code == 2
+    assert "tw3 normal form" in capsys.readouterr().err
 
 
 def test_extend_vb3(tmp_path, capsys):
@@ -329,8 +353,17 @@ def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
         ["construct", "tw2", "--lambda", "1", "2", "--family", "0"],
         ["construct", "v1", "--lambda", "1", "2", "3"],
         ["sweep", "--family", "tw2", "--draws", "-1"],
+        ["construct", "tw3", "--lambda", "1/0", "1", "1"],
+        ["construct", "tw3", "--lambda", "0/0", "1", "1"],
+        ["construct", "tw3", "--lambda", "(1/0*z3)", "1", "1"],
+        ["construct", *TW4_ARGS[:-1], "1/0"],
+        ["construct", "lkb3", "--q", "2", "--t", "3/0"],
+        ["construct", "binomial", "--lambda", "1", "1", "--c", "(-1/0)"],
     ],
-    ids=["abeq-without-n", "tw2-family-0", "v1-three-lambdas", "sweep-negative-draws"],
+    ids=[
+        "abeq-without-n", "tw2-family-0", "v1-three-lambdas", "sweep-negative-draws",
+        "lambda-1/0", "lambda-0/0", "lambda-root-1/0", "gamma2-1/0", "t-3/0", "c-1/0",
+    ],
 )
 def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     capsys.readouterr()

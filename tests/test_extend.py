@@ -9,16 +9,23 @@ from loopbraid.cyclotomic import CycNum, omega
 from loopbraid.errors import (
     BadBasisChange,
     BadCandidate,
-    CandidateInvalid,
     DimMismatch,
     EigenlineChosen,
     HypothesisUnmet,
     MinPolyMismatch,
+    NotOrderThree,
     WrongForm,
 )
 from loopbraid.linalg import CMatrix, eigenprojectors_order3, is_proportional
 from loopbraid.repcore import GroupKind, verify
-from loopbraid.sampling import draw_tw3, draw_tw4, draw_tw5, rng_for
+from loopbraid.sampling import (
+    draw_tw2,
+    draw_tw3,
+    draw_tw4,
+    draw_tw5,
+    rand_rational,
+    rng_for,
+)
 
 
 TW4 = ([1, 2, 3, Fraction(2, 3)], 2)  # gamma^2 = 2, k = -1/2
@@ -174,6 +181,32 @@ def test_build_rejects_bad_basis_change():
         extend.build_standard_extension(rep.A, rep.B, k, bad)
 
 
+def test_each_order_three_s_is_cubed_once(monkeypatch):
+    # S^3 = I is proved where S is formed; the completion step adds no cube
+    rep = catalog.tw4(*TW4)
+    k = CycNum.from_rational(Fraction(-1, 2), 1)
+    built, cert = extend.build_standard_extension(rep.A, rep.B, k)
+    calls, inner = [], CMatrix.matpow
+    monkeypatch.setattr(CMatrix, "matpow", lambda m, e: calls.append(e) or inner(m, e))
+    extend.build_standard_extension(rep.A, rep.B, k)
+    assert calls == [3]
+    calls.clear()
+    extend.vb3_lift(built, cert.k)
+    assert calls == [3, 3]  # kAB in the seed check, then k B^2 S'
+    calls.clear()
+    extend.default_extension_params(cert.S)
+    assert calls == []
+
+
+def test_default_params_reject_operators_not_of_order_three():
+    w = omega(3)
+    with pytest.raises(NotOrderThree):
+        extend.default_extension_params(CMatrix.diagonal([1, 2], 3))
+    # order three, but the w- and w^2-eigenspaces differ in dimension
+    with pytest.raises(NotOrderThree):
+        extend.default_extension_params(CMatrix.diagonal([CycNum.one(3), w], 3))
+
+
 def test_randomized_params_still_verify():
     # any valid parameter choice (M, G, a, N) gives a verified extension
     rep = catalog.tw3(CycNum.from_rational(1, 3), 2, Fraction(27, 2))
@@ -244,10 +277,32 @@ def test_standard_extension_2d_rejects_eigenline():
         extend.standard_extension_2d(a, b, line)
 
 
+def test_standard_extension_2d_swaps_the_line_components():
+    # S1 maps the w-component of the chosen line to its w^2-component
+    rng = rng_for(11)
+    bases = (draw_tw2(rng) for _ in range(12))
+    for base in [rep for rep, params in bases if params["family"] == 2]:
+        for _ in range(3):
+            line = (rand_rational(rng), rand_rational(rng))
+            try:
+                rep = extend.standard_extension_2d(base.A, base.B, line)
+            except EigenlineChosen:
+                continue
+            assert verify(rep, GroupKind.LB3).all_hold
+            _, pw, pw2 = eigenprojectors_order3(rep.S)
+            v = tuple(CycNum.from_rational(x, rep.conductor) for x in line)
+            assert rep.S1.apply(pw.apply(v)) == pw2.apply(v)
+            assert rep.S1.apply(pw2.apply(v)) == pw.apply(v)
+
+
 def test_standard_extension_2d_shape_checks():
     with pytest.raises(DimMismatch):
         rep = catalog.tw3(1, 2, 3)
         extend.standard_extension_2d(rep.A, rep.B, (CycNum.one(1),) * 3)
+    # a braid pair with B singular: S = -B is not of order three
+    a, b = CMatrix.identity(2, 1), CMatrix.diagonal([1, 0], 1)
+    with pytest.raises(NotOrderThree, match=r"S\^3 != I"):
+        extend.standard_extension_2d(a, b, (CycNum.one(1), CycNum.zero(1)))
 
 
 # -- 3-dimensional criterion -------------------------------------------------------------
@@ -497,16 +552,6 @@ def test_certify_tw4_fails_at_integer_trace():
     report = extend.certify_no_extension(rep.A, rep.B, starts=100, seed=0)
     assert not report.all_traces_non_integer
     assert "integer trace" in report.verdict
-
-
-def test_certify_rejects_invalid_provided_candidate():
-    rep = catalog.counterexample6()
-    d = rep.dim
-    coeffs = [CycNum.zero(3)] * d
-    coeffs[1] = CycNum.one(3)  # B AB does not satisfy S^3 = I here
-    bad = extend.PolynomialS(tuple(coeffs))
-    with pytest.raises(CandidateInvalid):
-        extend.certify_no_extension(rep.A, rep.B, candidates=[bad], starts=50)
 
 
 def test_certify_min_poly_guard():

@@ -3,8 +3,11 @@
 import json
 from fractions import Fraction
 
-from loopbraid import catalog, extend
+import pytest
+
+from loopbraid import catalog, cyclotomic, extend
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
+from loopbraid.errors import MalformedInput
 from loopbraid.repcore import GroupKind
 from loopbraid.serialize import (
     certificate_from_obj,
@@ -36,6 +39,16 @@ def test_cycnum_coeff_format():
     x = CycNum.from_coeffs(3, [Fraction(1, 2), Fraction(-3)])
     obj = cycnum_to_obj(x)
     assert obj["coeffs"] == ["1/2", "-3"]  # denominator 1 omitted
+
+
+def test_wrong_length_scalar_is_rejected_before_field_tables(monkeypatch):
+    # the tables of Q(zeta_n) cost n * phi(n); a malformed scalar builds none
+    built = []
+    monkeypatch.setattr(cyclotomic, "_field", lambda n: built.append(n))
+    for conductor in (12, 4000, 10**6):
+        with pytest.raises(MalformedInput, match="length phi"):
+            cycnum_from_obj({"conductor": conductor, "coeffs": ["1"]})
+    assert built == []
 
 
 def test_matrix_round_trip():
