@@ -1,9 +1,9 @@
 """Constructors for the explicit representation families.
 
 Every constructor returns an LBRep over an automatically chosen cyclotomic
-field: the conductor is the lcm of the parameters' conductors (times 3
-where a primitive cube root of unity is structurally required), and all
-promotion happens here at construction time, never lazily.
+field: `common_field` joins the parameters' conductors (with 3 where a
+primitive cube root of unity is structurally required), and all promotion
+happens here at construction time, never lazily.
 
 Parameters may be ints, Fractions or CycNum values.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CycNum, make_root_of_unity, omega
+from .cyclotomic import CycNum, common_field, make_root_of_unity, omega
 from .errors import (
     ConstraintViolated,
     InvalidBlockCombination,
@@ -20,20 +20,9 @@ from .errors import (
     ZeroEigenvalue,
     ZeroParameter,
 )
+from .extend import build_standard_extension
 from .linalg import CMatrix
 from .repcore import GroupKind, LBRep
-
-
-def _as_cyc(value) -> CycNum:
-    if isinstance(value, CycNum):
-        return value
-    return CycNum.from_rational(value, 1)
-
-
-def _prepare(values, extra_conductor: int = 1) -> tuple[list[CycNum], int]:
-    vals = [_as_cyc(v) for v in values]
-    n = math.lcm(extra_conductor, *(v.conductor for v in vals)) if vals else extra_conductor
-    return [v.promote(n) for v in vals], n
 
 
 def _require_nonzero(vals, error=ZeroEigenvalue, what="eigenvalue"):
@@ -50,7 +39,7 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
     Family 2:  A = [[l1, l1], [0, l2]],  B = [[l2, 0], [-l2, l1]]
                with l1^2 - l1*l2 + l2^2 != 0.
     """
-    (l1, l2), n = _prepare([lam1, lam2], extra_conductor=3 if family == 1 else 1)
+    (l1, l2), n = common_field(lam1, lam2, extra=3 if family == 1 else 1)
     _require_nonzero([l1, l2])
     a = CMatrix([[l1, l1], [CycNum.zero(n), l2]], n)
     if family == 1:
@@ -74,7 +63,7 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
 
 def tw3(lam1, lam2, lam3) -> LBRep:
     """The 3-dimensional ordered-triangular pair with spectrum (l1, l2, l3)."""
-    (l1, l2, l3), n = _prepare([lam1, lam2, lam3])
+    (l1, l2, l3), n = common_field(lam1, lam2, lam3)
     _require_nonzero([l1, l2, l3])
     z = CycNum.zero(n)
     mix = l1 * l3 / l2 + l2
@@ -89,7 +78,7 @@ def tw4(lams, gamma2) -> LBRep:
     Only even powers of gamma enter the entries, so the constructor takes
     gamma^2 as the primary datum subject to (gamma^2)^2 = l1*l2*l3*l4.
     """
-    vals, n = _prepare([*lams, gamma2])
+    vals, n = common_field(*lams, gamma2)
     l1, l2, l3, l4, g2 = vals
     _require_nonzero([l1, l2, l3, l4])
     if g2 * g2 != l1 * l2 * l3 * l4:
@@ -130,7 +119,7 @@ def tw5(lams, gamma) -> LBRep:
     B is determined entrywise by B[i][j] = (-1)^(i-j) * A[6-i][6-j]
     (1-indexed).
     """
-    vals, n = _prepare([*lams, gamma])
+    vals, n = common_field(*lams, gamma)
     l1, l2, l3, l4, l5, g = vals
     _require_nonzero([l1, l2, l3, l4, l5])
     if g**5 != l1 * l2 * l3 * l4 * l5:
@@ -170,7 +159,7 @@ def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
     in AB telescopes through that pairing, so AB is pure binomial data and
     cubes to (-1)^d c^3 I.
     """
-    vals, n = _prepare([*lams, c], extra_conductor=3)
+    vals, n = common_field(*lams, c, extra=3)
     *ls, cc = vals
     d = len(ls) - 1
     if d < 1:
@@ -204,12 +193,45 @@ def binomial_rep(lams, c) -> LBRep:
     extension scalar k = (-1)^d / c always lies in the working field.
     """
     a, b = binomial_pair(lams, c)
-    d = a.dim - 1
-    cc = _as_cyc(c).promote(a.conductor)
-    k = CycNum.from_rational((-1) ** d, a.conductor) / cc
-    from . import extend  # deferred: extend builds on repcore/catalog types
+    (cc,), _ = common_field(c)
+    return build_standard_extension(a, b, (-1) ** (a.dim - 1) / cc)[0]
 
-    return extend.build_standard_extension(a, b, k)[0]
+
+def nonstandard_3d(lam1, lam2, z, sign: int = 1) -> LBRep:
+    """The one-parameter symmetric family on tw3(l1, l2, -l2).
+
+    S and the involution depend only on the free parameter z; the result
+    degenerates to a standard extension exactly when z^3 = l1/l2.
+    """
+    if sign not in (1, -1):
+        raise ZeroParameter("sign must be +1 or -1")
+    (l1, l2, zz), n = common_field(lam1, lam2, z)
+    base = tw3(l1, l2, -l2)
+    if zz.is_zero:
+        raise ZeroParameter("z must be nonzero")
+    zi = zz.inv()
+    zero = CycNum.zero(n)
+    one = CycNum.one(n)
+    s = CMatrix(
+        [
+            [zero, zero, zz],
+            [zero, zz, zz],
+            [-zi * zi, (one - zz**3) * zi * zi, -zz],
+        ],
+        n,
+    )
+    s1 = CMatrix(
+        [
+            [one, zz - one, zz],
+            [zero, zz, zz],
+            [zero, (one - zz * zz) * zi, -zz],
+        ],
+        n,
+    )
+    if sign == -1:
+        s1 = -s1
+    s2 = s1 @ s  # S1^2 = I, so S2 = S1 S
+    return LBRep(target=GroupKind.SLB3, A=base.A, B=base.B, S1=s1, S2=s2)
 
 
 def counterexample6() -> LBRep:
@@ -245,7 +267,7 @@ def counterexample6() -> LBRep:
 
 def v1_family(lam, x) -> LBRep:
     """Two-dimensional loop representations with S = I and A = B."""
-    (l, xx), n = _prepare([lam, x])
+    (l, xx), n = common_field(lam, x)
     if l.is_zero:
         raise ZeroEigenvalue("lambda must be nonzero")
     z = CycNum.zero(n)
@@ -265,7 +287,7 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     """
     if n_half < 1:
         raise InvalidBlockCombination("block size n must be >= 1")
-    (m, sm), n = _prepare([mu, sqrt_mu], extra_conductor=3)
+    (m, sm), n = common_field(mu, sqrt_mu, extra=3)
     if m.is_zero:
         raise ZeroParameter("mu must be nonzero")
     if sm * sm != m:
@@ -311,7 +333,7 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
 
 def lkb3(q, t) -> LBRep:
     """The Lawrence-Krammer-Bigelow pair for three strands."""
-    (qq, tt), n = _prepare([q, t])
+    (qq, tt), n = common_field(q, t)
     if qq.is_zero or tt.is_zero:
         raise ZeroParameter("q and t must be nonzero")
     z = CycNum.zero(n)
@@ -337,7 +359,7 @@ def lkb3(q, t) -> LBRep:
 
 def lkb3_generic(q, t) -> bool:
     """True away from the degenerate locus t*q^2 = -1, t*q = 1, q = 1."""
-    (qq, tt), _ = _prepare([q, t])
+    (qq, tt), _ = common_field(q, t)
     return (
         tt * qq * qq != -1
         and not (tt * qq).is_one
@@ -351,7 +373,7 @@ def perm3(t) -> LBRep:
     Its S = S1*S2 is not proportional to AB: a genuinely non-standard
     extension, factoring through the symmetric loop braid group.
     """
-    (tt,), n = _prepare([t])
+    (tt,), n = common_field(t)
     if tt.is_zero:
         raise ZeroParameter("t must be nonzero")
     if tt.is_one:

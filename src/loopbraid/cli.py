@@ -20,11 +20,10 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, extend, sampling
-from . import catalog
+from . import __version__, catalog, extend, sampling
 from .cyclotomic import CycNum, make_root_of_unity
 from .errors import LoopBraidError
-from .repcore import GroupKind, LBRep, verify
+from .repcore import GroupKind, LBRep, is_irreducible, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
 
 _SCALAR_RE = re.compile(
@@ -229,7 +228,7 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
         print(f"no nonstandard extension: requires lambda3 = -lambda2{hint}", file=sys.stderr)
         return 3
     z = parse_scalar(_req(args.z, "--z"))
-    built = extend.nonstandard_3d(l1, l2, z, sign=args.sign)
+    built = catalog.nonstandard_3d(l1, l2, z, sign=args.sign)
     payload = {
         "meta": _meta(args.file),
         "mode": "nonstandard3",
@@ -275,14 +274,10 @@ def _cmd_analyze(args) -> int:
     sections = {}
     run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
     if args.irreducible or run_all:
-        from .repcore import is_irreducible
-
         sections["irreducible"] = is_irreducible(rep)
     if (args.uniqueness or run_all) and rep.A is not None and rep.dim in (4, 5):
         try:
-            lin = extend.uniqueness_linearized(rep.A, rep.B)
-            # rank and sizes suffice for the report
-            sections["uniqueness"] = {k: v for k, v in vars(lin).items() if k != "matrix"}
+            sections["uniqueness"] = extend.uniqueness_linearized(rep.A, rep.B)
         except LoopBraidError as exc:
             sections["uniqueness"] = f"unavailable: {exc}"
     if (args.slb3 or run_all) and rep.A is not None and rep.S1 is not None:
@@ -330,7 +325,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = extend.standard_extension_sweep(
+    report = sampling.standard_extension_sweep(
         args.family, args.draws, _seed_default(args.seed)
     )
     payload = {"meta": _meta(None), "sweep": report}

@@ -7,7 +7,8 @@ lowest terms, so equality is plain coefficient equality and there is
 exactly one representation per field element.
 
 Conductor mixing is always explicit: binary operations on elements of
-different conductors raise ConductorMismatch; use promote() first.  Plain
+different conductors raise ConductorMismatch; use promote() first, or
+common_field(), the one rule by which mixed inputs meet in a field.  Plain
 ints and Fractions coerce into any conductor (Q embeds everywhere).
 Equality is that of field elements: across conductors the two sides are
 compared in the lcm field, and the hash agrees with it (and with the hash
@@ -278,8 +279,8 @@ class CycNum:
         elif not isinstance(other, CycNum):
             return NotImplemented
         elif other.conductor != self.conductor:
-            n = math.lcm(self.conductor, other.conductor)
-            return self.promote(n) == other.promote(n)
+            (x, y), _ = common_field(self, other)
+            return x == y
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
@@ -404,6 +405,22 @@ class CycNum:
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)
         return acc
+
+
+def common_field(*values, extra: int = 1) -> tuple[list, int]:
+    """The values viewed in one field Q(zeta_n), and n.
+
+    n is the lcm of `extra` and the values' conductors.  A CycNum, CMatrix
+    or LBRep (anything with `conductor` and `promote`) is promoted, None
+    passes through (an empty block) and a rational is lifted.
+    """
+    n = math.lcm(extra, *(getattr(v, "conductor", 1) for v in values))
+    return [
+        v if v is None
+        else v.promote(n) if hasattr(v, "promote")
+        else CycNum.from_rational(v, n)
+        for v in values
+    ], n
 
 
 def make_root_of_unity(n: int, k: int = 1) -> CycNum:

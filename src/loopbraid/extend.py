@@ -9,10 +9,12 @@ definition, so k is searched inside the working cyclotomic field and a
 structured empty result tells the caller how to proceed.
 
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
-step, `_complete`, whether S = kAB (`build_standard_extension`, with the
-2-dimensional line route as a front end) or the VB3 twist k B^2 S'
-(`vb3_lift`).  S^3 = I is proved once per S: by a cube where S is formed,
-or by its eigenspaces filling the space in `default_extension_params`.
+step, `_complete`, whether S = kAB (`build_standard_extension` and the
+2-dimensional line route `standard_extension_2d`) or the VB3 twist
+k B^2 S' (`vb3_lift`).  S^3 = I is proved once per S: by a cube where S
+is formed, or by its eigenspaces filling the space in
+`default_extension_params`.  Mixed inputs meet in one field through
+`cyclotomic.common_field`, with omega adjoined wherever S is split.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     CycNum,
+    common_field,
     dot,
     nth_root_in_field,
     omega,
@@ -31,7 +34,6 @@ from .cyclotomic import (
 from .errors import (
     BadBasisChange,
     BadCandidate,
-    ConductorMismatch,
     ConstraintViolated,
     DimMismatch,
     EigenlineChosen,
@@ -43,7 +45,6 @@ from .errors import (
     SingularMatrix,
     TraceZero,
     WrongForm,
-    ZeroParameter,
 )
 from .linalg import (
     CMatrix,
@@ -53,14 +54,6 @@ from .linalg import (
     solve_linear,
 )
 from .repcore import GroupKind, LBRep, relation_holds
-
-
-def _with_omega(*mats_and_scalars):
-    """Promote matrices/scalars to the lcm of their conductors and 3."""
-    n = 3
-    for x in mats_and_scalars:
-        n = math.lcm(n, x.conductor)
-    return [x.promote(n) for x in mats_and_scalars], n
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +75,13 @@ class StandardKSearch:
     """
 
     candidates: list[tuple[CycNum, int]]
-    cube_is_scalar: bool
     k_cubed: CycNum | None = None
     reason: str | None = None
     suggested_conductor: int | None = None
+
+    @property
+    def cube_is_scalar(self) -> bool:
+        return self.k_cubed is not None
 
 
 def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
@@ -97,16 +93,15 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     ab = a @ b
     c = ab.matpow(3).is_scalar()
     if c is None:
-        return StandardKSearch([], False, reason="cube-not-scalar")
+        return StandardKSearch([], reason="cube-not-scalar")
     k_cubed = c.inv()
     roots = nth_root_in_field(k_cubed, 3)
     if not roots:
         if _rational_part_is_noncube(k_cubed):
-            return StandardKSearch([], True, k_cubed=k_cubed, reason="not-cyclotomic")
+            return StandardKSearch([], k_cubed=k_cubed, reason="not-cyclotomic")
         bigger = 3 * a.conductor
         return StandardKSearch(
             [],
-            True,
             k_cubed=k_cubed,
             reason="no-root-in-field",
             suggested_conductor=bigger if nth_root_in_field(k_cubed.promote(bigger), 3) else None,
@@ -118,8 +113,8 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
         if m is not None:
             out.append((k, m))
     if not out:
-        return StandardKSearch([], True, k_cubed=k_cubed, reason="no-integer-trace")
-    return StandardKSearch(out, True, k_cubed=k_cubed)
+        return StandardKSearch([], k_cubed=k_cubed, reason="no-integer-trace")
+    return StandardKSearch(out, k_cubed=k_cubed)
 
 
 def _rational_part_is_noncube(x: CycNum) -> bool:
@@ -144,8 +139,7 @@ def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
     that Tr((AB)^l) equals k^-l * m for l <= dim not divisible by 3 (with a
     single integer m) and k^-l * dim for l divisible by 3.
     """
-    if k.conductor != a.conductor:
-        raise ConductorMismatch("promote k to the matrices' conductor first")
+    (a, b, k), n = common_field(a, b, k)
     ab = a @ b
     if not ab.is_diagonalizable():
         return False
@@ -154,8 +148,8 @@ def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
     if m is None:
         return False
     kinv = k.inv()
-    power = CMatrix.identity(d, a.conductor)
-    kpow = CycNum.one(a.conductor)
+    power = CMatrix.identity(d, n)
+    kpow = CycNum.one(n)
     for ell in range(1, d + 1):
         power = power @ ab
         kpow = kpow * kinv
@@ -286,17 +280,14 @@ def build_standard_extension(
     when k fails the existence criterion and BadBasisChange when M does
     not diagonalize S to the required pattern.
     """
-    (a, b, k), n = _with_omega(a, b, k)
+    given = () if params is None else (params.M, params.G, params.N)
+    (a, b, k, *given), n = common_field(a, b, k, *given, extra=3)
     s, m_int = _standard_seed(a, b, k)
     if params is None:
         params = default_extension_params(s)
     else:
-        params = ExtensionParams(
-            M=params.M.promote(n),
-            G=None if params.G is None else params.G.promote(n),
-            a=params.a,
-            N=None if params.N is None else params.N.promote(n),
-        )
+        m, g, nmat = given
+        params = ExtensionParams(M=m, G=g, a=params.a, N=nmat)
         if params.M.inverse() @ s @ params.M != _diag_pattern(params.ell, params.t, n):
             raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
     s1, s2 = _complete(s, params)
@@ -327,7 +318,7 @@ def s3_completion_check(s: CMatrix, s1: CMatrix) -> bool:
     Projector formulation: s1^2 = I, s1 commutes with P_1 and swaps the
     omega projectors.  When true, S2 = S1 S satisfies Sigma1 and Sigma2.
     """
-    (s, s1), n = _with_omega(s, s1)
+    (s, s1), n = common_field(s, s1, extra=3)
     p1, pw, pw2 = eigenprojectors_order3(s)
     ident = CMatrix.identity(s.dim, n)
     return (
@@ -356,21 +347,23 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
         raise ConstraintViolated("requires A != B")
     if not relation_holds({"A": a, "B": b}, "B1"):
         raise ConstraintViolated("braid relation fails")
-    (a, b), n = _with_omega(a, b)
+    (a, b, *v), n = common_field(a, b, *line, extra=3)
     ab = a @ b
     tr = ab.trace()
     if tr.is_zero:
         raise TraceZero("Tr(AB) = 0 cannot occur for 2-dim braid pairs")
-    k = -tr.inv()
-    _, pw, pw2 = eigenprojectors_order3(ab.scalar_mul(k))
-    v = tuple(x.promote(n) if isinstance(x, CycNum) else CycNum.from_rational(x, n) for x in line)
-    vw = pw.apply(v)
-    vw2 = pw2.apply(v)
-    if all(e.is_zero for e in vw) or all(e.is_zero for e in vw2):
+    s = ab.scalar_mul(-tr.inv())
+    if s.matpow(3) != CMatrix.identity(2, n):
+        raise NotOrderThree("S^3 != I")
+    # the eigenvector columns m_w, m_w2 of M split v = c_0 m_w + c_1 m_w2,
+    # so M diag(c) = (v_w v_w2)
+    m = default_extension_params(s).M
+    c = m.inverse().apply(v)
+    if any(x.is_zero for x in c):
         raise EigenlineChosen("line must avoid the two eigenlines of S")
-    wmat = CMatrix([[vw[0], vw2[0]], [vw[1], vw2[1]]], n)
-    params = ExtensionParams(wmat, CMatrix.identity(1, n), 0, None)
-    return build_standard_extension(a, b, k, params)[0]
+    params = ExtensionParams(m @ CMatrix.diagonal(c, n), CMatrix.identity(1, n), 0, None)
+    s1, s2 = _complete(s, params)
+    return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
 
 
 @dataclass
@@ -395,48 +388,6 @@ def extension_exists_3d(a: CMatrix, b: CMatrix) -> ThreeDimExtension:
     k_cubed = ab.det().inv()
     roots = nth_root_in_field(k_cubed, 3) if exists else []
     return ThreeDimExtension(exists=exists, k_candidates=roots, k_cubed=k_cubed)
-
-
-def nonstandard_3d(lam1, lam2, z, sign: int = 1) -> LBRep:
-    """The one-parameter symmetric family on tw3(l1, l2, -l2).
-
-    S and the involution depend only on the free parameter z; the result
-    degenerates to a standard extension exactly when z^3 = l1/l2.
-    """
-    from . import catalog  # deferred: catalog itself builds on this module
-
-    if sign not in (1, -1):
-        raise ZeroParameter("sign must be +1 or -1")
-    base = catalog.tw3(lam1, lam2, -catalog._as_cyc(lam2))
-    zz = catalog._as_cyc(z)
-    n = math.lcm(base.conductor, zz.conductor)
-    a, b = base.A.promote(n), base.B.promote(n)
-    zz = zz.promote(n)
-    if zz.is_zero:
-        raise ZeroParameter("z must be nonzero")
-    zi = zz.inv()
-    zero = CycNum.zero(n)
-    one = CycNum.one(n)
-    s = CMatrix(
-        [
-            [zero, zero, zz],
-            [zero, zz, zz],
-            [-zi * zi, (one - zz**3) * zi * zi, -zz],
-        ],
-        n,
-    )
-    s1 = CMatrix(
-        [
-            [one, zz - one, zz],
-            [zero, zz, zz],
-            [zero, (one - zz * zz) * zi, -zz],
-        ],
-        n,
-    )
-    if sign == -1:
-        s1 = -s1
-    s2 = s1 @ s  # S1^2 = I, so S2 = S1 S
-    return LBRep(target=GroupKind.SLB3, A=a, B=b, S1=s1, S2=s2)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +446,6 @@ class LinearizedSystem:
     """
 
     d: int
-    matrix: list[tuple[CycNum, ...]]
     monomials: list[tuple[int, int]]
     n_unknowns: int
     n_equations: int
@@ -537,7 +487,6 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     verdict = "unique-standard" if rank == n_d else "indeterminate"
     return LinearizedSystem(
         d=d,
-        matrix=rows,
         monomials=monomials,
         n_unknowns=n_d,
         n_equations=len(rows),
@@ -599,14 +548,11 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
     k must be a standard-extension candidate for (A, B); the new S keeps
     the trace of kAB and order 3, and a fresh involution completes it.
     """
-    n = math.lcm(rep.conductor, k.conductor, 3)
-    rep = rep.promote(n)
-    k = k.promote(n)
+    (rep, k), n = common_field(rep, k, extra=3)
     a, b = rep.A, rep.B
     _standard_seed(a, b, k)
     s_new = (b @ b @ rep.S).scalar_mul(k)
-    ident = CMatrix.identity(a.dim, n)
-    if s_new.matpow(3) != ident:
+    if s_new.matpow(3) != CMatrix.identity(a.dim, n):
         raise ConstraintViolated("k B^2 S' does not cube to the identity")
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
@@ -626,7 +572,7 @@ def default_polynomial_candidates(a: CMatrix, b: CMatrix) -> list[PolynomialS]:
     the six-dimensional counterexample (and are the natural suspects in
     general once (AB)^3 is scalar).
     """
-    (a, b), n = _with_omega(a, b)
+    (a, b), n = common_field(a, b, extra=3)
     d = a.dim
     c = (a @ b).matpow(3).is_scalar()
     if c is None:
@@ -690,7 +636,7 @@ def certify_no_extension(
 ) -> NoExtensionReport:
     if not b.is_cyclic():
         raise MinPolyMismatch("certification requires min poly of B = char poly")
-    (a, b), n = _with_omega(a, b)
+    (a, b), n = common_field(a, b, extra=3)
     cands = default_polynomial_candidates(a, b)
     ident = CMatrix.identity(a.dim, n)
     verdicts = []
@@ -928,42 +874,3 @@ def numeric_cubic_oracle(
         seed=seed,
         clusters=out,
     )
-
-
-# ---------------------------------------------------------------------------
-# conjecture evidence sweep
-# ---------------------------------------------------------------------------
-
-
-def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
-    """Evidence runner: how often do random draws admit a standard extension?
-
-    This is tooling for the ordered-triangular-form conjecture, not a
-    prover: it reports per-draw candidate counts from the exact search.
-    """
-    from . import sampling
-
-    if draws < 0:
-        raise InvalidOption(f"draws must be at least 0, got {draws}")
-    rng = sampling.rng_for(seed)
-    results = []
-    for i in range(draws):
-        rep, params = sampling.draw_family(family, rng)
-        search = standard_k_candidates(rep.A, rep.B)
-        results.append(
-            {
-                "draw": i,
-                "params": params,
-                "candidates": len(search.candidates),
-                "reason": search.reason,
-            }
-        )
-    successes = sum(1 for r in results if r["candidates"] > 0)
-    return {
-        "family": family,
-        "draws": draws,
-        "seed": seed,
-        "successes": successes,
-        "rate": successes / draws if draws else 0.0,
-        "results": results,
-    }

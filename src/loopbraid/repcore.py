@@ -20,9 +20,9 @@ one verify call forms each distinct word product once.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
+from .cyclotomic import common_field
 from .errors import (
     ConductorMismatch,
     ConstraintViolated,
@@ -228,8 +228,8 @@ def tensor_product(r1: LBRep, r2: LBRep) -> LBRep:
     """Generator-wise Kronecker product, promoting to a common conductor."""
     if r1.target != r2.target:
         raise ConstraintViolated("tensor factors must share a target group")
-    n = math.lcm(r1.conductor, r2.conductor)
-    g1, g2 = r1.promote(n).images(), r2.promote(n).images()
+    (r1, r2), _ = common_field(r1, r2)
+    g1, g2 = r1.images(), r2.images()
     if g1.keys() != g2.keys():
         raise MissingGenerator("tensor factors disagree on present images")
     return LBRep(r1.target, **{g: x.kron(g2[g]) for g, x in g1.items()})

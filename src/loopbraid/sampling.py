@@ -1,10 +1,11 @@
-"""Seeded random parameter draws for the property and sweep suites.
+"""Seeded random parameter draws for the property suites and the sweep.
 
 Parameters are small random rationals (height <= 5) times random roots of
 unity in the working conductor (default 12, which already contains omega
 and i).  Families whose standard extension needs an in-field scalar are
 drawn structurally: e.g. tw3 draws force the eigenvalue product to be a
 perfect cube so the k-search succeeds inside the field.
+`standard_extension_sweep` runs the k-search over such draws.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 from .cyclotomic import CycNum, make_root_of_unity
 from . import catalog
+from .errors import InvalidOption
+from .extend import standard_k_candidates
 from .repcore import LBRep
 
 WORKING_CONDUCTOR = 12
@@ -140,3 +143,35 @@ def draw_family(name: str, rng: random.Random) -> tuple[LBRep, dict]:
         return _FAMILIES[name](rng)
     except KeyError:
         raise ValueError(f"unknown family {name!r}") from None
+
+
+def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
+    """Evidence runner: how often do random draws admit a standard extension?
+
+    This is tooling for the ordered-triangular-form conjecture, not a
+    prover: it reports per-draw candidate counts from the exact search.
+    """
+    if draws < 0:
+        raise InvalidOption(f"draws must be at least 0, got {draws}")
+    rng = rng_for(seed)
+    results = []
+    for i in range(draws):
+        rep, params = draw_family(family, rng)
+        search = standard_k_candidates(rep.A, rep.B)
+        results.append(
+            {
+                "draw": i,
+                "params": params,
+                "candidates": len(search.candidates),
+                "reason": search.reason,
+            }
+        )
+    successes = sum(1 for r in results if r["candidates"] > 0)
+    return {
+        "family": family,
+        "draws": draws,
+        "seed": seed,
+        "successes": successes,
+        "rate": successes / draws if draws else 0.0,
+        "results": results,
+    }

@@ -49,6 +49,8 @@ def _member(obj, key: str, kind: type, what: str):
 def cycnum_from_obj(obj: dict) -> CycNum:
     conductor = _member(obj, "conductor", int, "a scalar")
     coeffs = _member(obj, "coeffs", list, "a scalar")
+    if 2 * len(coeffs) ** 2 < conductor:  # phi(n) >= sqrt(n/2), without factoring n
+        raise MalformedInput(f"bad scalar: coefficient vector must have length phi({conductor})")
     try:
         return CycNum.from_coeffs(conductor, coeffs)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

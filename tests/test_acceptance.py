@@ -219,7 +219,7 @@ def test_criterion_6_slb3_logic():
         z = sampling.rand_scalar(rng)
         if l2.is_zero or z.is_zero or z**3 == l1 / l2:
             continue
-        rep = extend.nonstandard_3d(l1, l2, z)
+        rep = catalog.nonstandard_3d(l1, l2, z)
         assert verify(rep, GroupKind.SLB3).all_hold
         assert not is_proportional(rep.S, rep.A @ rep.B)
         nonstd += 1

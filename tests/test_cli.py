@@ -249,8 +249,9 @@ def test_analyze_dense_tw4_reports_uniqueness_unavailable(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def malformed_inputs(tmp_path_factory):
-    """The three bad files: a rep without a target, a matrix entry written
-    as [[1]], and an extend report in place of a representation."""
+    """The four bad files: a rep without a target, a matrix entry written
+    as [[1]], an extend report in place of a representation, and an entry
+    with a huge prime conductor (10^18 + 9) but a single coefficient."""
     root = tmp_path_factory.mktemp("malformed")
     rep_file = root / "tw4.json"
     report_file = root / "report.json"
@@ -258,17 +259,22 @@ def malformed_inputs(tmp_path_factory):
     assert main(["extend", str(rep_file), "--out", str(report_file)]) == 0
     bad_entry = json.loads(rep_file.read_text())
     bad_entry["A"]["entries"][0][0] = [[1]]
+    huge_conductor = json.loads(rep_file.read_text())
+    huge_conductor["A"]["entries"][0][0] = {"conductor": 10**18 + 9, "coeffs": ["1"]}
     files = {
         "null-A": {"A": None},
         "list-entry": bad_entry,
         "extend-report": json.loads(report_file.read_text()),
+        "huge-conductor": huge_conductor,
     }
     for name, obj in files.items():
         (root / f"{name}.json").write_text(json.dumps(obj))
     return root
 
 
-@pytest.mark.parametrize("name", ["null-A", "list-entry", "extend-report"])
+@pytest.mark.parametrize(
+    "name", ["null-A", "list-entry", "extend-report", "huge-conductor"]
+)
 @pytest.mark.parametrize(
     "command",
     [

@@ -8,6 +8,7 @@ import pytest
 
 from loopbraid.cyclotomic import (
     CycNum,
+    common_field,
     cyclotomic_polynomial,
     dot,
     euler_phi,
@@ -16,7 +17,9 @@ from loopbraid.cyclotomic import (
     omega,
     roots_of_unity,
 )
+from loopbraid.catalog import perm3
 from loopbraid.errors import ConductorMismatch, DivisionByZero, NotASubfield
+from loopbraid.linalg import CMatrix
 
 CONDUCTORS = [3, 4, 5, 12, 15, 60]
 
@@ -101,6 +104,17 @@ def test_promotion():
     assert w.promote(3) == w
     with pytest.raises(NotASubfield):
         w.promote(4)
+
+
+def test_common_field_joins_mixed_inputs():
+    w, i, rep = omega(3), make_root_of_unity(4, 1), perm3(2)
+    (x, y, q, none, m, r), n = common_field(w, i, Fraction(1, 2), None, CMatrix([[w]]), rep)
+    assert n == 12
+    assert (x, y, q, none) == (w, i, Fraction(1, 2), None)
+    assert all(v.conductor == 12 for v in (x, y, q, m, r))
+    assert x * y == make_root_of_unity(12, 7) and r.A == rep.A
+    assert common_field(2, extra=5) == ([CycNum.from_rational(2, 5)], 5)
+    assert common_field() == ([], 1)
 
 
 def test_promote_round_trip_preserves_value():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from loopbraid import catalog, extend
-from loopbraid.cyclotomic import CycNum, omega
+from loopbraid.cyclotomic import CycNum, common_field, omega
 from loopbraid.errors import (
     BadBasisChange,
     BadCandidate,
@@ -108,6 +108,15 @@ def test_trace_power_test_tw5():
     assert not extend.trace_power_test(rep.A, rep.B, k * 2)
 
 
+def test_trace_power_test_joins_fields():
+    # k from a larger field, or a plain rational, meets A and B in one field
+    rep = catalog.tw5(*TW5)
+    assert rep.conductor == 1
+    assert extend.trace_power_test(rep.A, rep.B, CycNum.from_rational(4, 12))
+    assert extend.trace_power_test(rep.A, rep.B, 4)
+    assert not extend.trace_power_test(rep.A, rep.B, omega(3) * 4)
+
+
 def test_trace_power_test_rejects_nondiagonalizable():
     j = CMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 1)
     assert not extend.trace_power_test(j, j, CycNum.one(1))
@@ -196,6 +205,9 @@ def test_each_order_three_s_is_cubed_once(monkeypatch):
     calls.clear()
     extend.default_extension_params(cert.S)
     assert calls == []
+    base = catalog.tw2(1, -1, family=2)
+    extend.standard_extension_2d(base.A, base.B, (1, 1))
+    assert calls == [3]  # S = -Tr(AB)^-1 AB, cubed where it is formed
 
 
 def test_default_params_reject_operators_not_of_order_three():
@@ -212,7 +224,7 @@ def test_randomized_params_still_verify():
     rep = catalog.tw3(CycNum.from_rational(1, 3), 2, Fraction(27, 2))
     search = extend.standard_k_candidates(rep.A, rep.B)
     k, _ = search.candidates[0]
-    (a, b, kp), n = extend._with_omega(rep.A, rep.B, k)
+    (a, b, kp), n = common_field(rep.A, rep.B, k, extra=3)
     s = (a @ b).scalar_mul(kp)
     base = extend.default_extension_params(s)
     g = CMatrix([[2]], n) if base.t == 1 else None
@@ -266,7 +278,7 @@ def test_standard_extension_2d():
 
 def test_standard_extension_2d_rejects_eigenline():
     base = catalog.tw2(1, -1, family=2)
-    (a, b), n = extend._with_omega(base.A, base.B)
+    (a, b), n = common_field(base.A, base.B, extra=3)
     ab = a @ b
     s = ab.scalar_mul(-ab.trace().inv())
     _, pw, _ = eigenprojectors_order3(s)
@@ -343,21 +355,21 @@ def test_extension_exists_3d_negative():
 
 
 def test_nonstandard_3d_generic():
-    rep = extend.nonstandard_3d(1, 1, 2)
+    rep = catalog.nonstandard_3d(1, 1, 2)
     assert verify(rep, GroupKind.SLB3).all_hold
     assert not is_proportional(rep.S, rep.A @ rep.B)
     assert rep.S.matpow(3).is_identity
 
 
 def test_nonstandard_3d_degenerates_to_standard():
-    rep = extend.nonstandard_3d(8, 1, 2)  # z^3 = lambda1/lambda2
+    rep = catalog.nonstandard_3d(8, 1, 2)  # z^3 = lambda1/lambda2
     assert verify(rep, GroupKind.SLB3).all_hold
     assert is_proportional(rep.S, rep.A @ rep.B)
 
 
 def test_nonstandard_3d_both_signs():
     for sign in (1, -1):
-        rep = extend.nonstandard_3d(2, 1, 3, sign=sign)
+        rep = catalog.nonstandard_3d(2, 1, 3, sign=sign)
         assert verify(rep, GroupKind.SLB3).all_hold
 
 
@@ -365,7 +377,7 @@ def test_nonstandard_3d_cube_property_random_z():
     rng = rng_for(9)
     for _ in range(5):
         z = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-        rep = extend.nonstandard_3d(2, 1, z)
+        rep = catalog.nonstandard_3d(2, 1, z)
         assert rep.S.matpow(3).is_identity
 
 
@@ -388,7 +400,7 @@ def test_polynomial_solve_perm3_reassembles():
 
 
 def test_polynomial_solve_nonstandard_a1_vanishes():
-    rep = extend.nonstandard_3d(2, 1, 3)
+    rep = catalog.nonstandard_3d(2, 1, 3)
     ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
     assert ps.coefficients[1].is_zero
     assert not ps.coefficients[2].is_zero

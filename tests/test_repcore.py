@@ -90,7 +90,7 @@ def test_l2_equivalence_chain():
         base, _ = draw_tw3(rng)
         built.extend(r for r, _ in extend.standard_extensions(base.A, base.B))
     built.append(catalog.perm3(5))
-    built.append(extend.nonstandard_3d(2, 1, 3))
+    built.append(catalog.nonstandard_3d(2, 1, 3))
     for rep in built:
         flags = extend.l2_equivalence(rep)
         assert len(set(flags.values())) == 1  # all four agree

@@ -42,10 +42,12 @@ def test_cycnum_coeff_format():
 
 
 def test_wrong_length_scalar_is_rejected_before_field_tables(monkeypatch):
-    # the tables of Q(zeta_n) cost n * phi(n); a malformed scalar builds none
+    # the tables of Q(zeta_n) cost n * phi(n), and phi(n) factors n: a
+    # malformed scalar, even of a huge prime conductor, needs neither
     built = []
     monkeypatch.setattr(cyclotomic, "_field", lambda n: built.append(n))
-    for conductor in (12, 4000, 10**6):
+    monkeypatch.setattr(cyclotomic, "euler_phi", lambda n: pytest.fail("phi called"))
+    for conductor in (12, 4000, 10**6, 10**18 + 9):
         with pytest.raises(MalformedInput, match="length phi"):
             cycnum_from_obj({"conductor": conductor, "coeffs": ["1"]})
     assert built == []
