@@ -80,7 +80,7 @@ def _emit(payload, out: str | None) -> None:
 def _load_rep(path: str, need_pair: bool = False) -> LBRep:
     with open(path) as fh:
         rep = rep_from_obj(json.load(fh))
-    if need_pair and rep.A is None:
+    if need_pair and (rep.A is None or rep.B is None):
         raise ValueError("input has no braid pair A, B")
     return rep
 
@@ -273,26 +273,27 @@ def _cmd_analyze(args) -> int:
     rep = _load_rep(args.file)
     sections = {}
     run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
+    pair = rep.A is not None and rep.B is not None
     if args.irreducible or run_all:
         sections["irreducible"] = is_irreducible(rep)
-    if (args.uniqueness or run_all) and rep.A is not None and rep.dim in (4, 5):
+    if (args.uniqueness or run_all) and pair and rep.dim in (4, 5):
         try:
             sections["uniqueness"] = extend.uniqueness_linearized(rep.A, rep.B)
         except LoopBraidError as exc:
             sections["uniqueness"] = f"unavailable: {exc}"
-    if (args.slb3 or run_all) and rep.A is not None and rep.S1 is not None:
+    if (args.slb3 or run_all) and pair and rep.S1 is not None:
         sections["slb3"] = {"direct": extend.slb3_test(rep, "direct")}
         try:
             sections["slb3"]["commutator"] = extend.slb3_test(rep, "commutator")
         except LoopBraidError as exc:
             sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
-    if (args.poly_s or run_all) and rep.A is not None and rep.S1 is not None:
+    if (args.poly_s or run_all) and pair and rep.S1 is not None:
         try:
             ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
             sections["polynomial_S"] = ps.coefficients
         except LoopBraidError as exc:
             sections["polynomial_S"] = f"unavailable: {exc}"
-    if run_all and rep.A is not None:
+    if run_all and pair:
         search = extend.standard_k_candidates(rep.A, rep.B)
         sections["k_candidates"] = {
             "candidates": [{"k": k, "m": m} for k, m in search.candidates],

@@ -11,10 +11,10 @@ structured empty result tells the caller how to proceed.
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
 step, `_complete`, whether S = kAB (`build_standard_extension` and the
 2-dimensional line route `standard_extension_2d`) or the VB3 twist
-k B^2 S' (`vb3_lift`).  S^3 = I is proved once per S: by a cube where S
-is formed, or by its eigenspaces filling the space in
-`default_extension_params`.  Mixed inputs meet in one field through
-`cyclotomic.common_field`, with omega adjoined wherever S is split.
+k B^2 S' (`vb3_lift`).  The eigenspaces of S decide S^3 = I with Tr(S)
+in Z in one test, `default_extension_params`; no builder cubes S.  Mixed
+inputs meet in one field through `cyclotomic.common_field`, with omega
+adjoined wherever S is split.
 """
 
 from __future__ import annotations
@@ -202,15 +202,18 @@ class ExtensionCertificate:
 def default_extension_params(s: CMatrix) -> ExtensionParams:
     """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l.
 
-    The 1-, w- and w^2-eigenspaces of S filling the space proves S^3 = I
-    (NotOrderThree otherwise), and M^-1 S M = diag(I_l, w I_t, w^2 I_t)
-    holds by construction.
+    The one test of S^3 = I with Tr(S) in Z (NotOrderThree otherwise): the
+    1-, w- and w^2-eigenspaces fill the space iff S^3 = I, and then
+    Tr(S) = l + t_w w + t_w2 w^2 is rational iff t_w = t_w2 = t.
+    M^-1 S M = diag(I_l, w I_t, w^2 I_t) holds by construction.
     """
     ident = CMatrix.identity(s.dim, s.conductor)
     w = omega(s.conductor)
     v1, vw, vw2 = ((s - ident.scalar_mul(u)).kernel() for u in (1, w, w * w))
-    if len(vw) != len(vw2) or len(v1) + len(vw) + len(vw2) != s.dim:
-        raise NotOrderThree("eigenspace dimensions do not fit an order-3 operator")
+    if len(v1) + len(vw) + len(vw2) != s.dim:
+        raise NotOrderThree("S^3 != I")
+    if len(vw) != len(vw2):
+        raise NotOrderThree("Tr(S) is not a rational integer")
     ell, t = len(v1), len(vw)
     m = CMatrix([*v1, *vw, *vw2], s.conductor).transpose()
     g = CMatrix.identity(t, s.conductor) if t else None
@@ -249,15 +252,12 @@ def _diag_pattern(ell: int, t: int, conductor: int) -> CMatrix:
     )
 
 
-def _standard_seed(a: CMatrix, b: CMatrix, k: CycNum) -> tuple[CMatrix, int]:
-    """S = kAB and the integer Tr(S); BadCandidate unless S^3 = I, Tr(S) in Z."""
-    s = (a @ b).scalar_mul(k)
-    if s.matpow(3) != CMatrix.identity(a.dim, a.conductor):
-        raise BadCandidate("(kAB)^3 != I")
-    m = s.trace().as_integer()
-    if m is None:
-        raise BadCandidate("Tr(kAB) is not a rational integer")
-    return s, m
+def _seed_params(s: CMatrix) -> ExtensionParams:
+    """default_extension_params(s), with BadCandidate for a k that fails."""
+    try:
+        return default_extension_params(s)
+    except NotOrderThree as exc:
+        raise BadCandidate(f"k fails the existence criterion: {exc}") from None
 
 
 def _complete(s: CMatrix, params: ExtensionParams) -> tuple[CMatrix, CMatrix]:
@@ -277,14 +277,15 @@ def build_standard_extension(
 
     The image of s_1 is M S1 M^-1 for the block involution S1 determined
     by (G, a, N); s_2 maps to s_1's image times S.  Raises BadCandidate
-    when k fails the existence criterion and BadBasisChange when M does
-    not diagonalize S to the required pattern.
+    unless (kAB)^3 = I and Tr(kAB) is in Z, with or without params, and
+    BadBasisChange when M does not diagonalize S to the required pattern.
     """
     given = () if params is None else (params.M, params.G, params.N)
     (a, b, k, *given), n = common_field(a, b, k, *given, extra=3)
-    s, m_int = _standard_seed(a, b, k)
+    s = (a @ b).scalar_mul(k)
+    default = _seed_params(s)
     if params is None:
-        params = default_extension_params(s)
+        params = default
     else:
         m, g, nmat = given
         params = ExtensionParams(M=m, G=g, a=params.a, N=nmat)
@@ -292,7 +293,7 @@ def build_standard_extension(
             raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
     s1, s2 = _complete(s, params)
     rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
-    return rep, ExtensionCertificate(k=k, S=s, params=params, trace_value=m_int)
+    return rep, ExtensionCertificate(k, s, params, s.trace().as_integer())
 
 
 def standard_extensions(
@@ -353,8 +354,6 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
     if tr.is_zero:
         raise TraceZero("Tr(AB) = 0 cannot occur for 2-dim braid pairs")
     s = ab.scalar_mul(-tr.inv())
-    if s.matpow(3) != CMatrix.identity(2, n):
-        raise NotOrderThree("S^3 != I")
     # the eigenvector columns m_w, m_w2 of M split v = c_0 m_w + c_1 m_w2,
     # so M diag(c) = (v_w v_w2)
     m = default_extension_params(s).M
@@ -545,18 +544,17 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
 def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
     """Twist a loop extension into a virtual one: new S = k B^2 S'.
 
-    k must be a standard-extension candidate for (A, B); the new S keeps
-    the trace of kAB and order 3, and a fresh involution completes it.
+    Raises BadCandidate unless k B^2 S' cubes to I with trace in Z: for a
+    standard S' = k0 AB, k B^2 S' = k k0 (BA)^2, which holds exactly when
+    k is a standard-extension candidate for (A, B).  The new S keeps the
+    trace of kAB, and a fresh involution completes it.
     """
-    (rep, k), n = common_field(rep, k, extra=3)
+    (rep, k), _ = common_field(rep, k, extra=3)
     a, b = rep.A, rep.B
-    _standard_seed(a, b, k)
     s_new = (b @ b @ rep.S).scalar_mul(k)
-    if s_new.matpow(3) != CMatrix.identity(a.dim, n):
-        raise ConstraintViolated("k B^2 S' does not cube to the identity")
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    s1, s2 = _complete(s_new, default_extension_params(s_new))
+    s1, s2 = _complete(s_new, _seed_params(s_new))
     return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
 
 

@@ -9,7 +9,7 @@ from loopbraid import catalog
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.linalg import CMatrix
-from loopbraid.repcore import LBRep
+from loopbraid.repcore import GroupKind, LBRep
 from loopbraid.serialize import rep_from_obj, rep_to_obj
 
 
@@ -297,14 +297,40 @@ def test_malformed_input_exits_2(malformed_inputs, name, command, capsys):
 def test_commands_needing_a_braid_pair_exit_2(tmp_path, capsys):
     rep_file = tmp_path / "s3.json"
     obj = rep_to_obj(catalog.perm3(2))
-    obj.update(target="S3", A=None, B=None)
-    rep_file.write_text(json.dumps(obj))
-    for command in (["extend"], ["certify", "--starts", "10"]):
-        assert main([command[0], str(rep_file), *command[1:]]) == 2
-        assert capsys.readouterr().err == "error: input has no braid pair A, B\n"
-    code, out = run(["analyze", str(rep_file)], capsys)
-    assert code == 0
-    assert set(json.loads(out)["analysis"]) == {"irreducible"}
+    for absent in ({"A": None, "B": None}, {"B": None}):  # no pair, half a pair
+        rep_file.write_text(json.dumps({**obj, "target": "S3", **absent}))
+        for command in (["extend"], ["certify", "--starts", "10"]):
+            assert main([command[0], str(rep_file), *command[1:]]) == 2
+            assert capsys.readouterr().err == "error: input has no braid pair A, B\n"
+        code, out = run(["analyze", str(rep_file)], capsys)
+        assert code == 0
+        assert set(json.loads(out)["analysis"]) == {"irreducible"}
+
+
+GENERATORS = ("A", "B", "S1", "S2")
+FUZZ_COMMANDS = (
+    *(["verify", "--group", g.value] for g in GroupKind),
+    *(["extend", "--mode", m, "--z", "2"] for m in ("standard", "nonstandard3", "vb3")),
+    ["analyze"],
+    ["certify", "--starts", "5"],
+)
+
+
+@pytest.mark.parametrize("target", [g.value for g in GroupKind])
+def test_every_generator_set_on_every_command(tmp_path, capsys, target):
+    # each subset of the four generator images of perm3(8), the others
+    # null: every command exits with a documented code and nothing raises
+    full = rep_to_obj(catalog.perm3(8))
+    rep_file = tmp_path / "rep.json"
+    for mask in range(2 ** len(GENERATORS)):
+        obj = {"target": target}
+        for i, g in enumerate(GENERATORS):
+            obj[g] = full[g] if mask >> i & 1 else None
+        rep_file.write_text(json.dumps(obj))
+        for command in FUZZ_COMMANDS:
+            code = main([command[0], str(rep_file), *command[1:]])
+            assert code in (0, 1, 2, 3), (mask, command)
+        capsys.readouterr()
 
 
 def test_extend_vb3_with_k(tmp_path, capsys):

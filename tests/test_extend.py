@@ -3,9 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopbraid import catalog, extend
-from loopbraid.cyclotomic import CycNum, common_field, omega
+from loopbraid.cyclotomic import (
+    CycNum,
+    common_field,
+    make_root_of_unity,
+    omega,
+    roots_of_unity,
+)
 from loopbraid.errors import (
     BadBasisChange,
     BadCandidate,
@@ -191,23 +199,22 @@ def test_build_rejects_bad_basis_change():
 
 
 def test_each_order_three_s_is_cubed_once(monkeypatch):
-    # S^3 = I is proved where S is formed; the completion step adds no cube
+    # the eigenspaces of S decide S^3 = I and Tr(S) in Z, so no builder
+    # cubes S; the one cube per extend op is the k-search's (AB)^3
     rep = catalog.tw4(*TW4)
     k = CycNum.from_rational(Fraction(-1, 2), 1)
     built, cert = extend.build_standard_extension(rep.A, rep.B, k)
     calls, inner = [], CMatrix.matpow
     monkeypatch.setattr(CMatrix, "matpow", lambda m, e: calls.append(e) or inner(m, e))
     extend.build_standard_extension(rep.A, rep.B, k)
-    assert calls == [3]
-    calls.clear()
+    assert calls == []
     extend.vb3_lift(built, cert.k)
-    assert calls == [3, 3]  # kAB in the seed check, then k B^2 S'
-    calls.clear()
+    assert calls == []
     extend.default_extension_params(cert.S)
     assert calls == []
     base = catalog.tw2(1, -1, family=2)
     extend.standard_extension_2d(base.A, base.B, (1, 1))
-    assert calls == [3]  # S = -Tr(AB)^-1 AB, cubed where it is formed
+    assert calls == []
 
 
 def test_default_params_reject_operators_not_of_order_three():
@@ -217,6 +224,42 @@ def test_default_params_reject_operators_not_of_order_three():
     # order three, but the w- and w^2-eigenspaces differ in dimension
     with pytest.raises(NotOrderThree):
         extend.default_extension_params(CMatrix.diagonal([CycNum.one(3), w], 3))
+
+
+@st.composite
+def order_three_operators(draw):
+    """(S, l, a, b): S = M diag(1^l, w^a, w^2^b) M^-1 at N = 12, M = L U."""
+    n = 12
+    l = draw(st.integers(0, 5))
+    a = draw(st.integers(0, 5 - l))
+    b = draw(st.integers(max(0, 1 - l - a), 5 - l - a))
+    d = l + a + b
+
+    def scalar():
+        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        return make_root_of_unity(n, draw(st.integers(0, n - 1))) * q
+
+    lower = [[scalar() if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[scalar() if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    m = CMatrix(lower, n) @ CMatrix(upper, n)
+    w = omega(n)
+    diag = CMatrix.diagonal([CycNum.one(n)] * l + [w] * a + [w * w] * b, n)
+    return m @ diag @ m.inverse(), l, a, b
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(order_three_operators())
+def test_eigenspaces_decide_order_three_and_integer_trace(case):
+    s, l, a, b = case
+    if a == b:
+        params = extend.default_extension_params(s)
+        assert (params.ell, params.t) == (l, a)
+        assert s.trace() == l - a
+    else:
+        with pytest.raises(NotOrderThree, match=r"Tr\(S\)"):
+            extend.default_extension_params(s)
+    with pytest.raises(NotOrderThree, match=r"S\^3 != I"):
+        extend.default_extension_params(s.scalar_mul(2))
 
 
 def test_randomized_params_still_verify():
@@ -537,6 +580,31 @@ def test_vb3_lift_perm3():
     assert lifted.S.trace() == k.promote(lifted.conductor) * (
         lifted.A @ lifted.B
     ).trace()
+
+
+def test_vb3_lift_accepts_exactly_the_standard_candidates():
+    # for a standard S' = k0 AB, k B^2 S' completes iff k is a candidate
+    rng = rng_for(29)
+    bases = [draw(rng)[0] for draw in (draw_tw2, draw_tw3, draw_tw4) * 3]
+    cases = [
+        (built, cert.k)
+        for base in bases
+        for built, cert in extend.standard_extensions(base.A, base.B)
+    ]
+    perm = catalog.perm3(8)
+    cases.append((perm, extend.standard_k_candidates(perm.A, perm.B).candidates[0][0]))
+    assert len(cases) >= 6
+    for rep, k0 in cases:
+        n = extend.vb3_lift(rep, k0).conductor
+        a, b = rep.A.promote(n), rep.B.promote(n)
+        good = {k for k, _ in extend.standard_k_candidates(a, b).candidates}
+        for u in roots_of_unity(n):
+            k = u * k0.promote(n)
+            if k in good:
+                assert verify(extend.vb3_lift(rep, k), GroupKind.VB3).all_hold
+            else:
+                with pytest.raises(BadCandidate):
+                    extend.vb3_lift(rep, k)
 
 
 def test_vb3_lift_bad_candidate():
