@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -27,6 +28,10 @@ from .errors import ConductorMismatch, DivisionByZero, NotASubfield
 
 #: Rational scalars are stdlib Fractions (arbitrary precision, always reduced).
 Rational = Fraction
+
+# A wire rational that int() reads as written: "p" or "p/q", ASCII digits,
+# the sign on p, q > 0.
+_CANONICAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _divisors(n: int) -> list[int]:
@@ -95,7 +100,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _Field:
     """Cached reduction tables for one conductor."""
 
-    __slots__ = ("n", "phi", "modulus", "xpow", "trace_weights", "trace_den")
+    __slots__ = ("n", "phi", "modulus", "xpow", "fold", "trace_weights", "trace_den")
 
     def __init__(self, n: int):
         self.n = n
@@ -119,6 +124,9 @@ class _Field:
             cur = nxt
             rows.append(tuple(cur))
         self.xpow = tuple(rows)
+        # the nonzero (j, c_j) of each row: a reduced power of zeta is sparse
+        # (at N = 60 it has 1 to 6 terms of 16)
+        self.fold = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows)
         # Tr(zeta^j) / phi(n) = mu(m) / phi(m) with m = n / gcd(j, n), over
         # the common denominator trace_den: the normalized trace of an
         # element does not depend on the field it is viewed in.
@@ -177,14 +185,89 @@ def _mul_num(a: Sequence[int], b: Sequence[int], fld: _Field) -> list[int]:
 
 def _reduce(conv: list[int], fld: _Field) -> list[int]:
     # Fold a raw convolution (length <= 2*phi-1) back onto the power basis.
-    phi = fld.phi
+    phi, fold = fld.phi, fld.fold
     out = list(conv[:phi]) + [0] * (phi - min(phi, len(conv)))
     for e in range(phi, len(conv)):
         c = conv[e]
         if c:
-            row = fld.xpow[e]
-            for j in range(phi):
-                out[j] += c * row[j]
+            for j, r in fold[e]:
+                out[j] += c * r
+    return out
+
+
+def packed_product(
+    rows: Sequence[Sequence["CycNum"]], cols: Sequence[Sequence["CycNum"]]
+) -> list[list["CycNum"]]:
+    """The matrix of every dot(row, col), by Kronecker substitution.
+
+    Each row is scaled to one common denominator and each column to
+    another, and the phi numerators c_j of an entry are packed into one
+    integer sum c_j 2^(K j).  An output entry's convolution is then the
+    sum of d big-integer products, read back from K-bit slots.  A slot
+    holds at most length * phi * max|a| * max|b| in absolute value, so K
+    is that bound's bit length plus a sign bit, rounded up to whole bytes;
+    adding 2^(K-1) to every slot makes them all nonnegative, so one
+    to_bytes splits them.  See Harvey, "Faster polynomial multiplication
+    via multipoint Kronecker substitution", J. Symb. Comp. 2009.
+    """
+    n = rows[0][0].conductor
+    fld = _field(n)
+    phi, length = fld.phi, len(rows[0])
+
+    def scaled(vectors):
+        # per vector: its common denominator and each entry's scale to it
+        out, top = [], 0
+        for vec in vectors:
+            den = math.lcm(*(x._den for x in vec))
+            scales = []
+            for x in vec:
+                if x.conductor != n:
+                    raise ConductorMismatch("matrix entries must share a conductor")
+                s = den // x._den
+                top = max(top, max(map(abs, x._num)) * s)
+                scales.append(s)
+            out.append((vec, den, scales))
+        return out, top
+
+    srows, max_a = scaled(rows)
+    scols, max_b = scaled(cols)
+    width = (length * phi * max_a * max_b).bit_length() + 1  # + a sign bit
+    kb = (width + 7) // 8
+    k = 8 * kb
+    half = 1 << (k - 1)
+    slots = 2 * phi - 1
+    bias = half * (((1 << (k * slots)) - 1) // ((1 << k) - 1))  # half in every slot
+
+    def pack(vec, scales):
+        packed = []
+        for x, s in zip(vec, scales):
+            p = 0
+            for c in reversed(x._num):
+                p = (p << k) + c
+            packed.append(p * s)
+        return packed
+
+    prow = [(pack(vec, s), den) for vec, den, s in srows]
+    pcol = [(pack(vec, s), den) for vec, den, s in scols]
+    zero = CycNum.zero(n)
+    out = []
+    for pa, da in prow:
+        line = []
+        for pb, db in pcol:
+            acc = 0
+            for a, b in zip(pa, pb):
+                if a and b:
+                    acc += a * b
+            if not acc:
+                line.append(zero)
+                continue
+            raw = (acc + bias).to_bytes(kb * slots, "little")
+            conv = [
+                int.from_bytes(raw[i : i + kb], "little") - half
+                for i in range(0, kb * slots, kb)
+            ]
+            line.append(CycNum(n, _reduce(conv, fld), da * db))
+        out.append(line)
     return out
 
 
@@ -221,10 +304,22 @@ class CycNum:
     def from_coeffs(
         cls, conductor: int, coeffs: Sequence[Rational | int | str]
     ) -> "CycNum":
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        num = [int(f * den) for f in fracs]
-        return cls(conductor, num, den)
+        """Coefficients on the power basis: ints, Fractions or strings.
+
+        A wire string "p" or "p/q" (ASCII digits, a minus sign only on p,
+        q > 0 without leading zeros) is read with int(); any other value
+        goes through Fraction, so it is accepted or refused as there.
+        """
+        pairs = []
+        for c in coeffs:
+            if isinstance(c, str) and _CANONICAL.fullmatch(c):
+                p, _, q = c.partition("/")
+                pairs.append((int(p), int(q) if q else 1))
+            else:
+                f = Fraction(c)
+                pairs.append((f.numerator, f.denominator))
+        den = math.lcm(*(q for _, q in pairs)) if pairs else 1
+        return cls(conductor, [p * (den // q) for p, q in pairs], den)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycNum":
@@ -439,8 +534,10 @@ def omega(conductor: int = 3) -> CycNum:
 def dot(xs: Sequence[CycNum], ys: Sequence[CycNum]) -> CycNum:
     """Exact sum of pairwise products with a single basis reduction.
 
-    This is the matmul inner loop; fusing the reduction and normalization
-    keeps coefficient gcd work per entry instead of per product.
+    Schoolbook: fusing the reduction and normalization keeps coefficient
+    gcd work per sum instead of per product.  A whole matrix product goes
+    through `packed_product`, which packs each row and column once; for
+    one sum at a time the packing costs more than it saves.
     """
     if not xs:
         raise ValueError("empty dot product")

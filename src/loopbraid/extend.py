@@ -304,13 +304,24 @@ def standard_extensions(
     return [build_standard_extension(a, b, k, params) for k, _ in search.candidates]
 
 
-def involution_param_dimension(ell: int, m: int) -> int:
-    """Dimension of the involution parameter space on a fixed block split."""
-    if ell < 0 or m < 0:
+def involution_param_dimension(ell: int, t: int, a: int | None = None) -> int:
+    """Dimension of the variety of involutions S1 that complete a standard
+    S with an l-dimensional 1-eigenspace and t-dimensional w- and
+    w^2-eigenspaces (the blocks of `default_extension_params`).
+
+    Such an S1 preserves the 1-eigenspace, where it is an involution with
+    an a-dimensional +1 eigenspace (a class of dimension 2a(l - a) in
+    GL_l), and pairs the w- and w^2-eigenspaces through any invertible
+    t x t matrix G (t^2 more).  With `a` this is the dimension of that
+    component, else the largest over a: floor(l^2 / 2) + t^2.
+    """
+    if ell < 0 or t < 0:
         raise ValueError("block sizes must be nonnegative")
-    if ell > 1:
-        return m * m * (ell * ell // 2)  # ceil((l^2 - 1)/2)
-    return m * m
+    if a is None:
+        a = ell // 2
+    elif not 0 <= a <= ell:
+        raise ValueError("need 0 <= a <= l")
+    return 2 * a * (ell - a) + t * t
 
 
 def s3_completion_check(s: CMatrix, s1: CMatrix) -> bool:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, dot, omega
+from .cyclotomic import CycNum, dot, omega, packed_product
 from .errors import (
     ConductorMismatch,
     DimMismatch,
@@ -191,10 +191,7 @@ class CMatrix:
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check(other)
-        cols = other.columns()
-        return CMatrix(
-            [[dot(row, col) for col in cols] for row in self.rows], self.conductor
-        )
+        return CMatrix(packed_product(self.rows, other.columns()), self.conductor)
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)

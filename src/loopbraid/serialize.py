@@ -5,7 +5,15 @@ CMatrix      {"dim": d, "conductor": N, "entries": [[CycNum, ...], ...]}
 LBRep        {"target": "LB3", "A": CMatrix|null, ..., "S2": CMatrix|null}
 Certificate  {"k": CycNum, "S": CMatrix, "params": {...}, "trace_value": m}
 
-Rationals travel as base-10 "p/q" strings, so round-trips are exact.
+Rationals travel as base-10 strings, so round-trips are exact.  The
+writer's form is canonical: "p" when the coefficient is an integer, else
+"p/q" in lowest terms with q > 1, the sign on p and no leading zeros or
+other characters, each string made from the scalar's integer numerators
+and denominator with one gcd.  The reader takes every string of that
+shape, -?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007"), with int(); any
+other value, such as "1.5", "+3" or a JSON number, goes through
+Fraction, and is refused (MalformedInput) exactly where Fraction
+refuses it.
 Complex numbers in oracle reports are [re, im] pairs.
 
 Output reports are encoded field by field from their dataclasses by
@@ -20,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from fractions import Fraction
+import math
 from typing import Any
 
 from .cyclotomic import CycNum
@@ -30,12 +38,12 @@ from .linalg import CMatrix
 from .repcore import GroupKind, LBRep
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def cycnum_to_obj(x: CycNum) -> dict:
-    return {"conductor": x.conductor, "coeffs": [_frac_str(c) for c in x.coeffs]}
+    den, coeffs = x._den, []
+    for v in x._num:
+        g = math.gcd(v, den)
+        coeffs.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return {"conductor": x.conductor, "coeffs": coeffs}
 
 
 def _member(obj, key: str, kind: type, what: str):
@@ -53,7 +61,7 @@ def cycnum_from_obj(obj: dict) -> CycNum:
         raise MalformedInput(f"bad scalar: coefficient vector must have length phi({conductor})")
     try:
         return CycNum.from_coeffs(conductor, coeffs)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:  # 1/0, an infinite float
         raise MalformedInput(f"bad scalar: {exc}") from None
 
 

@@ -24,7 +24,7 @@ from loopbraid.errors import (
     NotOrderThree,
     WrongForm,
 )
-from loopbraid.linalg import CMatrix, eigenprojectors_order3, is_proportional
+from loopbraid.linalg import CMatrix, eigenprojectors_order3, is_proportional, matrix_rank
 from loopbraid.repcore import GroupKind, verify
 from loopbraid.sampling import (
     draw_tw2,
@@ -281,10 +281,33 @@ def test_randomized_params_still_verify():
 
 
 @pytest.mark.parametrize(
-    "ell,m,expected", [(0, 1, 1), (2, 1, 2), (1, 3, 9), (3, 2, 16), (1, 0, 0)]
+    "ell,t,expected", [(0, 1, 1), (2, 1, 3), (1, 3, 9), (3, 2, 8), (1, 0, 0)]
 )
-def test_involution_param_dimension(ell, m, expected):
-    assert extend.involution_param_dimension(ell, m) == expected
+def test_involution_param_dimension(ell, t, expected):
+    assert extend.involution_param_dimension(ell, t) == expected
+
+
+@pytest.mark.parametrize("ell,t", [(2, 1), (3, 2), (3, 0), (4, 1), (1, 3)])
+def test_involution_param_dimension_is_the_tangent_rank(ell, t):
+    # at each completion S1 of default_extension_params with a given a, the
+    # tangent space of {X : X S = S^2 X, X^2 = I} is {T : T S = S^2 T,
+    # S1 T + T S1 = 0}; row-major vec(X T Y) = (X kron Y^T) vec(T)
+    d, n = ell + 2 * t, 3
+    p = CMatrix.build(d, n, lambda i, j: int(i <= j))
+    s = p @ extend._diag_pattern(ell, t, n) @ p.inverse()
+    base = extend.default_extension_params(s)
+    ident = CMatrix.identity(d, n)
+    span = (ident.kron(s.transpose()) - (s @ s).kron(ident)).rows
+    for a in range(ell + 1):
+        params = extend.ExtensionParams(M=base.M, G=base.G, a=a, N=base.N)
+        s1, _ = extend._complete(s, params)
+        assert extend.s3_completion_check(s, s1)
+        tangent = (s1.kron(ident) + ident.kron(s1.transpose())).rows
+        rank = matrix_rank([*span, *tangent])
+        assert d * d - rank == extend.involution_param_dimension(ell, t, a)
+    assert max(
+        extend.involution_param_dimension(ell, t, a) for a in range(ell + 1)
+    ) == extend.involution_param_dimension(ell, t)
 
 
 # -- s3 completion -------------------------------------------------------------------
