@@ -1,7 +1,7 @@
 """Property tests of the Kronecker-packed matrix product behind CMatrix @.
 
 The reference is the schoolbook sum of CycNum products, built from `*` and
-`+` alone, so it shares neither the packing nor the fused reduction."""
+`+` alone, so it shares no code with the packing and unpacking."""
 
 import math
 
