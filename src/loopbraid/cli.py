@@ -274,20 +274,30 @@ def _cmd_analyze(args) -> int:
     sections = {}
     run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
     pair = rep.A is not None and rep.B is not None
+    with_s = pair and rep.S1 is not None
+    # an explicitly requested section that cannot run says why
+    missing = "input has no S1, S2" if pair else "input has no braid pair A, B"
+    for requested, name, ready in (
+        (args.uniqueness, "uniqueness", pair),
+        (args.slb3, "slb3", with_s),
+        (args.poly_s, "polynomial_S", with_s),
+    ):
+        if requested and not ready:
+            sections[name] = f"unavailable: {missing}"
     if args.irreducible or run_all:
         sections["irreducible"] = is_irreducible(rep)
-    if (args.uniqueness or run_all) and pair and rep.dim in (4, 5):
+    if pair and (args.uniqueness or run_all and rep.dim in (4, 5)):
         try:
             sections["uniqueness"] = extend.uniqueness_linearized(rep.A, rep.B)
         except LoopBraidError as exc:
             sections["uniqueness"] = f"unavailable: {exc}"
-    if (args.slb3 or run_all) and pair and rep.S1 is not None:
+    if (args.slb3 or run_all) and with_s:
         sections["slb3"] = {"direct": extend.slb3_test(rep, "direct")}
         try:
             sections["slb3"]["commutator"] = extend.slb3_test(rep, "commutator")
         except LoopBraidError as exc:
             sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
-    if (args.poly_s or run_all) and pair and rep.S1 is not None:
+    if (args.poly_s or run_all) and with_s:
         try:
             ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
             sections["polynomial_S"] = ps.coefficients

@@ -198,7 +198,8 @@ def _reduce(conv: list[int], fld: _Field) -> list[int]:
 def packed_product(
     rows: Sequence[Sequence["CycNum"]], cols: Sequence[Sequence["CycNum"]]
 ) -> list[list["CycNum"]]:
-    """The matrix of every dot(row, col), by Kronecker substitution.
+    """The matrix of every sum of products sum_k row[k] * col[k], by
+    Kronecker substitution: the one exact sum-of-products kernel.
 
     Each row is scaled to one common denominator and each column to
     another, and the phi numerators c_j of an entry are packed into one
@@ -532,39 +533,11 @@ def omega(conductor: int = 3) -> CycNum:
 
 
 def dot(xs: Sequence[CycNum], ys: Sequence[CycNum]) -> CycNum:
-    """Exact sum of pairwise products with a single basis reduction.
-
-    Schoolbook: fusing the reduction and normalization keeps coefficient
-    gcd work per sum instead of per product.  A whole matrix product goes
-    through `packed_product`, which packs each row and column once; for
-    one sum at a time the packing costs more than it saves.
-    """
+    """Exact sum of pairwise products: the one entry of a 1 x 1
+    `packed_product`, the kernel behind every sum of products."""
     if not xs:
         raise ValueError("empty dot product")
-    n = xs[0].conductor
-    fld = _field(n)
-    phi = fld.phi
-    conv = [0] * (2 * phi - 1)
-    den = 1
-    for x, y in zip(xs, ys):
-        if x.conductor != n or y.conductor != n:
-            raise ConductorMismatch("dot operands must share a conductor")
-        dxy = x._den * y._den
-        l = math.lcm(den, dxy)
-        if l != den:
-            f = l // den
-            for i in range(len(conv)):
-                conv[i] *= f
-            den = l
-        scale = den // dxy
-        a, b = x._num, y._num
-        for i, ai in enumerate(a):
-            if ai:
-                aval = ai * scale
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += aval * bj
-    return CycNum(n, _reduce(conv, fld), den)
+    return packed_product([xs], [ys])[0][0]
 
 
 # -- n-th roots inside the field ----------------------------------------------

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .cyclotomic import (
     CycNum,
     common_field,
-    dot,
     nth_root_in_field,
     omega,
+    packed_product,
     rational_nth_root,
     roots_of_unity,
 )
@@ -412,12 +412,7 @@ class PolynomialS:
     coefficients: tuple[CycNum, ...]
 
     def matrix(self, a: CMatrix, b: CMatrix) -> CMatrix:
-        acc = CMatrix.zero(a.dim, a.conductor)
-        e = a @ b
-        for c in self.coefficients:
-            acc = acc + e.scalar_mul(c)
-            e = b @ e
-        return acc
+        return _combination(self.coefficients, _basis_matrices(a, b))
 
 
 def _basis_matrices(a: CMatrix, b: CMatrix) -> list[CMatrix]:
@@ -427,15 +422,26 @@ def _basis_matrices(a: CMatrix, b: CMatrix) -> list[CMatrix]:
     return mats
 
 
+def _entry_columns(basis: list[CMatrix]) -> list[tuple[CycNum, ...]]:
+    """Per entry (i, j), row-major: the vector of E_n[i, j] over the basis."""
+    return list(zip(*(e.flatten() for e in basis)))
+
+
+def _combination(coefficients, basis: list[CMatrix]) -> CMatrix:
+    """sum_n c_n E_n: one packed row, the coefficients, against the d^2
+    entry columns of the basis."""
+    d = basis[0].dim
+    flat = packed_product([coefficients], _entry_columns(basis))[0]
+    return CMatrix([flat[i * d : (i + 1) * d] for i in range(d)], basis[0].conductor)
+
+
 def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> PolynomialS:
     """The unique coefficients with S = sum a_n B^n A B (exact linear solve)."""
     if not b.is_cyclic():
         raise MinPolyMismatch("min poly of B must equal its char poly")
     if s.det().is_zero:
         raise SingularMatrix("S must be invertible")
-    basis = _basis_matrices(a, b)
-    flat = [m.flatten() for m in basis]
-    rows = [[flat[n][i] for n in range(a.dim)] for i in range(a.dim**2)]
+    rows = _entry_columns(_basis_matrices(a, b))
     rhs = list(s.flatten())
     sol = solve_linear(rows, rhs)
     if sol is None:
@@ -483,14 +489,13 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
     rows: list[tuple[CycNum, ...]] = []
     for mats in (basis, fbasis):
-        cols = [e.columns() for e in mats]
         for i, j in positions:
-            # entry (i, j) of E_m E_n + E_n E_m, or of E_m^2 when m = n
-            row = []
-            for m, n in monomials:
-                x = dot(mats[m].rows[i], cols[n][j])
-                row.append(x if m == n else x + dot(mats[n].rows[i], cols[m][j]))
-            rows.append(tuple(row))
+            # t[m][n] is entry (i, j) of E_m E_n; the row holds that of
+            # E_m E_n + E_n E_m, or of E_m^2 when m = n
+            t = packed_product([e.rows[i] for e in mats], [e.column(j) for e in mats])
+            rows.append(
+                tuple(t[m][n] if m == n else t[m][n] + t[n][m] for m, n in monomials)
+            )
     n_d = (d + 2) * (d - 1) // 2
     assert len(monomials) == n_d
     rank = matrix_rank(rows)
@@ -648,9 +653,10 @@ def certify_no_extension(
     (a, b), n = common_field(a, b, extra=3)
     cands = default_polynomial_candidates(a, b)
     ident = CMatrix.identity(a.dim, n)
+    basis = _basis_matrices(a, b)
     verdicts = []
     for cand in cands:
-        s = cand.matrix(a, b)
+        s = _combination(cand.coefficients, basis)
         intertwines = s @ a == b @ s
         cubes = s.matpow(3) == ident
         tr = s.trace()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, dot, omega, packed_product
+from .cyclotomic import CycNum, omega, packed_product
 from .errors import (
     ConductorMismatch,
     DimMismatch,
@@ -205,7 +205,7 @@ class CMatrix:
     def apply(self, vec: Sequence[CycNum]) -> Vector:
         if len(vec) != self.dim:
             raise DimMismatch("vector length mismatch")
-        return tuple(dot(row, vec) for row in self.rows)
+        return tuple(r[0] for r in packed_product(self.rows, [tuple(vec)]))
 
     def matpow(self, e: int) -> "CMatrix":
         """Square-and-multiply that starts at the lowest set bit: M^1 costs

@@ -247,6 +247,33 @@ def test_analyze_dense_tw4_reports_uniqueness_unavailable(tmp_path, capsys):
     assert sections["k_candidates"]["candidates"]
 
 
+@pytest.mark.parametrize(
+    "flag, section, reason",
+    [
+        ("--uniqueness", "uniqueness", "uniqueness linearization is for dimensions 4 and 5"),
+        ("--slb3", "slb3", "input has no S1, S2"),
+        ("--poly-s", "polynomial_S", "input has no S1, S2"),
+    ],
+)
+def test_requested_analyze_section_says_why_it_is_unavailable(
+    tmp_path, capsys, flag, section, reason
+):
+    # a tw3 B3 pair: dimension 3 and no S1, S2; then no pair at all
+    rep_file = tmp_path / "tw3.json"
+    assert main(["construct", "tw3", "--lambda", "1", "2", "3", "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    code, out = run(["analyze", str(rep_file), flag], capsys)
+    assert code == 0
+    assert json.loads(out)["analysis"] == {section: f"unavailable: {reason}"}
+    obj = rep_to_obj(catalog.perm3(2))
+    rep_file.write_text(json.dumps({**obj, "target": "S3", "A": None, "B": None}))
+    code, out = run(["analyze", str(rep_file), flag], capsys)
+    assert code == 0
+    assert json.loads(out)["analysis"] == {
+        section: "unavailable: input has no braid pair A, B"
+    }
+
+
 @pytest.fixture(scope="module")
 def malformed_inputs(tmp_path_factory):
     """The four bad files: a rep without a target, a matrix entry written

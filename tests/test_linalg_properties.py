@@ -1,5 +1,7 @@
 """Property tests of the exact elimination kernel behind det, inverse, rank,
-kernel, solve_linear and min_poly, at conductors 1 and 12."""
+kernel, solve_linear and min_poly, at conductors 1 and 12, and of the
+characteristic polynomial, whose Faddeev-LeVerrier steps and evaluation run
+through the packed product."""
 
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import SingularMatrix
@@ -123,3 +126,29 @@ def test_rank_and_det_match_sympy_at_conductor_1(m):
     ref = sympy.Matrix([[sympy.Rational(str(e.as_rational())) for e in r] for r in m.rows])
     assert m.rank() == ref.rank()
     assert m.det().as_rational() == Fraction(str(ref.det()))
+
+
+@PROPERTY
+@given(st.sampled_from([1, 12, 60]).flatmap(
+    lambda n: st.integers(1, 4).flatmap(lambda d: matrices(n, d))
+))
+def test_cayley_hamilton(m):
+    assert m.char_poly().eval_matrix(m).is_zero
+
+
+ZETA12 = sympy.exp(2 * sympy.pi * sympy.I / 12)
+QQ_ZETA12 = sympy.QQ.algebraic_field(ZETA12)  # generator zeta_12, modulus Phi_12
+
+
+def _to_sympy(x: CycNum):
+    # the same power basis mod Phi_12; sympy lists highest degree first
+    return QQ_ZETA12([sympy.QQ(c.numerator, c.denominator) for c in reversed(x.coeffs)])
+
+
+@PROPERTY
+@given(matrices(n=12))
+def test_char_poly_matches_sympy_at_conductor_12(m):
+    ref = DomainMatrix(
+        [[_to_sympy(e) for e in row] for row in m.rows], (m.dim, m.dim), QQ_ZETA12
+    ).charpoly()
+    assert [_to_sympy(c) for c in reversed(m.char_poly().coeffs)] == ref

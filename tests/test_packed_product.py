@@ -1,4 +1,6 @@
-"""Property tests of the Kronecker-packed matrix product behind CMatrix @.
+"""Property tests of the Kronecker-packed product behind every exact sum
+of products: CMatrix @, `dot`, `CMatrix.apply`, `PolynomialS.matrix` and
+the rows of `uniqueness_linearized`.
 
 The reference is the schoolbook sum of CycNum products, built from `*` and
 `+` alone, so it shares no code with the packing and unpacking."""
@@ -9,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid.cyclotomic import CycNum, euler_phi
-from loopbraid.linalg import CMatrix
+from loopbraid import catalog, extend, sampling
+from loopbraid.cyclotomic import CycNum, dot, euler_phi
+from loopbraid.errors import ConductorMismatch
+from loopbraid.linalg import CMatrix, matrix_rank
+from loopbraid.repcore import tensor_product
 
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
+CALLERS = settings(derandomize=True, max_examples=40, deadline=None)
 CONDUCTORS = (1, 3, 12, 60)
 
 
@@ -121,3 +127,121 @@ def test_exact_zero_product():
         rows[0][1] = CycNum(n, [5] * euler_phi(n), 3)
         m = CMatrix(rows, n)
         assert (m @ m).is_zero
+
+
+# -- the kernel's other callers --------------------------------------------------
+
+
+def ref_sum(xs, ys):
+    acc = CycNum.zero(xs[0].conductor)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def assert_same_scalars(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert (x.conductor, x._num, x._den) == (y.conductor, y._num, y._den)
+
+
+@st.composite
+def vectors(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    length = draw(st.integers(1, 6))
+    zero_share = draw(st.sampled_from([0.0, 0.5]))
+    return tuple(
+        tuple(draw(scalars(n, zero_share)) for _ in range(length)) for _ in range(2)
+    )
+
+
+@PROPERTY
+@given(vectors())
+def test_dot_equals_the_sum_of_products(pair):
+    xs, ys = pair
+    assert_same_scalars([dot(xs, ys)], [ref_sum(xs, ys)])
+
+
+def test_dot_refuses_empty_and_mixed_input():
+    with pytest.raises(ValueError):
+        dot([], [])
+    x12, x3 = CycNum.one(12), CycNum.one(3)
+    with pytest.raises(ConductorMismatch):
+        dot([x12, x3], [x12, x12])
+    with pytest.raises(ConductorMismatch):
+        dot([x12], [x3])
+
+
+@CALLERS
+@given(pairs())
+def test_apply_equals_the_row_sums(pair):
+    a, b = pair
+    vec = b.column(0)
+    assert_same_scalars(a.apply(vec), [ref_sum(row, vec) for row in a.rows])
+
+
+@CALLERS
+@given(pairs(), st.data())
+def test_polynomial_s_matrix_is_the_scaled_sum(pair, data):
+    a, b = pair
+    n, d = a.conductor, a.dim
+    coeffs = tuple(data.draw(scalars(n, 0.25)) for _ in range(d))
+    e, want = reference(a, b), CMatrix.zero(d, n)
+    for c in coeffs:
+        want = want + e.scalar_mul(c)
+        e = reference(b, e)
+    assert_same(extend.PolynomialS(coeffs).matrix(a, b), want)
+
+
+def linearized_rows(a: CMatrix, b: CMatrix) -> list[tuple]:
+    """The uniqueness system by definition: per family E_n (B^n AB, then
+    B E_n A) and per entry (i, j) with i + j >= d, the coefficient of
+    b_m b_n in (sum_k b_k E_k)^2, for m <= n, m + n > 0."""
+    d = a.dim
+    basis = [reference(a, b)]
+    for _ in range(d - 1):
+        basis.append(reference(b, basis[-1]))
+    fbasis = [reference(reference(b, e), a) for e in basis]
+    positions = [(i, j) for i in range(d) for j in range(d) if i + j >= d]
+    monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
+    rows = []
+    for mats in (basis, fbasis):
+        prod = {(m, n): reference(mats[m], mats[n]) for m in range(d) for n in range(d)}
+        for i, j in positions:
+            rows.append(tuple(
+                prod[m, n][i, j] if m == n else prod[m, n][i, j] + prod[n, m][i, j]
+                for m, n in monomials
+            ))
+    return rows
+
+
+def uniqueness_inputs():
+    out = [catalog.tw4([1, 1, 1, 1], 1)]  # a rank drop: "indeterminate"
+    for seed in (1, 2, 3):
+        rng = sampling.rng_for(seed)
+        out.append(sampling.draw_tw4(rng)[0])
+        out.append(sampling.draw_tw5(rng)[0])
+        out.append(sampling.draw_binomial(rng, 3)[0])  # dimension 4
+        tw2, info = sampling.draw_tw2(rng)
+        while info["family"] != 2:  # family 2 makes AB skew lower triangular
+            tw2, info = sampling.draw_tw2(rng)
+        out.append(tensor_product(tw2, tw2))
+    return out
+
+
+@pytest.mark.parametrize("rep", uniqueness_inputs())
+def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch):
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return matrix_rank(rows)
+
+    monkeypatch.setattr(extend, "matrix_rank", spy)
+    lin = extend.uniqueness_linearized(rep.A, rep.B)
+    want = linearized_rows(rep.A, rep.B)
+    assert len(seen) == 1
+    assert seen[0] == want
+    rank = matrix_rank(want)
+    assert lin.rank == rank
+    assert lin.verdict == ("unique-standard" if rank == lin.n_unknowns else "indeterminate")
