@@ -670,15 +670,7 @@ def certify_no_extension(
                 trace_is_real=tr.is_real,
             )
         )
-    oracle = numeric_cubic_oracle(
-        a,
-        b,
-        starts=starts,
-        tol=tol,
-        cluster_radius=cluster_radius,
-        seed=seed,
-        exact_candidates=cands,
-    )
+    oracle = _cubic_oracle(basis, starts, tol, cluster_radius, seed, cands)
     exact_ok = bool(verdicts) and all(
         v.intertwines and v.cubes_to_identity for v in verdicts
     )
@@ -731,9 +723,15 @@ class OracleCluster:
 
 @dataclass
 class OracleReport:
+    """Every start ends converged (final residual below tol), diverged
+    (the residual became non-finite) or unconverged (finite, but not
+    below tol after the last step): the three counts sum to `starts`."""
+
     dim: int
     starts: int
     converged: int
+    diverged: int
+    unconverged: int
     tol: float
     cluster_radius: float
     seed: int
@@ -746,22 +744,48 @@ _ORACLE_BLOCK = 256
 _ORACLE_MAX_ITER = 80
 
 
-def _cubic_jacobian_t(s, s2, ecol, erow):
-    """Transposed Jacobian of F(b) = S(b)^3 - I, S(b) = sum_k b_k E_k.
+def _gemm_rows(x, y):
+    """x @ y with every row rounded as gemm rounds it.  numpy sends a
+    one-row product to gemv, which sums in another order, so a lone row
+    goes in twice: a start's result then never depends on how many
+    starts share its block."""
+    import numpy as np
 
-    For a stack of n matrices S (with s2 = S @ S), returns shape
-    (n, d, d*d): row k is dF/db_k = E_k S^2 + S E_k S + S^2 E_k flattened
-    in F's (i, l) order.  ecol is E reshaped to (d*d, d), rows (k, i);
-    erow is E transposed to (d, d*d), columns (k, j).  Three wide
-    matmuls, accumulated in one buffer laid out (n, i, k, l).
+    if len(x) == 1:
+        return (np.repeat(x, 2, axis=0) @ y)[:1]
+    return x @ y
+
+
+def _cubic_jacobian(e):
+    """The transposed Jacobian of F(b) = S(b)^3 - I as one matmul.
+
+    S(b) = sum_k b_k E_k, so dF/db_k = E_k S^2 + S E_k S + S^2 E_k is
+    quadratic in b:
+
+        dF/db_k = sum over q <= r of b_q b_r C[(q, r), k],
+
+    with C[(q, r), k] = T[q,r,k] + T[r,q,k] (T[q,q,k] alone when q = r),
+    T[q,r,k] = W[k,q,r] + W[q,k,r] + W[q,r,k] and W[p,q,r] = E_p E_q E_r.
+    C is summed in long double and rounded once.  The returned
+    jacobian_t(bv) maps n rows b to shape (n, d, d*d): row k is dF/db_k
+    flattened in F's (i, l) order.
     """
-    n, d = s.shape[0], s.shape[1]
-    jac = s2 @ erow  # S^2 E_k
-    es = (ecol @ s).reshape(n, d, d, d).transpose(0, 2, 1, 3)  # (E_k S)_il
-    jac += s @ es.reshape(n, d, d * d)  # S E_k S
-    jac4 = jac.reshape(n, d, d, d)
-    jac4 += (ecol @ s2).reshape(n, d, d, d).transpose(0, 2, 1, 3)  # E_k S^2
-    return jac4.transpose(0, 2, 1, 3).reshape(n, d, d * d)
+    import numpy as np
+
+    d = len(e)
+    el = e.astype(np.clongdouble)
+    w = np.einsum("pij,qjk,rkl->pqril", el, el, el, optimize=True)
+    t = w.transpose(1, 2, 0, 3, 4) + w.transpose(0, 2, 1, 3, 4) + w  # T[q, r, k]
+    q, r = np.triu_indices(d)
+    c = t[q, r]
+    off = q != r
+    c[off] += t[r[off], q[off]]
+    c = c.reshape(len(q), d**3).astype(complex)
+
+    def jacobian_t(bv):
+        return _gemm_rows(bv[:, q] * bv[:, r], c).reshape(len(bv), d, d * d)
+
+    return jacobian_t
 
 
 def numeric_cubic_oracle(
@@ -779,6 +803,20 @@ def numeric_cubic_oracle(
     clustered by max-norm radius and each cluster reports its trace and
     the nearest exact candidate.  Deterministic for a fixed seed.
     """
+    return _cubic_oracle(
+        _basis_matrices(a, b), starts, tol, cluster_radius, seed, exact_candidates
+    )
+
+
+def _cubic_oracle(
+    basis: list[CMatrix],
+    starts: int,
+    tol: float,
+    cluster_radius: float,
+    seed: int,
+    exact_candidates: list[PolynomialS] | None,
+) -> OracleReport:
+    """`numeric_cubic_oracle` on the basis E_k = B^k A B of its caller."""
     import numpy as np
 
     if starts < 1:
@@ -786,10 +824,9 @@ def numeric_cubic_oracle(
     for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidOption(f"{name} must be finite and > 0, got {value}")
-    d = a.dim
+    d = basis[0].dim
     if d > 8:
         raise DimMismatch("oracle supports dimensions up to 8")
-    basis = _basis_matrices(a, b)
     e = np.stack(
         [
             np.array(
@@ -800,38 +837,44 @@ def numeric_cubic_oracle(
     )
     ident = np.eye(d, dtype=complex)
     eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
-    ecol = e.reshape(d * d, d)  # rows (k, i)
-    erow = e.transpose(1, 0, 2).reshape(d, d * d)  # columns (k, j)
+    jacobian_t = _cubic_jacobian(e)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
-    alive = np.ones(starts, dtype=bool)
+    res = np.empty(starts)
+    # starts neither converged nor non-finite; a start that leaves keeps
+    # its bvec, and so its residual, from then on
+    pending = np.arange(starts)
     damping = 1e-12 * np.eye(d)
-    for _ in range(_ORACLE_MAX_ITER):
-        s = (bvec @ eflat).reshape(starts, d, d)
-        s2 = s @ s
-        f = s2 @ s - ident
-        res = np.abs(f).reshape(starts, -1).max(axis=1)
-        alive &= np.isfinite(res)
-        active = np.flatnonzero(alive & (res > tol * 0.01))
-        if not len(active):
-            break
+    # the last sweep only measures the residuals its predecessor left
+    for sweep in range(_ORACLE_MAX_ITER + 1):
+        stepped = []
         # each start's step depends on that start alone, so blocks of
-        # starts bound the Jacobian's memory without changing the result
-        for lo in range(0, len(active), _ORACLE_BLOCK):
-            blk = active[lo : lo + _ORACLE_BLOCK]
-            jt = _cubic_jacobian_t(s[blk], s2[blk], ecol, erow)
+        # starts bound the memory without changing the result
+        for lo in range(0, len(pending), _ORACLE_BLOCK):
+            blk = pending[lo : lo + _ORACLE_BLOCK]
+            s = _gemm_rows(bvec[blk], eflat).reshape(len(blk), d, d)
+            f = s @ s @ s - ident
+            blk_res = np.abs(f).reshape(len(blk), -1).max(axis=1)
+            res[blk] = blk_res
+            go = np.isfinite(blk_res) & (blk_res > tol * 0.01)
+            if sweep == _ORACLE_MAX_ITER or not go.any():
+                continue
+            blk, f = blk[go], f[go]
+            jt = jacobian_t(bvec[blk])
             jh = jt.conj()
             gram = jh @ jt.transpose(0, 2, 1) + damping
-            rhs = jh @ f[blk].reshape(-1, d * d, 1)
+            rhs = jh @ f.reshape(-1, d * d, 1)
             try:
                 delta = np.linalg.solve(gram, -rhs)
             except np.linalg.LinAlgError:  # pragma: no cover
                 delta = -np.linalg.pinv(gram) @ rhs
             bvec[blk] += delta[..., 0]
-    s = (bvec @ eflat).reshape(starts, d, d)
-    f = s @ s @ s - ident
-    res = np.abs(f).reshape(starts, -1).max(axis=1)
-    good = np.isfinite(res) & (res < tol)
+            stepped.append(blk)
+        if not stepped:
+            break
+        pending = np.concatenate(stepped)
+    finite = np.isfinite(res)
+    good = finite & (res < tol)
     solutions = bvec[good]
     residuals = res[good]
     order = sorted(
@@ -884,6 +927,8 @@ def numeric_cubic_oracle(
         dim=d,
         starts=starts,
         converged=int(good.sum()),
+        diverged=int((~finite).sum()),
+        unconverged=int((finite & ~good).sum()),
         tol=tol,
         cluster_radius=cluster_radius,
         seed=seed,

@@ -142,7 +142,11 @@ def test_certify_shape(files):
             assert_scalar(c)
         assert_scalar(v["trace"])
     oracle = rep["oracle"]
-    assert set(oracle) == {"dim", "starts", "converged", "tol", "cluster_radius", "seed", "clusters"}
+    assert set(oracle) == {
+        "dim", "starts", "converged", "diverged", "unconverged", "tol", "cluster_radius",
+        "seed", "clusters",
+    }
+    assert oracle["converged"] + oracle["diverged"] + oracle["unconverged"] == oracle["starts"]
     assert oracle["clusters"]
     for c in oracle["clusters"]:
         assert set(c) == {
