@@ -648,6 +648,7 @@ def certify_no_extension(
     cluster_radius: float = 1e-6,
     seed: int = 0,
 ) -> NoExtensionReport:
+    _check_oracle_options(a.dim, starts, tol, cluster_radius)
     if not b.is_cyclic():
         raise MinPolyMismatch("certification requires min poly of B = char poly")
     (a, b), n = common_field(a, b, extra=3)
@@ -757,7 +758,8 @@ def _gemm_rows(x, y):
 
 
 def _cubic_jacobian(e):
-    """The transposed Jacobian of F(b) = S(b)^3 - I as one matmul.
+    """The transposed Jacobian of F(b) = S(b)^3 - I as one matmul, and F
+    from it, in orthonormal coordinates of the span V of the equations.
 
     S(b) = sum_k b_k E_k, so dF/db_k = E_k S^2 + S E_k S + S^2 E_k is
     quadratic in b:
@@ -766,9 +768,19 @@ def _cubic_jacobian(e):
 
     with C[(q, r), k] = T[q,r,k] + T[r,q,k] (T[q,q,k] alone when q = r),
     T[q,r,k] = W[k,q,r] + W[q,k,r] + W[q,r,k] and W[p,q,r] = E_p E_q E_r.
-    C is summed in long double and rounded once.  The returned
-    jacobian_t(bv) maps n rows b to shape (n, d, d*d): row k is dF/db_k
-    flattened in F's (i, l) order.
+    C is summed in long double and rounded once.
+
+    Every dF/db_k is a combination of the rows C[(q, r), k] (as d*d
+    vectors), and by Euler's identity 3 S^3 = sum_k b_k dF/db_k, so F
+    too lies in V, the span of those rows and vec(I).  Returns
+    (p, linearize).  p is (m, d*d) with orthonormal rows spanning V: a
+    vector x of V has coordinates x @ p^H and is their product with p,
+    and inner products of coordinates equal those of the vectors.  p is
+    the identity when V is all of C^(d*d), and has no rows when C is not
+    finite.  linearize(bv) maps n rows b to (jt, f): jt of shape
+    (n, d, m) holds the coordinates of dF/db_k in row k (dF/db_k
+    flattened in F's (i, l) order is jt[:, k] @ p), and f of shape
+    (n, m) those of F, read off jt by Euler's identity.
     """
     import numpy as np
 
@@ -780,12 +792,56 @@ def _cubic_jacobian(e):
     c = t[q, r]
     off = q != r
     c[off] += t[r[off], q[off]]
-    c = c.reshape(len(q), d**3).astype(complex)
+    c = c.reshape(len(q) * d, d * d).astype(complex)
+    rows = np.vstack([c, np.eye(d).reshape(1, -1)])
+    p = np.zeros((0, d * d), dtype=complex)
+    if np.isfinite(rows).all():
+        _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        p = vh[: int((sv > 1e-12 * sv[0]).sum())]
+    m = len(p)
+    if m == d * d:
+        p = np.eye(m, dtype=complex)  # keep entry coordinates
+    else:
+        c = c @ p.conj().T
+    c = c.reshape(len(q), d * m)
+    ident = np.eye(d).reshape(-1) @ p.conj().T
 
-    def jacobian_t(bv):
-        return _gemm_rows(bv[:, q] * bv[:, r], c).reshape(len(bv), d, d * d)
+    def linearize(bv):
+        jt = _gemm_rows(bv[:, q] * bv[:, r], c).reshape(len(bv), d, m)
+        return jt, (bv[:, None] @ jt)[:, 0] / 3 - ident
 
-    return jacobian_t
+    return p, linearize
+
+
+def _solve_hpd(g, rhs):
+    """Solve g x = rhs for a batch of Hermitian positive-definite systems,
+    batch last: g is (d, d, n) and rhs (d, n).
+
+    Elimination without pivoting, which a positive-definite g never
+    needs.  Every step is elementwise over the batch and each
+    back-substitution term is added on its own (a complex sum over an
+    axis rounds differently for a batch of one), so a system's solution
+    does not depend on the batch it is solved in.  For a batch of one
+    numpy may take other elementwise loops, whose complex products round
+    differently, so a lone system is solved twice over, as `_gemm_rows`
+    does with a lone row.
+    """
+    import numpy as np
+
+    if rhs.shape[1] == 1:
+        return _solve_hpd(np.repeat(g, 2, axis=2), np.repeat(rhs, 2, axis=1))[:, :1]
+    d = len(rhs)
+    a = np.empty((d, d + 1) + rhs.shape[1:], dtype=complex)
+    a[:, :d] = g
+    a[:, d] = rhs
+    for k in range(d - 1):
+        f = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= f[:, None] * a[k, None, k + 1 :]
+    x = a[:, d]
+    for j in reversed(range(d)):
+        x[j] /= a[j, j]
+        x[:j] -= a[:j, j] * x[j]
+    return x
 
 
 def numeric_cubic_oracle(
@@ -803,9 +859,21 @@ def numeric_cubic_oracle(
     clustered by max-norm radius and each cluster reports its trace and
     the nearest exact candidate.  Deterministic for a fixed seed.
     """
+    _check_oracle_options(a.dim, starts, tol, cluster_radius)
     return _cubic_oracle(
         _basis_matrices(a, b), starts, tol, cluster_radius, seed, exact_candidates
     )
+
+
+def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float):
+    """Refuse what the oracle cannot run, before any exact work."""
+    if starts < 1:
+        raise InvalidOption(f"starts must be at least 1, got {starts}")
+    for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidOption(f"{name} must be finite and > 0, got {value}")
+    if d > 8:
+        raise DimMismatch("oracle supports dimensions up to 8")
 
 
 def _cubic_oracle(
@@ -816,17 +884,11 @@ def _cubic_oracle(
     seed: int,
     exact_candidates: list[PolynomialS] | None,
 ) -> OracleReport:
-    """`numeric_cubic_oracle` on the basis E_k = B^k A B of its caller."""
+    """`numeric_cubic_oracle` on the basis E_k = B^k A B of its caller,
+    whose options `_check_oracle_options` has accepted."""
     import numpy as np
 
-    if starts < 1:
-        raise InvalidOption(f"starts must be at least 1, got {starts}")
-    for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidOption(f"{name} must be finite and > 0, got {value}")
     d = basis[0].dim
-    if d > 8:
-        raise DimMismatch("oracle supports dimensions up to 8")
     e = np.stack(
         [
             np.array(
@@ -835,44 +897,40 @@ def _cubic_oracle(
             for mat in basis
         ]
     )
-    ident = np.eye(d, dtype=complex)
     eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
-    jacobian_t = _cubic_jacobian(e)
+    p, linearize = _cubic_jacobian(e)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
-    res = np.empty(starts)
     # starts neither converged nor non-finite; a start that leaves keeps
-    # its bvec, and so its residual, from then on
+    # its bvec from then on
     pending = np.arange(starts)
-    damping = 1e-12 * np.eye(d)
-    # the last sweep only measures the residuals its predecessor left
-    for sweep in range(_ORACLE_MAX_ITER + 1):
+    for _ in range(_ORACLE_MAX_ITER):
         stepped = []
         # each start's step depends on that start alone, so blocks of
         # starts bound the memory without changing the result
         for lo in range(0, len(pending), _ORACLE_BLOCK):
             blk = pending[lo : lo + _ORACLE_BLOCK]
-            s = _gemm_rows(bvec[blk], eflat).reshape(len(blk), d, d)
-            f = s @ s @ s - ident
-            blk_res = np.abs(f).reshape(len(blk), -1).max(axis=1)
-            res[blk] = blk_res
+            jt, f = linearize(bvec[blk])
+            blk_res = np.abs(_gemm_rows(f, p)).max(axis=1)  # F in entries
             go = np.isfinite(blk_res) & (blk_res > tol * 0.01)
-            if sweep == _ORACLE_MAX_ITER or not go.any():
+            if not go.any():
                 continue
-            blk, f = blk[go], f[go]
-            jt = jacobian_t(bvec[blk])
+            if not go.all():
+                blk, jt, f = blk[go], jt[go], f[go]
             jh = jt.conj()
-            gram = jh @ jt.transpose(0, 2, 1) + damping
-            rhs = jh @ f.reshape(-1, d * d, 1)
-            try:
-                delta = np.linalg.solve(gram, -rhs)
-            except np.linalg.LinAlgError:  # pragma: no cover
-                delta = -np.linalg.pinv(gram) @ rhs
-            bvec[blk] += delta[..., 0]
+            gram = (jh @ jt.transpose(0, 2, 1)).transpose(1, 2, 0)
+            gram[range(d), range(d)] += 1e-12  # damping
+            bvec[blk] -= _solve_hpd(gram, (jh @ f[..., None])[..., 0].T).T
             stepped.append(blk)
         if not stepped:
             break
         pending = np.concatenate(stepped)
+    # measured directly, so the counts never rest on the coordinates
+    res = np.empty(starts)
+    for lo in range(0, starts, _ORACLE_BLOCK):
+        s = _gemm_rows(bvec[lo : lo + _ORACLE_BLOCK], eflat).reshape(-1, d, d)
+        f = s @ s @ s - np.eye(d)
+        res[lo : lo + _ORACLE_BLOCK] = np.abs(f).reshape(len(f), -1).max(axis=1)
     finite = np.isfinite(res)
     good = finite & (res < tol)
     solutions = bvec[good]

@@ -1,9 +1,12 @@
 """Numeric cubic oracle: convergence, clustering, determinism."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from loopbraid import catalog, extend
+from loopbraid.errors import DimMismatch, InvalidOption
 from loopbraid.linalg import CMatrix
 
 
@@ -71,7 +74,8 @@ def test_jacobian_matches_einsum_and_finite_differences(d):
     e = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     bvec = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
     s = (bvec @ e.reshape(d, d * d)).reshape(5, d, d)
-    jt = extend._cubic_jacobian(e)(bvec)
+    p, linearize = extend._cubic_jacobian(e)
+    jt = linearize(bvec)[0] @ p  # coordinates back to entries
     assert jt.shape == (5, d, d * d)
     assert np.abs(jt - _einsum_jacobian_t(e, s)).max() < 1e-12
 
@@ -97,7 +101,8 @@ def test_jacobian_property_einsum_and_euler(d):
         e = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
         bvec = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
         s = (bvec @ e.reshape(d, d * d)).reshape(8, d, d)
-        jt = extend._cubic_jacobian(e)(bvec)
+        p, linearize = extend._cubic_jacobian(e)
+        jt = linearize(bvec)[0] @ p  # coordinates back to entries
         ref = _einsum_jacobian_t(e, s)
         assert np.abs(jt - ref).max() <= 1e-14 * np.abs(ref).max()
         # S(b)^3 is homogeneous of degree 3 in b: sum_k b_k dF/db_k = 3 S^3.
@@ -108,15 +113,78 @@ def test_jacobian_property_einsum_and_euler(d):
         assert np.abs(euler - 3 * cube).max() <= 1e-14 * np.abs(cube).max()
 
 
+def _basis_array(rep):
+    return np.stack(
+        [
+            np.array([[x.to_complex() for x in row] for row in m.rows])
+            for m in extend._basis_matrices(rep.A, rep.B)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "case, dim",
+    [("counterexample6", 21), ("tw3(1,2,3)", 6), ("random d=2", 3)],
+)
+def test_coordinates_keep_the_normal_equations(case, dim):
+    if case == "counterexample6":
+        e = _basis_array(catalog.counterexample6())
+    elif case == "tw3(1,2,3)":
+        e = _basis_array(catalog.tw3(1, 2, 3))
+    else:
+        rng = np.random.default_rng([2, 0])
+        e = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    d = len(e)
+    p, linearize = extend._cubic_jacobian(e)
+    assert p.shape == (dim, d * d)
+    assert np.abs(p @ p.conj().T - np.eye(dim)).max() < 1e-14
+    if case == "random d=2":
+        # the projector p^H p is complex here, and real on counterexample6
+        assert np.abs((p.conj().T @ p).imag).max() > 0.1
+    rng = np.random.default_rng(d)
+    bvec = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
+    s = (bvec @ e.reshape(d, d * d)).reshape(8, d, d)
+    ref_j = _einsum_jacobian_t(e, s)
+    ref_f = (s @ s @ s - np.eye(d)).reshape(8, d * d, 1)
+    jt, f = linearize(bvec)
+    assert np.abs(f @ p - ref_f[..., 0]).max() <= 1e-13 * np.abs(ref_f).max()
+    jh = jt.conj()
+    for got, ref in (
+        (jh @ jt.transpose(0, 2, 1), ref_j.conj() @ ref_j.transpose(0, 2, 1)),
+        (jh @ f[..., None], ref_j.conj() @ ref_f),
+    ):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_hpd_solver_matches_lapack_and_ignores_the_batch():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 6, 8):
+        x = rng.standard_normal((9, d, 3 * d)) + 1j * rng.standard_normal((9, d, 3 * d))
+        g = x.conj() @ x.transpose(0, 2, 1)
+        rhs = rng.standard_normal((9, d)) + 1j * rng.standard_normal((9, d))
+        sol = extend._solve_hpd(g.transpose(1, 2, 0), rhs.T).T
+        ref = np.linalg.solve(g, rhs[..., None])[..., 0]
+        assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+        for size in (1, 2, 3):
+            for lo in range(0, 9 - size + 1):
+                part = slice(lo, lo + size)
+                alone = extend._solve_hpd(g[part].transpose(1, 2, 0), rhs[part].T).T
+                assert np.array_equal(alone, sol[part])
+
+
 def test_oracle_report_independent_of_block_size(monkeypatch):
-    rep = catalog.tw3(1, 1, 1)
-    default = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
-    assert default.converged > 0
-    # blocks of 2 leave lone starts, which numpy would send to gemv
-    for size in (7, 2):
-        monkeypatch.setattr(extend, "_ORACLE_BLOCK", size)
-        blocked = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
-        assert blocked == default
+    # blocks of 1 and 2 leave lone starts, which numpy would send to gemv
+    for rep, sizes in (
+        (catalog.tw3(1, 1, 1), (7, 3, 2, 1)),
+        (catalog.counterexample6(), (3, 2, 1)),
+    ):
+        monkeypatch.setattr(extend, "_ORACLE_BLOCK", 256)
+        default = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+        assert default.converged > 0
+        for size in sizes:
+            monkeypatch.setattr(extend, "_ORACLE_BLOCK", size)
+            blocked = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+            assert blocked == default
 
 
 def test_start_counts_partition_the_starts():
@@ -152,3 +220,39 @@ def test_no_converged_start_gives_honest_verdict():
     assert report.oracle_exhaustive is False
     assert report.verdict == "inconclusive: no oracle start converged (0 of 1 starts)"
 
+
+def _binomial_pair_9():
+    lams = [2, 3, 5, 7, 1]
+    return catalog.binomial_pair(lams + [Fraction(1, x) for x in reversed(lams[:4])], 1)
+
+
+@pytest.mark.parametrize(
+    "options, error",
+    [
+        ({"starts": 0}, InvalidOption),
+        ({"starts": -5}, InvalidOption),
+        ({"tol": 0.0}, InvalidOption),
+        ({"tol": float("nan")}, InvalidOption),
+        ({"cluster_radius": float("inf")}, InvalidOption),
+        ({"dim": 9}, DimMismatch),
+    ],
+    ids=["starts-0", "starts-neg", "tol-0", "tol-nan", "radius-inf", "dim-9"],
+)
+def test_certify_refuses_bad_input_before_exact_work(monkeypatch, options, error):
+    options = dict(options)
+    if options.pop("dim", None):
+        a, b = _binomial_pair_9()
+    else:
+        rep = catalog.counterexample6()
+        a, b = rep.A, rep.B
+
+    def exact_work(*args, **kwargs):
+        raise AssertionError("exact work before the options were checked")
+
+    monkeypatch.setattr(extend, "default_polynomial_candidates", exact_work)
+    monkeypatch.setattr(extend, "_basis_matrices", exact_work)
+    monkeypatch.setattr(CMatrix, "is_cyclic", exact_work)
+    with pytest.raises(error):
+        extend.certify_no_extension(a, b, **options)
+    with pytest.raises(error):
+        extend.numeric_cubic_oracle(a, b, **options)
