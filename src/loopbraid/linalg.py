@@ -14,12 +14,13 @@ falls back to the exact answer, so every result is exact.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, omega, packed_product
+from .cyclotomic import CycNum, _field, _mul_num, _new, omega, packed_product
 from .errors import (
     ConductorMismatch,
     DimMismatch,
@@ -60,6 +61,16 @@ class CMatrix:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CMatrix is immutable")
+
+    @classmethod
+    def _of(cls, rows: list[list[CycNum]], conductor: int) -> "CMatrix":
+        """The matrix of d rows of d CycNum of this conductor, taken as they
+        are: a product's entries need no lifting or checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", len(rows))
+        object.__setattr__(m, "conductor", conductor)
+        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        return m
 
     # -- constructors ----------------------------------------------------------
 
@@ -191,7 +202,7 @@ class CMatrix:
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check(other)
-        return CMatrix(packed_product(self.rows, other.columns()), self.conductor)
+        return CMatrix._of(packed_product(self.rows, other.columns()), self.conductor)
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)
@@ -406,13 +417,26 @@ class FieldPoly:
 
 
 def _eliminate(vec: list[CycNum], f: CycNum, row: Sequence[CycNum], start: int) -> None:
-    """vec -= f * row in place, over the columns from start (row vanishes before)."""
+    """vec -= f * row in place, over the columns from start (row vanishes before).
+
+    Each entry vec[j] - f * row[j] is formed on the integer numerators:
+    one schoolbook product, one lcm and one normalizing `_new`.
+    """
     if f.is_zero:
         return
+    n, fnum, fden = f.conductor, f._num, f._den
+    fld = _field(n)
     for j in range(start, len(vec)):
         b = row[j]
-        if not b.is_zero:
-            vec[j] = vec[j] - f * b
+        if any(b._num):
+            v = vec[j]
+            if v.conductor != n or b.conductor != n:
+                raise ConductorMismatch("eliminated entries must share a conductor")
+            prod, pden = _mul_num(fnum, b._num, fld), fden * b._den
+            vden = v._den
+            den = math.lcm(vden, pden)
+            sv, sp = den // vden, den // pden
+            vec[j] = _new(n, [sv * x - sp * y for x, y in zip(v._num, prod)], den)
 
 
 class Echelon:

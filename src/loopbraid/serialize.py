@@ -148,4 +148,64 @@ def certificate_from_obj(obj: dict) -> ExtensionCertificate:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    json encodes with its pure-Python encoder whenever it indents; this
+    writer appends the same pieces to one list and joins them once.
+    Strings go through json's own ASCII escaper and ints through
+    int.__repr__; null, booleans, floats (NaN and +-Infinity included) and
+    non-string dict keys go through json itself.  Dict keys are sorted as
+    given.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _ESCAPE(k)
+    if k is None or isinstance(k, (int, float)):  # a bool is an int
+        return _ESCAPE(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(x: Any, out: list[str], newline: str) -> None:
+    """Append the JSON of x, whose first line is already indented and whose
+    later lines start with newline."""
+    if isinstance(x, str):
+        out.append(_ESCAPE(x))
+    elif x is None or x is True or x is False or isinstance(x, float):
+        out.append(json.dumps(x))
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is str for v in x):  # a scalar's coefficients
+            out.append("[" + inner + ("," + inner).join(map(_ESCAPE, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            out.append(sep + _key(k) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")

@@ -1,5 +1,6 @@
 """CLI exit codes, report determinism, scalar literals."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -430,3 +431,25 @@ def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reports_at_conductor_60_are_pinned(tmp_path, capsys):
+    """construct tw3 at N = 60, extend it, and lift its representation to
+    VB3: the two reports' bytes are pinned by sha256.  Scalars there have
+    phi = 16 coefficients and the inverses climb a four-step Galois tower,
+    so any change in exact arithmetic or in the writer shows here.  The
+    reports carry the toolkit version, which a release moves."""
+    rep, ext, lb3, vb3 = (str(tmp_path / f"{s}.json") for s in ("rep", "ext", "lb3", "vb3"))
+    lam = ["z60", "(2*z60^2)", "(1/2*z60^57)"]
+    assert main(["construct", "tw3", "--lambda", *lam, "--out", rep]) == 0
+    assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
+    with open(ext) as fh, open(lb3, "w") as out:
+        json.dump(json.load(fh)["representation"], out)
+    assert main(["extend", lb3, "--mode", "vb3", "--out", vb3]) == 0
+    digests = [
+        hashlib.sha256((tmp_path / f"{s}.json").read_bytes()).hexdigest() for s in ("ext", "vb3")
+    ]
+    assert digests == [
+        "de5b2e4a3b832b3850991e193c280ba684c6d64ec0fdbb0659a735790800b66c",
+        "2fd04aa96d4d3a2c0d798ac4ac019508e69276c0a8b472d377bbe745eec4e6b1",
+    ]

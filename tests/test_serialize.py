@@ -1,9 +1,12 @@
 """Round-trip fidelity of the JSON wire formats."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopbraid import catalog, cyclotomic, extend
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
@@ -88,3 +91,45 @@ def test_certificate_round_trip():
 def test_dumps_is_deterministic():
     rep = catalog.perm3(2)
     assert dumps(rep_to_obj(rep)) == dumps(rep_to_obj(catalog.perm3(2)))
+
+
+# every kind of value `report_to_obj` emits: a tuple passes through a
+# plain dict untouched, and dict keys are written as json writes them
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x20))  # control characters
+    | st.sampled_from(["", "é", " ", "\U0001f600", '"\\/', "p/q"])
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(-50, 50), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_VALUES)
+def test_dumps_matches_json_byte_for_byte(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_matches_json_on_reports_and_refuses_what_json_refuses():
+    rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
+    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    small = {"k": [True, 1, 1.5, None, (2, "x")], "e": {}, "l": []}
+    for obj in (report_to_obj([built, cert]), small):
+        assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    for bad in ({"x": object()}, [{1: 2, "1": 3}], {(1,): 2}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps(bad)
