@@ -101,7 +101,7 @@ class _Field:
     """Cached reduction tables for one conductor."""
 
     __slots__ = (
-        "n", "phi", "modulus", "xpow", "fold", "trace_weights", "trace_den", "tower"
+        "n", "phi", "modulus", "fold", "trace_weights", "trace_den", "tower"
     )
 
     def __init__(self, n: int):
@@ -125,7 +125,6 @@ class _Field:
                     nxt[j] -= lead * lower[j]
             cur = nxt
             rows.append(tuple(cur))
-        self.xpow = tuple(rows)
         # the nonzero (j, c_j) of each row: a reduced power of zeta is sparse
         # (at N = 60 it has 1 to 6 terms of 16)
         self.fold = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows)
@@ -588,8 +587,8 @@ def common_field(*values, extra: int = 1) -> tuple[list, int]:
 
 def make_root_of_unity(n: int, k: int = 1) -> CycNum:
     """zeta_n^k as an exact element of Q(zeta_n)."""
-    fld = _field(n)
-    return CycNum(n, fld.xpow[k % n], 1)
+    terms = dict(_field(n).fold[k % n])
+    return _new(n, [terms.get(j, 0) for j in range(euler_phi(n))], 1)
 
 
 def omega(conductor: int = 3) -> CycNum:

@@ -12,9 +12,10 @@ Every order-three S becomes its involutions (S1, S2 = S1 S) through one
 step, `_complete`, whether S = kAB (`build_standard_extension` and the
 2-dimensional line route `standard_extension_2d`) or the VB3 twist
 k B^2 S' (`vb3_lift`).  The eigenspaces of S decide S^3 = I with Tr(S)
-in Z in one test, `default_extension_params`; no builder cubes S.  Mixed
-inputs meet in one field through `cyclotomic.common_field`, with omega
-adjoined wherever S is split.
+in Z in one test, `default_extension_params`; no builder cubes S.  Whether
+a given S1 completes S is the S3 relation table itself
+(`s3_completion_check`).  Mixed inputs meet in one field through
+`cyclotomic.common_field`, with omega adjoined wherever S is split.
 """
 
 from __future__ import annotations
@@ -49,11 +50,10 @@ from .errors import (
 from .linalg import (
     CMatrix,
     Vector,
-    eigenprojectors_order3,
     matrix_rank,
     solve_linear,
 )
-from .repcore import GroupKind, LBRep, relation_holds
+from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +327,15 @@ def involution_param_dimension(ell: int, t: int, a: int | None = None) -> int:
 def s3_completion_check(s: CMatrix, s1: CMatrix) -> bool:
     """Does the involution s1 complete S to a symmetric-group action?
 
-    Projector formulation: s1^2 = I, s1 commutes with P_1 and swaps the
-    omega projectors.  When true, S2 = S1 S satisfies Sigma1 and Sigma2.
+    The S3 relations of `repcore.RELATION_WORDS` on (S1, S2 = S1 S), once
+    S^3 = I (NotOrderThree otherwise).  With S1^2 = I, Sigma1 reads
+    S1 S S1 = S^2; as P_1, P_w and P_w2 are polynomials in S, that holds
+    exactly when S1 fixes P_1 and swaps P_w with P_w2.
     """
-    (s, s1), n = common_field(s, s1, extra=3)
-    p1, pw, pw2 = eigenprojectors_order3(s)
-    ident = CMatrix.identity(s.dim, n)
-    return (
-        s1 @ s1 == ident
-        and s1 @ p1 == p1 @ s1
-        and s1 @ pw == pw2 @ s1
-    )
+    (s, s1), n = common_field(s, s1)
+    if s.matpow(3) != CMatrix.identity(s.dim, n):
+        raise NotOrderThree("S^3 != I")
+    return verify(LBRep(target=GroupKind.S3, S1=s1, S2=s1 @ s)).all_hold
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +678,9 @@ def certify_no_extension(
         c.nearest_candidate is not None and c.nearest_distance <= cluster_radius
         for c in oracle.clusters
     )
-    if exact_ok and no_integer and exhaustive:
+    if not verdicts:
+        verdict = f"inconclusive: no exact candidate (no cube root of (AB)^-3 in Q(zeta_{n}))"
+    elif exact_ok and no_integer and exhaustive:
         verdict = (
             f"no extension (exact steps pass; oracle exhaustive at "
             f"{oracle.starts} starts)"

@@ -11,7 +11,7 @@ from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.linalg import CMatrix
 from loopbraid.repcore import GroupKind, LBRep
-from loopbraid.serialize import rep_from_obj, rep_to_obj
+from loopbraid.serialize import cycnum_from_obj, rep_from_obj, rep_to_obj
 
 
 TW4_ARGS = ["tw4", "--lambda", "1", "2", "3", "2/3", "--gamma2", "2"]
@@ -377,6 +377,40 @@ def test_extend_vb3_with_k(tmp_path, capsys):
     # (kAB)^3 = -I for k = 1/2, so it is no candidate
     assert main(["extend", str(lb3_file), "--mode", "vb3", "--k", "1/2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_extend_with_k_picks_one_of_three_candidates(tmp_path, capsys):
+    # Tr(AB) = 0 here, so the k-search finds three candidates k, k w, k w^2
+    rep_file = tmp_path / "n12.json"
+    lam = ["z12", "(z12^2)", "(z12^9)"]
+    assert main(["construct", "tw3", "--lambda", *lam, "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    code, out = run(["extend", str(rep_file), "--k", "z3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["candidate_count"] == 3
+    assert cycnum_from_obj(payload["certificate"]["k"]) == make_root_of_unity(12, 4)
+    assert main(["extend", str(rep_file), "--k", "2"]) == 2
+    assert "--k is not a valid candidate" in capsys.readouterr().err
+
+
+def test_extend_vb3_without_a_candidate_exits_3(tmp_path, capsys):
+    rep_file = tmp_path / "perm3.json"
+    assert main(["construct", "perm3", "--t", "2", "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    assert main(["extend", str(rep_file), "--mode", "vb3"]) == 3
+    assert "no VB3 lift" in capsys.readouterr().err
+
+
+def test_extend_vb3_of_a_non_lb3_input_exits_2(tmp_path, capsys):
+    rep_file = tmp_path / "perm3.json"
+    assert main(["construct", "perm3", "--t", "2", "--out", str(rep_file)]) == 0
+    obj = json.loads(rep_file.read_text())
+    obj["S2"] = obj["S1"]
+    rep_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["extend", str(rep_file), "--mode", "vb3"]) == 2
+    assert "input does not verify LB3" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

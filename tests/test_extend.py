@@ -326,6 +326,58 @@ def test_s3_completion_examples():
     ident = CMatrix.identity(3, 3)
     assert swap23 @ s2 @ swap23 == s2 @ swap23 @ s2
     assert s2 @ s2 == ident
+    # over Q: a 3-cycle and a transposition, with no omega in the field
+    cycle = CMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 1)
+    assert extend.s3_completion_check(cycle, CMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], 1))
+    assert not extend.s3_completion_check(cycle, CMatrix.diagonal([1, 1, -1], 1))
+    with pytest.raises(NotOrderThree):
+        extend.s3_completion_check(CMatrix.diagonal([1, 2], 1), CMatrix.identity(2, 1))
+
+
+def _projector_completion(s, s1):
+    """The eigenprojector form of the S3 completion test: S1^2 = I, S1
+    commutes with P_1 and carries P_w to P_w2."""
+    (s, s1), n = common_field(s, s1, extra=3)
+    p1, pw, pw2 = eigenprojectors_order3(s)
+    return (
+        s1 @ s1 == CMatrix.identity(s.dim, n)
+        and s1 @ p1 == p1 @ s1
+        and s1 @ pw == pw2 @ s1
+    )
+
+
+@st.composite
+def s3_completion_cases(draw):
+    """(S, S1): an order-three S and an S1 that may or may not complete it.
+
+    The completing draws are `_complete` involutions for any a and their
+    images -S1 and S1 S; the others, I and sign diagonals, mostly fail."""
+    s, ell, a, b = draw(order_three_operators())
+    d, n = s.dim, s.conductor
+    if a == b and draw(st.booleans()):
+        base = extend.default_extension_params(s)
+        params = extend.ExtensionParams(M=base.M, G=base.G, a=draw(st.integers(0, ell)), N=base.N)
+        s1, _ = extend._complete(s, params)
+        return s, draw(st.sampled_from([s1, s1.scalar_mul(-1), s1 @ s]))
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(d)]
+    return s, draw(st.sampled_from([CMatrix.identity(d, n), CMatrix.diagonal(signs, n)]))
+
+
+def test_s3_completion_check_is_the_projector_test():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(s3_completion_cases())
+    def agree(case):
+        s, s1 = case
+        verdict = extend.s3_completion_check(s, s1)
+        assert verdict == _projector_completion(s, s1)
+        seen.add(verdict)
+        with pytest.raises(NotOrderThree):
+            extend.s3_completion_check(s.scalar_mul(2), s1)
+
+    agree()
+    assert seen == {True, False}
 
 
 # -- 2-dimensional route ---------------------------------------------------------------
@@ -655,6 +707,28 @@ def test_certify_tw4_fails_at_integer_trace():
     report = extend.certify_no_extension(rep.A, rep.B, starts=100, seed=0)
     assert not report.all_traces_non_integer
     assert "integer trace" in report.verdict
+
+
+def test_certify_without_candidates_claims_nothing():
+    # k^3 = 1/36 has no cube root in Q(zeta_3): there is no exact candidate,
+    # which says nothing about whether an extension exists
+    rep = catalog.tw3(1, 2, 3)
+    report = extend.certify_no_extension(rep.A, rep.B, starts=50, seed=1)
+    assert report.candidates == []
+    assert report.verdict == (
+        "inconclusive: no exact candidate (no cube root of (AB)^-3 in Q(zeta_3))"
+    )
+
+
+def test_certify_reports_a_cluster_no_candidate_matches(monkeypatch):
+    rep = catalog.counterexample6()
+    cands = extend.default_polynomial_candidates
+    monkeypatch.setattr(extend, "default_polynomial_candidates", lambda a, b: cands(a, b)[1:])
+    report = extend.certify_no_extension(rep.A, rep.B, starts=200, seed=3)
+    assert len(report.candidates) == 5
+    assert report.exact_steps_pass and report.all_traces_non_integer
+    assert not report.oracle_exhaustive
+    assert report.verdict == "inconclusive: oracle found unmatched solution clusters"
 
 
 def test_certify_min_poly_guard():
