@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -32,6 +33,17 @@ Rational = Fraction
 # A wire rational that int() reads as written: "p" or "p/q", ASCII digits,
 # the sign on p, q > 0.
 _CANONICAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+# The largest Phi_N(2^K), in bits, that a packed product reduces by one
+# big-integer remainder.  CPython divides in quadratic time, so above it
+# unpacking all 2 phi - 1 slots and folding the top phi - 1 back is faster:
+# on random 4 x 4 products the two break even near 1700 bits at N = 12 and
+# 2400 bits at N = 60.
+_REMAINDER_BITS = 2048
+
+# struct's signed little-endian words by bit width, ascending: slots this
+# wide are read with one struct unpack.
+_WORDS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
 def _divisors(n: int) -> list[int]:
@@ -101,7 +113,8 @@ class _Field:
     """Cached reduction tables for one conductor."""
 
     __slots__ = (
-        "n", "phi", "modulus", "fold", "trace_weights", "trace_den", "tower"
+        "n", "phi", "modulus", "fold", "growth", "trace_weights", "trace_den",
+        "tower",
     )
 
     def __init__(self, n: int):
@@ -128,6 +141,14 @@ class _Field:
         # the nonzero (j, c_j) of each row: a reduced power of zeta is sparse
         # (at N = 60 it has 1 to 6 terms of 16)
         self.fold = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows)
+        # g_N: folding a convolution of 2 phi - 1 slots, each at most s in
+        # absolute value, leaves every coefficient at most g_N * s (2, 3 and 7
+        # at N = 3, 12 and 60; 28 at N = 105, where Phi_N has a -2)
+        spill = [0] * phi
+        for r in self.fold[phi:2 * phi - 1]:
+            for j, c in r:
+                spill[j] += abs(c)
+        self.growth = 1 + max(spill)
         # Tr(zeta^j) / phi(n) = mu(m) / phi(m) with m = n / gcd(j, n), over
         # the common denominator trace_den: the normalized trace of an
         # element does not depend on the field it is viewed in.
@@ -201,6 +222,58 @@ def _reduce(conv: list[int], fld: _Field) -> list[int]:
     return out
 
 
+def _slot_bits(bound: int, slots: int) -> int:
+    """A slot width K in bits with 2^(K-1) > bound: the narrowest machine
+    word that holds it, if that many slots of it stay within
+    `_REMAINDER_BITS`, else whole bytes."""
+    width = bound.bit_length() + 1  # + a sign bit
+    words = (w for w in _WORDS if width <= w and slots * w <= _REMAINDER_BITS)
+    return next(words, 8 * -(-width // 8))
+
+
+@lru_cache(maxsize=None)
+def _slot_reader(k: int, count: int):
+    """The function taking v = sum s_j 2^(k j), every |s_j| < 2^(k-1), to
+    its count slots s_j.
+
+    With bias = 2^(k-1) in every slot, slot j of v + bias holds
+    s_j + 2^(k-1) >= 0, and xor with bias flips each slot's top bit, which
+    leaves s_j in k-bit two's complement.  Machine-word slots are then read
+    by one struct unpack, wider ones one int.from_bytes each.
+    """
+    bias = (1 << (k - 1)) * (((1 << (k * count)) - 1) // ((1 << k) - 1))
+    size, kb = k // 8 * count, k // 8
+    if k in _WORDS:
+        unpack = struct.Struct(f"<{count}{_WORDS[k]}").unpack
+        return lambda v: unpack(((v + bias) ^ bias).to_bytes(size, "little"))
+
+    def read(v):
+        raw = ((v + bias) ^ bias).to_bytes(size, "little")
+        return [
+            int.from_bytes(raw[i : i + kb], "little", signed=True)
+            for i in range(0, size, kb)
+        ]
+
+    return read
+
+
+@lru_cache(maxsize=None)
+def _packed_modulus(n: int, k: int) -> tuple[int, int]:
+    """Phi_n(2^k) and its half.
+
+    A reduced product r with every |r_j| < 2^(k-1) has |r(2^k)| at most
+    (2^(k-1) - 1)(2^(k phi) - 1)/(2^k - 1), which must lie below half of
+    Phi_n(2^k) for the symmetric residue to be r(2^k) itself.  It does at
+    every n <= 210 for every k the remainder route can take; the check
+    keeps it so.
+    """
+    fld = _field(n)
+    m = sum(c << (k * j) for j, c in enumerate(fld.modulus))
+    if not 2 * ((1 << (k - 1)) - 1) * (((1 << (k * fld.phi)) - 1) // ((1 << k) - 1)) < m:
+        raise ArithmeticError(f"{k}-bit slots overflow Phi_{n}(2^{k})")
+    return m, m // 2
+
+
 def packed_product(
     rows: Sequence[Sequence["CycNum"]], cols: Sequence[Sequence["CycNum"]]
 ) -> list[list["CycNum"]]:
@@ -209,13 +282,22 @@ def packed_product(
 
     Each row is scaled to one common denominator and each column to
     another, and the phi numerators c_j of an entry are packed into one
-    integer sum c_j 2^(K j).  An output entry's convolution is then the
-    sum of d big-integer products, read back from K-bit slots.  A slot
-    holds at most length * phi * max|a| * max|b| in absolute value, so K
-    is that bound's bit length plus a sign bit, rounded up to whole bytes;
-    adding 2^(K-1) to every slot makes them all nonnegative, so one
-    to_bytes splits them.  See Harvey, "Faster polynomial multiplication
-    via multipoint Kronecker substitution", J. Symb. Comp. 2009.
+    integer sum c_j 2^(K j).  An output entry's convolution C is then the
+    sum acc of d big-integer products, C(2^K), whose 2 phi - 1 slots are
+    each at most s = length * phi * max|a| * max|b| in absolute value.
+    The reduced product r = C mod Phi_N has r(2^K) = acc mod Phi_N(2^K),
+    so one big-integer remainder, taken as the symmetric residue, leaves
+    r(2^K), and only phi slots are read back.  Folding multiplies the
+    bound by `_Field.growth`, g_N, so K is the bit length of s * g_N plus
+    a sign bit, rounded up to 8, 16, 32 or 64 bits when one of them holds
+    it and phi of them stay within `_REMAINDER_BITS`, so that one struct
+    unpack reads every slot, else to whole bytes.
+    `_packed_modulus` checks that the symmetric residue is exact at (N, K).
+    Division is quadratic in CPython, so when Phi_N(2^K) has more than
+    `_REMAINDER_BITS` bits the entry instead reads all 2 phi - 1 slots, K
+    taken from s alone, and `_reduce` folds them.  See Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symb. Comp. 2009.
     """
     n = rows[0][0].conductor
     fld = _field(n)
@@ -238,12 +320,15 @@ def packed_product(
 
     srows, max_a = scaled(rows)
     scols, max_b = scaled(cols)
-    width = (length * phi * max_a * max_b).bit_length() + 1  # + a sign bit
-    kb = (width + 7) // 8
-    k = 8 * kb
-    half = 1 << (k - 1)
-    slots = 2 * phi - 1
-    bias = half * (((1 << (k * slots)) - 1) // ((1 << k) - 1))  # half in every slot
+    bound = length * phi * max_a * max_b  # every slot of the convolution
+    k = _slot_bits(bound * fld.growth, phi)
+    remainder = phi * k <= _REMAINDER_BITS
+    if remainder:
+        modulus, mid = _packed_modulus(n, k)
+        read = _slot_reader(k, phi)
+    else:
+        k = _slot_bits(bound, 2 * phi - 1)
+        read = _slot_reader(k, 2 * phi - 1)
 
     def pack(vec, scales):
         packed = []
@@ -268,12 +353,14 @@ def packed_product(
             if not acc:
                 line.append(zero)
                 continue
-            raw = (acc + bias).to_bytes(kb * slots, "little")
-            conv = [
-                int.from_bytes(raw[i : i + kb], "little") - half
-                for i in range(0, kb * slots, kb)
-            ]
-            line.append(_new(n, _reduce(conv, fld), da * db))
+            if remainder:
+                acc %= modulus
+                if acc > mid:
+                    acc -= modulus
+                num = read(acc)
+            else:
+                num = _reduce(read(acc), fld)
+            line.append(_new(n, num, da * db))
         out.append(line)
     return out
 
@@ -317,16 +404,21 @@ class CycNum:
 
         A wire string "p" or "p/q" (ASCII digits, a minus sign only on p,
         q > 0 without leading zeros) is read with int(); any other value
-        goes through Fraction, so it is accepted or refused as there.
+        goes through Fraction, so it is accepted or refused as there.  A
+        plain integer "p" is told by str methods, before the regex.
         """
         pairs = []
         for c in coeffs:
-            if isinstance(c, str) and _CANONICAL.fullmatch(c):
-                p, _, q = c.partition("/")
-                pairs.append((int(p), int(q) if q else 1))
-            else:
-                f = Fraction(c)
-                pairs.append((f.numerator, f.denominator))
+            if isinstance(c, str) and c.isascii():
+                if c.isdigit() or (c[:1] == "-" and c[1:].isdigit()):
+                    pairs.append((int(c), 1))
+                    continue
+                if _CANONICAL.fullmatch(c):  # "p/q": a plain "p" took the line above
+                    p, _, q = c.partition("/")
+                    pairs.append((int(p), int(q)))
+                    continue
+            f = Fraction(c)
+            pairs.append((f.numerator, f.denominator))
         den = math.lcm(*(q for _, q in pairs)) if pairs else 1
         return cls(conductor, [p * (den // q) for p, q in pairs], den)
 

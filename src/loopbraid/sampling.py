@@ -150,6 +150,7 @@ def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
 
     This is tooling for the ordered-triangular-form conjecture, not a
     prover: it reports per-draw candidate counts from the exact search.
+    The rate is None when there is no draw.
     """
     if draws < 0:
         raise InvalidOption(f"draws must be at least 0, got {draws}")
@@ -172,6 +173,6 @@ def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
         "draws": draws,
         "seed": seed,
         "successes": successes,
-        "rate": successes / draws if draws else 0.0,
+        "rate": successes / draws if draws else None,
         "results": results,
     }

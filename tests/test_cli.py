@@ -200,6 +200,15 @@ def test_sweep_tw5_full_rate(capsys):
     assert payload["sweep"]["rate"] == 1.0
 
 
+def test_sweep_without_draws_reports_no_rate(capsys):
+    # with nothing drawn, a rate of 0.0 would read as "no draw extends"
+    code, out = run(["sweep", "--family", "tw4", "--draws", "0", "--seed", "7"], capsys)
+    assert code == 0
+    sweep = json.loads(out)["sweep"]
+    assert (sweep["draws"], sweep["successes"], sweep["results"]) == (0, 0, [])
+    assert sweep["rate"] is None
+
+
 def test_certify_cli_counterexample(tmp_path, capsys):
     rep_file = tmp_path / "c6.json"
     assert main(["construct", "counterexample6", "--out", str(rep_file)]) == 0
@@ -467,23 +476,37 @@ def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_reports_at_conductor_60_are_pinned(tmp_path, capsys):
-    """construct tw3 at N = 60, extend it, and lift its representation to
-    VB3: the two reports' bytes are pinned by sha256.  Scalars there have
-    phi = 16 coefficients and the inverses climb a four-step Galois tower,
-    so any change in exact arithmetic or in the writer shows here.  The
-    reports carry the toolkit version, which a release moves."""
+def pinned_flow_digests(tmp_path, lam):
+    """construct tw3 with eigenvalues lam, extend it, and lift its
+    representation to VB3: the sha256 of the extend and vb3 reports."""
     rep, ext, lb3, vb3 = (str(tmp_path / f"{s}.json") for s in ("rep", "ext", "lb3", "vb3"))
-    lam = ["z60", "(2*z60^2)", "(1/2*z60^57)"]
     assert main(["construct", "tw3", "--lambda", *lam, "--out", rep]) == 0
     assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
     with open(ext) as fh, open(lb3, "w") as out:
         json.dump(json.load(fh)["representation"], out)
     assert main(["extend", lb3, "--mode", "vb3", "--out", vb3]) == 0
-    digests = [
+    return [
         hashlib.sha256((tmp_path / f"{s}.json").read_bytes()).hexdigest() for s in ("ext", "vb3")
     ]
-    assert digests == [
+
+
+def test_reports_at_conductor_60_are_pinned(tmp_path, capsys):
+    """The pinned flow at N = 60.  Scalars there have phi = 16
+    coefficients and the inverses climb a four-step Galois tower, so any
+    change in exact arithmetic or in the writer shows here.  The reports
+    carry the toolkit version, which a release moves."""
+    assert pinned_flow_digests(tmp_path, ["z60", "(2*z60^2)", "(1/2*z60^57)"]) == [
         "de5b2e4a3b832b3850991e193c280ba684c6d64ec0fdbb0659a735790800b66c",
         "2fd04aa96d4d3a2c0d798ac4ac019508e69276c0a8b472d377bbe745eec4e6b1",
+    ]
+
+
+def test_reports_at_conductor_105_are_pinned(tmp_path, capsys):
+    """The pinned flow at N = 105: phi = 48, and Phi_105, the first
+    cyclotomic polynomial with a coefficient other than 0 and +-1, has a
+    -2.  Folding a product back grows a coefficient up to 28-fold there
+    (`_Field.growth`), against 7 at N = 60."""
+    assert pinned_flow_digests(tmp_path, ["z105", "(2*z105^2)", "(1/2*z105^102)"]) == [
+        "8a222fb0d81a6348adf2613ea7a2bf811e27370dfccea58eea06f185471b7e5e",
+        "af336982eb3b682e2275acd078a5c7fdabc3a6b946c3c6a8e64d5ef551a26434",
     ]

@@ -6,13 +6,22 @@ The reference is the schoolbook sum of CycNum products, built from `*` and
 `+` alone, so it shares no code with the packing and unpacking."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopbraid import catalog, extend, sampling
-from loopbraid.cyclotomic import CycNum, dot, euler_phi
+from loopbraid.cyclotomic import (
+    _REMAINDER_BITS,
+    CycNum,
+    _field,
+    _packed_modulus,
+    _slot_bits,
+    dot,
+    euler_phi,
+)
 from loopbraid.errors import ConductorMismatch
 from loopbraid.linalg import CMatrix, matrix_rank
 from loopbraid.repcore import tensor_product
@@ -20,6 +29,10 @@ from loopbraid.repcore import tensor_product
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
 CALLERS = settings(derandomize=True, max_examples=40, deadline=None)
 CONDUCTORS = (1, 3, 12, 60)
+# Phi_N(2^K) lies just below 2^(K phi) where mu(N) = 1 (N = 1, 6, 10) and
+# above it where mu(N) = -1 (N = 2, 3, 7); Phi_105 has a -2, and folding
+# grows a coefficient up to 28-fold there
+KERNEL_CONDUCTORS = CONDUCTORS + (2, 6, 10, 7, 9, 15, 84, 105)
 
 
 def reference(a: CMatrix, b: CMatrix) -> CMatrix:
@@ -101,23 +114,99 @@ def test_products_that_cancel_to_zero(pair):
     assert_same(got, reference(a, c))
 
 
-@pytest.mark.parametrize("n", CONDUCTORS)
+def loud_signs(n):
+    """Sign vectors a, b whose product a * b in Q(zeta_n) has one large
+    coefficient.  Coefficient j of the product is sum_(i,l) a_i b_l f_(i+l),
+    where f_e is what zeta^e reduces to there; j is the coefficient with the
+    largest sum_e |f_e| * #{(i, l): i + l = e}, and the signs are raised by
+    alternating maximization from a few seeded starts.  At every conductor
+    here with phi > 1 the coefficient exceeds phi, 1.5 to 9 times over."""
+    fld = _field(n)
+    phi = fld.phi
+    fold = [dict(fld.fold[e]) for e in range(2 * phi - 1)]
+    pairs = [min(e + 1, 2 * phi - 1 - e) for e in range(2 * phi - 1)]
+    j = max(range(phi), key=lambda j: sum(p * abs(r.get(j, 0)) for p, r in zip(pairs, fold)))
+    f = [r.get(j, 0) for r in fold]
+    rng, best = random.Random(0), None
+    for _ in range(8):
+        b = [rng.choice((-1, 1)) for _ in range(phi)]
+        for _ in range(4):
+            a = [1 if sum(bl * f[i + l] for l, bl in enumerate(b)) >= 0 else -1 for i in range(phi)]
+            b = [1 if sum(ai * f[i + l] for i, ai in enumerate(a)) >= 0 else -1 for l in range(phi)]
+        value = sum(ai * bl * f[i + l] for i, ai in enumerate(a) for l, bl in enumerate(b))
+        best = max(best or (value, a, b), (value, a, b))
+    return best[1], best[2]
+
+
+def tops(scale, widths):
+    """Per slot width k: the largest m with scale * m^2 < 2^(k-1), the top
+    of a k-bit slot, and m + 1, one past it."""
+    out = []
+    for k in widths:
+        m = math.isqrt(((1 << (k - 1)) - 1) // scale)
+        out += [m, m + 1]
+    return out
+
+
+@pytest.mark.parametrize("n", KERNEL_CONDUCTORS)
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_slots_at_the_bound(n, d, sign):
-    # every coefficient of every entry is the same largest value m, so the
-    # middle slot of each output entry is exactly d * phi * m^2, the bound
-    # the slot width is taken from; over m the bound's bit length meets
-    # every residue mod 8, so some width fills its bytes exactly
-    phi = euler_phi(n)
-    hits = set()
-    for m in [v for b in range(1, 30) for v in (2**b - 1, math.isqrt(2 ** (2 * b + 1)))]:
-        m *= sign
-        hits.add((d * phi * m * m).bit_length() % 8)
-        x = CMatrix([[CycNum(n, [m] * phi)] * d] * d, n)
-        y = CMatrix([[CycNum(n, [abs(m)] * phi)] * d] * d, n)
+    # every entry of x is m * a and every entry of y is |m| * b, so every
+    # output entry is d * (x * y): its convolution slots are at most
+    # s = d * phi * m^2 and its reduced coefficients at most s * g_N.  m
+    # runs over the top of every slot width for s and for s * g_N, on both
+    # routes, and the signs make one reduced coefficient exceed s: a width
+    # taken from s alone overflows there
+    fld = _field(n)
+    phi, g = fld.phi, fld.growth
+    a, b = loud_signs(n)
+    widths = range(8, 8 * (_REMAINDER_BITS // phi // 8) + 24, 8)
+    needs_g = set()
+    for m in sorted(set(tops(d * phi, widths) + tops(d * phi * g, widths))):
+        x = CycNum(n, [sign * m * c for c in a])
+        y = CycNum(n, [m * c for c in b])
+        got = (CMatrix([[x] * d] * d, n) @ CMatrix([[y] * d] * d, n)).rows
+        want = x * y * d
+        for row in got:
+            assert_same_scalars(row, [want] * d)
+        s = d * phi * m * m
+        remainder = phi * _slot_bits(s * g, phi) <= _REMAINDER_BITS
+        if max(map(abs, want._num)) >= 1 << (_slot_bits(s, phi if remainder else 2 * phi - 1) - 1):
+            needs_g.add(remainder)
+    assert needs_g == ({True, False} if phi > 1 else set())
+
+
+@pytest.mark.parametrize("n", KERNEL_CONDUCTORS)
+def test_numerators_across_word_widths_and_the_route(n):
+    # random 3 x 3 products whose largest coefficient sits at the top of
+    # each slot width and one past it, from 8-bit slots to past the route
+    # bound, where the kernel folds all 2 phi - 1 slots instead
+    fld = _field(n)
+    phi, d = fld.phi, 3
+    scale = d * phi * fld.growth
+    widths = [8, 16, 32, 64, 72, 8 * (_REMAINDER_BITS // phi // 8), _REMAINDER_BITS // phi + 8]
+    rng = random.Random(n)
+    routes = set()
+    for m in tops(scale, widths):
+        def matrix(top):
+            rows = [[CycNum(n, [rng.randint(-m, m) for _ in range(phi)]) for _ in range(d)]
+                    for _ in range(d)]
+            rows[rng.randrange(d)][rng.randrange(d)] = CycNum(n, [top] + [0] * (phi - 1))
+            return CMatrix(rows, n)
+
+        x, y = matrix(m), matrix(-m)
         assert_same(x @ y, reference(x, y))
-    assert hits == set(range(8))
+        routes.add(phi * _slot_bits(scale * m * m, phi) <= _REMAINDER_BITS)
+    assert routes == {True, False}
+
+
+def test_the_symmetric_residue_is_exact_at_every_remainder_width():
+    # every K the remainder route can pick at every conductor up to 210:
+    # whole bytes, words among them, with phi * K within the route bound
+    for n in range(1, 211):
+        for k in range(8, _REMAINDER_BITS // euler_phi(n) + 1, 8):
+            _packed_modulus.__wrapped__(n, k)  # raises when the guard fails
 
 
 def test_exact_zero_product():

@@ -4,6 +4,7 @@ reads one."""
 
 import functools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,39 @@ def test_wire_scalar_matches_fraction(value):
     got = cycnum_from_obj(obj)
     assert got == want
     assert (got._num, got._den) == (want._num, want._den)
+
+
+def regex_route(text: str) -> tuple[int, int]:
+    """A wire string as the reader took it before its plain-integer fast
+    path: the canonical regex, else Fraction."""
+    if re.fullmatch(r"-?[0-9]+(/[1-9][0-9]*)?", text):
+        p, _, q = text.partition("/")
+        return int(p), int(q) if q else 1
+    f = Fraction(text)
+    return f.numerator, f.denominator
+
+
+WIRE_TEXT = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "-3", "007", "-007", "", "-", "--3", "+3", "1/0", "01/2", "1/02",
+         " 3", "3 ", "- 3", "٣", "-٣", "²", "-²", "１２", "3_0", "1/2"]
+    ),
+    st.text(alphabet="0123456789-+/ _.٣²１", max_size=8),
+)
+
+
+@PROPERTY
+@given(WIRE_TEXT)
+def test_wire_reader_matches_the_regex_route(text):
+    try:
+        p, q = regex_route(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            CycNum.from_coeffs(1, [text])
+        return
+    got = CycNum.from_coeffs(1, [text])
+    want = Fraction(p, q)
+    assert (got._num, got._den) == ((want.numerator,), want.denominator)
 
 
 def old_coeff_str(v: int, den: int) -> str:
