@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__, catalog, extend, sampling
 from .cyclotomic import CycNum, make_root_of_unity
-from .errors import LoopBraidError
+from .errors import LoopBraidError, MalformedInput
 from .repcore import GroupKind, LBRep, is_irreducible, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
 
@@ -79,7 +79,11 @@ def _emit(payload, out: str | None) -> None:
 
 def _load_rep(path: str, need_pair: bool = False) -> LBRep:
     with open(path) as fh:
-        rep = rep_from_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise MalformedInput("input nests too deeply") from None
+    rep = rep_from_obj(obj)
     if need_pair and (rep.A is None or rep.B is None):
         raise ValueError("input has no braid pair A, B")
     return rep

@@ -296,12 +296,10 @@ def build_standard_extension(
     return rep, ExtensionCertificate(k, s, params, s.trace().as_integer())
 
 
-def standard_extensions(
-    a: CMatrix, b: CMatrix, params: ExtensionParams | None = None
-) -> list[tuple[LBRep, ExtensionCertificate]]:
+def standard_extensions(a: CMatrix, b: CMatrix) -> list[tuple[LBRep, ExtensionCertificate]]:
     """Build one verified representation per in-field candidate k."""
     search = standard_k_candidates(a, b)
-    return [build_standard_extension(a, b, k, params) for k, _ in search.candidates]
+    return [build_standard_extension(a, b, k) for k, _ in search.candidates]
 
 
 def involution_param_dimension(ell: int, t: int, a: int | None = None) -> int:
@@ -669,7 +667,7 @@ def certify_no_extension(
                 trace_is_real=tr.is_real,
             )
         )
-    oracle = _cubic_oracle(basis, starts, tol, cluster_radius, seed, cands)
+    oracle = numeric_cubic_oracle(a, b, starts, tol, cluster_radius, seed, cands)
     exact_ok = bool(verdicts) and all(
         v.intertwines and v.cubes_to_identity for v in verdicts
     )
@@ -859,42 +857,16 @@ def numeric_cubic_oracle(
     clustered by max-norm radius and each cluster reports its trace and
     the nearest exact candidate.  Deterministic for a fixed seed.
     """
-    _check_oracle_options(a.dim, starts, tol, cluster_radius)
-    return _cubic_oracle(
-        _basis_matrices(a, b), starts, tol, cluster_radius, seed, exact_candidates
-    )
-
-
-def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float):
-    """Refuse what the oracle cannot run, before any exact work."""
-    if starts < 1:
-        raise InvalidOption(f"starts must be at least 1, got {starts}")
-    for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidOption(f"{name} must be finite and > 0, got {value}")
-    if d > 8:
-        raise DimMismatch("oracle supports dimensions up to 8")
-
-
-def _cubic_oracle(
-    basis: list[CMatrix],
-    starts: int,
-    tol: float,
-    cluster_radius: float,
-    seed: int,
-    exact_candidates: list[PolynomialS] | None,
-) -> OracleReport:
-    """`numeric_cubic_oracle` on the basis E_k = B^k A B of its caller,
-    whose options `_check_oracle_options` has accepted."""
     import numpy as np
 
-    d = basis[0].dim
+    d = a.dim
+    _check_oracle_options(d, starts, tol, cluster_radius)
     e = np.stack(
         [
             np.array(
                 [[x.to_complex() for x in row] for row in mat.rows], dtype=complex
             )
-            for mat in basis
+            for mat in _basis_matrices(a, b)
         ]
     )
     eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
@@ -992,3 +964,14 @@ def _cubic_oracle(
         seed=seed,
         clusters=out,
     )
+
+
+def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float):
+    """Refuse what the oracle cannot run, before any exact work."""
+    if starts < 1:
+        raise InvalidOption(f"starts must be at least 1, got {starts}")
+    for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidOption(f"{name} must be finite and > 0, got {value}")
+    if d > 8:
+        raise DimMismatch("oracle supports dimensions up to 8")

@@ -1,11 +1,13 @@
 """Numeric cubic oracle: convergence, clustering, determinism."""
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from loopbraid import catalog, extend
+from loopbraid.cyclotomic import common_field
 from loopbraid.errors import DimMismatch, InvalidOption
 from loopbraid.linalg import CMatrix
 
@@ -210,6 +212,37 @@ def test_certify_finds_all_six_candidates():
     assert {c.nearest_candidate for c in report.oracle.clusters} == set(range(6))
     oracle = report.oracle
     assert oracle.converged + oracle.diverged + oracle.unconverged == 2000
+
+
+def test_certify_runs_the_public_oracle(monkeypatch):
+    rep = catalog.counterexample6()
+    oracle = extend.numeric_cubic_oracle
+    calls, returned = [], []
+
+    def recording(*args, **kwargs):
+        calls.append(inspect.signature(oracle).bind(*args, **kwargs).arguments)
+        returned.append(oracle(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(extend, "numeric_cubic_oracle", recording)
+    report = extend.certify_no_extension(
+        rep.A, rep.B, starts=50, tol=1e-10, cluster_radius=1e-7, seed=3
+    )
+    (a, b), _ = common_field(rep.A, rep.B, extra=3)
+    cands = extend.default_polynomial_candidates(a, b)
+    assert len(cands) == 6
+    assert calls == [
+        {
+            "a": a,
+            "b": b,
+            "starts": 50,
+            "tol": 1e-10,
+            "cluster_radius": 1e-7,
+            "seed": 3,
+            "exact_candidates": cands,
+        }
+    ]
+    assert report.oracle is returned[0]
 
 
 def test_no_converged_start_gives_honest_verdict():

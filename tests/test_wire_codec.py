@@ -200,3 +200,21 @@ def test_malformed_file_exits_2_on_every_command(lb3_obj, mutation, tmp_path, ca
         err = capsys.readouterr().err
         assert code == 2, (command, err)
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text", [DEEP, '{"target": "B3", "A": ' + DEEP + "}"], ids=["bare", "in-A"]
+)
+def test_deeply_nested_file_exits_2_on_every_command(text, tmp_path, capsys):
+    # json.dumps cannot build this nesting, so the raw text is written
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    capsys.readouterr()
+    for command in COMMANDS:
+        code = main([command[0], str(path), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2, (command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
