@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
+from . import modular
 from .cyclotomic import (
     CycNum,
     common_field,
@@ -454,7 +456,9 @@ class LinearizedSystem:
 
     Equations come from the strictly-below-antidiagonal entries of S^2 and
     (BSA)^2, which must vanish for any extension in ordered triangular
-    form; rank = N_d certifies that S = kAB is the only solution.
+    form; rank = N_d certifies that S = kAB is the only solution.  The rank
+    is first asked of the images of A and B in F_p, where rank N_d already
+    proves rank N_d; otherwise it is the exact rank of the exact rows.
     """
 
     d: int
@@ -465,8 +469,46 @@ class LinearizedSystem:
     verdict: str
 
 
+def _linearized_rows(a, b, mul, positions, monomials) -> list[tuple]:
+    """The uniqueness rows over any ring, A and B given as lists of rows and
+    mul(x, y) their matrix product in that ring.
+
+    Per family E_m = B^m AB, then F_m = B E_m A, and per entry (i, j) in
+    positions: the coefficients of the monomials b_m b_n in
+    (sum_k b_k E_k)^2 [i, j], that is entry (i, j) of E_m E_n + E_n E_m,
+    or of E_m^2 when m = n.
+    """
+    d = len(a)
+    basis = [mul(a, b)]
+    for _ in range(d - 1):
+        basis.append(mul(b, basis[-1]))
+    rows = []
+    for mats in (basis, [mul(mul(b, e), a) for e in basis]):
+        for i, j in positions:
+            # t[m][n] is entry (i, j) of E_m E_n
+            t = mul([e[i] for e in mats], [[e[k][j] for e in mats] for k in range(d)])
+            rows.append(
+                tuple(t[m][n] if m == n else t[m][n] + t[n][m] for m, n in monomials)
+            )
+    return rows
+
+
+def _exact_mul(x, y):
+    """x @ y for exact matrices given as lists of rows."""
+    return packed_product(x, list(zip(*y)))
+
+
 def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
-    d = a.dim
+    """The uniqueness linearization of a pair in ordered triangular form.
+
+    AB and (AB)^2 are checked exactly, since only an exact zero proves a
+    zero.  The rows are then built from the images of A and B in F_p, p the
+    prime of `modular.ring_map`, and reduced there: rank N_d mod p proves
+    rank N_d, and no exact row is formed.  When the rank falls short, or A
+    or B has a denominator p divides, the exact rows are built by the same
+    `_linearized_rows` and `matrix_rank` answers.
+    """
+    d, n = a.dim, a.conductor
     if d not in (4, 5):
         raise DimMismatch("uniqueness linearization is for dimensions 4 and 5")
     ab = a @ b
@@ -480,27 +522,25 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     for i, j in positions:
         if not ab2.rows[i][j].is_zero:
             raise WrongForm("(AB)^2 is not skew upper triangular")
-    basis = _basis_matrices(a, b)
-    fbasis = [b @ e @ a for e in basis]
     monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
-    rows: list[tuple[CycNum, ...]] = []
-    for mats in (basis, fbasis):
-        for i, j in positions:
-            # t[m][n] is entry (i, j) of E_m E_n; the row holds that of
-            # E_m E_n + E_n E_m, or of E_m^2 when m = n
-            t = packed_product([e.rows[i] for e in mats], [e.column(j) for e in mats])
-            rows.append(
-                tuple(t[m][n] if m == n else t[m][n] + t[n][m] for m, n in monomials)
-            )
     n_d = (d + 2) * (d - 1) // 2
     assert len(monomials) == n_d
-    rank = matrix_rank(rows)
+    rank = 0
+    images = modular.reduce_rows(a.rows, n), modular.reduce_rows(b.rows, n)
+    if None not in images:
+        p = modular.ring_map(n)[0]
+        ech = modular.EchelonModP(p)
+        for row in _linearized_rows(*images, partial(modular.matmul, p=p), positions, monomials):
+            ech.insert([x % p for x in row])
+        rank = len(ech.rows)
+    if rank < n_d:  # a shortfall mod p proves nothing
+        rank = matrix_rank(_linearized_rows(a.rows, b.rows, _exact_mul, positions, monomials))
     verdict = "unique-standard" if rank == n_d else "indeterminate"
     return LinearizedSystem(
         d=d,
         monomials=monomials,
         n_unknowns=n_d,
-        n_equations=len(rows),
+        n_equations=2 * len(positions),
         rank=rank,
         verdict=verdict,
     )

@@ -7,10 +7,16 @@ lose linear independence: vectors independent mod p have a maximal minor
 that is nonzero mod p, so the same minor is nonzero in Q(zeta_N) and the
 vectors are independent there.  Full rank mod p therefore proves full
 rank; anything less proves nothing, and the caller takes its exact path
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  The callers
+are the span closure of `linalg.algebra_dimension` (behind
+`is_irreducible` and `CMatrix.is_cyclic`), `linalg.matrix_rank`, and
+`extend.uniqueness_linearized`, which builds its whole system from the
+images of A and B.
 
 Residues are plain Python ints: p > 2^31, so a product of two residues
-does not fit a machine word.
+does not fit a machine word.  `EchelonModP.insert` reduces a row mod p
+once, after all its row operations, so its entries grow to at most
+p + k p^2 in absolute value after k of them: below 2^68 for k <= 36.
 """
 
 from __future__ import annotations
@@ -111,13 +117,18 @@ class EchelonModP:
         self.rows: list[tuple[int, list[int]]] = []
 
     def insert(self, row: Sequence[int]) -> bool:
-        """Reduce row (entries in [0, p)) and keep it; False when dependent."""
+        """Reduce row (entries in [0, p)) and keep it; False when dependent.
+
+        Only each factor f is taken mod p during the row operations; the
+        row itself is reduced once, before the pivot search.
+        """
         p = self.p
         vec = list(row)
         for piv, basis_row in self.rows:
-            f = vec[piv]
+            f = vec[piv] % p
             if f:
-                vec = [(a - f * b) % p for a, b in zip(vec, basis_row)]
+                vec = [a - f * b for a, b in zip(vec, basis_row)]
+        vec = [a % p for a in vec]
         piv = next((j for j, a in enumerate(vec) if a), None)
         if piv is None:
             return False

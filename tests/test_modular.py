@@ -1,5 +1,6 @@
 """The ring map into F_p and the mod-p fast paths of matrix_rank,
-algebra_dimension and CMatrix.is_cyclic: the prime and root, rank mod p
+algebra_dimension, CMatrix.is_cyclic and uniqueness_linearized: the prime
+and root, the lazily reduced elimination against an eager one, rank mod p
 against the exact rank, and every fast path against its exact fallback."""
 
 from fractions import Fraction
@@ -73,6 +74,53 @@ def test_rank_mod_p_bounds_the_exact_rank(case):
     independent = [ech.insert(row) for row in image]
     assert sum(independent) == len(ech.rows) <= exact
     assert matrix_rank(rows) == exact
+
+
+class EagerEchelonModP:
+    """The reference: every row operation reduced mod p at once."""
+
+    def __init__(self, p):
+        self.p, self.rows = p, []
+
+    def insert(self, row):
+        p, vec = self.p, list(row)
+        for piv, basis_row in self.rows:
+            f = vec[piv]
+            if f:
+                vec = [(a - f * b) % p for a, b in zip(vec, basis_row)]
+        piv = next((j for j, a in enumerate(vec) if a), None)
+        if piv is None:
+            return False
+        scale = pow(vec[piv], -1, p)
+        self.rows.append((piv, [a * scale % p for a in vec]))
+        return True
+
+
+@st.composite
+def insert_sequences(draw):
+    """Rows over F_p, entries often 0 or p - 1; about half are combinations
+    of the rows before them, so dependent on them."""
+    p = draw(st.sampled_from([7, modular.ring_map(1)[0], modular.ring_map(60)[0]]))
+    width = draw(st.sampled_from([1, 2, 5, 9, 16, 36]))
+    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, width + 3))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(entry) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(width)])
+        else:
+            rows.append([draw(entry) for _ in range(width)])
+    return p, rows
+
+
+@PROPERTY
+@given(insert_sequences())
+def test_lazy_insert_keeps_the_rows_of_the_eager_reduction(case):
+    p, rows = case
+    lazy, eager = modular.EchelonModP(p), EagerEchelonModP(p)
+    for row in rows:
+        assert lazy.insert(row) == eager.insert(row)
+    assert lazy.rows == eager.rows
 
 
 # -- every fast path against its exact fallback --------------------------------

@@ -1,18 +1,22 @@
 """Property tests of the Kronecker-packed product behind every exact sum
 of products: CMatrix @, `dot`, `CMatrix.apply`, `PolynomialS.matrix` and
-the rows of `uniqueness_linearized`.
+the exact rows of `uniqueness_linearized`.
 
 The reference is the schoolbook sum of CycNum products, built from `*` and
-`+` alone, so it shares no code with the packing and unpacking."""
+`+` alone, so it shares no code with the packing and unpacking.  The same
+reference defines the uniqueness system: its image mod p is the system the
+rank is first asked of, and its exact rows are the ones `matrix_rank` sees
+whenever that rank falls short of N_d or A and B have no image mod p."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, extend, sampling
+from loopbraid import catalog, extend, modular, sampling
 from loopbraid.cyclotomic import (
     _REMAINDER_BITS,
     CycNum,
@@ -318,8 +322,8 @@ def uniqueness_inputs():
     return out
 
 
-@pytest.mark.parametrize("rep", uniqueness_inputs())
-def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch):
+def spy_on_exact_rank(monkeypatch) -> list:
+    """The row lists `uniqueness_linearized` hands `matrix_rank`, in order."""
     seen = []
 
     def spy(rows):
@@ -327,10 +331,70 @@ def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch)
         return matrix_rank(rows)
 
     monkeypatch.setattr(extend, "matrix_rank", spy)
-    lin = extend.uniqueness_linearized(rep.A, rep.B)
+    return seen
+
+
+@pytest.mark.parametrize("rep", uniqueness_inputs())
+def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch):
+    seen = spy_on_exact_rank(monkeypatch)
     want = linearized_rows(rep.A, rep.B)
-    assert len(seen) == 1
-    assert seen[0] == want
     rank = matrix_rank(want)
+    lin = extend.uniqueness_linearized(rep.A, rep.B)
     assert lin.rank == rank
     assert lin.verdict == ("unique-standard" if rank == lin.n_unknowns else "indeterminate")
+    assert lin.n_equations == len(want)
+    # rank N_d mod p answers without an exact row; a shortfall (tw4 with
+    # lambda = [1, 1, 1, 1], the tensor squares) builds the exact rows
+    assert seen == ([] if rank == lin.n_unknowns else [want])
+    # with A and B given no image in F_p, the exact rows answer
+    seen.clear()
+    monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
+    assert extend.uniqueness_linearized(rep.A, rep.B) == lin
+    assert len(seen) == 1
+    assert seen[0] == want
+
+
+@pytest.mark.parametrize("rep", uniqueness_inputs())
+def test_uniqueness_rows_mod_p_are_the_images_of_the_definition(rep, monkeypatch):
+    systems = []
+
+    class Recording(modular.EchelonModP):
+        def __init__(self, p):
+            super().__init__(p)
+            self.inserted = []
+            systems.append(self)
+
+        def insert(self, row):
+            self.inserted.append(list(row))
+            return super().insert(row)
+
+    monkeypatch.setattr(modular, "EchelonModP", Recording)
+    extend.uniqueness_linearized(rep.A, rep.B)
+    want = modular.reduce_rows(linearized_rows(rep.A, rep.B), rep.conductor)
+    assert systems[0].p == modular.ring_map(rep.conductor)[0]
+    assert systems[0].inserted == want
+
+
+P1 = modular.ring_map(1)[0]
+
+
+@pytest.mark.parametrize(
+    "lams, gamma2, rank",
+    [
+        # p divides a denominator of A and B: no image in F_p
+        ([Fraction(1, P1), P1, 2, 2], 2, 9),
+        ([Fraction(1, P1)] * 4, Fraction(1, P1**2), 8),
+        # the image of tw4([1, 4, 1, 1], 2), rank 8, but rank 9 over Q
+        ([1, 4, 1, (1 + P1) ** 2], 2 * (1 + P1), 9),
+    ],
+)
+def test_uniqueness_rank_off_the_mod_p_route_comes_from_the_exact_rows(
+    lams, gamma2, rank, monkeypatch
+):
+    seen = spy_on_exact_rank(monkeypatch)
+    rep = catalog.tw4(lams, gamma2)
+    lin = extend.uniqueness_linearized(rep.A, rep.B)
+    assert (lin.rank, lin.n_unknowns) == (rank, 9)
+    assert lin.verdict == ("unique-standard" if rank == 9 else "indeterminate")
+    assert len(seen) == 1
+    assert seen[0] == linearized_rows(rep.A, rep.B)
