@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
-from . import modular
 from .cyclotomic import (
     CycNum,
     common_field,
@@ -49,12 +47,7 @@ from .errors import (
     TraceZero,
     WrongForm,
 )
-from .linalg import (
-    CMatrix,
-    Vector,
-    matrix_rank,
-    solve_linear,
-)
+from .linalg import CMatrix, Vector, _mod_p_first, solve_linear
 from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
@@ -458,7 +451,8 @@ class LinearizedSystem:
     (BSA)^2, which must vanish for any extension in ordered triangular
     form; rank = N_d certifies that S = kAB is the only solution.  The rank
     is first asked of the images of A and B in F_p, where rank N_d already
-    proves rank N_d; otherwise it is the exact rank of the exact rows.
+    proves rank N_d; otherwise it is the rank of the exact rows in one
+    exact `Echelon`.
     """
 
     d: int
@@ -493,20 +487,16 @@ def _linearized_rows(a, b, mul, positions, monomials) -> list[tuple]:
     return rows
 
 
-def _exact_mul(x, y):
-    """x @ y for exact matrices given as lists of rows."""
-    return packed_product(x, list(zip(*y)))
-
-
 def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     """The uniqueness linearization of a pair in ordered triangular form.
 
     AB and (AB)^2 are checked exactly, since only an exact zero proves a
-    zero.  The rows are then built from the images of A and B in F_p, p the
-    prime of `modular.ring_map`, and reduced there: rank N_d mod p proves
-    rank N_d, and no exact row is formed.  When the rank falls short, or A
-    or B has a denominator p divides, the exact rows are built by the same
-    `_linearized_rows` and `matrix_rank` answers.
+    zero.  The rank then takes the route of `linalg._mod_p_first`: the rows
+    are built from the images of A and B in F_p and reduced there, and rank
+    N_d mod p proves rank N_d with no exact row formed.  When the rank falls
+    short, or A or B has a denominator p divides, the same
+    `_linearized_rows` builds the exact rows and one exact `Echelon` answers,
+    with no second pass mod p.
     """
     d, n = a.dim, a.conductor
     if d not in (4, 5):
@@ -525,16 +515,10 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
     n_d = (d + 2) * (d - 1) // 2
     assert len(monomials) == n_d
-    rank = 0
-    images = modular.reduce_rows(a.rows, n), modular.reduce_rows(b.rows, n)
-    if None not in images:
-        p = modular.ring_map(n)[0]
-        ech = modular.EchelonModP(p)
-        for row in _linearized_rows(*images, partial(modular.matmul, p=p), positions, monomials):
-            ech.insert([x % p for x in row])
-        rank = len(ech.rows)
-    if rank < n_d:  # a shortfall mod p proves nothing
-        rank = matrix_rank(_linearized_rows(a.rows, b.rows, _exact_mul, positions, monomials))
+    def count(mats, mul, insert) -> int:
+        return sum(map(insert, _linearized_rows(*mats, mul, positions, monomials)))
+
+    rank = _mod_p_first([a.rows, b.rows], n, n_d, n_d, count)
     verdict = "unique-standard" if rank == n_d else "indeterminate"
     return LinearizedSystem(
         d=d,

@@ -6,17 +6,18 @@ through one incremental echelon basis, `Echelon`, with first-nonzero
 pivoting (no stability concerns over an exact field); char_poly is
 Faddeev-LeVerrier.  Vectors are plain tuples of CycNum.
 
-The rank-type questions (`matrix_rank`, `algebra_dimension`, and through
-it `CMatrix.is_cyclic`) first ask the same question mod p (see
-`modular`): full rank there proves full rank here, and anything less
-falls back to the exact answer, so every result is exact.
+Every rank-type question (`matrix_rank`, `algebra_dimension` and through
+it `CMatrix.is_cyclic`, and `extend.uniqueness_linearized`) takes one
+route, `_mod_p_first`, the only code that touches `modular`: the question
+is asked first of the images in F_p, where full rank proves full rank
+here, and anything less is answered once exactly, so every result is exact.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import modular
@@ -498,21 +499,43 @@ class Echelon:
         return basis
 
 
+def _exact_mul(x, y):
+    """x @ y for exact matrices given as lists of rows."""
+    return packed_product(x, list(zip(*y)))
+
+
+def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
+    """The one route of every rank-type question: mod p first, then exact.
+
+    count(mats, mul, insert) builds vectors of length width from the
+    matrices mats (lists of rows) with the ring's product mul, feeds them to
+    insert, and returns how many of them insert found independent.  It runs
+    first on the images of mats in F_p (see `modular`), with one
+    `modular.EchelonModP`: a ring map can only lose rank, so reaching full
+    there proves full.  Anything less, or a matrix with no image (p divides
+    a denominator), proves nothing, and count runs once exactly, on mats
+    themselves with `packed_product` and one `Echelon`.  This is the only
+    code in the package that touches `modular`.
+    """
+    images = [modular.reduce_rows(m, conductor) for m in mats]
+    if None not in images:
+        p = modular.ring_map(conductor)[0]
+        if count(images, partial(modular.matmul, p=p), modular.EchelonModP(p).insert) == full:
+            return full
+    ech = Echelon(width, conductor)
+    return count(mats, _exact_mul, lambda row: ech.insert(row)[1] is not None)
+
+
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
     """Exact rank; full rank mod p answers without exact elimination."""
     rows = list(rows)
     if not rows:
         return 0
-    width, n = len(rows[0]), rows[0][0].conductor
-    full = min(len(rows), width)
-    image = modular.reduce_rows(rows, n)
-    if image is not None:
-        ech = modular.EchelonModP(modular.ring_map(n)[0])
-        for row in image:
-            ech.insert(row)
-        if len(ech.rows) == full:
-            return full
-    return len(Echelon(width, n, rows).rows)
+    width = len(rows[0])
+    return _mod_p_first(
+        [rows], rows[0][0].conductor, width, min(len(rows), width),
+        lambda mats, mul, insert: sum(map(insert, mats[0])),
+    )
 
 
 def solve_linear(
@@ -570,17 +593,23 @@ def eigenprojectors_order3(s: CMatrix) -> tuple[CMatrix, CMatrix, CMatrix]:
     return p1, pw, pw2
 
 
-def _span_closure(ident, gens, mul, insert, full: int) -> int:
-    """Size of the span of all words in gens, ident being the empty word.
+def _span_closure(mats, mul, insert, full: int) -> int:
+    """Size of the span of all words in the generators mats[1:], the
+    identity mats[0] being the empty word; matrices are lists of rows.
 
-    Seed the span with ident and the generators, and the frontier with the
-    generators alone (g @ ident is g).  Then multiply each element that
-    entered the span by every generator, until the span stabilizes (capped
-    at full + 1 rounds) or reaches full.  insert(x) adds x to the span and
-    says whether it was independent.
+    Seed the span with the identity and the generators, and the frontier
+    with the generators alone (g times the identity is g).  Then multiply
+    each element that entered the span by every generator, until the span
+    stabilizes (capped at full + 1 rounds) or reaches full.  insert(v) adds
+    the flattened matrix v to the span and says whether it was independent.
     """
-    size = int(insert(ident))
-    frontier = [g for g in gens if insert(g)]
+
+    def enter(m) -> bool:
+        return insert([x for row in m for x in row])
+
+    ident, *gens = mats
+    size = int(enter(ident))
+    frontier = [g for g in gens if enter(g)]
     size += len(frontier)
     rounds = 0
     while frontier and size < full and rounds <= full:
@@ -589,7 +618,7 @@ def _span_closure(ident, gens, mul, insert, full: int) -> int:
         for mat in frontier:
             for g in gens:
                 prod = mul(g, mat)
-                if insert(prod):
+                if enter(prod):
                     size += 1
                     if size == full:
                         return size
@@ -601,10 +630,10 @@ def _span_closure(ident, gens, mul, insert, full: int) -> int:
 def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     """Dimension of the unital matrix algebra generated by gens.
 
-    Span closure on flattened d^2 vectors, first mod p: reaching the cap
-    there proves it (d^2 is Burnside's irreducibility; d for one generator
-    is min poly == char poly).  Otherwise the exact closure gives the
-    dimension.
+    The span closure of I and gens on flattened d^2 vectors, through
+    `_mod_p_first`: reaching the cap mod p proves it (d^2 is Burnside's
+    irreducibility; d for one generator is min poly == char poly).
+    Otherwise the exact closure gives the dimension.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -617,25 +646,5 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
             raise ConductorMismatch("generators must share a conductor")
     # Cayley-Hamilton: the powers of one matrix span at most d dimensions
     full = d if len(gens) == 1 else d * d
-    images = [modular.reduce_rows(g.rows, n) for g in gens]
-    if None not in images:
-        p = modular.ring_map(n)[0]
-        ech_p = modular.EchelonModP(p)
-        ident = [[int(i == j) for j in range(d)] for i in range(d)]
-        size = _span_closure(
-            ident,
-            images,
-            lambda g, m: modular.matmul(g, m, p),
-            lambda m: ech_p.insert([x for row in m for x in row]),
-            full,
-        )
-        if size == full:
-            return full
-    ech = Echelon(d * d, n)
-    return _span_closure(
-        CMatrix.identity(d, n),
-        gens,
-        operator.matmul,
-        lambda m: ech.insert(m.flatten())[1] is not None,
-        full,
-    )
+    mats = [m.rows for m in (CMatrix.identity(d, n), *gens)]
+    return _mod_p_first(mats, n, d * d, full, partial(_span_closure, full=full))

@@ -7,21 +7,25 @@ lose linear independence: vectors independent mod p have a maximal minor
 that is nonzero mod p, so the same minor is nonzero in Q(zeta_N) and the
 vectors are independent there.  Full rank mod p therefore proves full
 rank; anything less proves nothing, and the caller takes its exact path
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  The callers
-are the span closure of `linalg.algebra_dimension` (behind
-`is_irreducible` and `CMatrix.is_cyclic`), `linalg.matrix_rank`, and
-`extend.uniqueness_linearized`, which builds its whole system from the
-images of A and B.
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  This module
+has one caller, `linalg._mod_p_first`, the route of every rank-type
+question: `linalg.matrix_rank`, the span closure of
+`linalg.algebra_dimension` (behind `is_irreducible` and
+`CMatrix.is_cyclic`) and `extend.uniqueness_linearized`, whose whole
+system is built from the images of A and B.
 
 Residues are plain Python ints: p > 2^31, so a product of two residues
-does not fit a machine word.  `EchelonModP.insert` reduces a row mod p
-once, after all its row operations, so its entries grow to at most
-p + k p^2 in absolute value after k of them: below 2^68 for k <= 36.
+does not fit a machine word.  `EchelonModP.insert` takes entries in
+[0, 2p), so a uniqueness row (a sum of two residues) goes in as it is,
+and reduces the row mod p once, after all its row operations: its entries
+stay below 2p + k p^2 in absolute value after k of them, under 2^68 for
+k <= 36.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .cyclotomic import CycNum, euler_phi, prime_factors
@@ -102,7 +106,7 @@ def reduce_rows(rows: Sequence[Sequence[CycNum]], conductor: int) -> list[list[i
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """a @ b over F_p."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
 
 
 class EchelonModP:
@@ -117,7 +121,7 @@ class EchelonModP:
         self.rows: list[tuple[int, list[int]]] = []
 
     def insert(self, row: Sequence[int]) -> bool:
-        """Reduce row (entries in [0, p)) and keep it; False when dependent.
+        """Reduce row (entries in [0, 2p)) and keep it; False when dependent.
 
         Only each factor f is taken mod p during the row operations; the
         row itself is reduced once, before the pivot search.

@@ -73,3 +73,14 @@ def test_only_numpy_and_sympy_are_imported_lazily():
         if inner and name.partition(".")[0] not in LAZY_ALLOWED
     ]
     assert lazy == []
+
+
+def test_modular_sits_behind_linalg_alone():
+    # every rank question reaches F_p through one route in linalg
+    importers = {
+        stem
+        for stem, path in MODULES.items()
+        for name, _ in _imports(path)
+        if _stem(name) == "modular" and stem != "modular"
+    }
+    assert importers == {"linalg"}

@@ -77,13 +77,14 @@ def test_rank_mod_p_bounds_the_exact_rank(case):
 
 
 class EagerEchelonModP:
-    """The reference: every row operation reduced mod p at once."""
+    """The reference: the row and every row operation reduced mod p at once."""
 
     def __init__(self, p):
         self.p, self.rows = p, []
 
     def insert(self, row):
-        p, vec = self.p, list(row)
+        p = self.p
+        vec = [a % p for a in row]
         for piv, basis_row in self.rows:
             f = vec[piv]
             if f:
@@ -98,16 +99,23 @@ class EagerEchelonModP:
 
 @st.composite
 def insert_sequences(draw):
-    """Rows over F_p, entries often 0 or p - 1; about half are combinations
-    of the rows before them, so dependent on them."""
+    """Rows over F_p with entries in [0, 2p), the input range of the lazy
+    insert (a uniqueness row is a sum of two residues), often 0, p - 1, p
+    or 2p - 1; about half are combinations of the rows before them, so
+    dependent on them, with p added to some entries."""
     p = draw(st.sampled_from([7, modular.ring_map(1)[0], modular.ring_map(60)[0]]))
     width = draw(st.sampled_from([1, 2, 5, 9, 16, 36]))
-    entry = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    entry = st.one_of(
+        st.just(0), st.just(p - 1), st.just(p), st.just(2 * p - 1), st.integers(0, 2 * p - 1)
+    )
     rows = []
     for _ in range(draw(st.integers(1, width + 3))):
         if rows and draw(st.booleans()):
             coeffs = [draw(entry) for _ in rows]
-            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(width)])
+            rows.append([
+                sum(c * r[j] for c, r in zip(coeffs, rows)) % p + p * draw(st.booleans())
+                for j in range(width)
+            ])
         else:
             rows.append([draw(entry) for _ in range(width)])
     return p, rows

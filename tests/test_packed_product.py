@@ -5,8 +5,9 @@ the exact rows of `uniqueness_linearized`.
 The reference is the schoolbook sum of CycNum products, built from `*` and
 `+` alone, so it shares no code with the packing and unpacking.  The same
 reference defines the uniqueness system: its image mod p is the system the
-rank is first asked of, and its exact rows are the ones `matrix_rank` sees
-whenever that rank falls short of N_d or A and B have no image mod p."""
+rank is first asked of, in one `modular.EchelonModP`, and its exact rows
+are the ones one `linalg.Echelon` receives whenever that rank falls short
+of N_d or A and B have no image mod p; no second elimination mod p runs."""
 
 import math
 import random
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, extend, modular, sampling
+from loopbraid import catalog, extend, linalg, modular, sampling
 from loopbraid.cyclotomic import (
     _REMAINDER_BITS,
     CycNum,
@@ -322,57 +323,69 @@ def uniqueness_inputs():
     return out
 
 
-def spy_on_exact_rank(monkeypatch) -> list:
-    """The row lists `uniqueness_linearized` hands `matrix_rank`, in order."""
-    seen = []
+def record_eliminations(monkeypatch) -> tuple[list, list]:
+    """The exact (`linalg.Echelon`) and mod-p (`modular.EchelonModP`)
+    eliminations built from here on, in order; each keeps its inserted rows."""
+    exact, mod_p = [], []
 
-    def spy(rows):
-        seen.append(rows)
-        return matrix_rank(rows)
-
-    monkeypatch.setattr(extend, "matrix_rank", spy)
-    return seen
-
-
-@pytest.mark.parametrize("rep", uniqueness_inputs())
-def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch):
-    seen = spy_on_exact_rank(monkeypatch)
-    want = linearized_rows(rep.A, rep.B)
-    rank = matrix_rank(want)
-    lin = extend.uniqueness_linearized(rep.A, rep.B)
-    assert lin.rank == rank
-    assert lin.verdict == ("unique-standard" if rank == lin.n_unknowns else "indeterminate")
-    assert lin.n_equations == len(want)
-    # rank N_d mod p answers without an exact row; a shortfall (tw4 with
-    # lambda = [1, 1, 1, 1], the tensor squares) builds the exact rows
-    assert seen == ([] if rank == lin.n_unknowns else [want])
-    # with A and B given no image in F_p, the exact rows answer
-    seen.clear()
-    monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
-    assert extend.uniqueness_linearized(rep.A, rep.B) == lin
-    assert len(seen) == 1
-    assert seen[0] == want
-
-
-@pytest.mark.parametrize("rep", uniqueness_inputs())
-def test_uniqueness_rows_mod_p_are_the_images_of_the_definition(rep, monkeypatch):
-    systems = []
-
-    class Recording(modular.EchelonModP):
-        def __init__(self, p):
-            super().__init__(p)
+    class Exact(linalg.Echelon):
+        def __init__(self, *args):
             self.inserted = []
-            systems.append(self)
+            exact.append(self)
+            super().__init__(*args)
+
+        def insert(self, row):
+            self.inserted.append(tuple(row))
+            return super().insert(row)
+
+    class ModP(modular.EchelonModP):
+        def __init__(self, p):
+            self.inserted = []
+            mod_p.append(self)
+            super().__init__(p)
 
         def insert(self, row):
             self.inserted.append(list(row))
             return super().insert(row)
 
-    monkeypatch.setattr(modular, "EchelonModP", Recording)
+    monkeypatch.setattr(linalg, "Echelon", Exact)
+    monkeypatch.setattr(modular, "EchelonModP", ModP)
+    return exact, mod_p
+
+
+@pytest.mark.parametrize("rep", uniqueness_inputs())
+def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch):
+    want = linearized_rows(rep.A, rep.B)
+    rank = matrix_rank(want)
+    exact, mod_p = record_eliminations(monkeypatch)
+    lin = extend.uniqueness_linearized(rep.A, rep.B)
+    assert lin.rank == rank
+    assert lin.verdict == ("unique-standard" if rank == lin.n_unknowns else "indeterminate")
+    assert lin.n_equations == len(want)
+    # one elimination mod p; rank N_d there answers without an exact row,
+    # and a shortfall (tw4 with lambda = [1, 1, 1, 1], the tensor squares)
+    # sends the exact rows to one exact elimination, with no second pass mod p
+    assert len(mod_p) == 1
+    assert [e.inserted for e in exact] == ([] if rank == lin.n_unknowns else [want])
+    # with A and B given no image in F_p, the exact rows answer
+    exact.clear()
+    mod_p.clear()
+    monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
+    assert extend.uniqueness_linearized(rep.A, rep.B) == lin
+    assert mod_p == []
+    assert [e.inserted for e in exact] == [want]
+
+
+@pytest.mark.parametrize("rep", uniqueness_inputs())
+def test_uniqueness_rows_mod_p_are_the_images_of_the_definition(rep, monkeypatch):
+    _, mod_p = record_eliminations(monkeypatch)
     extend.uniqueness_linearized(rep.A, rep.B)
     want = modular.reduce_rows(linearized_rows(rep.A, rep.B), rep.conductor)
-    assert systems[0].p == modular.ring_map(rep.conductor)[0]
-    assert systems[0].inserted == want
+    p = modular.ring_map(rep.conductor)[0]
+    assert len(mod_p) == 1 and mod_p[0].p == p
+    # a row goes in unreduced: each entry a residue or a sum of two
+    assert all(0 <= x < 2 * p for row in mod_p[0].inserted for x in row)
+    assert [[x % p for x in row] for row in mod_p[0].inserted] == want
 
 
 P1 = modular.ring_map(1)[0]
@@ -391,10 +404,12 @@ P1 = modular.ring_map(1)[0]
 def test_uniqueness_rank_off_the_mod_p_route_comes_from_the_exact_rows(
     lams, gamma2, rank, monkeypatch
 ):
-    seen = spy_on_exact_rank(monkeypatch)
+    exact, mod_p = record_eliminations(monkeypatch)
     rep = catalog.tw4(lams, gamma2)
     lin = extend.uniqueness_linearized(rep.A, rep.B)
     assert (lin.rank, lin.n_unknowns) == (rank, 9)
     assert lin.verdict == ("unique-standard" if rank == 9 else "indeterminate")
-    assert len(seen) == 1
-    assert seen[0] == linearized_rows(rep.A, rep.B)
+    # an elimination mod p only where A and B have an image there
+    images = [modular.reduce_rows(m.rows, 1) for m in (rep.A, rep.B)]
+    assert len(mod_p) == (None not in images)
+    assert [e.inserted for e in exact] == [linearized_rows(rep.A, rep.B)]
