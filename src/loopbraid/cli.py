@@ -303,8 +303,7 @@ def _cmd_analyze(args) -> int:
             sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
     if (args.poly_s or run_all) and with_s:
         try:
-            ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-            sections["polynomial_S"] = ps.coefficients
+            sections["polynomial_S"] = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
         except LoopBraidError as exc:
             sections["polynomial_S"] = f"unavailable: {exc}"
     if run_all and pair:

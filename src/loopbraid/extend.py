@@ -16,6 +16,13 @@ in Z in one test, `default_extension_params`; no builder cubes S.  Whether
 a given S1 completes S is the S3 relation table itself
 (`s3_completion_check`).  Mixed inputs meet in one field through
 `cyclotomic.common_field`, with omega adjoined wherever S is split.
+
+Every S with SA = BS is a combination of E_k = B^k AB when B is cyclic.
+`_basis_matrices` checks that hypothesis and builds the E_k; it is the
+one S-space for `polynomial_S_solve` and for `certify_no_extension`,
+which builds it once and hands the same list to its candidate checks and
+to `numeric_cubic_oracle`.  A polynomial S is its coefficient tuple over
+that list.
 """
 
 from __future__ import annotations
@@ -367,46 +374,21 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
     return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
 
 
-@dataclass
-class ThreeDimExtension:
-    """Outcome of the 3-dimensional traceless criterion."""
-
-    exists: bool
-    k_candidates: list[CycNum]
-    k_cubed: CycNum
-
-
-def extension_exists_3d(a: CMatrix, b: CMatrix) -> ThreeDimExtension:
-    """Standard extension exists iff Tr(AB) = Tr((AB)^2) = 0; k^3 = Det(AB)^-1."""
-    if a.dim != 3:
-        raise DimMismatch("extension_exists_3d needs 3x3 matrices")
-    if a == b:
-        raise ConstraintViolated("requires A != B")
-    if not relation_holds({"A": a, "B": b}, "B1"):
-        raise ConstraintViolated("braid relation fails")
-    ab = a @ b
-    exists = ab.trace().is_zero and (ab @ ab).trace().is_zero
-    k_cubed = ab.det().inv()
-    roots = nth_root_in_field(k_cubed, 3) if exists else []
-    return ThreeDimExtension(exists=exists, k_candidates=roots, k_cubed=k_cubed)
-
-
 # ---------------------------------------------------------------------------
 # polynomial form of S and the uniqueness linearization
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolynomialS:
-    """S presented as sum_n a_n B^n A B; valid when min poly = char poly of B."""
-
-    coefficients: tuple[CycNum, ...]
-
-    def matrix(self, a: CMatrix, b: CMatrix) -> CMatrix:
-        return _combination(self.coefficients, _basis_matrices(a, b))
-
-
 def _basis_matrices(a: CMatrix, b: CMatrix) -> list[CMatrix]:
+    """The S-space basis [AB, BAB, ..., B^(d-1) AB].
+
+    Every S with SA = BS is sum_k b_k B^k AB when B is cyclic (min poly =
+    char poly), so this is the one check of that hypothesis for
+    `polynomial_S_solve` and `certify_no_extension`: MinPolyMismatch
+    otherwise.  A polynomial S is its coefficient tuple over this list.
+    """
+    if not b.is_cyclic():
+        raise MinPolyMismatch("min poly of B must equal its char poly")
     mats = [a @ b]
     for _ in range(a.dim - 1):
         mats.append(b @ mats[-1])
@@ -426,21 +408,23 @@ def _combination(coefficients, basis: list[CMatrix]) -> CMatrix:
     return CMatrix([flat[i * d : (i + 1) * d] for i in range(d)], basis[0].conductor)
 
 
-def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> PolynomialS:
-    """The unique coefficients with S = sum a_n B^n A B (exact linear solve)."""
-    if not b.is_cyclic():
-        raise MinPolyMismatch("min poly of B must equal its char poly")
+def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> tuple[CycNum, ...]:
+    """The unique coefficients with S = sum a_n B^n A B (exact linear solve).
+
+    The basis is built first, so a B that is not cyclic raises
+    MinPolyMismatch before a singular S raises SingularMatrix.  The
+    solution is unique: B cyclic makes I, B, ..., B^(d-1) independent, so
+    the B^n A B are independent when AB is invertible, and when AB is
+    singular every combination of them is singular and the invertible S
+    is outside their span (NoSolution).
+    """
+    basis = _basis_matrices(a, b)
     if s.det().is_zero:
         raise SingularMatrix("S must be invertible")
-    rows = _entry_columns(_basis_matrices(a, b))
-    rhs = list(s.flatten())
-    sol = solve_linear(rows, rhs)
+    sol = solve_linear(_entry_columns(basis), list(s.flatten()))
     if sol is None:
         raise NoSolution("S is not in the span of the B^n A B")
-    coeffs, kernel = sol
-    if kernel:  # pragma: no cover - impossible when min poly = char poly
-        raise MinPolyMismatch("basis matrices are dependent")
-    return PolynomialS(tuple(coeffs))
+    return sol[0]
 
 
 @dataclass
@@ -599,8 +583,9 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
 # ---------------------------------------------------------------------------
 
 
-def default_polynomial_candidates(a: CMatrix, b: CMatrix) -> list[PolynomialS]:
-    """The cube-scaled families q k AB and q k^2 B^2 AB for q^3 = 1.
+def default_polynomial_candidates(a: CMatrix, b: CMatrix) -> list[tuple[CycNum, ...]]:
+    """The cube-scaled families q k AB and q k^2 B^2 AB for q^3 = 1, each
+    as its coefficients over `_basis_matrices`.
 
     These exhaust the solutions of S^3 = I in the polynomial family for
     the six-dimensional counterexample (and are the natural suspects in
@@ -621,11 +606,11 @@ def default_polynomial_candidates(a: CMatrix, b: CMatrix) -> list[PolynomialS]:
     for q in (CycNum.one(n), w, w * w):
         coeffs = [zero] * d
         coeffs[0] = q * k0
-        out.append(PolynomialS(tuple(coeffs)))
+        out.append(tuple(coeffs))
         if d >= 3:
             coeffs = [zero] * d
             coeffs[2] = q * k0 * k0
-            out.append(PolynomialS(tuple(coeffs)))
+            out.append(tuple(coeffs))
     return out
 
 
@@ -669,21 +654,19 @@ def certify_no_extension(
     seed: int = 0,
 ) -> NoExtensionReport:
     _check_oracle_options(a.dim, starts, tol, cluster_radius)
-    if not b.is_cyclic():
-        raise MinPolyMismatch("certification requires min poly of B = char poly")
     (a, b), n = common_field(a, b, extra=3)
+    basis = _basis_matrices(a, b)
     cands = default_polynomial_candidates(a, b)
     ident = CMatrix.identity(a.dim, n)
-    basis = _basis_matrices(a, b)
     verdicts = []
-    for cand in cands:
-        s = _combination(cand.coefficients, basis)
+    for coeffs in cands:
+        s = _combination(coeffs, basis)
         intertwines = s @ a == b @ s
         cubes = s.matpow(3) == ident
         tr = s.trace()
         verdicts.append(
             CandidateVerdict(
-                coefficients=cand.coefficients,
+                coefficients=coeffs,
                 intertwines=intertwines,
                 cubes_to_identity=cubes,
                 trace=tr,
@@ -691,7 +674,7 @@ def certify_no_extension(
                 trace_is_real=tr.is_real,
             )
         )
-    oracle = numeric_cubic_oracle(a, b, starts, tol, cluster_radius, seed, cands)
+    oracle = numeric_cubic_oracle(basis, starts, tol, cluster_radius, seed, cands)
     exact_ok = bool(verdicts) and all(
         v.intertwines and v.cubes_to_identity for v in verdicts
     )
@@ -761,7 +744,8 @@ class OracleReport:
     clusters: list[OracleCluster]
 
 
-# starts per Newton block; peak memory grows with it, not with `starts`
+# starts per Newton block; it bounds the Newton step's temporaries, while
+# the start vectors, residuals and converged solutions grow with `starts`
 _ORACLE_BLOCK = 256
 # Gauss-Newton steps per start
 _ORACLE_MAX_ITER = 80
@@ -867,30 +851,32 @@ def _solve_hpd(g, rhs):
 
 
 def numeric_cubic_oracle(
-    a: CMatrix,
-    b: CMatrix,
+    basis: list[CMatrix],
     starts: int = 2000,
     tol: float = 1e-9,
     cluster_radius: float = 1e-6,
     seed: int = 0,
-    exact_candidates: list[PolynomialS] | None = None,
+    exact_candidates: list[tuple[CycNum, ...]] | None = None,
 ) -> OracleReport:
-    """Multistart Gauss-Newton for S(b)^3 = I with S = sum b_i B^i A B.
+    """Multistart Gauss-Newton for S(b)^3 = I with S = sum b_i E_i.
 
-    Works in double-precision complex arithmetic; converged solutions are
+    The E_i are the d matrices of `basis`, as `_basis_matrices` builds
+    them (B^i A B); the oracle forms no exact product.  Works in
+    double-precision complex arithmetic; converged solutions are
     clustered by max-norm radius and each cluster reports its trace and
-    the nearest exact candidate.  Deterministic for a fixed seed.
+    the nearest exact candidate, a coefficient tuple over the same basis.
+    Deterministic for a fixed seed.
     """
     import numpy as np
 
-    d = a.dim
+    d = len(basis)
     _check_oracle_options(d, starts, tol, cluster_radius)
     e = np.stack(
         [
             np.array(
                 [[x.to_complex() for x in row] for row in mat.rows], dtype=complex
             )
-            for mat in _basis_matrices(a, b)
+            for mat in basis
         ]
     )
     eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
@@ -953,7 +939,7 @@ def numeric_cubic_oracle(
     cand_vecs = None
     if exact_candidates:
         cand_vecs = np.array(
-            [[c.to_complex() for c in cand.coefficients] for cand in exact_candidates]
+            [[c.to_complex() for c in cand] for cand in exact_candidates]
         )
     out = []
     for ci, members in enumerate(clusters):

@@ -174,8 +174,8 @@ def test_criterion_5_uniqueness_linearization(extension_corpus):
         for rep, pairs in extension_corpus[family]:
             for built, cert in pairs:
                 ps = extend.polynomial_S_solve(built.A, built.B, built.S)
-                assert not ps.coefficients[0].is_zero
-                assert all(c.is_zero for c in ps.coefficients[1:])
+                assert not ps[0].is_zero
+                assert all(c.is_zero for c in ps[1:])
                 checked += 1
     print(f"\n[PASS] criterion 5: rank(M_4) = 9 and rank(M_5) = 14 on 10 generic "
           f"draws each; polynomial form (a_0, 0, ..., 0) on {checked} extensions")

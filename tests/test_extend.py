@@ -1,5 +1,6 @@
 """Extension machinery: k-search, builders, uniqueness, SLB3/VB3, certification."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from loopbraid.cyclotomic import (
     CycNum,
     common_field,
     make_root_of_unity,
+    nth_root_in_field,
     omega,
     roots_of_unity,
 )
 from loopbraid.errors import (
     BadBasisChange,
     BadCandidate,
+    ConstraintViolated,
     DimMismatch,
     EigenlineChosen,
     HypothesisUnmet,
@@ -25,7 +28,7 @@ from loopbraid.errors import (
     WrongForm,
 )
 from loopbraid.linalg import CMatrix, eigenprojectors_order3, is_proportional, matrix_rank
-from loopbraid.repcore import GroupKind, verify
+from loopbraid.repcore import GroupKind, relation_holds, verify
 from loopbraid.sampling import (
     draw_tw2,
     draw_tw3,
@@ -438,9 +441,34 @@ def test_standard_extension_2d_shape_checks():
 # -- 3-dimensional criterion -------------------------------------------------------------
 
 
+@dataclass
+class ThreeDimExtension:
+    """Outcome of the 3-dimensional traceless criterion."""
+
+    exists: bool
+    k_candidates: list
+    k_cubed: CycNum
+
+
+def extension_exists_3d(a: CMatrix, b: CMatrix) -> ThreeDimExtension:
+    """The paper's 3-dimensional criterion, the reference for the tests below:
+    a standard extension exists iff Tr(AB) = Tr((AB)^2) = 0; k^3 = Det(AB)^-1."""
+    if a.dim != 3:
+        raise DimMismatch("extension_exists_3d needs 3x3 matrices")
+    if a == b:
+        raise ConstraintViolated("requires A != B")
+    if not relation_holds({"A": a, "B": b}, "B1"):
+        raise ConstraintViolated("braid relation fails")
+    ab = a @ b
+    exists = ab.trace().is_zero and (ab @ ab).trace().is_zero
+    k_cubed = ab.det().inv()
+    roots = nth_root_in_field(k_cubed, 3) if exists else []
+    return ThreeDimExtension(exists=exists, k_candidates=roots, k_cubed=k_cubed)
+
+
 def test_extension_exists_3d_tw3():
     rep = catalog.tw3(1, 2, 3)
-    res = extend.extension_exists_3d(rep.A, rep.B)
+    res = extension_exists_3d(rep.A, rep.B)
     assert res.exists
     assert res.k_cubed == Fraction(1, 36)
     assert res.k_candidates == []
@@ -448,7 +476,7 @@ def test_extension_exists_3d_tw3():
 
 def test_extension_exists_3d_lkb():
     rep = catalog.lkb3(2, 3)
-    assert extend.extension_exists_3d(rep.A, rep.B).exists
+    assert extension_exists_3d(rep.A, rep.B).exists
 
 
 def test_extension_exists_3d_negative():
@@ -465,7 +493,7 @@ def test_extension_exists_3d_negative():
         two.conductor,
     )
     a, b = emb(two.A), emb(two.B)
-    res = extend.extension_exists_3d(a, b)
+    res = extension_exists_3d(a, b)
     assert not res.exists
 
 
@@ -506,28 +534,48 @@ def test_polynomial_solve_standard():
     rep = catalog.tw4(*TW4)
     (built, cert), = extend.standard_extensions(rep.A, rep.B)
     ps = extend.polynomial_S_solve(built.A, built.B, built.S)
-    assert ps.coefficients[0] == cert.k
-    assert all(c.is_zero for c in ps.coefficients[1:])
+    assert ps[0] == cert.k
+    assert all(c.is_zero for c in ps[1:])
 
 
 def test_polynomial_solve_perm3_reassembles():
     rep = catalog.perm3(8)
     ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-    assert any(not c.is_zero for c in ps.coefficients[1:])
-    assert ps.matrix(rep.A, rep.B) == rep.S
+    assert any(not c.is_zero for c in ps[1:])
+    assert extend._combination(ps, extend._basis_matrices(rep.A, rep.B)) == rep.S
 
 
 def test_polynomial_solve_nonstandard_a1_vanishes():
     rep = catalog.nonstandard_3d(2, 1, 3)
     ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-    assert ps.coefficients[1].is_zero
-    assert not ps.coefficients[2].is_zero
+    assert ps[1].is_zero
+    assert not ps[2].is_zero
 
 
 def test_polynomial_solve_min_poly_guard():
     ident = CMatrix.identity(3, 1)
     with pytest.raises(MinPolyMismatch):
         extend.polynomial_S_solve(ident, ident, ident)
+    # a singular S too: the hypothesis on B is checked first, which is the
+    # text `analyze` reports
+    with pytest.raises(MinPolyMismatch):
+        extend.polynomial_S_solve(ident, ident, CMatrix.zero(3, 1))
+
+
+def test_one_cyclicity_check_for_both_users(monkeypatch):
+    rep = catalog.abeq_family(3, 4, 2)
+    assert not rep.B.is_cyclic()
+    with pytest.raises(MinPolyMismatch) as solve:
+        extend.polynomial_S_solve(rep.A, rep.B, rep.S)
+
+    def candidates(*args):
+        raise AssertionError("candidates built before the hypothesis was checked")
+
+    monkeypatch.setattr(extend, "default_polynomial_candidates", candidates)
+    with pytest.raises(MinPolyMismatch) as certify:
+        extend.certify_no_extension(rep.A, rep.B, starts=10)
+    assert str(solve.value) == str(certify.value)
+    assert str(solve.value) == "min poly of B must equal its char poly"
 
 
 # -- uniqueness linearization ----------------------------------------------------------------
@@ -764,7 +812,9 @@ def test_finitely_many_slb3_clusters_stable():
     rep = catalog.tw3(CycNum.from_rational(1, 3), 2, Fraction(27, 2))
 
     def integer_trace_clusters(starts):
-        report = extend.numeric_cubic_oracle(rep.A, rep.B, starts=starts, seed=5)
+        report = extend.numeric_cubic_oracle(
+            extend._basis_matrices(rep.A, rep.B), starts=starts, seed=5
+        )
         count = 0
         for c in report.clusters:
             if abs(c.trace.imag) < 1e-6 and abs(c.trace.real - round(c.trace.real)) < 1e-6:
@@ -796,8 +846,8 @@ def test_traceless_3dim_extension_is_pure_multiple():
             continue
         for rep, _cert in extend.standard_extensions(base.A, base.B):
             ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-            assert not ps.coefficients[0].is_zero
-            assert all(c.is_zero for c in ps.coefficients[1:])
+            assert not ps[0].is_zero
+            assert all(c.is_zero for c in ps[1:])
             checked += 1
     assert checked > 0
 
@@ -813,7 +863,9 @@ def test_trace_rigidity_tw4_tw5():
         assert res.candidates
         for _k, m in res.candidates:
             assert m == expected
-        report = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=1)
+        report = extend.numeric_cubic_oracle(
+            extend._basis_matrices(rep.A, rep.B), starts=300, seed=1
+        )
         for c in report.clusters:
             if abs(c.trace.imag) < 1e-6 and abs(c.trace.real - round(c.trace.real)) < 1e-6:
                 assert round(c.trace.real) == expected
@@ -822,7 +874,9 @@ def test_trace_rigidity_tw4_tw5():
 def test_finitely_many_slb3_clusters_tw4():
     rng = rng_for(43)
     rep, _ = draw_tw4(rng)
-    report = extend.numeric_cubic_oracle(rep.A, rep.B, starts=400, seed=6)
+    report = extend.numeric_cubic_oracle(
+        extend._basis_matrices(rep.A, rep.B), starts=400, seed=6
+    )
     integral = [
         c
         for c in report.clusters

@@ -14,7 +14,7 @@ from loopbraid.linalg import CMatrix
 
 def test_scalar_case_finds_cube_roots_of_unity():
     one = CMatrix([[1]], 1)
-    report = extend.numeric_cubic_oracle(one, one, starts=60, seed=1)
+    report = extend.numeric_cubic_oracle(extend._basis_matrices(one, one), starts=60, seed=1)
     assert report.converged > 0
     assert len(report.clusters) == 3
     for c in report.clusters:
@@ -24,7 +24,9 @@ def test_scalar_case_finds_cube_roots_of_unity():
 
 def test_tw3_clusters_contain_standard_solutions():
     rep = catalog.tw3(1, 2, 3)
-    report = extend.numeric_cubic_oracle(rep.A, rep.B, starts=2000, seed=2)
+    report = extend.numeric_cubic_oracle(
+        extend._basis_matrices(rep.A, rep.B), starts=2000, seed=2
+    )
     kmag = (1 / 36) ** (1 / 3)
     standard = [
         c
@@ -39,8 +41,8 @@ def test_tw3_clusters_contain_standard_solutions():
 
 def test_oracle_deterministic_under_seed():
     rep = catalog.tw3(1, 1, 1)
-    r1 = extend.numeric_cubic_oracle(rep.A, rep.B, starts=200, seed=9)
-    r2 = extend.numeric_cubic_oracle(rep.A, rep.B, starts=200, seed=9)
+    r1 = extend.numeric_cubic_oracle(extend._basis_matrices(rep.A, rep.B), starts=200, seed=9)
+    r2 = extend.numeric_cubic_oracle(extend._basis_matrices(rep.A, rep.B), starts=200, seed=9)
     assert r1.converged == r2.converged
     assert len(r1.clusters) == len(r2.clusters)
     for c1, c2 in zip(r1.clusters, r2.clusters):
@@ -53,7 +55,7 @@ def test_oracle_matches_exact_candidates():
     cands = extend.default_polynomial_candidates(rep.A, rep.B)
     assert len(cands) == 6
     report = extend.numeric_cubic_oracle(
-        rep.A, rep.B, starts=500, seed=4, exact_candidates=cands
+        extend._basis_matrices(rep.A, rep.B), starts=500, seed=4, exact_candidates=cands
     )
     assert report.clusters
     for c in report.clusters:
@@ -181,26 +183,34 @@ def test_oracle_report_independent_of_block_size(monkeypatch):
         (catalog.counterexample6(), (3, 2, 1)),
     ):
         monkeypatch.setattr(extend, "_ORACLE_BLOCK", 256)
-        default = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+        default = extend.numeric_cubic_oracle(
+            extend._basis_matrices(rep.A, rep.B), starts=300, seed=5
+        )
         assert default.converged > 0
         for size in sizes:
             monkeypatch.setattr(extend, "_ORACLE_BLOCK", size)
-            blocked = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+            blocked = extend.numeric_cubic_oracle(
+                extend._basis_matrices(rep.A, rep.B), starts=300, seed=5
+            )
             assert blocked == default
 
 
 def test_start_counts_partition_the_starts():
     one = CMatrix([[1]], 1)
-    report = extend.numeric_cubic_oracle(one, one, starts=60, seed=1)
+    report = extend.numeric_cubic_oracle(extend._basis_matrices(one, one), starts=60, seed=1)
     assert (report.converged, report.diverged, report.unconverged) == (60, 0, 0)
     # S^3 overflows at every start: each residual is non-finite at once
     huge = CMatrix([[10**120]], 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = extend.numeric_cubic_oracle(huge, one, starts=60, seed=1)
+        report = extend.numeric_cubic_oracle(
+            extend._basis_matrices(huge, one), starts=60, seed=1
+        )
     assert (report.converged, report.diverged, report.unconverged) == (0, 60, 0)
     assert report.clusters == []
     rep = catalog.tw3(1, 1, 1)
-    report = extend.numeric_cubic_oracle(rep.A, rep.B, starts=300, seed=5)
+    report = extend.numeric_cubic_oracle(
+        extend._basis_matrices(rep.A, rep.B), starts=300, seed=5
+    )
     assert report.converged and report.unconverged
     assert report.converged + report.diverged + report.unconverged == 300
 
@@ -233,8 +243,7 @@ def test_certify_runs_the_public_oracle(monkeypatch):
     assert len(cands) == 6
     assert calls == [
         {
-            "a": a,
-            "b": b,
+            "basis": extend._basis_matrices(a, b),
             "starts": 50,
             "tol": 1e-10,
             "cluster_radius": 1e-7,
@@ -288,4 +297,24 @@ def test_certify_refuses_bad_input_before_exact_work(monkeypatch, options, error
     with pytest.raises(error):
         extend.certify_no_extension(a, b, **options)
     with pytest.raises(error):
-        extend.numeric_cubic_oracle(a, b, **options)
+        extend.numeric_cubic_oracle([a] * a.dim, **options)
+
+
+def test_certify_builds_the_basis_once_and_hands_it_to_the_oracle(monkeypatch):
+    rep = catalog.counterexample6()
+    build, oracle = extend._basis_matrices, extend.numeric_cubic_oracle
+    built, handed = [], []
+
+    def recording_build(a, b):
+        built.append(build(a, b))
+        return built[-1]
+
+    def recording_oracle(basis, *args, **kwargs):
+        handed.append(basis)
+        return oracle(basis, *args, **kwargs)
+
+    monkeypatch.setattr(extend, "_basis_matrices", recording_build)
+    monkeypatch.setattr(extend, "numeric_cubic_oracle", recording_oracle)
+    extend.certify_no_extension(rep.A, rep.B, starts=20, seed=0)
+    assert len(built) == 1
+    assert len(handed) == 1 and handed[0] is built[0]

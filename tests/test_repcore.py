@@ -186,8 +186,8 @@ def test_tensor_of_2dim_standard_extensions():
     out = tensor_product(r1, r2)
     assert out.dim == 4
     assert verify(out, GroupKind.LB3).all_hold
-    k1 = extend.polynomial_S_solve(r1.A, r1.B, r1.S).coefficients[0]
-    k2 = extend.polynomial_S_solve(r2.A, r2.B, r2.S).coefficients[0]
+    k1 = extend.polynomial_S_solve(r1.A, r1.B, r1.S)[0]
+    k2 = extend.polynomial_S_solve(r2.A, r2.B, r2.S)[0]
     k = k1.promote(out.conductor) * k2.promote(out.conductor)
     assert out.S == (out.A @ out.B).scalar_mul(k)
 
