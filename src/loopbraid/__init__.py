@@ -18,7 +18,6 @@ from .linalg import (
     CMatrix,
     FieldPoly,
     algebra_dimension,
-    eigenprojectors_order3,
     is_proportional,
     solve_linear,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "CMatrix",
     "FieldPoly",
     "algebra_dimension",
-    "eigenprojectors_order3",
     "is_proportional",
     "solve_linear",
     "GroupKind",

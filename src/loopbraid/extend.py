@@ -6,7 +6,10 @@ A standard extension of a braid pair (A, B) sends s_1 s_2 to S = k*A*B.
 Existence is equivalent to (AB)^3 = k^-3 I together with Tr(kAB) being a
 rational integer; the toolkit must additionally manage the field of
 definition, so k is searched inside the working cyclotomic field and a
-structured empty result tells the caller how to proceed.
+structured empty result tells the caller how to proceed.  One helper,
+`_k_cube_roots`, cubes AB and takes the cube roots of (AB)^-3 in the
+field; `standard_k_candidates`, behind `extend`, `analyze`, `sweep` and
+the VB3 lift, keeps the roots k with Tr(kAB) in Z.
 
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
 step, `_complete`, whether S = kAB (`build_standard_extension` and the
@@ -20,9 +23,10 @@ a given S1 completes S is the S3 relation table itself
 Every S with SA = BS is a combination of E_k = B^k AB when B is cyclic.
 `_basis_matrices` checks that hypothesis and builds the E_k; it is the
 one S-space for `polynomial_S_solve` and for `certify_no_extension`,
-which builds it once and hands the same list to its candidate checks and
-to `numeric_cubic_oracle`.  A polynomial S is its coefficient tuple over
-that list.
+which builds it once and hands the same list to its candidates, its
+candidate checks and `numeric_cubic_oracle`.  A polynomial S is its
+coefficient tuple over that list.  `default_polynomial_candidates` reads
+AB as basis[0] and takes k from `_k_cube_roots`.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
 # ---------------------------------------------------------------------------
-# standard k-candidates and the trace-power test
+# standard k-candidates
 # ---------------------------------------------------------------------------
 
 
@@ -86,18 +90,33 @@ class StandardKSearch:
         return self.k_cubed is not None
 
 
+def _k_cube_roots(ab: CMatrix) -> tuple[CycNum | None, list[CycNum]]:
+    """k^3 = (AB)^-3 and its cube roots in the field of AB, in
+    `nth_root_in_field`'s order; (None, []) when (AB)^3 is not scalar.
+
+    The one k-search, behind `standard_k_candidates` and
+    `default_polynomial_candidates`.
+    """
+    c = ab.matpow(3).is_scalar()
+    if c is None:
+        return None, []
+    k_cubed = c.inv()
+    return k_cubed, nth_root_in_field(k_cubed, 3)
+
+
 def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     """All k in the working field making S = kAB a standard-extension seed.
 
-    At most one candidate exists when Tr(kAB) != 0 and at most three
-    (differing by a cube root of unity) when the trace vanishes.
+    The roots of `_k_cube_roots(AB)` with Tr(kAB) a rational integer.  At
+    most one candidate exists when Tr(kAB) != 0 and at most three
+    (differing by a cube root of unity) when the trace vanishes.  The
+    reason for an empty result is looked for here alone, since its check at
+    conductor 3N may factor.
     """
     ab = a @ b
-    c = ab.matpow(3).is_scalar()
-    if c is None:
+    k_cubed, roots = _k_cube_roots(ab)
+    if k_cubed is None:
         return StandardKSearch([], reason="cube-not-scalar")
-    k_cubed = c.inv()
-    roots = nth_root_in_field(k_cubed, 3)
     if not roots:
         if _rational_part_is_noncube(k_cubed):
             return StandardKSearch([], k_cubed=k_cubed, reason="not-cyclotomic")
@@ -132,33 +151,6 @@ def _rational_part_is_noncube(x: CycNum) -> bool:
         if q is not None:
             return rational_nth_root(q, 3) is None
     return False
-
-
-def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
-    """The power-trace form of the existence criterion.
-
-    Checks that AB is diagonalizable (squarefree minimal polynomial) and
-    that Tr((AB)^l) equals k^-l * m for l <= dim not divisible by 3 (with a
-    single integer m) and k^-l * dim for l divisible by 3.
-    """
-    (a, b, k), n = common_field(a, b, k)
-    ab = a @ b
-    if not ab.is_diagonalizable():
-        return False
-    d = a.dim
-    m = (k * ab.trace()).as_integer()
-    if m is None:
-        return False
-    kinv = k.inv()
-    power = CMatrix.identity(d, n)
-    kpow = CycNum.one(n)
-    for ell in range(1, d + 1):
-        power = power @ ab
-        kpow = kpow * kinv
-        expected = kpow * (d if ell % 3 == 0 else m)
-        if power.trace() != expected:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -583,34 +575,31 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
 # ---------------------------------------------------------------------------
 
 
-def default_polynomial_candidates(a: CMatrix, b: CMatrix) -> list[tuple[CycNum, ...]]:
+def default_polynomial_candidates(basis: list[CMatrix]) -> list[tuple[CycNum, ...]]:
     """The cube-scaled families q k AB and q k^2 B^2 AB for q^3 = 1, each
-    as its coefficients over `_basis_matrices`.
+    as its coefficients over the `_basis_matrices` list `basis`.
 
-    These exhaust the solutions of S^3 = I in the polynomial family for
-    the six-dimensional counterexample (and are the natural suspects in
+    AB is basis[0], whose field must hold omega, and k = k0 is the first
+    root of `_k_cube_roots(AB)`, the search `standard_k_candidates` runs.
+    For q = 1, omega, omega^2 in turn: q k0 on E_0, then q k0^2 on E_2
+    when d >= 3.  Empty when k^3 has no cube root in the field.  These
+    exhaust the solutions of S^3 = I in the polynomial family for the
+    six-dimensional counterexample (and are the natural suspects in
     general once (AB)^3 is scalar).
     """
-    (a, b), n = common_field(a, b, extra=3)
-    d = a.dim
-    c = (a @ b).matpow(3).is_scalar()
-    if c is None:
+    n, d = basis[0].conductor, len(basis)
+    k_cubed, roots = _k_cube_roots(basis[0])
+    if k_cubed is None:
         raise ConstraintViolated("(AB)^3 must be scalar")
-    roots = nth_root_in_field(c.inv(), 3)
     if not roots:
         return []
     k0 = roots[0]
-    w = omega(n)
-    zero = CycNum.zero(n)
+    w, zero = omega(n), CycNum.zero(n)
     out = []
     for q in (CycNum.one(n), w, w * w):
-        coeffs = [zero] * d
-        coeffs[0] = q * k0
-        out.append(tuple(coeffs))
+        out.append((q * k0, *[zero] * (d - 1)))
         if d >= 3:
-            coeffs = [zero] * d
-            coeffs[2] = q * k0 * k0
-            out.append(tuple(coeffs))
+            out.append((zero, zero, q * k0 * k0, *[zero] * (d - 3)))
     return out
 
 
@@ -656,7 +645,7 @@ def certify_no_extension(
     _check_oracle_options(a.dim, starts, tol, cluster_radius)
     (a, b), n = common_field(a, b, extra=3)
     basis = _basis_matrices(a, b)
-    cands = default_polynomial_candidates(a, b)
+    cands = default_polynomial_candidates(basis)
     ident = CMatrix.identity(a.dim, n)
     verdicts = []
     for coeffs in cands:

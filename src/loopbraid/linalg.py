@@ -21,11 +21,10 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, _field, _mul_num, _new, omega, packed_product
+from .cyclotomic import CycNum, _field, _mul_num, _new, packed_product
 from .errors import (
     ConductorMismatch,
     DimMismatch,
-    NotOrderThree,
     SingularMatrix,
 )
 
@@ -565,34 +564,6 @@ def is_proportional(x: CMatrix, y: CMatrix) -> bool:
     return matrix_rank([x.flatten(), y.flatten()]) <= 1
 
 
-# -- spectral helpers for order-3 operators -----------------------------------
-
-
-def eigenprojectors_order3(s: CMatrix) -> tuple[CMatrix, CMatrix, CMatrix]:
-    """Lagrange projectors (P_1, P_w, P_w2) of an operator with S^3 = I.
-
-    Requires the conductor to be divisible by 3 so that w lives in the
-    field.  P_l = prod_{u != l} (S - u I)/(l - u); they are idempotent,
-    mutually orthogonal and sum to the identity.
-    """
-    if s.conductor % 3 != 0:
-        raise ConductorMismatch(
-            "eigenprojectors need omega: promote S to a conductor divisible by 3"
-        )
-    ident = CMatrix.identity(s.dim, s.conductor)
-    if s.matpow(3) != ident:
-        raise NotOrderThree("S^3 != I")
-    w = omega(s.conductor)
-    w2 = w * w
-    one = CycNum.one(s.conductor)
-    s2 = s @ s
-    # (S - wI)(S - w2 I) = S^2 + S + I and (1 - w)(1 - w2) = 3, etc.
-    p1 = (s2 + s + ident).scalar_mul((3 * one).inv())
-    pw = (s2 + w * s + w2 * ident).scalar_mul((3 * w2).inv())
-    pw2 = (s2 + w2 * s + w * ident).scalar_mul((3 * w).inv())
-    return p1, pw, pw2
-
-
 def _span_closure(mats, mul, insert, full: int) -> int:
     """Size of the span of all words in the generators mats[1:], the
     identity mats[0] being the empty word; matrices are lists of rows.
@@ -600,8 +571,10 @@ def _span_closure(mats, mul, insert, full: int) -> int:
     Seed the span with the identity and the generators, and the frontier
     with the generators alone (g times the identity is g).  Then multiply
     each element that entered the span by every generator, until the span
-    stabilizes (capped at full + 1 rounds) or reaches full.  insert(v) adds
-    the flattened matrix v to the span and says whether it was independent.
+    stabilizes or reaches full.  A round that continues has added at least
+    one independent vector, so fewer than full rounds run and no cap is
+    needed.  insert(v) adds the flattened matrix v to the span and says
+    whether it was independent.
     """
 
     def enter(m) -> bool:
@@ -611,9 +584,7 @@ def _span_closure(mats, mul, insert, full: int) -> int:
     size = int(enter(ident))
     frontier = [g for g in gens if enter(g)]
     size += len(frontier)
-    rounds = 0
-    while frontier and size < full and rounds <= full:
-        rounds += 1
+    while frontier and size < full:
         new_frontier = []
         for mat in frontier:
             for g in gens:

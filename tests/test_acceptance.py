@@ -16,10 +16,11 @@ from loopbraid.cyclotomic import CycNum
 from loopbraid.linalg import (
     CMatrix,
     algebra_dimension,
-    eigenprojectors_order3,
     is_proportional,
 )
 from loopbraid.repcore import GroupKind, verify
+
+from order3_support import eigenprojectors_order3
 
 DRAWS = 25
 

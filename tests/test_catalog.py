@@ -17,10 +17,11 @@ from loopbraid.errors import (
 from loopbraid.linalg import (
     CMatrix,
     algebra_dimension,
-    eigenprojectors_order3,
     is_proportional,
 )
 from loopbraid.repcore import GroupKind, verify
+
+from order3_support import eigenprojectors_order3
 
 
 # -- tw2 ----------------------------------------------------------------------

@@ -27,9 +27,10 @@ from loopbraid.errors import (
     NotOrderThree,
     WrongForm,
 )
-from loopbraid.linalg import CMatrix, eigenprojectors_order3, is_proportional, matrix_rank
+from loopbraid.linalg import CMatrix, is_proportional, matrix_rank
 from loopbraid.repcore import GroupKind, relation_holds, verify
 from loopbraid.sampling import (
+    draw_binomial,
     draw_tw2,
     draw_tw3,
     draw_tw4,
@@ -37,6 +38,8 @@ from loopbraid.sampling import (
     rand_rational,
     rng_for,
 )
+
+from order3_support import eigenprojectors_order3
 
 
 TW4 = ([1, 2, 3, Fraction(2, 3)], 2)  # gamma^2 = 2, k = -1/2
@@ -107,30 +110,58 @@ def test_k_candidates_cube_not_scalar():
     assert not res.cube_is_scalar and res.reason == "cube-not-scalar"
 
 
-# -- trace_power_test -------------------------------------------------------------
+# -- the power-trace criterion -----------------------------------------------------
+
+
+def trace_power_test(a: CMatrix, b: CMatrix, k: CycNum) -> bool:
+    """The power-trace form of the existence criterion, the reference for the
+    tests below.
+
+    Checks that AB is diagonalizable (squarefree minimal polynomial) and
+    that Tr((AB)^l) equals k^-l * m for l <= dim not divisible by 3 (with a
+    single integer m) and k^-l * dim for l divisible by 3.
+    """
+    (a, b, k), n = common_field(a, b, k)
+    ab = a @ b
+    if not ab.is_diagonalizable():
+        return False
+    d = a.dim
+    m = (k * ab.trace()).as_integer()
+    if m is None:
+        return False
+    kinv = k.inv()
+    power = CMatrix.identity(d, n)
+    kpow = CycNum.one(n)
+    for ell in range(1, d + 1):
+        power = power @ ab
+        kpow = kpow * kinv
+        expected = kpow * (d if ell % 3 == 0 else m)
+        if power.trace() != expected:
+            return False
+    return True
 
 
 def test_trace_power_test_tw5():
     rep = catalog.tw5(*TW5)
     k = CycNum.from_rational(4, rep.conductor)  # gamma^-2
-    assert extend.trace_power_test(rep.A, rep.B, k)
+    assert trace_power_test(rep.A, rep.B, k)
     s = (rep.A @ rep.B).scalar_mul(k)
     assert s.matpow(3).trace() == 5  # Tr((gamma^-2 AB)^3) = dim
-    assert not extend.trace_power_test(rep.A, rep.B, k * 2)
+    assert not trace_power_test(rep.A, rep.B, k * 2)
 
 
 def test_trace_power_test_joins_fields():
     # k from a larger field, or a plain rational, meets A and B in one field
     rep = catalog.tw5(*TW5)
     assert rep.conductor == 1
-    assert extend.trace_power_test(rep.A, rep.B, CycNum.from_rational(4, 12))
-    assert extend.trace_power_test(rep.A, rep.B, 4)
-    assert not extend.trace_power_test(rep.A, rep.B, omega(3) * 4)
+    assert trace_power_test(rep.A, rep.B, CycNum.from_rational(4, 12))
+    assert trace_power_test(rep.A, rep.B, 4)
+    assert not trace_power_test(rep.A, rep.B, omega(3) * 4)
 
 
 def test_trace_power_test_rejects_nondiagonalizable():
     j = CMatrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 1)
-    assert not extend.trace_power_test(j, j, CycNum.one(1))
+    assert not trace_power_test(j, j, CycNum.one(1))
 
 
 def test_trace_power_test_agrees_with_search():
@@ -139,7 +170,7 @@ def test_trace_power_test_agrees_with_search():
         rep, _ = draw_tw4(rng)
         res = extend.standard_k_candidates(rep.A, rep.B)
         for k, _m in res.candidates:
-            assert extend.trace_power_test(rep.A, rep.B, k)
+            assert trace_power_test(rep.A, rep.B, k)
 
 
 # -- build_standard_extension -------------------------------------------------------
@@ -771,12 +802,94 @@ def test_certify_without_candidates_claims_nothing():
 def test_certify_reports_a_cluster_no_candidate_matches(monkeypatch):
     rep = catalog.counterexample6()
     cands = extend.default_polynomial_candidates
-    monkeypatch.setattr(extend, "default_polynomial_candidates", lambda a, b: cands(a, b)[1:])
+    monkeypatch.setattr(extend, "default_polynomial_candidates", lambda basis: cands(basis)[1:])
     report = extend.certify_no_extension(rep.A, rep.B, starts=200, seed=3)
     assert len(report.candidates) == 5
     assert report.exact_steps_pass and report.all_traces_non_integer
     assert not report.oracle_exhaustive
     assert report.verdict == "inconclusive: oracle found unmatched solution clusters"
+
+
+def _promoted_basis(rep):
+    """The S-space basis of the omega-promoted pair, as `certify` builds it."""
+    (a, b), n = common_field(rep.A, rep.B, extra=3)
+    return a, b, extend._basis_matrices(a, b)
+
+
+def _n12_pair():
+    z12 = make_root_of_unity(12, 1)
+    return catalog.tw3(z12, z12**2, z12**9)
+
+
+@pytest.mark.parametrize("rep", [catalog.counterexample6(), _n12_pair()], ids=["c6", "n12"])
+def test_certify_candidates_come_in_a_fixed_order(rep):
+    # k0 is the first sorted cube root of k^3 = (AB)^-3; for q = 1, w, w^2
+    # in turn: q k0 on E_0, then q k0^2 on E_2.  Each oracle cluster names
+    # its nearest candidate by index, so the order is part of the report.
+    a, b, basis = _promoted_basis(rep)
+    d, n = a.dim, a.conductor
+    k_cubed = (a @ b).matpow(3).rows[0][0].inv()
+    k0 = nth_root_in_field(k_cubed, 3)[0]
+    w, zero = omega(n), CycNum.zero(n)
+    expected = []
+    for q in (CycNum.one(n), w, w * w):
+        expected.append(tuple(q * k0 if i == 0 else zero for i in range(d)))
+        expected.append(tuple(q * k0 * k0 if i == 2 else zero for i in range(d)))
+    assert extend.default_polynomial_candidates(basis) == expected
+    report = extend.certify_no_extension(rep.A, rep.B, starts=20, seed=0)
+    assert [v.coefficients for v in report.candidates] == expected
+
+
+def _k_search_pairs():
+    yield catalog.counterexample6()
+    yield _n12_pair()
+    yield catalog.tw3(1, 2, 3)  # no cube root in the field: both lists empty
+    for draw in (draw_tw3, draw_tw4, draw_tw5, draw_binomial):
+        rng = rng_for(5)
+        for _ in range(6):
+            yield draw(rng)[0]
+
+
+def test_extend_and_certify_take_k_from_one_search():
+    checked = 0
+    for rep in _k_search_pairs():
+        a, b = common_field(rep.A, rep.B, extra=3)[0]
+        if not b.is_cyclic():
+            continue
+        basis = extend._basis_matrices(a, b)
+        cands = extend.default_polynomial_candidates(basis)
+        cube = basis[0].matpow(3)
+        slot0 = [c[0] for c in cands if not c[0].is_zero]
+        for k in slot0:
+            # k^3 (AB)^3 = I, read off the definition
+            assert cube.scalar_mul(k * k * k) == CMatrix.identity(a.dim, a.conductor)
+        integer = [
+            c[0]
+            for c in cands
+            if not c[0].is_zero
+            and extend._combination(c, basis).trace().as_integer() is not None
+        ]
+        # the same k's; certify lists them as q k0, the search in root order
+        search = extend.standard_k_candidates(a, b)
+        assert len(integer) == len(search.candidates)
+        assert set(integer) == {k for k, _ in search.candidates}
+        checked += 1
+    assert checked == 27
+
+
+def test_certify_candidates_form_no_product_with_a_or_b(monkeypatch):
+    a, b, basis = _promoted_basis(catalog.counterexample6())
+    matmul = CMatrix.__matmul__
+    operands = []
+
+    def recording(x, y):
+        operands.extend((x, y))
+        return matmul(x, y)
+
+    monkeypatch.setattr(CMatrix, "__matmul__", recording)
+    cands = extend.default_polynomial_candidates(basis)
+    assert len(cands) == 6
+    assert not any(m == a or m == b for m in operands)
 
 
 def test_certify_min_poly_guard():

@@ -17,11 +17,12 @@ from loopbraid.linalg import (
     CMatrix,
     FieldPoly,
     algebra_dimension,
-    eigenprojectors_order3,
     is_proportional,
     matrix_rank,
     solve_linear,
 )
+
+from order3_support import eigenprojectors_order3
 
 
 def rand_matrix(rng, d, n=1, height=3):

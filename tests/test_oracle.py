@@ -52,11 +52,11 @@ def test_oracle_deterministic_under_seed():
 
 def test_oracle_matches_exact_candidates():
     rep = catalog.counterexample6()
-    cands = extend.default_polynomial_candidates(rep.A, rep.B)
+    (a, b), _ = common_field(rep.A, rep.B, extra=3)
+    basis = extend._basis_matrices(a, b)
+    cands = extend.default_polynomial_candidates(basis)
     assert len(cands) == 6
-    report = extend.numeric_cubic_oracle(
-        extend._basis_matrices(rep.A, rep.B), starts=500, seed=4, exact_candidates=cands
-    )
+    report = extend.numeric_cubic_oracle(basis, starts=500, seed=4, exact_candidates=cands)
     assert report.clusters
     for c in report.clusters:
         assert c.nearest_candidate is not None
@@ -239,11 +239,12 @@ def test_certify_runs_the_public_oracle(monkeypatch):
         rep.A, rep.B, starts=50, tol=1e-10, cluster_radius=1e-7, seed=3
     )
     (a, b), _ = common_field(rep.A, rep.B, extra=3)
-    cands = extend.default_polynomial_candidates(a, b)
+    basis = extend._basis_matrices(a, b)
+    cands = extend.default_polynomial_candidates(basis)
     assert len(cands) == 6
     assert calls == [
         {
-            "basis": extend._basis_matrices(a, b),
+            "basis": basis,
             "starts": 50,
             "tol": 1e-10,
             "cluster_radius": 1e-7,
