@@ -3,8 +3,9 @@
 Subcommands: construct, verify, extend, analyze, certify, sweep.  Scalars
 are written as CYC literals: a rational ("3/2", "-2"), a root of unity
 ("z12^5" is zeta_12^5), or a product ("-1/2*z3").  Reports are JSON on
-stdout or --out, embed the toolkit version and the input file hash, and
-are byte-identical for identical inputs and seed.
+stdout or --out, embed the toolkit version and the SHA-256 of the input
+bytes the command parsed, and are byte-identical for identical inputs and
+seed.
 
 Exit codes: 0 success, 1 relation violation, 2 bad input, 3 no extension.
 """
@@ -60,13 +61,6 @@ def _seed_default(args_seed: int | None) -> int:
     return int(env) if env else 0
 
 
-def _file_sha256(path: str | None) -> str | None:
-    if path is None:
-        return None
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _emit(payload, out: str | None) -> None:
     """Write a report: domain objects take their wire formats here."""
     text = dumps(report_to_obj(payload))
@@ -77,23 +71,24 @@ def _emit(payload, out: str | None) -> None:
         print(text)
 
 
-def _load_rep(path: str, need_pair: bool = False) -> LBRep:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise MalformedInput("input nests too deeply") from None
+def _load_rep(path: str, need_pair: bool = False) -> tuple[LBRep, dict]:
+    """The one read of an input file: its representation, and the report's
+    meta naming the SHA-256 of the bytes parsed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        # decoded first: json.loads of bytes would accept a UTF-8 BOM
+        obj = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise MalformedInput("input nests too deeply") from None
     rep = rep_from_obj(obj)
     if need_pair and (rep.A is None or rep.B is None):
         raise ValueError("input has no braid pair A, B")
-    return rep
+    return rep, _meta(hashlib.sha256(raw).hexdigest())
 
 
-def _meta(input_path: str | None) -> dict:
-    return {
-        "toolkit_version": __version__,
-        "input_sha256": _file_sha256(input_path),
-    }
+def _meta(input_sha256: str | None) -> dict:
+    return {"toolkit_version": __version__, "input_sha256": input_sha256}
 
 
 # -- construct ---------------------------------------------------------------
@@ -153,10 +148,10 @@ def _req(value, flag: str):
 
 
 def _cmd_verify(args) -> int:
-    rep = _load_rep(args.file)
+    rep, meta = _load_rep(args.file)
     report = verify(rep, GroupKind[args.group])
     payload = {
-        "meta": _meta(args.file),
+        "meta": meta,
         "group": args.group,
         "verdicts": report.verdicts,
         "all_hold": report.all_hold,
@@ -170,17 +165,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    rep = _load_rep(args.file, need_pair=True)
+    rep, meta = _load_rep(args.file, need_pair=True)
     if args.mode == "standard":
-        return _extend_standard(rep, args)
+        return _extend_standard(rep, meta, args)
     if args.mode == "nonstandard3":
-        return _extend_nonstandard3(rep, args)
+        return _extend_nonstandard3(rep, meta, args)
     if args.mode == "vb3":
-        return _extend_vb3(rep, args)
+        return _extend_vb3(rep, meta, args)
     raise ValueError(f"unknown mode {args.mode!r}")
 
 
-def _extend_standard(rep: LBRep, args) -> int:
+def _extend_standard(rep: LBRep, meta: dict, args) -> int:
     search = extend.standard_k_candidates(rep.A, rep.B)
     if not search.candidates:
         reason = {
@@ -208,7 +203,7 @@ def _extend_standard(rep: LBRep, args) -> int:
         k = search.candidates[0][0]
     built, cert = extend.build_standard_extension(rep.A, rep.B, k)
     payload = {
-        "meta": _meta(args.file),
+        "meta": meta,
         "mode": "standard",
         "representation": built,
         "certificate": cert,
@@ -218,7 +213,7 @@ def _extend_standard(rep: LBRep, args) -> int:
     return 0
 
 
-def _extend_nonstandard3(rep: LBRep, args) -> int:
+def _extend_nonstandard3(rep: LBRep, meta: dict, args) -> int:
     if rep.A.dim != 3:
         raise ValueError("nonstandard3 mode needs a 3-dimensional braid pair")
     l1, l2, l3 = (rep.A.rows[i][i] for i in range(3))
@@ -234,7 +229,7 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
     z = parse_scalar(_req(args.z, "--z"))
     built = catalog.nonstandard_3d(l1, l2, z, sign=args.sign)
     payload = {
-        "meta": _meta(args.file),
+        "meta": meta,
         "mode": "nonstandard3",
         "z": z,
         "sign": args.sign,
@@ -245,7 +240,7 @@ def _extend_nonstandard3(rep: LBRep, args) -> int:
     return 0
 
 
-def _extend_vb3(rep: LBRep, args) -> int:
+def _extend_vb3(rep: LBRep, meta: dict, args) -> int:
     if rep.S1 is None or rep.S2 is None:
         raise ValueError("vb3 mode needs a verified LB3 representation")
     if not verify(rep, GroupKind.LB3).all_hold:
@@ -260,7 +255,7 @@ def _extend_vb3(rep: LBRep, args) -> int:
         k = search.candidates[0][0]
     built = extend.vb3_lift(rep, k)
     payload = {
-        "meta": _meta(args.file),
+        "meta": meta,
         "mode": "vb3",
         "k": k,
         "representation": built,
@@ -274,7 +269,7 @@ def _extend_vb3(rep: LBRep, args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    rep = _load_rep(args.file)
+    rep, meta = _load_rep(args.file)
     sections = {}
     run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
     pair = rep.A is not None and rep.B is not None
@@ -312,7 +307,7 @@ def _cmd_analyze(args) -> int:
             "candidates": [{"k": k, "m": m} for k, m in search.candidates],
             "reason": search.reason,
         }
-    payload = {"meta": _meta(args.file), "analysis": sections}
+    payload = {"meta": meta, "analysis": sections}
     _emit(payload, args.out)
     return 0
 
@@ -321,7 +316,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    rep = _load_rep(args.file, need_pair=True)
+    rep, meta = _load_rep(args.file, need_pair=True)
     report = extend.certify_no_extension(
         rep.A,
         rep.B,
@@ -330,7 +325,7 @@ def _cmd_certify(args) -> int:
         cluster_radius=args.cluster_radius,
         seed=_seed_default(args.seed),
     )
-    payload = {"meta": _meta(args.file), "report": report}
+    payload = {"meta": meta, "report": report}
     _emit(payload, args.out)
     return 0
 

@@ -5,11 +5,12 @@ no-extension certification with its numeric exhaustiveness oracle.
 A standard extension of a braid pair (A, B) sends s_1 s_2 to S = k*A*B.
 Existence is equivalent to (AB)^3 = k^-3 I together with Tr(kAB) being a
 rational integer; the toolkit must additionally manage the field of
-definition, so k is searched inside the working cyclotomic field and a
-structured empty result tells the caller how to proceed.  One helper,
-`_k_cube_roots`, cubes AB and takes the cube roots of (AB)^-3 in the
-field; `standard_k_candidates`, behind `extend`, `analyze`, `sweep` and
-the VB3 lift, keeps the roots k with Tr(kAB) in Z.
+definition, so k is searched inside the working cyclotomic field, the
+input's with omega adjoined, and a structured empty result tells the
+caller how to proceed.  One helper, `_k_cube_roots`, cubes AB and takes
+the cube roots of (AB)^-3 in the field; `standard_k_candidates`, behind
+`extend`, `analyze`, `sweep` and the VB3 lift, keeps the roots k with
+Tr(kAB) in Z.
 
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
 step, `_complete`, whether S = kAB (`build_standard_extension` and the
@@ -58,7 +59,7 @@ from .errors import (
     TraceZero,
     WrongForm,
 )
-from .linalg import CMatrix, Vector, _mod_p_first, solve_linear
+from .linalg import CMatrix, Vector, _mod_p_first, matrix_rank, solve_linear
 from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
@@ -75,9 +76,9 @@ class StandardKSearch:
     and Tr(kAB) = m a rational integer.  When empty, `reason` is one of
     "cube-not-scalar", "not-cyclotomic" (k^3 is a rational non-cube times
     a root of unity, so no cyclotomic field holds k), "no-root-in-field"
-    (suggested_conductor is set only when Q(zeta_3N) is confirmed to hold
-    k) or "no-integer-trace"; k_cubed records the required value of k^3
-    whenever (AB)^3 is scalar.
+    (suggested_conductor is set only when Q(zeta_3n) is confirmed to hold
+    k, n the working conductor) or "no-integer-trace"; k_cubed records the
+    required value of k^3 whenever (AB)^3 is scalar.
     """
 
     candidates: list[tuple[CycNum, int]]
@@ -107,12 +108,15 @@ def _k_cube_roots(ab: CMatrix) -> tuple[CycNum | None, list[CycNum]]:
 def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     """All k in the working field making S = kAB a standard-extension seed.
 
-    The roots of `_k_cube_roots(AB)` with Tr(kAB) a rational integer.  At
-    most one candidate exists when Tr(kAB) != 0 and at most three
-    (differing by a cube root of unity) when the trace vanishes.  The
-    reason for an empty result is looked for here alone, since its check at
-    conductor 3N may factor.
+    The working field is Q(zeta_n), n = lcm(N, 3): the input's field with
+    omega adjoined, where every builder and `certify_no_extension` work, so
+    every command lists the same k's.  The roots of `_k_cube_roots(AB)`
+    with Tr(kAB) a rational integer.  At most one candidate exists when
+    Tr(kAB) != 0 and at most three (differing by a cube root of unity) when
+    the trace vanishes.  The reason for an empty result is looked for here
+    alone, since its check at conductor 3n may factor.
     """
+    (a, b), _ = common_field(a, b, extra=3)
     ab = a @ b
     k_cubed, roots = _k_cube_roots(ab)
     if k_cubed is None:
@@ -411,7 +415,7 @@ def polynomial_S_solve(a: CMatrix, b: CMatrix, s: CMatrix) -> tuple[CycNum, ...]
     is outside their span (NoSolution).
     """
     basis = _basis_matrices(a, b)
-    if s.det().is_zero:
+    if matrix_rank(s.rows) < s.dim:
         raise SingularMatrix("S must be invertible")
     sol = solve_linear(_entry_columns(basis), list(s.flatten()))
     if sol is None:
@@ -854,12 +858,15 @@ def numeric_cubic_oracle(
     double-precision complex arithmetic; converged solutions are
     clustered by max-norm radius and each cluster reports its trace and
     the nearest exact candidate, a coefficient tuple over the same basis.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  The basis must hold d matrices of
+    size d x d (DimMismatch otherwise).
     """
     import numpy as np
 
-    d = len(basis)
+    d = basis[0].dim
     _check_oracle_options(d, starts, tol, cluster_radius)
+    if len(basis) != d:
+        raise DimMismatch(f"oracle needs {d} basis matrices of size {d}, got {len(basis)}")
     e = np.stack(
         [
             np.array(

@@ -1,12 +1,14 @@
 """CLI exit codes, report determinism, scalar literals."""
 
+import builtins
+import codecs
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from loopbraid import catalog
+from loopbraid import catalog, extend
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.linalg import CMatrix
@@ -286,9 +288,11 @@ def test_requested_analyze_section_says_why_it_is_unavailable(
 
 @pytest.fixture(scope="module")
 def malformed_inputs(tmp_path_factory):
-    """The four bad files: a rep without a target, a matrix entry written
-    as [[1]], an extend report in place of a representation, and an entry
-    with a huge prime conductor (10^18 + 9) but a single coefficient."""
+    """The bad files: a rep without a target, a matrix entry written as
+    [[1]], an extend report in place of a representation, an entry with a
+    huge prime conductor (10^18 + 9) but a single coefficient, a valid rep
+    behind a UTF-8 BOM or behind a byte that is not UTF-8, a missing file
+    and a directory."""
     root = tmp_path_factory.mktemp("malformed")
     rep_file = root / "tw4.json"
     report_file = root / "report.json"
@@ -306,11 +310,19 @@ def malformed_inputs(tmp_path_factory):
     }
     for name, obj in files.items():
         (root / f"{name}.json").write_text(json.dumps(obj))
+    good = rep_file.read_bytes()
+    (root / "bom.json").write_bytes(codecs.BOM_UTF8 + good)
+    (root / "not-utf8.json").write_bytes(b"\xff" + good)
+    (root / "directory.json").mkdir()
     return root
 
 
 @pytest.mark.parametrize(
-    "name", ["null-A", "list-entry", "extend-report", "huge-conductor"]
+    "name",
+    [
+        "null-A", "list-entry", "extend-report", "huge-conductor",
+        "bom", "not-utf8", "missing", "directory",
+    ],
 )
 @pytest.mark.parametrize(
     "command",
@@ -342,6 +354,70 @@ def test_commands_needing_a_braid_pair_exit_2(tmp_path, capsys):
         code, out = run(["analyze", str(rep_file)], capsys)
         assert code == 0
         assert set(json.loads(out)["analysis"]) == {"irreducible"}
+
+
+@pytest.mark.parametrize(
+    "construct, command",
+    [
+        (TW4_ARGS, ["verify", "--group", "B3"]),
+        (TW4_ARGS, ["extend"]),
+        (["tw3", "--lambda", "1", "1", "-1"], ["extend", "--mode", "nonstandard3", "--z", "2"]),
+        (["perm3", "--t", "8"], ["extend", "--mode", "vb3"]),
+        (TW4_ARGS, ["analyze"]),
+        (TW4_ARGS, ["certify", "--starts", "10"]),
+    ],
+    ids=["verify", "extend", "extend-nonstandard3", "extend-vb3", "analyze", "certify"],
+)
+def test_each_command_opens_its_input_once(tmp_path, capsys, monkeypatch, construct, command):
+    rep_file = str(tmp_path / "rep.json")
+    assert main(["construct", *construct, "--out", rep_file]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def recording(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording)
+    assert main([command[0], rep_file, *command[1:]]) == 0
+    assert opened.count(rep_file) == 1
+    capsys.readouterr()
+
+
+def test_input_hash_names_the_bytes_parsed(tmp_path, capsys, monkeypatch):
+    # the file grows while the command runs: the report still names the
+    # bytes it analysed
+    rep_file = tmp_path / "tw4.json"
+    assert main(["construct", *TW4_ARGS, "--out", str(rep_file)]) == 0
+    parsed = rep_file.read_bytes()
+    search = extend.standard_k_candidates
+
+    def appending(a, b):
+        with open(rep_file, "ab") as fh:
+            fh.write(b"\n")
+        return search(a, b)
+
+    monkeypatch.setattr(extend, "standard_k_candidates", appending)
+    capsys.readouterr()
+    code, out = run(["analyze", str(rep_file)], capsys)
+    assert code == 0
+    assert rep_file.read_bytes() != parsed
+    assert json.loads(out)["meta"]["input_sha256"] == hashlib.sha256(parsed).hexdigest()
+
+
+def test_analyze_says_why_the_commutator_and_polynomial_routes_fail(tmp_path, capsys):
+    # abeq at n = 3 is LB3 with A = B, and B is not cyclic
+    rep_file = str(tmp_path / "abeq3.json")
+    abeq = ["abeq", "--n", "3", "--mu", "4", "--sqrt-mu", "2"]
+    assert main(["construct", *abeq, "--out", rep_file]) == 0
+    capsys.readouterr()
+    code, out = run(["analyze", rep_file], capsys)
+    assert code == 0
+    sections = json.loads(out)["analysis"]
+    assert sections["slb3"]["commutator"] == (
+        "hypothesis unmet: commutator route needs min poly = char poly"
+    )
+    assert sections["polynomial_S"] == "unavailable: min poly of B must equal its char poly"
 
 
 GENERATORS = ("A", "B", "S1", "S2")
@@ -389,7 +465,8 @@ def test_extend_vb3_with_k(tmp_path, capsys):
 
 
 def test_extend_with_k_picks_one_of_three_candidates(tmp_path, capsys):
-    # Tr(AB) = 0 here, so the k-search finds three candidates k, k w, k w^2
+    # Tr(AB) = 0 here, so the k-search finds three candidates k, k w, k w^2;
+    # at N = 1 it adjoins omega, as the builder does, so w/16 is one of them
     rep_file = tmp_path / "n12.json"
     lam = ["z12", "(z12^2)", "(z12^9)"]
     assert main(["construct", "tw3", "--lambda", *lam, "--out", str(rep_file)]) == 0
@@ -401,6 +478,14 @@ def test_extend_with_k_picks_one_of_three_candidates(tmp_path, capsys):
     assert cycnum_from_obj(payload["certificate"]["k"]) == make_root_of_unity(12, 4)
     assert main(["extend", str(rep_file), "--k", "2"]) == 2
     assert "--k is not a valid candidate" in capsys.readouterr().err
+    n1_file = str(tmp_path / "n1.json")
+    assert main(["construct", "tw3", "--lambda", "(-4)", "(-4)", "(-4)", "--out", n1_file]) == 0
+    capsys.readouterr()
+    code, out = run(["extend", n1_file, "--k", "(1/16*z3)"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["candidate_count"] == 3
+    assert cycnum_from_obj(payload["certificate"]["k"]) == parse_scalar("(1/16*z3)")
 
 
 def test_extend_vb3_without_a_candidate_exits_3(tmp_path, capsys):

@@ -24,7 +24,9 @@ from loopbraid.errors import (
     EigenlineChosen,
     HypothesisUnmet,
     MinPolyMismatch,
+    NoSolution,
     NotOrderThree,
+    SingularMatrix,
     WrongForm,
 )
 from loopbraid.linalg import CMatrix, is_proportional, matrix_rank
@@ -84,6 +86,14 @@ def test_k_candidates_suggests_only_a_confirmed_conductor():
     assert extend.standard_k_candidates(
         a.promote(9), CMatrix.identity(3, 9)
     ).candidates
+    # k^3 is no rational times a root of unity, so no field is ruled out,
+    # and Q(zeta_36) holds no cube root of it: nothing is suggested
+    z12 = make_root_of_unity(12, 1)
+    rep = catalog.tw3(z12 + 1, 1, 1)
+    res = extend.standard_k_candidates(rep.A, rep.B)
+    assert not extend._rational_part_is_noncube(res.k_cubed)
+    assert res.candidates == []
+    assert (res.reason, res.suggested_conductor) == ("no-root-in-field", None)
 
 
 def test_k_candidates_counterexample_no_integer_trace():
@@ -593,6 +603,15 @@ def test_polynomial_solve_min_poly_guard():
         extend.polynomial_S_solve(ident, ident, CMatrix.zero(3, 1))
 
 
+def test_polynomial_solve_refuses_a_singular_s_and_one_outside_the_span():
+    rep = catalog.tw3(1, 2, 3)
+    with pytest.raises(SingularMatrix):
+        extend.polynomial_S_solve(rep.A, rep.B, CMatrix.zero(3, 1))
+    # I = p(B) AB would make (AB)^-1 commute with B
+    with pytest.raises(NoSolution):
+        extend.polynomial_S_solve(rep.A, rep.B, CMatrix.identity(3, 1))
+
+
 def test_one_cyclicity_check_for_both_users(monkeypatch):
     rep = catalog.abeq_family(3, 4, 2)
     assert not rep.B.is_cyclic()
@@ -810,6 +829,20 @@ def test_certify_reports_a_cluster_no_candidate_matches(monkeypatch):
     assert report.verdict == "inconclusive: oracle found unmatched solution clusters"
 
 
+def test_certify_verdict_when_a_candidate_fails_its_structure_checks(monkeypatch):
+    rep = catalog.counterexample6()
+    cands = extend.default_polynomial_candidates
+
+    def doubled_first(basis):
+        first, *rest = cands(basis)
+        return [tuple(c + c for c in first), *rest]
+
+    monkeypatch.setattr(extend, "default_polynomial_candidates", doubled_first)
+    report = extend.certify_no_extension(rep.A, rep.B, starts=50, seed=3)
+    assert not report.exact_steps_pass and report.all_traces_non_integer
+    assert report.verdict == "inconclusive: candidate structure checks failed"
+
+
 def _promoted_basis(rep):
     """The S-space basis of the omega-promoted pair, as `certify` builds it."""
     (a, b), n = common_field(rep.A, rep.B, extra=3)
@@ -844,6 +877,7 @@ def _k_search_pairs():
     yield catalog.counterexample6()
     yield _n12_pair()
     yield catalog.tw3(1, 2, 3)  # no cube root in the field: both lists empty
+    yield catalog.tw3(-4, -4, -4)  # N = 1 and Tr(AB) = 0: three k's with omega
     for draw in (draw_tw3, draw_tw4, draw_tw5, draw_binomial):
         rng = rng_for(5)
         for _ in range(6):
@@ -869,12 +903,13 @@ def test_extend_and_certify_take_k_from_one_search():
             if not c[0].is_zero
             and extend._combination(c, basis).trace().as_integer() is not None
         ]
-        # the same k's; certify lists them as q k0, the search in root order
-        search = extend.standard_k_candidates(a, b)
+        # the same k's; certify lists them as q k0, the search in root order.
+        # The search is given the pair as it comes: it adjoins omega itself
+        search = extend.standard_k_candidates(rep.A, rep.B)
         assert len(integer) == len(search.candidates)
         assert set(integer) == {k for k, _ in search.candidates}
         checked += 1
-    assert checked == 27
+    assert checked == 28
 
 
 def test_certify_candidates_form_no_product_with_a_or_b(monkeypatch):

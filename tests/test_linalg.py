@@ -266,7 +266,9 @@ def test_solve_powers_of_b_expansion():
 
     rep = catalog.tw3(1, 2, Fraction(27, 2))  # product = 27, k = 1/9 rational
     search = extend.standard_k_candidates(rep.A, rep.B)
+    # the search lists k with omega adjoined; read it back at N = 1
     k = next(k for k, m in search.candidates if k.is_rational)
+    k = CycNum.from_rational(k.as_rational(), 1)
     s = (rep.A @ rep.B).scalar_mul(k)
     target = s @ (rep.A @ rep.B).inverse()
     powers = [CMatrix.identity(3, rep.conductor), rep.B, rep.B @ rep.B]

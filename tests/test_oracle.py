@@ -50,6 +50,18 @@ def test_oracle_deterministic_under_seed():
         assert c1.centroid == c2.centroid
 
 
+def test_oracle_refuses_a_basis_whose_length_is_not_its_size():
+    # the oracle takes d matrices of size d x d; a basis of another length
+    # is refused with both numbers, before numpy sees it
+    rep = catalog.counterexample6()
+    basis = extend._basis_matrices(rep.A, rep.B)
+    with pytest.raises(DimMismatch, match="oracle needs 6 basis matrices of size 6, got 3"):
+        extend.numeric_cubic_oracle(basis[:3], starts=10)
+    rep = catalog.tw3(1, 2, 3)
+    with pytest.raises(DimMismatch, match="oracle needs 3 basis matrices of size 3, got 9"):
+        extend.numeric_cubic_oracle(extend._basis_matrices(rep.A, rep.B) * 3, starts=10)
+
+
 def test_oracle_matches_exact_candidates():
     rep = catalog.counterexample6()
     (a, b), _ = common_field(rep.A, rep.B, extra=3)
