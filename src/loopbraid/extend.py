@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .cyclotomic import (
     CycNum,
     common_field,
+    make_root_of_unity,
     nth_root_in_field,
     omega,
     packed_product,
@@ -114,7 +115,7 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     with Tr(kAB) a rational integer.  At most one candidate exists when
     Tr(kAB) != 0 and at most three (differing by a cube root of unity) when
     the trace vanishes.  The reason for an empty result is looked for here
-    alone, since its check at conductor 3n may factor.
+    alone, since its check for a root in Q(zeta_3n) may factor.
     """
     (a, b), _ = common_field(a, b, extra=3)
     ab = a @ b
@@ -124,12 +125,16 @@ def standard_k_candidates(a: CMatrix, b: CMatrix) -> StandardKSearch:
     if not roots:
         if _rational_part_is_noncube(k_cubed):
             return StandardKSearch([], k_cubed=k_cubed, reason="not-cyclotomic")
-        bigger = 3 * a.conductor
+        n = a.conductor
+        # 3 | n, so Q(zeta_3n) = Q(zeta_n)(zeta_n^(1/3)) is a Kummer
+        # extension: k^3 is a cube there iff k^3 zeta_n^-j is a cube in
+        # Q(zeta_n) for some j in {0, 1, 2}, and j = 0 has just failed
+        bigger = any(nth_root_in_field(k_cubed * make_root_of_unity(n, -j), 3) for j in (1, 2))
         return StandardKSearch(
             [],
             k_cubed=k_cubed,
             reason="no-root-in-field",
-            suggested_conductor=bigger if nth_root_in_field(k_cubed.promote(bigger), 3) else None,
+            suggested_conductor=3 * n if bigger else None,
         )
     tr = ab.trace()
     out = []
@@ -737,9 +742,12 @@ class OracleReport:
     clusters: list[OracleCluster]
 
 
-# starts per Newton block; it bounds the Newton step's temporaries, while
-# the start vectors, residuals and converged solutions grow with `starts`
-_ORACLE_BLOCK = 256
+# starts per Newton block, which runs all its sweeps before the next block
+# starts; it bounds the Newton step's temporaries, while the start vectors,
+# residuals and converged solutions grow with `starts`
+_ORACLE_BLOCK = 512
+# starts per conjugate Jacobian in `_normal_equations`
+_ORACLE_CHUNK = 128
 # Gauss-Newton steps per start
 _ORACLE_MAX_ITER = 80
 
@@ -812,6 +820,25 @@ def _cubic_jacobian(e):
     return p, linearize
 
 
+def _normal_equations(jt, f):
+    """J^H J and J^H F for a block of starts, batch last as `_solve_hpd`
+    takes them: (d, d, n) and (d, n).  J^H is formed for a chunk of
+    starts at a time, so that it never doubles the block's memory; a
+    start's products do not depend on the starts beside it."""
+    import numpy as np
+
+    n, d, _ = jt.shape
+    gram = np.empty((n, d, d), dtype=complex)
+    rhs = np.empty((n, d, 1), dtype=complex)
+    for lo in range(0, n, _ORACLE_CHUNK):
+        part = slice(lo, lo + _ORACLE_CHUNK)
+        jh = jt[part].conj()
+        np.matmul(jh, jt[part].transpose(0, 2, 1), out=gram[part])
+        np.matmul(jh, f[part, :, None], out=rhs[part])
+        del jh  # before the next chunk's is formed
+    return gram.transpose(1, 2, 0), rhs[..., 0].T
+
+
 def _solve_hpd(g, rhs):
     """Solve g x = rhs for a batch of Hermitian positive-definite systems,
     batch last: g is (d, d, n) and rhs (d, n).
@@ -841,6 +868,67 @@ def _solve_hpd(g, rhs):
         x[j] /= a[j, j]
         x[:j] -= a[:j, j] * x[j]
     return x
+
+
+def _steps_on(f, p, thr):
+    """Which rows of coordinates f step on: those whose F = f @ p, in
+    entries, has a largest modulus that is finite and above thr.
+
+    p has orthonormal rows, so |F|_2 = |f|_2 and max|F_ij| >= |f|_2 / d,
+    while rounding moves an entry of f @ p by about m * eps * |f|_2.  A
+    row whose |f|_2 is finite and above 2 d thr therefore steps on (above
+    1e-150 too, so that |f|_2^2 is a normal number and carries |f|_2 to
+    full precision).  Every other row, non-finite, overflowing or near
+    thr, is mapped to entries and tested there.  Rows of a GEMM do not
+    depend on their neighbours, so each row is decided as the entry test
+    decides it.
+    """
+    import numpy as np
+
+    x = np.ascontiguousarray(f).view(float)
+    # |f|_2; einsum does not warn when a square overflows
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    d = math.isqrt(p.shape[1])
+    go = np.isfinite(norm) & (norm > max(2 * d * thr, 1e-150))
+    near = ~go
+    if near.any():
+        r = np.abs(_gemm_rows(f[near], p)).max(axis=1)
+        go[near] = np.isfinite(r) & (r > thr)
+    return go
+
+
+def _gauss_newton(bvec, p, linearize, thr):
+    """Take the damped Gauss-Newton steps of every start, a row of bvec,
+    in place.
+
+    A start steps on while `_steps_on` finds its F above thr, for at most
+    _ORACLE_MAX_ITER sweeps; one that leaves (converged or non-finite)
+    keeps its b from then on.  Each start's steps depend on that start
+    alone, so a block of starts runs all its sweeps before the next
+    begins.
+    """
+    import numpy as np
+
+    d = bvec.shape[1]
+    for lo in range(0, len(bvec), _ORACLE_BLOCK):
+        pending = np.arange(lo, min(lo + _ORACLE_BLOCK, len(bvec)))
+        for _ in range(_ORACLE_MAX_ITER):
+            jt, f = linearize(bvec[pending])
+            go = _steps_on(f, p, thr)
+            leaving = not go.all()
+            if leaving:
+                if not go.any():
+                    break
+                # zeroed in place: copying the other rows out of jt would
+                # hold two Jacobians at once
+                jt[~go] = 0
+                f[~go] = 0
+            gram, rhs = _normal_equations(jt, f)
+            del jt, f  # the block's Jacobian is not needed for the solve
+            if leaving:
+                pending, gram, rhs = pending[go], gram[..., go], rhs[:, go]
+            gram[range(d), range(d)] += 1e-12  # damping
+            bvec[pending] -= _solve_hpd(gram, rhs).T
 
 
 def numeric_cubic_oracle(
@@ -879,30 +967,7 @@ def numeric_cubic_oracle(
     p, linearize = _cubic_jacobian(e)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
-    # starts neither converged nor non-finite; a start that leaves keeps
-    # its bvec from then on
-    pending = np.arange(starts)
-    for _ in range(_ORACLE_MAX_ITER):
-        stepped = []
-        # each start's step depends on that start alone, so blocks of
-        # starts bound the memory without changing the result
-        for lo in range(0, len(pending), _ORACLE_BLOCK):
-            blk = pending[lo : lo + _ORACLE_BLOCK]
-            jt, f = linearize(bvec[blk])
-            blk_res = np.abs(_gemm_rows(f, p)).max(axis=1)  # F in entries
-            go = np.isfinite(blk_res) & (blk_res > tol * 0.01)
-            if not go.any():
-                continue
-            if not go.all():
-                blk, jt, f = blk[go], jt[go], f[go]
-            jh = jt.conj()
-            gram = (jh @ jt.transpose(0, 2, 1)).transpose(1, 2, 0)
-            gram[range(d), range(d)] += 1e-12  # damping
-            bvec[blk] -= _solve_hpd(gram, (jh @ f[..., None])[..., 0].T).T
-            stepped.append(blk)
-        if not stepped:
-            break
-        pending = np.concatenate(stepped)
+    _gauss_newton(bvec, p, linearize, tol * 0.01)
     # measured directly, so the counts never rest on the coordinates
     res = np.empty(starts)
     for lo in range(0, starts, _ORACLE_BLOCK):

@@ -96,6 +96,37 @@ def test_k_candidates_suggests_only_a_confirmed_conductor():
     assert (res.reason, res.suggested_conductor) == ("no-root-in-field", None)
 
 
+def _cube_companion(x: CycNum) -> CMatrix:
+    # A with A^3 = x I, so with B = I the search needs k^3 = 1/x
+    z = CycNum.zero(x.conductor)
+    return CMatrix([[z, z, x], [1, z, z], [z, 1, z]], x.conductor)
+
+
+@pytest.mark.parametrize(
+    "x, suggested",
+    [
+        (omega(3), 9),  # k^3 = w^2 takes the twist j = 2
+        (None, None),  # tw3(1 + zeta12, 1, 1)
+        # 3 | N = 6 and k^3 = zeta_6 (2 + zeta_6)^-3 takes the twist j = 1
+        ((2 + make_root_of_unity(6)) ** 3 * make_root_of_unity(6, -1), 18),
+        (2 + make_root_of_unity(6), None),
+    ],
+    ids=["w", "tw3-1+z12", "twisted-cube-N6", "2+z6"],
+)
+def test_k_candidates_conductor_check_matches_the_search_at_3n(x, suggested):
+    # the Kummer test in Q(zeta_n) against a cube root searched in Q(zeta_3n)
+    if x is None:
+        rep = catalog.tw3(make_root_of_unity(12, 1) + 1, 1, 1)
+        a, b = rep.A, rep.B
+    else:
+        a, b = _cube_companion(x), CMatrix.identity(3, x.conductor)
+    res = extend.standard_k_candidates(a, b)
+    assert res.reason == "no-root-in-field"
+    n = common_field(a, b, extra=3)[1]
+    in_3n = bool(nth_root_in_field(res.k_cubed.promote(3 * n), 3))
+    assert res.suggested_conductor == (3 * n if in_3n else None) == suggested
+
+
 def test_k_candidates_counterexample_no_integer_trace():
     rep = catalog.counterexample6()
     res = extend.standard_k_candidates(rep.A, rep.B)

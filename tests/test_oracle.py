@@ -1,6 +1,8 @@
 """Numeric cubic oracle: convergence, clustering, determinism."""
 
 import inspect
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -188,23 +190,133 @@ def test_hpd_solver_matches_lapack_and_ignores_the_batch():
                 assert np.array_equal(alone, sol[part])
 
 
+def _entry_gate(f, p, thr):
+    # the step gate as the sweep-ordered loop decides it, in entries
+    r = np.abs(extend._gemm_rows(f, p)).max(axis=1)
+    return np.isfinite(r) & (r > thr)
+
+
+def _sweep_ordered_gauss_newton(bvec, p, linearize, thr):
+    # the Newton loop as it ran before each block ran to its end, kept as
+    # the reference: every sweep regroups the pending starts into blocks of
+    # 256 and maps F to entries for the step gate
+    d = bvec.shape[1]
+    pending = np.arange(len(bvec))
+    for _ in range(extend._ORACLE_MAX_ITER):
+        stepped = []
+        for lo in range(0, len(pending), 256):
+            blk = pending[lo : lo + 256]
+            jt, f = linearize(bvec[blk])
+            go = _entry_gate(f, p, thr)
+            if not go.any():
+                continue
+            if not go.all():
+                blk, jt, f = blk[go], jt[go], f[go]
+            jh = jt.conj()
+            gram = (jh @ jt.transpose(0, 2, 1)).transpose(1, 2, 0)
+            gram[range(d), range(d)] += 1e-12  # damping
+            bvec[blk] -= extend._solve_hpd(gram, (jh @ f[..., None])[..., 0].T).T
+            stepped.append(blk)
+        if not stepped:
+            break
+        pending = np.concatenate(stepped)
+
+
+def test_oracle_matches_the_sweep_ordered_reference(monkeypatch):
+    for rep in (catalog.counterexample6(), catalog.tw3(1, 1, 1)):
+        basis = extend._basis_matrices(rep.A, rep.B)
+        report = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
+        assert report.converged > 0
+        with monkeypatch.context() as m:
+            m.setattr(extend, "_gauss_newton", _sweep_ordered_gauss_newton)
+            reference = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
+        assert report == reference
+
+
 def test_oracle_report_independent_of_block_size(monkeypatch):
-    # blocks of 1 and 2 leave lone starts, which numpy would send to gemv
+    # the default block holds all 300 starts.  Blocks of 299 and 13 leave
+    # start 299 alone in the last block, chunks of 299 leave one start
+    # alone in the last chunk, and blocks shrink to one pending start as
+    # starts leave: lone starts, which numpy would send to gemv
+    assert extend._ORACLE_BLOCK >= 300
     for rep, sizes in (
-        (catalog.tw3(1, 1, 1), (7, 3, 2, 1)),
-        (catalog.counterexample6(), (3, 2, 1)),
+        (catalog.tw3(1, 1, 1), ((256, 128), (299, 128), (13, 128), (7, 128), (3, 128), (512, 299))),
+        (catalog.counterexample6(), ((256, 128), (299, 128), (13, 128), (3, 128), (512, 7))),
     ):
-        monkeypatch.setattr(extend, "_ORACLE_BLOCK", 256)
-        default = extend.numeric_cubic_oracle(
-            extend._basis_matrices(rep.A, rep.B), starts=300, seed=5
-        )
+        basis = extend._basis_matrices(rep.A, rep.B)
+        default = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
         assert default.converged > 0
-        for size in sizes:
-            monkeypatch.setattr(extend, "_ORACLE_BLOCK", size)
-            blocked = extend.numeric_cubic_oracle(
-                extend._basis_matrices(rep.A, rep.B), starts=300, seed=5
-            )
-            assert blocked == default
+        for block, chunk in sizes:
+            monkeypatch.setattr(extend, "_ORACLE_BLOCK", block)
+            monkeypatch.setattr(extend, "_ORACLE_CHUNK", chunk)
+            blocked = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
+            monkeypatch.undo()
+            assert blocked == default, (block, chunk)
+
+
+def _gate_rows(p, thr, rng):
+    # coordinate rows around both thresholds of the gate: |f|_2 near
+    # 2 d thr, the largest entry of F near thr, zero, tiny, huge and
+    # non-finite rows
+    m, d = len(p), math.isqrt(p.shape[1])
+    u = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    rows = []
+    for i, t in enumerate((1 - 1e-12, 1 - 1e-15, 1, 1 + 1e-15, 1 + 1e-12, 0.5, 1.5)):
+        rows.append(u[i] * (2 * d * thr * t))  # |f|_2 = 2 d thr t
+        top = np.abs(u[20 + i] @ p).max()
+        rows.append(u[20 + i] * (thr * t / top))  # max|F_ij| = thr t
+    for i, scale in enumerate((0.0, 1e-160, 1e-300, 1e200, 1e300)):
+        rows.append(u[10 + i] * scale)
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.nan)):
+        row = u[30].copy()
+        row[-1] = bad
+        rows.append(row)
+    return np.array(rows, dtype=complex).reshape(-1, m)
+
+
+@pytest.mark.parametrize("case", ["counterexample6", "random d=2", "identity", "empty"])
+def test_norm_gate_decides_as_the_entry_gate(case):
+    if case == "counterexample6":
+        p, _ = extend._cubic_jacobian(_basis_array(catalog.counterexample6()))
+        assert p.shape == (21, 36)
+    elif case == "random d=2":
+        rng = np.random.default_rng([2, 0])
+        e = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        p, _ = extend._cubic_jacobian(e)
+        assert np.abs(p.imag).max() > 0.1  # complex coordinates
+    elif case == "identity":
+        p = np.eye(9, dtype=complex)  # V is all of C^(d*d): entry coordinates
+    else:
+        p = np.zeros((0, 36), dtype=complex)  # C not finite: V is empty
+    rng = np.random.default_rng(7)
+    for thr in (1e-11, 1e-3, 1e-160, 1e-300, 1e290):
+        f = _gate_rows(p, thr, rng) if len(p) else np.zeros((5, 0), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            go = extend._steps_on(f, p, thr)
+            ref = _entry_gate(f, p, thr)
+        assert np.array_equal(go, ref), (thr, np.flatnonzero(go != ref))
+        if len(p) and thr == 1e-11:
+            assert ref.any() and not ref.all()
+
+
+def test_oracle_memory_peak_on_counterexample6():
+    # traced after one warm-up call, seed 0, 2000 starts: 2.26 MiB with
+    # blocks of 256 whose Jacobians outlived their sweep, 2.32 MiB measured
+    # with blocks of 512, each Jacobian dropped before its solve and its
+    # conjugate formed 128 starts at a time.  The bound is 2.25 MiB plus a
+    # 0.25 MiB margin; two Jacobians of 512 starts alive at once exceed it
+    rep = catalog.counterexample6()
+    (a, b), _ = common_field(rep.A, rep.B, extra=3)
+    basis = extend._basis_matrices(a, b)
+    extend.numeric_cubic_oracle(basis, starts=100, seed=0)
+    tracemalloc.start()
+    try:
+        extend.numeric_cubic_oracle(basis, starts=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20, peak / 2**20
 
 
 def test_start_counts_partition_the_starts():
