@@ -274,8 +274,55 @@ def _packed_modulus(n: int, k: int) -> tuple[int, int]:
     return m, m // 2
 
 
+class _Side:
+    """One operand of `packed_product`, its rows or its columns, prepared
+    once for every product it enters.
+
+    Per vector it holds the common denominator and each entry's scale to
+    it; over all vectors, the largest scaled numerator; and the packed
+    integers of each slot width asked for so far (see `pack`).  A
+    `CMatrix` keeps its rows and its columns prepared, which is safe
+    because it is immutable; a plain list of vectors is prepared per call.
+    """
+
+    __slots__ = ("conductor", "length", "vectors", "dens", "scales", "top", "packed")
+
+    def __init__(self, vectors: Sequence[Sequence["CycNum"]], n: int):
+        dens, scales, top = [], [], 0
+        for vec in vectors:
+            den = math.lcm(*(x._den for x in vec))
+            line = []
+            for x in vec:
+                if x.conductor != n:
+                    raise ConductorMismatch("matrix entries must share a conductor")
+                s = den // x._den
+                top = max(top, max(map(abs, x._num)) * s)
+                line.append(s)
+            dens.append(den)
+            scales.append(line)
+        self.conductor, self.vectors = n, vectors
+        self.length = len(vectors[0]) if vectors else 0  # terms in each sum
+        self.dens, self.scales, self.top, self.packed = dens, scales, top, {}
+
+    def pack(self, k: int) -> list[list[int]]:
+        """Per vector, each entry's scaled numerators c_j packed into the
+        one integer sum c_j 2^(k j)."""
+        packed = self.packed.get(k)
+        if packed is None:
+            packed = self.packed[k] = []
+            for vec, scales in zip(self.vectors, self.scales):
+                line = []
+                for x, s in zip(vec, scales):
+                    p = 0
+                    for c in reversed(x._num):
+                        p = (p << k) + c
+                    line.append(p * s)
+                packed.append(line)
+        return packed
+
+
 def packed_product(
-    rows: Sequence[Sequence["CycNum"]], cols: Sequence[Sequence["CycNum"]]
+    rows: Sequence[Sequence["CycNum"]] | _Side, cols: Sequence[Sequence["CycNum"]] | _Side
 ) -> list[list["CycNum"]]:
     """The matrix of every sum of products sum_k row[k] * col[k], by
     Kronecker substitution: the one exact sum-of-products kernel.
@@ -291,7 +338,9 @@ def packed_product(
     bound by `_Field.growth`, g_N, so K is the bit length of s * g_N plus
     a sign bit, rounded up to 8, 16, 32 or 64 bits when one of them holds
     it and phi of them stay within `_REMAINDER_BITS`, so that one struct
-    unpack reads every slot, else to whole bytes.
+    unpack reads every slot, else to whole bytes.  rows and cols are each
+    a `_Side`, which keeps that scaling and packing, or a list of vectors,
+    prepared here.
     `_packed_modulus` checks that the symmetric residue is exact at (N, K).
     Division is quadratic in CPython, so when Phi_N(2^K) has more than
     `_REMAINDER_BITS` bits the entry instead reads all 2 phi - 1 slots, K
@@ -299,28 +348,16 @@ def packed_product(
     polynomial multiplication via multipoint Kronecker substitution",
     J. Symb. Comp. 2009.
     """
-    n = rows[0][0].conductor
+    if not isinstance(rows, _Side):
+        rows = _Side(rows, rows[0][0].conductor)
+    n = rows.conductor
+    if not isinstance(cols, _Side):
+        cols = _Side(cols, n)
+    elif cols.conductor != n:
+        raise ConductorMismatch("matrix entries must share a conductor")
     fld = _field(n)
-    phi, length = fld.phi, len(rows[0])
-
-    def scaled(vectors):
-        # per vector: its common denominator and each entry's scale to it
-        out, top = [], 0
-        for vec in vectors:
-            den = math.lcm(*(x._den for x in vec))
-            scales = []
-            for x in vec:
-                if x.conductor != n:
-                    raise ConductorMismatch("matrix entries must share a conductor")
-                s = den // x._den
-                top = max(top, max(map(abs, x._num)) * s)
-                scales.append(s)
-            out.append((vec, den, scales))
-        return out, top
-
-    srows, max_a = scaled(rows)
-    scols, max_b = scaled(cols)
-    bound = length * phi * max_a * max_b  # every slot of the convolution
+    phi = fld.phi
+    bound = rows.length * phi * rows.top * cols.top  # every slot of the convolution
     k = _slot_bits(bound * fld.growth, phi)
     remainder = phi * k <= _REMAINDER_BITS
     if remainder:
@@ -329,23 +366,12 @@ def packed_product(
     else:
         k = _slot_bits(bound, 2 * phi - 1)
         read = _slot_reader(k, 2 * phi - 1)
-
-    def pack(vec, scales):
-        packed = []
-        for x, s in zip(vec, scales):
-            p = 0
-            for c in reversed(x._num):
-                p = (p << k) + c
-            packed.append(p * s)
-        return packed
-
-    prow = [(pack(vec, s), den) for vec, den, s in srows]
-    pcol = [(pack(vec, s), den) for vec, den, s in scols]
+    pcols = list(zip(cols.pack(k), cols.dens))
     zero = CycNum.zero(n)
     out = []
-    for pa, da in prow:
+    for pa, da in zip(rows.pack(k), rows.dens):
         line = []
-        for pb, db in pcol:
+        for pb, db in pcols:
             acc = 0
             for a, b in zip(pa, pb):
                 if a and b:

@@ -210,9 +210,8 @@ def default_extension_params(s: CMatrix) -> ExtensionParams:
     Tr(S) = l + t_w w + t_w2 w^2 is rational iff t_w = t_w2 = t.
     M^-1 S M = diag(I_l, w I_t, w^2 I_t) holds by construction.
     """
-    ident = CMatrix.identity(s.dim, s.conductor)
     w = omega(s.conductor)
-    v1, vw, vw2 = ((s - ident.scalar_mul(u)).kernel() for u in (1, w, w * w))
+    v1, vw, vw2 = (_shifted(s, u).kernel() for u in (1, w, w * w))
     if len(v1) + len(vw) + len(vw2) != s.dim:
         raise NotOrderThree("S^3 != I")
     if len(vw) != len(vw2):
@@ -224,7 +223,18 @@ def default_extension_params(s: CMatrix) -> ExtensionParams:
     return ExtensionParams(M=m, G=g, a=ell, N=nmat)
 
 
+def _shifted(s: CMatrix, u) -> CMatrix:
+    """S - uI, formed on the diagonal alone."""
+    rows = [list(r) for r in s.rows]
+    for i, r in enumerate(rows):
+        r[i] = r[i] - u
+    return CMatrix._of(rows, s.conductor)
+
+
 def _block_involution(params: ExtensionParams, dim: int, conductor: int) -> CMatrix:
+    """J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]); an N or G
+    that is the identity, as the default parameters' are, is not
+    multiplied or inverted."""
     ell, t = params.ell, params.t
     if ell + 2 * t != dim:
         raise BadBasisChange("parameter block sizes do not tile the dimension")
@@ -233,14 +243,14 @@ def _block_involution(params: ExtensionParams, dim: int, conductor: int) -> CMat
     zero = CycNum.zero(conductor)
     rows = [[zero] * dim for _ in range(dim)]
     if ell:
-        inv = params.N @ CMatrix.diagonal(
-            [1] * params.a + [-1] * (ell - params.a), conductor
-        ) @ params.N.inverse()
+        inv = CMatrix.diagonal([1] * params.a + [-1] * (ell - params.a), conductor)
+        if not params.N.is_identity:
+            inv = params.N @ inv @ params.N.inverse()
         for i in range(ell):
             for j in range(ell):
                 rows[i][j] = inv.rows[i][j]
     if t:
-        ginv = params.G.inverse()
+        ginv = params.G if params.G.is_identity else params.G.inverse()
         for i in range(t):
             for j in range(t):
                 rows[ell + i][ell + t + j] = params.G.rows[i][j]

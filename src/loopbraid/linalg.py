@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, _field, _mul_num, _new, packed_product
+from .cyclotomic import CycNum, _field, _mul_num, _new, _Side, packed_product
 from .errors import (
     ConductorMismatch,
     DimMismatch,
@@ -42,9 +42,13 @@ def _lift(value, conductor: int) -> CycNum:
 
 
 class CMatrix:
-    """A square matrix over Q(zeta_N) with exact entries."""
+    """A square matrix over Q(zeta_N) with exact entries.
 
-    __slots__ = ("dim", "conductor", "rows")
+    Its rows and its columns are each prepared for `packed_product` the
+    first time they enter a product, and kept: the matrix is immutable.
+    """
+
+    __slots__ = ("dim", "conductor", "rows", "_as_rows", "_as_cols")
 
     def __init__(self, rows: Sequence[Sequence], conductor: int | None = None):
         d = len(rows)
@@ -58,6 +62,8 @@ class CMatrix:
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "rows", self_rows)
+        object.__setattr__(self, "_as_rows", None)
+        object.__setattr__(self, "_as_cols", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CMatrix is immutable")
@@ -70,6 +76,8 @@ class CMatrix:
         object.__setattr__(m, "dim", len(rows))
         object.__setattr__(m, "conductor", conductor)
         object.__setattr__(m, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(m, "_as_rows", None)
+        object.__setattr__(m, "_as_cols", None)
         return m
 
     # -- constructors ----------------------------------------------------------
@@ -116,7 +124,7 @@ class CMatrix:
         return tuple(r[j] for r in self.rows)
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.dim)]
+        return list(zip(*self.rows))
 
     def transpose(self) -> "CMatrix":
         return CMatrix(
@@ -152,7 +160,11 @@ class CMatrix:
 
     @property
     def is_identity(self) -> bool:
-        return self == CMatrix.identity(self.dim, self.conductor)
+        return all(
+            e.is_one if i == j else e.is_zero
+            for i, r in enumerate(self.rows)
+            for j, e in enumerate(r)
+        )
 
     def is_scalar(self) -> CycNum | None:
         """The scalar c when self == c*I, else None."""
@@ -200,9 +212,21 @@ class CMatrix:
     def __neg__(self) -> "CMatrix":
         return CMatrix([[-e for e in r] for r in self.rows], self.conductor)
 
+    def _rows_side(self) -> _Side:
+        if self._as_rows is None:
+            object.__setattr__(self, "_as_rows", _Side(self.rows, self.conductor))
+        return self._as_rows
+
+    def _cols_side(self) -> _Side:
+        if self._as_cols is None:
+            object.__setattr__(self, "_as_cols", _Side(self.columns(), self.conductor))
+        return self._as_cols
+
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         self._check(other)
-        return CMatrix._of(packed_product(self.rows, other.columns()), self.conductor)
+        return CMatrix._of(
+            packed_product(self._rows_side(), other._cols_side()), self.conductor
+        )
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)

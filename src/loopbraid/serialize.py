@@ -13,7 +13,8 @@ and denominator with one gcd.  The reader takes every string of that
 shape, -?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007"), with int(); any
 other value, such as "1.5", "+3" or a JSON number, goes through
 Fraction, and is refused (MalformedInput) exactly where Fraction
-refuses it.
+refuses it.  A matrix whose every entry is a canonical scalar of its
+conductor is read in one pass (`_canonical_matrix`), to the same matrix.
 Complex numbers in oracle reports are [re, im] pairs.
 
 Output reports are encoded field by field from their dataclasses by
@@ -29,13 +30,22 @@ import dataclasses
 import enum
 import json
 import math
+import re
 from typing import Any
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, _new, euler_phi
 from .errors import MalformedInput
 from .extend import ExtensionCertificate, ExtensionParams
 from .linalg import CMatrix
 from .repcore import GroupKind, LBRep
+
+
+class _Scalar(dict):
+    """The wire object of a scalar as `cycnum_to_obj` makes it: a dict to
+    every reader, with an int "conductor" and a nonempty list of canonical
+    "coeffs", which `_write` emits from one template."""
+
+    __slots__ = ()
 
 
 def cycnum_to_obj(x: CycNum) -> dict:
@@ -43,7 +53,9 @@ def cycnum_to_obj(x: CycNum) -> dict:
     for v in x._num:
         g = math.gcd(v, den)
         coeffs.append(str(v // g) if g == den else f"{v // g}/{den // g}")
-    return {"conductor": x.conductor, "coeffs": coeffs}
+    obj = _Scalar()  # two stores: faster than passing the keys to the constructor
+    obj["conductor"], obj["coeffs"] = x.conductor, coeffs
+    return obj
 
 
 def _member(obj, key: str, kind: type, what: str):
@@ -73,13 +85,76 @@ def matrix_to_obj(m: CMatrix) -> dict:
     }
 
 
+# canonical wire rationals joined by commas: `_CANONICAL` of cyclotomic, repeated
+_CANONICAL_RUN = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?:,-?[0-9]+(?:/[1-9][0-9]*)?)*")
+
+
+def _canonical_matrix(entries: list, conductor: int) -> CMatrix | None:
+    """The matrix of entries in one pass, or None unless it is square and
+    every entry is a scalar of this conductor whose coefficients are all
+    canonical strings "p" or "p/q": one regex over the joined strings,
+    then int, `_new` and `CMatrix._of`.
+
+    None sends the matrix scalar by scalar through `cycnum_from_obj`, so
+    every refusal keeps its text.  Where this pass answers, that route
+    gives the same matrix: the lengths are checked against 2 len^2 <
+    conductor before euler_phi, as there, and a string holding a comma
+    matches the regex only as two strings, which int refuses.
+    """
+    d = len(entries)
+    if not d or conductor < 1:
+        return None
+    strings = []
+    width = None
+    for row in entries:
+        if len(row) != d:
+            return None
+        for e in row:
+            if type(e) is not dict:
+                return None
+            n, coeffs = e.get("conductor"), e.get("coeffs")
+            if type(n) is not int or n != conductor or type(coeffs) is not list:
+                return None
+            if width is None:
+                width = len(coeffs)
+            if len(coeffs) != width:
+                return None
+            strings += coeffs
+    if 2 * width * width < conductor or euler_phi(conductor) != width:
+        return None
+    try:
+        joined = ",".join(strings)
+    except TypeError:  # a coefficient that is not a string
+        return None
+    if not _CANONICAL_RUN.fullmatch(joined):
+        return None
+    scalars = []
+    try:  # int refuses digits past int_max_str_digits; the scalar route says so
+        for i in range(0, len(strings), width):
+            chunk = strings[i : i + width]
+            if "/" not in "".join(chunk):
+                scalars.append(_new(conductor, list(map(int, chunk)), 1))
+                continue
+            parts = [c.partition("/") for c in chunk]
+            dens = [int(q) if q else 1 for _, _, q in parts]
+            den = math.lcm(*dens)
+            scalars.append(
+                _new(conductor, [int(p) * (den // q) for (p, _, _), q in zip(parts, dens)], den)
+            )
+    except ValueError:
+        return None
+    return CMatrix._of([scalars[i : i + d] for i in range(0, d * d, d)], conductor)
+
+
 def matrix_from_obj(obj: dict) -> CMatrix:
     dim = _member(obj, "dim", int, "a matrix")
     conductor = _member(obj, "conductor", int, "a matrix")
     entries = _member(obj, "entries", list, "a matrix")
     if not all(isinstance(row, list) for row in entries):
         raise MalformedInput("a matrix needs 'entries' as a list of rows")
-    m = CMatrix([[cycnum_from_obj(e) for e in row] for row in entries], conductor)
+    m = _canonical_matrix(entries, conductor)
+    if m is None:
+        m = CMatrix([[cycnum_from_obj(e) for e in row] for row in entries], conductor)
     if m.dim != dim:
         raise MalformedInput("matrix dim field disagrees with the entries")
     return m
@@ -176,7 +251,15 @@ def _key(k) -> str:
 def _write(x: Any, out: list[str], newline: str) -> None:
     """Append the JSON of x, whose first line is already indented and whose
     later lines start with newline."""
-    if isinstance(x, str):
+    if type(x) is _Scalar:
+        inner = newline + "  "
+        item = inner + "  "
+        out.append(
+            "{" + inner + '"coeffs": [' + item + ("," + item).join(map(_ESCAPE, x["coeffs"]))
+            + inner + "]," + inner + '"conductor": ' + int.__repr__(x["conductor"])
+            + newline + "}"
+        )
+    elif isinstance(x, str):
         out.append(_ESCAPE(x))
     elif x is None or x is True or x is False or isinstance(x, float):
         out.append(json.dumps(x))

@@ -561,11 +561,11 @@ def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def pinned_flow_digests(tmp_path, lam):
-    """construct tw3 with eigenvalues lam, extend it, and lift its
-    representation to VB3: the sha256 of the extend and vb3 reports."""
+def pinned_flow_digests(tmp_path, construct):
+    """construct a pair, extend it, and lift its representation to VB3:
+    the sha256 of the extend and vb3 reports."""
     rep, ext, lb3, vb3 = (str(tmp_path / f"{s}.json") for s in ("rep", "ext", "lb3", "vb3"))
-    assert main(["construct", "tw3", "--lambda", *lam, "--out", rep]) == 0
+    assert main(["construct", *construct, "--out", rep]) == 0
     assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
     with open(ext) as fh, open(lb3, "w") as out:
         json.dump(json.load(fh)["representation"], out)
@@ -580,7 +580,9 @@ def test_reports_at_conductor_60_are_pinned(tmp_path, capsys):
     coefficients and the inverses climb a four-step Galois tower, so any
     change in exact arithmetic or in the writer shows here.  The reports
     carry the toolkit version, which a release moves."""
-    assert pinned_flow_digests(tmp_path, ["z60", "(2*z60^2)", "(1/2*z60^57)"]) == [
+    assert pinned_flow_digests(
+        tmp_path, ["tw3", "--lambda", "z60", "(2*z60^2)", "(1/2*z60^57)"]
+    ) == [
         "de5b2e4a3b832b3850991e193c280ba684c6d64ec0fdbb0659a735790800b66c",
         "2fd04aa96d4d3a2c0d798ac4ac019508e69276c0a8b472d377bbe745eec4e6b1",
     ]
@@ -591,7 +593,21 @@ def test_reports_at_conductor_105_are_pinned(tmp_path, capsys):
     cyclotomic polynomial with a coefficient other than 0 and +-1, has a
     -2.  Folding a product back grows a coefficient up to 28-fold there
     (`_Field.growth`), against 7 at N = 60."""
-    assert pinned_flow_digests(tmp_path, ["z105", "(2*z105^2)", "(1/2*z105^102)"]) == [
+    assert pinned_flow_digests(
+        tmp_path, ["tw3", "--lambda", "z105", "(2*z105^2)", "(1/2*z105^102)"]
+    ) == [
         "8a222fb0d81a6348adf2613ea7a2bf811e27370dfccea58eea06f185471b7e5e",
         "af336982eb3b682e2275acd078a5c7fdabc3a6b946c3c6a8e64d5ef551a26434",
+    ]
+
+
+def test_reports_of_a_tw5_flow_at_conductor_12_are_pinned(tmp_path, capsys):
+    """The pinned flow of a 5-dimensional pair at N = 12, the flow that
+    multiplies the same matrices most often: each of them is prepared for
+    the product kernel once and then reused, so any drift between a
+    prepared and a fresh operand shows here."""
+    lam = ["z12", "(2*z12^2)", "(1/2*z12^3)", "(3*z12^5)", "(1/3*z12^6)"]
+    assert pinned_flow_digests(tmp_path, ["tw5", "--lambda", *lam, "--gamma", "z12"]) == [
+        "350c1f56f41296583e37eaf91c9a0217f3b5c56994614d49edf7cf1e899425b8",
+        "ce3e17cbacbb449e9824c6a40825a6dbda657c02d50df5905835f236cfacdf35",
     ]

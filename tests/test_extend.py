@@ -385,6 +385,35 @@ def test_involution_param_dimension_is_the_tangent_rank(ell, t):
     ) == extend.involution_param_dimension(ell, t)
 
 
+def test_block_involution_spends_no_arithmetic_on_identity_blocks(monkeypatch):
+    # J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]) for any N
+    # and G; an identity N or G, as the default parameters have, is neither
+    # multiplied nor inverted
+    n, ell, t = 3, 3, 1
+    d = ell + 2 * t
+    p = CMatrix.build(d, n, lambda i, j: int(i <= j))
+    s = p @ extend._diag_pattern(ell, t, n) @ p.inverse()
+    base = extend.default_extension_params(s)
+    vandermonde = CMatrix.build(ell, n, lambda i, j: (i + 1) ** j)
+    for a in range(ell + 1):
+        for nmat, g in ((base.N, base.G), (vandermonde, CMatrix([[2]], n))):
+            params = extend.ExtensionParams(M=base.M, G=g, a=a, N=nmat)
+            signs = CMatrix.diagonal([1] * a + [-1] * (ell - a), n)
+            top, ginv = nmat @ signs @ nmat.inverse(), g.inverse()
+            want = [list(r) for r in CMatrix.zero(d, n).rows]
+            for i in range(ell):
+                want[i][:ell] = top.rows[i]
+            want[ell][ell + t], want[ell + t][ell] = g[0, 0], ginv[0, 0]
+            assert extend._block_involution(params, d, n) == CMatrix(want, n)
+            s1, _ = extend._complete(s, params)
+            assert extend.s3_completion_check(s, s1)
+    calls = []
+    monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: calls.append("@"))
+    monkeypatch.setattr(CMatrix, "inverse", lambda x: calls.append("inverse"))
+    extend._block_involution(base, d, n)
+    assert calls == []
+
+
 # -- s3 completion -------------------------------------------------------------------
 
 

@@ -223,6 +223,66 @@ def test_exact_zero_product():
         assert (m @ m).is_zero
 
 
+# -- prepared operands ------------------------------------------------------------
+
+
+def fresh(m: CMatrix) -> CMatrix:
+    """A copy of m built anew, so that neither of its sides is prepared."""
+    return CMatrix([list(r) for r in m.rows], m.conductor)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_a_prepared_matrix_multiplies_as_a_fresh_one(n):
+    # m enters products as columns, then as rows, then both ways again,
+    # against partners sized to force in turn an 8-bit word, a 64-bit word,
+    # whole bytes past 64 bits and the fold past _REMAINDER_BITS.  Every
+    # entry of m is 0 or has numerators in {-1, 0, 1} over 2, so both of its
+    # sides have top 1 and every partner of top p fixes the slot width.
+    fld = _field(n)
+    phi, g, d = fld.phi, fld.growth, 3
+    rng = random.Random(n)
+    entries = [CycNum(n, [rng.choice((-1, 0, 1)) for _ in range(phi)], 2) for _ in range(d * d)]
+    entries[0] = CycNum(n, [1] + [0] * (phi - 1), 2)
+    m = CMatrix([entries[i : i + d] for i in range(0, d * d, d)], n)
+    widths, folds = [], []
+    for bits in (8, 64, 72, _REMAINDER_BITS // phi + 8):
+        p = ((1 << (bits - 1)) - 1) // (d * phi * g)
+        rows = [[CycNum(n, [rng.randint(-p, p) for _ in range(phi)]) for _ in range(d)]
+                for _ in range(d)]
+        rows[rng.randrange(d)][rng.randrange(d)] = CycNum(n, [p] + [0] * (phi - 1))
+        partner = CMatrix(rows, n)
+        k = _slot_bits(d * phi * p * g, phi)
+        folds.append(phi * k > _REMAINDER_BITS)
+        widths.append(_slot_bits(d * phi * p, 2 * phi - 1) if folds[-1] else k)
+        for _ in range(2):
+            assert_same(partner @ m, fresh(partner) @ fresh(m))
+            assert_same(partner @ m, reference(partner, m))
+            assert_same(m @ partner, fresh(m) @ fresh(partner))
+            assert_same(m @ partner, reference(m, partner))
+    assert widths[:3] == [8, 64, 72] and folds == [False, False, False, True]
+    # each side of m holds one packing per width it met
+    assert set(m._as_cols.packed) == set(m._as_rows.packed) == set(widths)
+    assert m._as_cols.top == m._as_rows.top == 1
+
+
+def test_plain_vectors_of_another_conductor_are_refused():
+    # dot, apply, _exact_mul and _combination hand plain vectors to the
+    # kernel, which prepares them against the conductor of the other side
+    m = CMatrix.identity(2, 12)
+    assert m @ m == m  # both sides of m are now prepared
+    x12, x3 = CycNum.one(12), CycNum.one(3)
+    with pytest.raises(ConductorMismatch):
+        m.apply([x12, x3])
+    with pytest.raises(ConductorMismatch):
+        dot([x12], [x3])
+    with pytest.raises(ConductorMismatch):
+        linalg._exact_mul(m.rows, [[x12, x3], [x3, x12]])
+    with pytest.raises(ConductorMismatch):
+        linalg._exact_mul([[x12, x3], [x3, x12]], m.rows)
+    with pytest.raises(ConductorMismatch):
+        extend._combination([x3], [m])
+
+
 # -- the kernel's other callers --------------------------------------------------
 
 

@@ -126,7 +126,20 @@ def test_dumps_matches_json_on_reports_and_refuses_what_json_refuses():
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
     (built, cert), = extend.standard_extensions(rep.A, rep.B)
     small = {"k": [True, 1, 1.5, None, (2, "x")], "e": {}, "l": []}
-    for obj in (report_to_obj([built, cert]), small):
+    # the scalars of cycnum_to_obj are marked and written from a template;
+    # plain dicts that only look like scalars take the general route
+    marked = [cycnum_to_obj(x) for x in (CycNum(12, [1, -2, 0, 3], 4), CycNum.zero(1))]
+    assert all(type(x) is not dict for x in marked)
+    lookalikes = [
+        dict(marked[0]),
+        {"coeffs": ["1"], "conductor": 3},
+        {"coeffs": [], "conductor": 3},
+        {"coeffs": ['a"\n', 1], "conductor": 3},
+        {"coeffs": ["1"], "conductor": 3, "dim": 1},
+        {"coeffs": ["1"], "conductor": True},
+    ]
+    for obj in (report_to_obj([built, cert]), small, marked, {"k": marked, "m": [marked]},
+                lookalikes):
         assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
     for bad in ({"x": object()}, [{1: 2, "1": 3}], {(1,): 2}):
         with pytest.raises(TypeError):

@@ -6,15 +6,17 @@ import functools
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopbraid import serialize
 from loopbraid.cli import main
-from loopbraid.cyclotomic import CycNum
-from loopbraid.errors import MalformedInput
-from loopbraid.serialize import cycnum_from_obj, cycnum_to_obj
+from loopbraid.cyclotomic import CycNum, euler_phi
+from loopbraid.errors import LoopBraidError, MalformedInput
+from loopbraid.serialize import cycnum_from_obj, cycnum_to_obj, matrix_from_obj
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -112,6 +114,90 @@ def test_wire_writer_bytes_and_round_trip(x):
     assert obj["coeffs"] == [old_coeff_str(v, x._den) for v in x._num]
     back = cycnum_from_obj(json.loads(json.dumps(obj)))
     assert (back.conductor, back._num, back._den) == (x.conductor, x._num, x._den)
+
+
+# -- the one-pass matrix reader ---------------------------------------------------
+
+CANONICAL_TEXT = ["0", "-0", "7", "-3", "1/2", "-12/5", "2/4", "007", "-007/3", "1/3"]
+OTHER_TEXT = [
+    "+3", "1.5", "1/0", "2/0", "1/02", " 4", "٣", "1,2", ",", "", "9" * 5000,
+    "1/" + "7" * 5000, 2, -5, 1.5, True, None, ["1"],
+]
+
+
+@st.composite
+def wire_matrices(draw):
+    """A matrix wire object, all canonical or with one kind of trouble in
+    it: a spelling Fraction reads or refuses, a wrong length, a mixed or
+    mistyped conductor, a ragged shape, a wrong dim or an entry that is
+    not an object."""
+    n = draw(st.sampled_from([1, 3, 4, 12]))
+    phi, d = euler_phi(n), draw(st.integers(1, 3))
+    entries = [
+        [
+            {"conductor": n, "coeffs": draw(st.lists(st.sampled_from(CANONICAL_TEXT),
+                                                     min_size=phi, max_size=phi))}
+            for _ in range(d)
+        ]
+        for _ in range(d)
+    ]
+    obj = {"dim": d, "conductor": n, "entries": entries}
+    trouble = draw(st.sampled_from(
+        ["none", "text", "length", "entry-conductor", "matrix-conductor", "ragged", "dim",
+         "not-a-dict"]
+    ))
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    entry = entries[i][j]
+    if trouble == "text":
+        entry["coeffs"][draw(st.integers(0, phi - 1))] = draw(st.sampled_from(OTHER_TEXT))
+    elif trouble == "length":
+        entry["coeffs"] = entry["coeffs"] + draw(st.sampled_from([["0"], []]))
+        if draw(st.booleans()):
+            entry["coeffs"] = entry["coeffs"][2:]
+    elif trouble == "entry-conductor":
+        entry["conductor"] = draw(st.sampled_from([3 * n, 2, True, float(n), str(n), None]))
+    elif trouble == "matrix-conductor":
+        obj["conductor"] = draw(st.sampled_from([3 * n, 0, -n, True, float(n)]))
+    elif trouble == "ragged":
+        entries[i] = entries[i][:-1] if draw(st.booleans()) else entries[i] + [entry]
+    elif trouble == "dim":
+        obj["dim"] = d + 1
+    elif trouble == "not-a-dict":
+        entries[i][j] = draw(st.sampled_from([["1"], "1", 1, None]))
+    return trouble, obj
+
+
+def read_outcome(obj):
+    """The matrix read, or the class and text of what was raised."""
+    try:
+        m = matrix_from_obj(obj)
+    except LoopBraidError as exc:
+        return type(exc), str(exc)
+    return m.dim, m.conductor, [(x.conductor, x._num, x._den) for r in m.rows for x in r]
+
+
+@PROPERTY
+@given(wire_matrices())
+def test_one_pass_matrix_reader_matches_the_scalar_route(drawn):
+    trouble, obj = drawn
+    text = json.dumps(obj)
+    got = read_outcome(json.loads(text))
+    with mock.patch.object(serialize, "_canonical_matrix", lambda entries, conductor: None):
+        want = read_outcome(json.loads(text))
+    assert got == want
+    if trouble == "none":
+        # all canonical: the one pass answers
+        assert serialize._canonical_matrix(obj["entries"], obj["conductor"]) is not None
+
+
+def test_wrong_length_matrix_is_rejected_before_euler_phi(monkeypatch):
+    # as for a scalar, a short coefficient list of a huge conductor is
+    # refused by its length before phi(n) factors n
+    monkeypatch.setattr(serialize, "euler_phi", lambda n: pytest.fail("phi called"))
+    for n in (12, 4000, 10**18 + 9):
+        entry = {"conductor": n, "coeffs": ["1"]}
+        with pytest.raises(MalformedInput, match="length phi"):
+            matrix_from_obj({"dim": 2, "conductor": n, "entries": [[entry] * 2] * 2})
 
 
 # -- structural fuzz of malformed representation files ------------------------
