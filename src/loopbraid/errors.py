@@ -25,6 +25,10 @@ class DivisionByZero(LoopBraidError, ZeroDivisionError):
     """Field division by the zero element."""
 
 
+class FieldTooLarge(LoopBraidError):
+    """A conductor's reduction tables would be too large to build."""
+
+
 # -- linear algebra ----------------------------------------------------------
 
 class DimMismatch(LoopBraidError):

@@ -9,13 +9,14 @@ Rationals travel as base-10 strings, so round-trips are exact.  The
 writer's form is canonical: "p" when the coefficient is an integer, else
 "p/q" in lowest terms with q > 1, the sign on p and no leading zeros or
 other characters, each string made from the scalar's integer numerators
-and denominator with one gcd.  The reader takes every string of that
-shape, -?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007"), with int(); any
-other value, such as "1.5", "+3" or a JSON number, goes through
-Fraction, and is refused (MalformedInput) exactly where Fraction
-refuses it.  A matrix whose every entry is a canonical scalar of its
-conductor is read in one pass (`_canonical_matrix`), to the same matrix.
-Complex numbers in oracle reports are [re, im] pairs.
+and denominator with one gcd, and each scalar written from one template.
+The reader has one fast path and one general path.  A matrix whose every
+entry is a scalar of its conductor with strings of the shape
+-?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007") is read in one pass
+(`_canonical_matrix`) with int().  Every other scalar, such as one holding
+"1.5", "+3" or a JSON number, goes through Fraction, and is refused
+(MalformedInput) exactly where Fraction refuses it; both paths give the
+same matrix.  Complex numbers in oracle reports are [re, im] pairs.
 
 Output reports are encoded field by field from their dataclasses by
 `report_to_obj`: a dataclass field is a key of the JSON body.  So a
@@ -85,7 +86,8 @@ def matrix_to_obj(m: CMatrix) -> dict:
     }
 
 
-# canonical wire rationals joined by commas: `_CANONICAL` of cyclotomic, repeated
+# canonical wire rationals "p" or "p/q" (ASCII digits, the sign on p, q > 0
+# without a leading zero), joined by commas
 _CANONICAL_RUN = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?:,-?[0-9]+(?:/[1-9][0-9]*)?)*")
 
 
@@ -270,9 +272,6 @@ def _write(x: Any, out: list[str], newline: str) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(v) is str for v in x):  # a scalar's coefficients
-            out.append("[" + inner + ("," + inner).join(map(_ESCAPE, x)) + newline + "]")
-            return
         sep = "[" + inner
         for v in x:
             out.append(sep)

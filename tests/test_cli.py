@@ -4,6 +4,7 @@ import builtins
 import codecs
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -559,6 +560,32 @@ def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_inputs_asking_for_too_much_memory_exit_2(tmp_path, c6_file, capsys):
+    """A conductor whose reduction tables would not fit, from the command
+    line or from a wire file, and an oracle too large to allocate: each is
+    refused with one error line, and the conductor before any table."""
+    rep_file = tmp_path / "n20000.json"
+    assert main(["construct", "tw2", "--lambda", "1", "2", "--out", str(rep_file)]) == 0
+    obj = json.loads(rep_file.read_text())
+    for m in (obj["A"], obj["B"]):
+        m["conductor"] = 20000
+        for row in m["entries"]:
+            for e in row:
+                e["conductor"], e["coeffs"] = 20000, e["coeffs"] + ["0"] * 7999
+    rep_file.write_text(json.dumps(obj, separators=(",", ":")))
+    capsys.readouterr()
+    start = time.monotonic()
+    assert main(["construct", "tw2", "--lambda", "z60000", "1"]) == 2
+    assert main(["verify", str(rep_file), "--group", "B3"]) == 2
+    assert time.monotonic() - start < 5
+    assert main(["certify", str(c6_file), "--starts", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("error: ") for line in lines)
+    assert "conductor 60000" in lines[0] and "conductor 20000" in lines[1]
 
 
 def pinned_flow_digests(tmp_path, construct):

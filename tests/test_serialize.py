@@ -1,5 +1,6 @@
 """Round-trip fidelity of the JSON wire formats."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, cyclotomic, extend
+from loopbraid import catalog, cyclotomic, extend, repcore
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import MalformedInput
 from loopbraid.repcore import GroupKind
@@ -138,8 +139,14 @@ def test_dumps_matches_json_on_reports_and_refuses_what_json_refuses():
         {"coeffs": ["1"], "conductor": 3, "dim": 1},
         {"coeffs": ["1"], "conductor": True},
     ]
+    # verify's payload of a failing relation: a list of strings
+    perm = catalog.perm3(2)
+    broken = repcore.verify(dataclasses.replace(perm, S1=perm.S2, S2=perm.S1), GroupKind.LB3)
+    assert broken.failing
+    failing = {"verdicts": broken.verdicts, "all_hold": broken.all_hold,
+               "failing": broken.failing}
     for obj in (report_to_obj([built, cert]), small, marked, {"k": marked, "m": [marked]},
-                lookalikes):
+                lookalikes, report_to_obj(failing)):
         assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
     for bad in ({"x": object()}, [{1: 2, "1": 3}], {(1,): 2}):
         with pytest.raises(TypeError):
