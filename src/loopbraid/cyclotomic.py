@@ -286,7 +286,9 @@ class _Side:
     it; over all vectors, the largest scaled numerator; and the packed
     integers of each slot width asked for so far (see `pack`).  A
     `CMatrix` keeps its rows and its columns prepared, which is safe
-    because it is immutable; a plain list of vectors is prepared per call.
+    because it is immutable, and so does one exact pass of
+    `linalg._mod_p_first` for the row lists it multiplies; any other plain
+    list of vectors is prepared per call.
     """
 
     __slots__ = ("conductor", "length", "vectors", "dens", "scales", "top", "packed")

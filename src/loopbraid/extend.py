@@ -490,8 +490,8 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     are built from the images of A and B in F_p and reduced there, and rank
     N_d mod p proves rank N_d with no exact row formed.  When the rank falls
     short, or A or B has a denominator p divides, the same
-    `_linearized_rows` builds the exact rows and one exact `Echelon` answers,
-    with no second pass mod p.
+    `_linearized_rows` builds the exact rows and the exact side of
+    `_mod_p_first` answers, with no second pass mod p.
     """
     d, n = a.dim, a.conductor
     if d not in (4, 5):

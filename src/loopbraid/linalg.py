@@ -10,7 +10,10 @@ Every rank-type question (`matrix_rank`, `algebra_dimension` and through
 it `CMatrix.is_cyclic`, and `extend.uniqueness_linearized`) takes one
 route, `_mod_p_first`, the only code that touches `modular`: the question
 is asked first of the images in F_p, where full rank proves full rank
-here, and anything less is answered once exactly, so every result is exact.
+here.  Anything less is replayed exactly on the verdicts F_p recorded:
+only the rows found independent there are eliminated, and one packed
+product confirms that the others lie in their span.  When it does not,
+the question is answered once more from the start, so every result is exact.
 """
 
 from __future__ import annotations
@@ -522,9 +525,74 @@ class Echelon:
         return basis
 
 
-def _exact_mul(x, y):
-    """x @ y for exact matrices given as lists of rows."""
-    return packed_product(x, list(zip(*y)))
+def _exact_products(conductor: int):
+    """x @ y for exact matrices given as lists of rows, for one exact pass.
+
+    Each operand is scaled and packed once (`_Side`), as rows on the left
+    and as columns on the right, however many products of the pass it
+    enters: a generator, or a frontier element that every generator
+    multiplies.  The memo holds each operand it prepared, so no id is
+    reused while it lives; operands are never mutated.
+    """
+    sides: dict[tuple[int, bool], tuple[object, _Side]] = {}
+
+    def side(m, left: bool) -> _Side:
+        hit = sides.get((id(m), left))
+        if hit is None:
+            hit = sides[id(m), left] = (m, _Side(m if left else list(zip(*m)), conductor))
+        return hit[1]
+
+    return lambda x, y: packed_product(side(x, True), side(y, False))
+
+
+class _Disagree(Exception):
+    """An exact row contradicts the verdict F_p recorded for it."""
+
+
+def _in_span(ech: Echelon, rows: list) -> bool:
+    """Whether every row lies in the span of ech, by one packed product.
+
+    A vector v of that span is sum_i v[p_i] R_i over the reduced basis
+    rows R_i, which hold 1 at their own pivot p_i and 0 at every other
+    pivot; anything else is not in the span.  The combination matches v
+    at every pivot by construction, so only the other columns are formed.
+    """
+    pivots = set(ech.pivots)
+    free = [j for j in range(ech.width) if j not in pivots]
+    if not rows or not free:
+        return True
+    reduced = ech.rref()
+    if not reduced:
+        return all(row[j].is_zero for row in rows for j in free)
+    coeffs = [[row[piv] for piv, _ in reduced] for row in rows]
+    combos = packed_product(coeffs, [[basis[j] for _, basis in reduced] for j in free])
+    return all(got == [row[j] for j in free] for got, row in zip(combos, rows))
+
+
+def _replay(mats, conductor: int, width: int, count, mul, verdicts: list[bool]) -> bool:
+    """Run count exactly on the verdicts F_p recorded; True when they hold.
+
+    A row F_p found independent goes into one `Echelon`, and is independent
+    here too (a minor nonzero mod p is nonzero in Q(zeta_N)).  A row F_p
+    found dependent is set aside and reported dependent, so count takes
+    the path it took mod p and forms only the products formed there.  The
+    set-aside rows are then checked against the span in one product.
+    """
+    ech, aside = Echelon(width, conductor), []
+
+    def insert(row) -> bool:
+        verdict = verdicts[len(ech.rows) + len(aside)]
+        if not verdict:
+            aside.append(row)
+        elif ech.insert(row)[1] is None:
+            raise _Disagree
+        return verdict
+
+    try:
+        count(mats, mul, insert)
+    except _Disagree:
+        return False
+    return _in_span(ech, aside)
 
 
 def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
@@ -534,19 +602,40 @@ def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
     matrices mats (lists of rows) with the ring's product mul, feeds them to
     insert, and returns how many of them insert found independent.  It runs
     first on the images of mats in F_p (see `modular`), with one
-    `modular.EchelonModP`: a ring map can only lose rank, so reaching full
-    there proves full.  Anything less, or a matrix with no image (p divides
-    a denominator), proves nothing, and count runs once exactly, on mats
-    themselves with `packed_product` and one `Echelon`.  This is the only
-    code in the package that touches `modular`.
+    `modular.EchelonModP` that records each verdict: a ring map can only
+    lose rank, so reaching full there proves full.
+
+    Anything less is replayed exactly on those verdicts (`_replay`): the
+    rows found independent mod p enter one `Echelon`, the others are set
+    aside, and one packed product checks that they lie in the span of the
+    first.  Then F_p's count is exact, since the final span decides every
+    count here.  For a fixed list of rows it is the rank.  For a span
+    closure, the inserted words contain I and span some U, and every g W
+    of an inserted word W was either inserted or set aside, so lies in U:
+    U is closed under the generators and is the algebra.
+
+    A set-aside row outside the span, an independent row with no exact
+    pivot, or a matrix with no image (p divides a denominator) proves
+    nothing, and count runs once more exactly, on mats with one fresh
+    `Echelon`.  Every exact product of the call prepares each operand once
+    (`_exact_products`).  This is the only code in the package that
+    touches `modular`.
     """
     images = [modular.reduce_rows(m, conductor) for m in mats]
+    mul = _exact_products(conductor)
     if None not in images:
         p = modular.ring_map(conductor)[0]
-        if count(images, partial(modular.matmul, p=p), modular.EchelonModP(p).insert) == full:
-            return full
+        ech_p, verdicts = modular.EchelonModP(p), []
+
+        def insert_mod_p(row) -> bool:
+            verdicts.append(ech_p.insert(row))
+            return verdicts[-1]
+
+        rank = count(images, partial(modular.matmul, p=p), insert_mod_p)
+        if rank == full or _replay(mats, conductor, width, count, mul, verdicts):
+            return rank
     ech = Echelon(width, conductor)
-    return count(mats, _exact_mul, lambda row: ech.insert(row)[1] is not None)
+    return count(mats, mul, lambda row: ech.insert(row)[1] is not None)
 
 
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:

@@ -6,10 +6,14 @@ Z[zeta_N][1/D] onto F_p whenever p does not divide D.  A ring map can only
 lose linear independence: vectors independent mod p have a maximal minor
 that is nonzero mod p, so the same minor is nonzero in Q(zeta_N) and the
 vectors are independent there.  Full rank mod p therefore proves full
-rank; anything less proves nothing, and the caller takes its exact path
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  This module
-has one caller, `linalg._mod_p_first`, the route of every rank-type
-question: `linalg.matrix_rank`, the span closure of
+rank (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5).  Anything
+less proves nothing by itself: the caller replays its exact pass on the
+verdicts of `EchelonModP.insert`, eliminating only the rows found
+independent mod p, which are independent exactly, and confirms the rows
+found dependent against their span in one exact product; when one is not
+confirmed, the whole exact pass runs.  This module has one caller,
+`linalg._mod_p_first`, the route of every rank-type question:
+`linalg.matrix_rank`, the span closure of
 `linalg.algebra_dimension` (behind `is_irreducible` and
 `CMatrix.is_cyclic`) and `extend.uniqueness_linearized`, whose whole
 system is built from the images of A and B.

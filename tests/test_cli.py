@@ -13,8 +13,8 @@ from loopbraid import catalog, extend
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.linalg import CMatrix
-from loopbraid.repcore import GroupKind, LBRep
-from loopbraid.serialize import cycnum_from_obj, rep_from_obj, rep_to_obj
+from loopbraid.repcore import GroupKind, LBRep, tensor_product
+from loopbraid.serialize import cycnum_from_obj, dumps, rep_from_obj, rep_to_obj
 
 
 TW4_ARGS = ["tw4", "--lambda", "1", "2", "3", "2/3", "--gamma2", "2"]
@@ -637,4 +637,37 @@ def test_reports_of_a_tw5_flow_at_conductor_12_are_pinned(tmp_path, capsys):
     assert pinned_flow_digests(tmp_path, ["tw5", "--lambda", *lam, "--gamma", "z12"]) == [
         "350c1f56f41296583e37eaf91c9a0217f3b5c56994614d49edf7cf1e899425b8",
         "ce3e17cbacbb449e9824c6a40825a6dbda657c02d50df5905835f236cfacdf35",
+    ]
+
+
+def test_analyze_reports_on_the_exact_rank_route_are_pinned(tmp_path, capsys):
+    """The pinned `analyze` reports of three inputs whose rank questions
+    fall short mod p, so the exact side answers: the tensor square of a
+    tw2 family 2 extension (algebra dimension 10 < 16, uniqueness rank 5),
+    tw2 family 1 at lambda = (-z3, 1) (3 < 4), and tw4 at an unlucky prime
+    (uniqueness rank 8 mod 2147483659, 9 over Q)."""
+    rep, ext, square, out = (str(tmp_path / f"{s}.json") for s in ("rep", "ext", "sq", "an"))
+
+    def analyze_digest(path):
+        assert main(["analyze", path, "--out", out]) == 0
+        with open(out, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    assert main(["construct", "tw2", "--lambda", "3", "(-1/2)", "--family", "2", "--out", rep]) == 0
+    assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
+    with open(ext) as fh:
+        tw2 = rep_from_obj(json.load(fh)["representation"])
+    with open(square, "w") as fh:
+        fh.write(dumps(rep_to_obj(tensor_product(tw2, tw2))))
+    digests = [analyze_digest(square)]
+    family1 = ["tw2", "--lambda", "(-1*z3)", "1", "--family", "1"]
+    assert main(["construct", *family1, "--out", rep]) == 0
+    digests.append(analyze_digest(rep))
+    lam = ["1", "4", "1", "4611686069966995600"]  # (1 + p)^2 = 1 mod p
+    assert main(["construct", "tw4", "--lambda", *lam, "--gamma2", "4294967320", "--out", rep]) == 0
+    digests.append(analyze_digest(rep))
+    assert digests == [
+        "1e2d1de71ed19e64d72f2f73556f5ee3ae4d0c4414a46bd846cd93d5df3faafa",
+        "776e5507572cdf7ee0c0ad7a32d4c0722233518ac6dac63c4f7130d4718a2502",
+        "836bd2e6160f49def28d248e7ec7c56f53fd24fa3d0c0ec15efd4ec2868a07f5",
     ]

@@ -1,7 +1,8 @@
 """Property tests of the exact elimination kernel behind det, inverse, rank,
-kernel, solve_linear and min_poly, at conductors 1 and 12, and of the
+kernel, solve_linear and min_poly, at conductors 1 and 12, of the
 characteristic polynomial, whose Faddeev-LeVerrier steps and evaluation run
-through the packed product."""
+through the packed product, and of the exact replay of a rank that falls
+short mod p against one plain exact elimination."""
 
 from fractions import Fraction
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from loopbraid import linalg
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import SingularMatrix
-from loopbraid.linalg import CMatrix, algebra_dimension, matrix_rank, solve_linear
+from loopbraid.linalg import CMatrix, Echelon, algebra_dimension, matrix_rank, solve_linear
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -152,3 +154,61 @@ def test_char_poly_matches_sympy_at_conductor_12(m):
         [[_to_sympy(e) for e in row] for row in m.rows], (m.dim, m.dim), QQ_ZETA12
     ).charpoly()
     assert [_to_sympy(c) for c in reversed(m.char_poly().coeffs)] == ref
+
+
+@st.composite
+def block_triangular_pairs(draw):
+    """Two d x d matrices [[X, Y], [0, Z]] with blocks of the same sizes,
+    d <= 4: the pair keeps a subspace invariant, so it generates fewer than
+    d^2 dimensions, and its 15 words of length at most 3 fall short of rank
+    min(15, d^2)."""
+    n = draw(st.sampled_from([1, 3, 4, 12]))
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    zero = CycNum.zero(n)
+
+    def block_triangular():
+        return CMatrix(
+            [[zero if i >= k > j else draw(scalars(n)) for j in range(d)] for i in range(d)], n
+        )
+
+    return block_triangular(), block_triangular()
+
+
+def _plain_algebra_dimension(gens) -> int:
+    """The closure of I under the generators over CMatrix products, in one
+    Echelon: each word that enters the span is multiplied by every generator."""
+    d, n = gens[0].dim, gens[0].conductor
+    ech = Echelon(d * d, n)
+    frontier = [CMatrix.identity(d, n)]
+    while frontier:
+        frontier = [g @ w for w in frontier if ech.insert(w.flatten())[1] is not None for g in gens]
+    return len(ech.rows)
+
+
+def test_replayed_ranks_match_one_exact_elimination():
+    replays, replay = [], linalg._replay
+
+    def recorded(*args):
+        replays.append(replay(*args))
+        return replays[-1]
+
+    @PROPERTY
+    @given(block_triangular_pairs())
+    def check(pair):
+        d, n = pair[0].dim, pair[0].conductor
+        words, frontier = [], [CMatrix.identity(d, n)]
+        for _ in range(4):
+            words += [w.flatten() for w in frontier]
+            frontier = [g @ w for w in frontier for g in pair]
+        assert matrix_rank(words) == len(Echelon(d * d, n, words).rows)
+        assert algebra_dimension(list(pair)) == _plain_algebra_dimension(pair)
+        draws.append(pair)
+
+    draws = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "_replay", recorded)
+        check()
+    # most of the two questions per draw fall short mod p and are answered
+    # by a confirmed replay
+    assert sum(replays) > len(draws)

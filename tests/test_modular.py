@@ -1,7 +1,8 @@
 """The ring map into F_p and the mod-p fast paths of matrix_rank,
 algebra_dimension, CMatrix.is_cyclic and uniqueness_linearized: the prime
 and root, the lazily reduced elimination against an eager one, rank mod p
-against the exact rank, and every fast path against its exact fallback."""
+against the exact rank, every fast path against its exact fallback, and
+the exact replay of a shortfall against verdicts mod p that lie."""
 
 from fractions import Fraction
 
@@ -225,3 +226,77 @@ def test_is_cyclic_examples():
     assert CMatrix([[0, 0, -5], [1, 0, 2], [0, 1, 0]], 1).is_cyclic()
     w = make_root_of_unity(12, 4)
     assert CMatrix.diagonal([w, w * w, w * w], 12).is_cyclic() is False
+
+
+def _words(gens, length: int) -> list:
+    """Every word in gens of length at most length, flattened."""
+    frontier = [CMatrix.identity(gens[0].dim, gens[0].conductor)]
+    words = list(frontier)
+    for _ in range(length):
+        frontier = [g @ w for w in frontier for g in gens]
+        words += frontier
+    return [w.flatten() for w in words]
+
+
+def _short_questions():
+    """Rank questions that fall short mod p, so that the replay runs."""
+    tw2 = catalog.tw2(3, Fraction(-1, 2), family=2)
+    square = tensor_product(tw2, tw2)
+    family1 = catalog.tw2(-make_root_of_unity(3, 1), 1, family=1)
+    return {
+        # rank 10 of 15 words, algebra dimension 10 of 16, uniqueness rank 5 of 9
+        "square-rank": lambda: matrix_rank(_words(square.present(), 3)),
+        "square-algdim": lambda: algebra_dimension(square.present()),
+        "square-uniqueness": lambda: extend.uniqueness_linearized(square.A, square.B),
+        # rank and algebra dimension 3 of 4
+        "family1-rank": lambda: matrix_rank(_words(family1.present(), 3)),
+        "family1-algdim": lambda: algebra_dimension(family1.present()),
+    }
+
+
+# On family 1 one more independent row mod p reaches full rank, which is
+# the proof the fast path rests on, so only the other lie is told there.
+LIES = [
+    (name, lie)
+    for name in _short_questions()
+    for lie in ("independent", "dependent")
+    if not (name.startswith("family1") and lie == "dependent")
+]
+
+
+def _verdicts_mod_p(monkeypatch, flip: int | None = None) -> list[bool]:
+    """Record the verdicts of `modular.EchelonModP.insert` from here on;
+    the one at position flip is reported as its opposite."""
+    verdicts, insert = [], modular.EchelonModP.insert
+
+    def lying(self, row):
+        verdicts.append(insert(self, row))
+        return verdicts[-1] != (len(verdicts) - 1 == flip)
+
+    monkeypatch.setattr(modular.EchelonModP, "insert", lying)
+    return verdicts
+
+
+@pytest.mark.parametrize("name, lie", LIES)
+def test_lying_verdicts_mod_p_end_in_the_exact_answer(name, lie, monkeypatch):
+    """A verdict mod p that lies about one row: the last independent row
+    reported dependent, or the first dependent row reported independent.
+    The replay either proves the exact answer or gives way to the plain
+    exact pass, so the answer is the one exact elimination gives."""
+    question = _short_questions()[name]
+    with monkeypatch.context() as m:
+        m.setattr(modular, "reduce_rows", lambda rows, conductor: None)
+        want = question()
+    with monkeypatch.context() as m:
+        honest = _verdicts_mod_p(m)
+        assert question() == want
+    first_dependent = honest.index(False)  # the question falls short mod p
+    if lie == "dependent":
+        flip = first_dependent
+    else:
+        flip = len(honest) - 1 - honest[::-1].index(True)
+        # on the squares the lie comes after a row set aside rightly, so
+        # the confirmation must check every set-aside row to catch it
+        assert name.startswith("family1") or first_dependent < flip
+    _verdicts_mod_p(monkeypatch, flip)
+    assert question() == want

@@ -5,9 +5,11 @@ the exact rows of `uniqueness_linearized`.
 The reference is the schoolbook sum of CycNum products, built from `*` and
 `+` alone, so it shares no code with the packing and unpacking.  The same
 reference defines the uniqueness system: its image mod p is the system the
-rank is first asked of, in one `modular.EchelonModP`, and its exact rows
-are the ones one `linalg.Echelon` receives whenever that rank falls short
-of N_d or A and B have no image mod p; no second elimination mod p runs."""
+rank is first asked of, in one `modular.EchelonModP`.  When that rank falls
+short of N_d, one `linalg.Echelon` receives exactly the exact rows found
+independent mod p; a second receives every exact row when the others do
+not lie in their span, or when A and B have no image mod p.  No second
+elimination mod p runs."""
 
 import math
 import random
@@ -266,8 +268,9 @@ def test_a_prepared_matrix_multiplies_as_a_fresh_one(n):
 
 
 def test_plain_vectors_of_another_conductor_are_refused():
-    # dot, apply, _exact_mul and _combination hand plain vectors to the
-    # kernel, which prepares them against the conductor of the other side
+    # dot, apply, the exact side of the rank route and _combination hand
+    # plain vectors to the kernel, which prepares them against the
+    # conductor of the other side, or of the pass
     m = CMatrix.identity(2, 12)
     assert m @ m == m  # both sides of m are now prepared
     x12, x3 = CycNum.one(12), CycNum.one(3)
@@ -276,9 +279,9 @@ def test_plain_vectors_of_another_conductor_are_refused():
     with pytest.raises(ConductorMismatch):
         dot([x12], [x3])
     with pytest.raises(ConductorMismatch):
-        linalg._exact_mul(m.rows, [[x12, x3], [x3, x12]])
+        linalg._exact_products(12)(m.rows, [[x12, x3], [x3, x12]])
     with pytest.raises(ConductorMismatch):
-        linalg._exact_mul([[x12, x3], [x3, x12]], m.rows)
+        linalg._exact_products(12)([[x12, x3], [x3, x12]], m.rows)
     with pytest.raises(ConductorMismatch):
         extend._combination([x3], [m])
 
@@ -396,7 +399,8 @@ def uniqueness_inputs():
 
 def record_eliminations(monkeypatch) -> tuple[list, list]:
     """The exact (`linalg.Echelon`) and mod-p (`modular.EchelonModP`)
-    eliminations built from here on, in order; each keeps its inserted rows."""
+    eliminations built from here on, in order; each keeps its inserted
+    rows, and a mod-p one its verdicts."""
     exact, mod_p = [], []
 
     class Exact(linalg.Echelon):
@@ -411,13 +415,14 @@ def record_eliminations(monkeypatch) -> tuple[list, list]:
 
     class ModP(modular.EchelonModP):
         def __init__(self, p):
-            self.inserted = []
+            self.inserted, self.verdicts = [], []
             mod_p.append(self)
             super().__init__(p)
 
         def insert(self, row):
             self.inserted.append(list(row))
-            return super().insert(row)
+            self.verdicts.append(super().insert(row))
+            return self.verdicts[-1]
 
     monkeypatch.setattr(linalg, "Echelon", Exact)
     monkeypatch.setattr(modular, "EchelonModP", ModP)
@@ -435,9 +440,15 @@ def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch)
     assert lin.n_equations == len(want)
     # one elimination mod p; rank N_d there answers without an exact row,
     # and a shortfall (tw4 with lambda = [1, 1, 1, 1], the tensor squares)
-    # sends the exact rows to one exact elimination, with no second pass mod p
+    # is replayed: one exact elimination receives exactly the rows found
+    # independent mod p, in order, with no second pass mod p or exactly
     assert len(mod_p) == 1
-    assert [e.inserted for e in exact] == ([] if rank == lin.n_unknowns else [want])
+    if rank == lin.n_unknowns:
+        assert exact == []
+    else:
+        kept = [row for row, verdict in zip(want, mod_p[0].verdicts) if verdict]
+        assert len(kept) == rank < len(want)
+        assert [e.inserted for e in exact] == [kept]
     # with A and B given no image in F_p, the exact rows answer
     exact.clear()
     mod_p.clear()
@@ -483,4 +494,13 @@ def test_uniqueness_rank_off_the_mod_p_route_comes_from_the_exact_rows(
     # an elimination mod p only where A and B have an image there
     images = [modular.reduce_rows(m.rows, 1) for m in (rep.A, rep.B)]
     assert len(mod_p) == (None not in images)
-    assert [e.inserted for e in exact] == [linearized_rows(rep.A, rep.B)]
+    want = linearized_rows(rep.A, rep.B)
+    if not mod_p:
+        assert [e.inserted for e in exact] == [want]
+        return
+    # the unlucky prime: F_p reads rank 8, so the replay's elimination
+    # receives the 8 rows found independent there; the others do not all
+    # lie in their span, and a second elimination receives every row
+    kept = [row for row, verdict in zip(want, mod_p[0].verdicts) if verdict]
+    assert len(kept) == 8
+    assert [e.inserted for e in exact] == [kept, want]
