@@ -16,7 +16,6 @@ from .cyclotomic import (
 )
 from .linalg import (
     CMatrix,
-    FieldPoly,
     algebra_dimension,
     is_proportional,
     solve_linear,
@@ -38,7 +37,6 @@ __all__ = [
     "nth_root_in_field",
     "omega",
     "CMatrix",
-    "FieldPoly",
     "algebra_dimension",
     "is_proportional",
     "solve_linear",

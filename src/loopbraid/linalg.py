@@ -4,10 +4,13 @@ Everything here is exact.  All elimination (det, inverse, rank, kernel,
 linear solves, the span of powers behind min_poly, algebra closure) runs
 through one incremental echelon basis, `Echelon`, with first-nonzero
 pivoting (no stability concerns over an exact field); char_poly is
-Faddeev-LeVerrier.  Vectors are plain tuples of CycNum.
+Faddeev-LeVerrier.  Vectors are plain tuples of CycNum, and so are the
+char and min polys: their coefficients, lowest degree first.
 
 Every rank-type question (`matrix_rank`, `algebra_dimension` and through
-it `CMatrix.is_cyclic`, and `extend.uniqueness_linearized`) takes one
+it `CMatrix.is_cyclic`, `CMatrix.is_diagonalizable`, which asks whether
+p'(M) is invertible for the min poly p, and
+`extend.uniqueness_linearized`) takes one
 route, `_mod_p_first`, the only code that touches `modular`: the question
 is asked first of the images in F_p, where full rank proves full rank
 here.  Anything less is replayed exactly on the verdicts F_p recorded:
@@ -309,8 +312,9 @@ class CMatrix:
         """Exact basis of the null space; empty iff invertible."""
         return Echelon(self.dim, self.conductor, self.rows).kernel()
 
-    def char_poly(self) -> "FieldPoly":
-        """Monic characteristic polynomial via Faddeev-LeVerrier."""
+    def char_poly(self) -> Vector:
+        """Monic characteristic polynomial via Faddeev-LeVerrier, as its
+        coefficients lowest degree first."""
         d = self.dim
         ident = CMatrix.identity(d, self.conductor)
         coeffs = [CycNum.one(self.conductor)]  # highest degree first
@@ -318,11 +322,12 @@ class CMatrix:
         for k in range(1, d + 1):
             m = self @ (m + ident.scalar_mul(coeffs[-1]))
             coeffs.append(m.trace() * Fraction(-1, k))
-        return FieldPoly(tuple(reversed(coeffs)))
+        return tuple(reversed(coeffs))
 
-    def min_poly(self) -> "FieldPoly":
-        """Monic minimal polynomial: the first power M^k that reduces to zero
-        against I, M, ..., M^(k-1), with the combination riding along."""
+    def min_poly(self) -> Vector:
+        """Monic minimal polynomial, lowest degree first: the first power M^k
+        that reduces to zero against I, M, ..., M^(k-1), with the combination
+        riding along."""
         d, n = self.dim, self.conductor
         zero, one = CycNum.zero(n), CycNum.one(n)
         ech = Echelon(d * d, n)
@@ -332,7 +337,7 @@ class CMatrix:
                 [*power.flatten(), *[zero] * k, one, *[zero] * (d - k)]
             )
             if pivot is None:
-                return FieldPoly(residual[d * d : d * d + k + 1])
+                return tuple(residual[d * d : d * d + k + 1])
             k, power = k + 1, power @ self
 
     def is_cyclic(self) -> bool:
@@ -340,104 +345,17 @@ class CMatrix:
         return algebra_dimension([self]) == self.dim
 
     def is_diagonalizable(self) -> bool:
-        """Squarefree minimal polynomial test."""
-        mp = self.min_poly()
-        return mp.gcd(mp.derivative()).degree() == 0
-
-
-class FieldPoly:
-    """A polynomial over a cyclotomic field, coefficients lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[CycNum]):
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero:
-            cs.pop()
-        if not cs:
-            raise ValueError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("FieldPoly is immutable")
-
-    @classmethod
-    def from_rationals(cls, values: Sequence, conductor: int = 1) -> "FieldPoly":
-        return cls([_lift(v, conductor) for v in values])
-
-    @property
-    def conductor(self) -> int:
-        return self.coeffs[0].conductor
-
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero:
-            return -1
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1].is_one
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree() == -1
-
-    def monic(self) -> "FieldPoly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1].inv()
-        return FieldPoly([lead * c for c in self.coeffs])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FieldPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return "FieldPoly[" + ", ".join(map(str, self.coeffs)) + "]"
-
-    def divmod(self, other: "FieldPoly") -> tuple["FieldPoly", "FieldPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        z = CycNum.zero(self.conductor)
-        r = list(self.coeffs)
-        q = [z] * max(1, len(r) - len(other.coeffs) + 1)
-        db = other.degree()
-        lead = other.coeffs[-1].inv()
-        for i in range(len(r) - 1, db - 1, -1):
-            if r[i].is_zero:
-                continue
-            c = r[i] * lead
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] = r[i - db + j] - c * other.coeffs[j]
-        return FieldPoly(q), FieldPoly(r[:db] if db > 0 else [z])
-
-    def __mod__(self, other: "FieldPoly") -> "FieldPoly":
-        return self.divmod(other)[1]
-
-    def divides(self, other: "FieldPoly") -> bool:
-        return (other % self).is_zero
-
-    def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
-
-    def derivative(self) -> "FieldPoly":
-        if len(self.coeffs) == 1:
-            return FieldPoly([CycNum.zero(self.conductor)])
-        return FieldPoly(
-            [c * k for k, c in enumerate(self.coeffs) if k > 0]
-        )
-
-    def eval_matrix(self, x: CMatrix) -> CMatrix:
-        acc = CMatrix.zero(x.dim, x.conductor)
-        for c in reversed(self.coeffs):
-            acc = (acc @ x) + CMatrix.identity(x.dim, x.conductor).scalar_mul(c)
-        return acc
+        """Diagonalizable over the algebraic closure (omega's rotation is, at
+        N = 1, though not over Q): the minimal polynomial p is squarefree,
+        that is p'(M) is invertible.  The eigenvalues of q(M) are the q(l)
+        for the roots l of p, so q(M) is invertible iff q shares no root
+        with p.  p' comes by Horner, its rank through `matrix_rank`."""
+        p = self.min_poly()
+        ident = CMatrix.identity(self.dim, self.conductor)
+        acc = CMatrix.zero(self.dim, self.conductor)
+        for k in range(len(p) - 1, 0, -1):
+            acc = acc @ self + ident.scalar_mul(p[k] * k)
+        return matrix_rank(acc.rows) == self.dim
 
 
 # -- the elimination kernel ------------------------------------------------------
@@ -639,11 +557,16 @@ def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
 
 
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
-    """Exact rank; full rank mod p answers without exact elimination."""
+    """Exact rank; full rank mod p answers without exact elimination.
+
+    The rows must share one length; rows of length 0 have rank 0.
+    """
     rows = list(rows)
-    if not rows:
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise DimMismatch("rows of a rank must share one length")
+    if not width:
         return 0
-    width = len(rows[0])
     return _mod_p_first(
         [rows], rows[0][0].conductor, width, min(len(rows), width),
         lambda mats, mul, insert: sum(map(insert, mats[0])),
@@ -656,12 +579,14 @@ def solve_linear(
     """One exact solution of rows * x = rhs plus a kernel basis, or None.
 
     The system may be rectangular (rows of equal length, one rhs entry per
-    row).  None signals inconsistency.
+    row, else `DimMismatch`).  None signals inconsistency.
     """
+    if len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
+        raise DimMismatch("solve_linear needs one rhs entry per row, rows of one length")
     if not rows:
         return tuple(), []
     ncols = len(rows[0])
-    ech = Echelon(ncols, rows[0][0].conductor)
+    ech = Echelon(ncols, rhs[0].conductor)  # rows may have no entries
     for row, b in zip(rows, rhs):
         residual, pivot = ech.insert([*row, b])
         if pivot is None and not residual[ncols].is_zero:

@@ -279,7 +279,7 @@ def test_lkb3_traceless():
     assert (ab @ ab).trace().is_zero
     assert (rep.B @ rep.B @ rep.A @ rep.B).trace().is_zero
     assert verify(rep, GroupKind.B3).all_hold
-    assert rep.A.min_poly().degree() == 3
+    assert len(rep.A.min_poly()) - 1 == 3
 
 
 def test_lkb3_genericity_flag():

@@ -84,3 +84,10 @@ def test_modular_sits_behind_linalg_alone():
         if _stem(name) == "modular" and stem != "modular"
     }
     assert importers == {"linalg"}
+
+
+def test_every_public_name_resolves():
+    import loopbraid
+
+    missing = [name for name in loopbraid.__all__ if not hasattr(loopbraid, name)]
+    assert missing == []

@@ -1,8 +1,9 @@
 """Property tests of the exact elimination kernel behind det, inverse, rank,
 kernel, solve_linear and min_poly, at conductors 1 and 12, of the
 characteristic polynomial, whose Faddeev-LeVerrier steps and evaluation run
-through the packed product, and of the exact replay of a rank that falls
-short mod p against one plain exact elimination."""
+through the packed product, of `is_diagonalizable` against sympy on
+conjugated Jordan forms, and of the exact replay of a rank that falls short
+mod p against one plain exact elimination."""
 
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from loopbraid import linalg
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import SingularMatrix
 from loopbraid.linalg import CMatrix, Echelon, algebra_dimension, matrix_rank, solve_linear
+
+from poly_support import divides, eval_at
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -116,10 +119,10 @@ def test_solve_linear_solutions_satisfy_the_system(system):
 @given(matrices())
 def test_min_poly_annihilates_and_divides_char_poly(m):
     mp = m.min_poly()
-    assert mp.is_monic
-    assert mp.eval_matrix(m).is_zero
-    assert mp.divides(m.char_poly())
-    assert mp.degree() == algebra_dimension([m])
+    assert mp[-1] == 1
+    assert eval_at(mp, m).is_zero
+    assert divides(mp, m.char_poly())
+    assert len(mp) - 1 == algebra_dimension([m])
 
 
 @PROPERTY
@@ -135,7 +138,7 @@ def test_rank_and_det_match_sympy_at_conductor_1(m):
     lambda n: st.integers(1, 4).flatmap(lambda d: matrices(n, d))
 ))
 def test_cayley_hamilton(m):
-    assert m.char_poly().eval_matrix(m).is_zero
+    assert eval_at(m.char_poly(), m).is_zero
 
 
 ZETA12 = sympy.exp(2 * sympy.pi * sympy.I / 12)
@@ -153,7 +156,51 @@ def test_char_poly_matches_sympy_at_conductor_12(m):
     ref = DomainMatrix(
         [[_to_sympy(e) for e in row] for row in m.rows], (m.dim, m.dim), QQ_ZETA12
     ).charpoly()
-    assert [_to_sympy(c) for c in reversed(m.char_poly().coeffs)] == ref
+    assert [_to_sympy(c) for c in reversed(m.char_poly())] == ref
+
+
+# omega's rotation R, with eigenvalues w and w^2 outside Q, and R twice with
+# I above the diagonal, which is not diagonalizable
+ROTATION_BLOCKS = (
+    ((0, -1), (1, -1)),
+    ((0, -1, 1, 0), (1, -1, 0, 1), (0, 0, 0, -1), (0, 0, 1, -1)),
+)
+
+
+@st.composite
+def conjugated_jordan_forms(draw):
+    """P J P^-1 at N = 1 with d <= 4, J block diagonal.  A block is a Jordan
+    block J_k(l) with l drawn from four values, so eigenvalues repeat, or
+    one of `ROTATION_BLOCKS`.  P = L U with unit triangular L and U is
+    invertible over Z."""
+    d = draw(st.integers(1, 4))
+    j = [[0] * d for _ in range(d)]
+    at = 0
+    while at < d:
+        blocks = [
+            *(("jordan", k) for k in range(1, d - at + 1)),
+            *(b for b in ROTATION_BLOCKS if len(b) <= d - at),
+        ]
+        block = draw(st.sampled_from(blocks))
+        if block[0] == "jordan":
+            lam, k = draw(st.sampled_from([-1, 0, 1, 2])), block[1]
+            block = [[lam if c == r else int(c == r + 1) for c in range(k)] for r in range(k)]
+        for r, row in enumerate(block):
+            j[at + r][at : at + len(row)] = row
+        at += len(block)
+    low = [[1 if i == k else draw(st.integers(-2, 2)) if i > k else 0 for k in range(d)]
+           for i in range(d)]
+    up = [[1 if i == k else draw(st.integers(-2, 2)) if i < k else 0 for k in range(d)]
+          for i in range(d)]
+    p = CMatrix(low, 1) @ CMatrix(up, 1)
+    return p @ CMatrix(j, 1) @ p.inverse()
+
+
+@PROPERTY
+@given(conjugated_jordan_forms())
+def test_is_diagonalizable_matches_sympy_at_conductor_1(m):
+    ref = sympy.Matrix([[sympy.Rational(str(e.as_rational())) for e in r] for r in m.rows])
+    assert m.is_diagonalizable() == ref.is_diagonalizable()
 
 
 @st.composite
