@@ -287,8 +287,8 @@ class _Side:
     integers of each slot width asked for so far (see `pack`).  A
     `CMatrix` keeps its rows and its columns prepared, which is safe
     because it is immutable, and so does one exact pass of
-    `linalg._mod_p_first` for the row lists it multiplies; any other plain
-    list of vectors is prepared per call.
+    `linalg._mod_p_first` for the matrices it multiplies, as lists of rows
+    or flat; any other plain list of vectors is prepared per call.
     """
 
     __slots__ = ("conductor", "length", "vectors", "dens", "scales", "top", "packed")
@@ -774,6 +774,32 @@ def roots_of_unity(conductor: int) -> tuple[CycNum, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _root_index(conductor: int) -> dict[tuple[int, ...], int]:
+    """j for each root of unity roots_of_unity(N)[j] whose first nonzero
+    coefficient is positive, keyed by its coefficients.  A root is a unit
+    of Z[zeta_N], so its coefficients (a reduced power of zeta, up to sign)
+    have content 1, and u and -u share one key."""
+    return {
+        u._num: j
+        for j, u in enumerate(roots_of_unity(conductor))
+        if next(c for c in u._num if c) > 0
+    }
+
+
+def _root_of_unity_part(x: CycNum) -> tuple[Fraction, int] | None:
+    """(q, j) with x = q * roots_of_unity(N)[j] and q rational, or None
+    when x is no rational multiple of a root of unity: x's numerator over
+    its content, signed to lead positive, is looked up."""
+    if x.is_zero:
+        return Fraction(0), 0
+    g = math.gcd(*x._num)
+    if next(c for c in x._num if c) < 0:
+        g = -g
+    j = _root_index(x.conductor).get(tuple(c // g for c in x._num))
+    return None if j is None else (Fraction(g, x._den), j)
+
+
 def nth_root_in_field(x: CycNum, n: int) -> list[CycNum]:
     """All y in Q(zeta_N) with y**n = x.
 
@@ -789,16 +815,20 @@ def nth_root_in_field(x: CycNum, n: int) -> list[CycNum]:
     if x.is_zero:
         return [CycNum.zero(x.conductor)]
     found: dict[tuple, CycNum] = {}
-    roots = roots_of_unity(x.conductor)
-    for j, u in enumerate(roots):
-        q = (x * roots[(-n * j) % len(roots)]).as_rational()  # x / u^n
-        if q is None:
-            continue
-        r = rational_nth_root(q, n)
-        if r is None:
-            continue
-        y = u * r
-        found.setdefault((y._num, y._den), y)
+    part = _root_of_unity_part(x)
+    if part is not None:
+        # x = q u_j, so u_i r is a root iff u_i^n = s u_j and r^n = s q for
+        # a sign s; -1 is u_(order/2) in the cyclic group of roots
+        q, j = part
+        roots = roots_of_unity(x.conductor)
+        order = len(roots)
+        signs = {j: q, (j + order // 2) % order: -q}
+        for i, u in enumerate(roots):
+            qi = signs.get(n * i % order)
+            r = None if qi is None else rational_nth_root(qi, n)
+            if r is not None:
+                y = u * r
+                found.setdefault((y._num, y._den), y)
     if found:
         return sorted(found.values(), key=lambda y: (y._num, y._den))
     if n <= 3 and euler_phi(x.conductor) > 1:

@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     CycNum,
+    _root_of_unity_part,
     common_field,
     make_root_of_unity,
     nth_root_in_field,
     omega,
     packed_product,
     rational_nth_root,
-    roots_of_unity,
 )
 from .errors import (
     BadBasisChange,
@@ -154,12 +154,8 @@ def _rational_part_is_noncube(x: CycNum) -> bool:
     it would hold a real cube root of q, whose field Q(q^(1/3)) is not
     normal over Q.
     """
-    roots = roots_of_unity(x.conductor)
-    for j in range(len(roots)):
-        q = (x * roots[-j]).as_rational()  # x / roots[j]
-        if q is not None:
-            return rational_nth_root(q, 3) is None
-    return False
+    part = _root_of_unity_part(x)
+    return part is not None and rational_nth_root(part[0], 3) is None
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +458,17 @@ def _linearized_rows(a, b, mul, positions, monomials) -> list[tuple]:
     """The uniqueness rows over any ring, A and B given as lists of rows and
     mul(x, y) their matrix product in that ring.
 
-    Per family E_m = B^m AB, then F_m = B E_m A, and per entry (i, j) in
-    positions: the coefficients of the monomials b_m b_n in
+    Per family E_m = B^m AB, then F_m = B E_m A = E_(m+1) A, and per entry
+    (i, j) in positions: the coefficients of the monomials b_m b_n in
     (sum_k b_k E_k)^2 [i, j], that is entry (i, j) of E_m E_n + E_n E_m,
     or of E_m^2 when m = n.
     """
     d = len(a)
-    basis = [mul(a, b)]
-    for _ in range(d - 1):
-        basis.append(mul(b, basis[-1]))
+    powers = [mul(a, b)]  # E_0, ..., E_d
+    for _ in range(d):
+        powers.append(mul(b, powers[-1]))
     rows = []
-    for mats in (basis, [mul(mul(b, e), a) for e in basis]):
+    for mats in (powers[:d], [mul(e, a) for e in powers[1:]]):
         for i, j in positions:
             # t[m][n] is entry (i, j) of E_m E_n
             t = mul([e[i] for e in mats], [[e[k][j] for e in mats] for k in range(d)])
@@ -510,10 +506,11 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
     monomials = [(m, n) for m in range(d) for n in range(m, d) if m + n > 0]
     n_d = (d + 2) * (d - 1) // 2
     assert len(monomials) == n_d
-    def count(mats, mul, insert) -> int:
-        return sum(map(insert, _linearized_rows(*mats, mul, positions, monomials)))
+    def count(mats, ring, insert) -> int:
+        rows = _linearized_rows(*mats, ring.mul, positions, monomials)
+        return sum(insert(ring.row(r)) for r in rows)
 
-    rank = _mod_p_first([a.rows, b.rows], n, n_d, n_d, count)
+    rank = _mod_p_first([a, b], n, n_d, n_d, count)
     verdict = "unique-standard" if rank == n_d else "indeterminate"
     return LinearizedSystem(
         d=d,

@@ -17,14 +17,17 @@ here.  Anything less is replayed exactly on the verdicts F_p recorded:
 only the rows found independent there are eliminated, and one packed
 product confirms that the others lie in their span.  When it does not,
 the question is answered once more from the start, so every result is exact.
+A `CMatrix` is immutable and keeps what one command derives from it: its
+products, its `is_cyclic` verdict and its image in F_p.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import modular
 from .cyclotomic import CycNum, _field, _mul_num, _new, _Side, packed_product
@@ -47,14 +50,25 @@ def _lift(value, conductor: int) -> CycNum:
     return CycNum.from_rational(value, conductor)
 
 
+_UNSET = object()
+
+
 class CMatrix:
     """A square matrix over Q(zeta_N) with exact entries.
 
-    Its rows and its columns are each prepared for `packed_product` the
-    first time they enter a product, and kept: the matrix is immutable.
+    The matrix is immutable, so what is derived from it is kept: its rows
+    and its columns, each prepared for `packed_product` the first time they
+    enter a product; the products it has formed as the left operand, keyed
+    on the id of the right one (`a @ b is a @ b`), which the memo holds by
+    a weak reference, so that a reused id is told apart and no reference
+    cycle (a @ b beside b @ a) outlives the matrices; its `is_cyclic`
+    verdict; and its image in F_p, which `_mod_p_first` forms once.
     """
 
-    __slots__ = ("dim", "conductor", "rows", "_as_rows", "_as_cols")
+    __slots__ = (
+        "dim", "conductor", "rows", "_as_rows", "_as_cols", "_products", "_cyclic", "_image",
+        "__weakref__",
+    )
 
     def __init__(self, rows: Sequence[Sequence], conductor: int | None = None):
         d = len(rows)
@@ -65,11 +79,7 @@ class CMatrix:
                 (e.conductor for r in rows for e in r if isinstance(e, CycNum)), 1
             )
         self_rows = tuple(tuple(_lift(e, conductor) for e in r) for r in rows)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "rows", self_rows)
-        object.__setattr__(self, "_as_rows", None)
-        object.__setattr__(self, "_as_cols", None)
+        self._set_fields(d, conductor, self_rows)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CMatrix is immutable")
@@ -79,12 +89,19 @@ class CMatrix:
         """The matrix of d rows of d CycNum of this conductor, taken as they
         are: a product's entries need no lifting or checks."""
         m = object.__new__(cls)
-        object.__setattr__(m, "dim", len(rows))
-        object.__setattr__(m, "conductor", conductor)
-        object.__setattr__(m, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(m, "_as_rows", None)
-        object.__setattr__(m, "_as_cols", None)
+        m._set_fields(len(rows), conductor, tuple(map(tuple, rows)))
         return m
+
+    def _set_fields(self, dim: int, conductor: int, rows: tuple) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "dim", dim)
+        setattr_(self, "conductor", conductor)
+        setattr_(self, "rows", rows)
+        setattr_(self, "_as_rows", None)
+        setattr_(self, "_as_cols", None)
+        setattr_(self, "_products", {})
+        setattr_(self, "_cyclic", None)
+        setattr_(self, "_image", _UNSET)
 
     # -- constructors ----------------------------------------------------------
 
@@ -229,10 +246,14 @@ class CMatrix:
         return self._as_cols
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
-        self._check(other)
-        return CMatrix._of(
-            packed_product(self._rows_side(), other._cols_side()), self.conductor
-        )
+        hit = self._products.get(id(other))
+        if hit is None or hit[0]() is not other:
+            self._check(other)
+            product = CMatrix._of(
+                packed_product(self._rows_side(), other._cols_side()), self.conductor
+            )
+            hit = self._products[id(other)] = (weakref.ref(other), product)
+        return hit[1]
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)
@@ -342,7 +363,9 @@ class CMatrix:
 
     def is_cyclic(self) -> bool:
         """min poly == char poly: the powers of M span d dimensions."""
-        return algebra_dimension([self]) == self.dim
+        if self._cyclic is None:
+            object.__setattr__(self, "_cyclic", algebra_dimension([self]) == self.dim)
+        return self._cyclic
 
     def is_diagonalizable(self) -> bool:
         """Diagonalizable over the algebraic closure (omega's rotation is, at
@@ -443,8 +466,23 @@ class Echelon:
         return basis
 
 
-def _exact_products(conductor: int):
-    """x @ y for exact matrices given as lists of rows, for one exact pass.
+class _Ring(NamedTuple):
+    """What a count needs of the ring it runs over, Q(zeta_N) or F_p.
+
+    mul(x, y) multiplies matrices given as lists of rows, and row(values)
+    is a vector as that ring's insert takes it.  A span closure keeps its
+    matrices flat, each as one row insert takes: flat(rows) is a matrix
+    given as rows, and flat_mul(g, m) the product of two flat matrices.
+    """
+
+    mul: Callable
+    row: Callable
+    flat: Callable
+    flat_mul: Callable
+
+
+def _exact_ring(conductor: int) -> _Ring:
+    """The exact ring of one pass; a flat matrix is its rows joined.
 
     Each operand is scaled and packed once (`_Side`), as rows on the left
     and as columns on the right, however many products of the pass it
@@ -454,13 +492,26 @@ def _exact_products(conductor: int):
     """
     sides: dict[tuple[int, bool], tuple[object, _Side]] = {}
 
-    def side(m, left: bool) -> _Side:
+    def side(m, left: bool, flat: bool) -> _Side:
         hit = sides.get((id(m), left))
         if hit is None:
-            hit = sides[id(m), left] = (m, _Side(m if left else list(zip(*m)), conductor))
+            if not flat:
+                vecs = m if left else list(zip(*m))
+            else:
+                d = math.isqrt(len(m))
+                vecs = [m[i * d : i * d + d] if left else m[i::d] for i in range(d)]
+            hit = sides[id(m), left] = (m, _Side(vecs, conductor))
         return hit[1]
 
-    return lambda x, y: packed_product(side(x, True), side(y, False))
+    def flat_mul(g, m) -> list[CycNum]:
+        return [x for row in packed_product(side(g, True, True), side(m, False, True)) for x in row]
+
+    return _Ring(
+        mul=lambda x, y: packed_product(side(x, True, False), side(y, False, False)),
+        row=lambda values: values,
+        flat=lambda rows: [x for row in rows for x in row],
+        flat_mul=flat_mul,
+    )
 
 
 class _Disagree(Exception):
@@ -487,7 +538,7 @@ def _in_span(ech: Echelon, rows: list) -> bool:
     return all(got == [row[j] for j in free] for got, row in zip(combos, rows))
 
 
-def _replay(mats, conductor: int, width: int, count, mul, verdicts: list[bool]) -> bool:
+def _replay(mats, conductor: int, width: int, count, ring: _Ring, verdicts: list[bool]) -> bool:
     """Run count exactly on the verdicts F_p recorded; True when they hold.
 
     A row F_p found independent goes into one `Echelon`, and is independent
@@ -507,7 +558,7 @@ def _replay(mats, conductor: int, width: int, count, mul, verdicts: list[bool]) 
         return verdict
 
     try:
-        count(mats, mul, insert)
+        count(mats, ring, insert)
     except _Disagree:
         return False
     return _in_span(ech, aside)
@@ -516,12 +567,14 @@ def _replay(mats, conductor: int, width: int, count, mul, verdicts: list[bool]) 
 def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
     """The one route of every rank-type question: mod p first, then exact.
 
-    count(mats, mul, insert) builds vectors of length width from the
-    matrices mats (lists of rows) with the ring's product mul, feeds them to
-    insert, and returns how many of them insert found independent.  It runs
-    first on the images of mats in F_p (see `modular`), with one
-    `modular.EchelonModP` that records each verdict: a ring map can only
-    lose rank, so reaching full there proves full.
+    mats are CMatrix or lists of rows.  count(mats, ring, insert) builds
+    vectors of length width from the matrices mats (lists of rows) with
+    the operations of ring (`_Ring`), feeds them to insert, and returns how
+    many of them insert found independent.  It runs first on the images of
+    mats in F_p (see `modular`), with one `modular.EchelonModP` that
+    records each verdict: a ring map can only lose rank, so reaching full
+    there proves full.  A CMatrix is reduced mod p once and keeps its
+    image, so the questions of one command about one matrix share it.
 
     Anything less is replayed exactly on those verdicts (`_replay`): the
     rows found independent mod p enter one `Echelon`, the others are set
@@ -536,24 +589,35 @@ def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
     pivot, or a matrix with no image (p divides a denominator) proves
     nothing, and count runs once more exactly, on mats with one fresh
     `Echelon`.  Every exact product of the call prepares each operand once
-    (`_exact_products`).  This is the only code in the package that
-    touches `modular`.
+    (`_exact_ring`).  This is the only code in the package that touches
+    `modular`.
     """
-    images = [modular.reduce_rows(m, conductor) for m in mats]
-    mul = _exact_products(conductor)
+
+    def image(m):
+        if not isinstance(m, CMatrix):
+            return modular.reduce_rows(m, conductor)
+        if m._image is _UNSET:
+            object.__setattr__(m, "_image", modular.reduce_rows(m.rows, conductor))
+        return m._image
+
+    images = [image(m) for m in mats]
+    mats = [m.rows if isinstance(m, CMatrix) else m for m in mats]
+    ring = _exact_ring(conductor)
     if None not in images:
         p = modular.ring_map(conductor)[0]
-        ech_p, verdicts = modular.EchelonModP(p), []
+        ech_p, verdicts = modular.EchelonModP(p, width), []
 
         def insert_mod_p(row) -> bool:
             verdicts.append(ech_p.insert(row))
             return verdicts[-1]
 
-        rank = count(images, partial(modular.matmul, p=p), insert_mod_p)
-        if rank == full or _replay(mats, conductor, width, count, mul, verdicts):
+        products = modular._PackedProducts(ech_p)
+        ring_p = _Ring(partial(modular.matmul, p=p), ech_p.pack, products.flat, products)
+        rank = count(images, ring_p, insert_mod_p)
+        if rank == full or _replay(mats, conductor, width, count, ring, verdicts):
             return rank
     ech = Echelon(width, conductor)
-    return count(mats, mul, lambda row: ech.insert(row)[1] is not None)
+    return count(mats, ring, lambda row: ech.insert(row)[1] is not None)
 
 
 def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
@@ -569,7 +633,7 @@ def matrix_rank(rows: Iterable[Sequence[CycNum]]) -> int:
         return 0
     return _mod_p_first(
         [rows], rows[0][0].conductor, width, min(len(rows), width),
-        lambda mats, mul, insert: sum(map(insert, mats[0])),
+        lambda mats, ring, insert: sum(insert(ring.row(r)) for r in mats[0]),
     )
 
 
@@ -579,16 +643,19 @@ def solve_linear(
     """One exact solution of rows * x = rhs plus a kernel basis, or None.
 
     The system may be rectangular (rows of equal length, one rhs entry per
-    row, else `DimMismatch`).  None signals inconsistency.
+    row, else `DimMismatch`).  int and Fraction entries are lifted to the
+    conductor of the first CycNum, of the rows and then of rhs (1 when
+    there is none), as `CMatrix` lifts them.  None signals inconsistency.
     """
     if len(rhs) != len(rows) or any(len(r) != len(rows[0]) for r in rows):
         raise DimMismatch("solve_linear needs one rhs entry per row, rows of one length")
     if not rows:
         return tuple(), []
     ncols = len(rows[0])
-    ech = Echelon(ncols, rhs[0].conductor)  # rows may have no entries
+    n = next((e.conductor for r in (*rows, rhs) for e in r if isinstance(e, CycNum)), 1)
+    ech = Echelon(ncols, n)
     for row, b in zip(rows, rhs):
-        residual, pivot = ech.insert([*row, b])
+        residual, pivot = ech.insert([_lift(e, n) for e in (*row, b)])
         if pivot is None and not residual[ncols].is_zero:
             return None  # 0 = nonzero
     sol = [CycNum.zero(ech.conductor)] * ncols
@@ -602,7 +669,7 @@ def is_proportional(x: CMatrix, y: CMatrix) -> bool:
     return matrix_rank([x.flatten(), y.flatten()]) <= 1
 
 
-def _span_closure(mats, mul, insert, full: int) -> int:
+def _span_closure(mats, ring: _Ring, insert, full: int) -> int:
     """Size of the span of all words in the generators mats[1:], the
     identity mats[0] being the empty word; matrices are lists of rows.
 
@@ -611,23 +678,19 @@ def _span_closure(mats, mul, insert, full: int) -> int:
     each element that entered the span by every generator, until the span
     stabilizes or reaches full.  A round that continues has added at least
     one independent vector, so fewer than full rounds run and no cap is
-    needed.  insert(v) adds the flattened matrix v to the span and says
-    whether it was independent.
+    needed.  Matrices are kept flat (`_Ring`), and insert(v) adds the flat
+    matrix v to the span and says whether it was independent.
     """
-
-    def enter(m) -> bool:
-        return insert([x for row in m for x in row])
-
-    ident, *gens = mats
-    size = int(enter(ident))
-    frontier = [g for g in gens if enter(g)]
+    ident, *gens = map(ring.flat, mats)
+    size = int(insert(ident))
+    frontier = [g for g in gens if insert(g)]
     size += len(frontier)
     while frontier and size < full:
         new_frontier = []
         for mat in frontier:
             for g in gens:
-                prod = mul(g, mat)
-                if enter(prod):
+                prod = ring.flat_mul(g, mat)
+                if insert(prod):
                     size += 1
                     if size == full:
                         return size
@@ -655,5 +718,6 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
             raise ConductorMismatch("generators must share a conductor")
     # Cayley-Hamilton: the powers of one matrix span at most d dimensions
     full = d if len(gens) == 1 else d * d
-    mats = [m.rows for m in (CMatrix.identity(d, n), *gens)]
-    return _mod_p_first(mats, n, d * d, full, partial(_span_closure, full=full))
+    return _mod_p_first(
+        [CMatrix.identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full)
+    )

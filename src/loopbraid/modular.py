@@ -19,15 +19,23 @@ confirmed, the whole exact pass runs.  This module has one caller,
 system is built from the images of A and B.
 
 Residues are plain Python ints: p > 2^31, so a product of two residues
-does not fit a machine word.  `EchelonModP.insert` takes entries in
-[0, 2p), so a uniqueness row (a sum of two residues) goes in as it is,
-and reduces the row mod p once, after all its row operations: its entries
-stay below 2p + k p^2 in absolute value after k of them, under 2^68 for
-k <= 36.
+does not fit a machine word.  A row of `EchelonModP` is one packed
+integer, one unsigned slot per entry, so a row operation is one big-integer
+multiply-add: entries below width p^2 go in as they are (a uniqueness row
+is a sum of two residues), and after at most width row operations, each
+adding below p^2, a slot stays below 2 width p^2.  The slot is that many
+bits rounded up to whole bytes, for any width: for p near 2^31, 64 bits
+at width 1, 72 bits at widths 2 to 511 (the 81 of a d = 9 span closure
+among them) and 80 bits from there to 131071.  A row is reduced
+mod p once, after all its row operations, for its pivot search.  A span
+closure's matrices live in the same packed form (`_PackedProducts`), so a
+product mod p is d multiply-adds per column and enters the echelon as it
+is.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -99,7 +107,7 @@ def reduce_rows(rows: Sequence[Sequence[CycNum]], conductor: int) -> list[list[i
         for x in row:
             if x.conductor != conductor or x._den % p == 0:
                 return None
-            v = sum(c * w for c, w in zip(x._num, images))
+            v = sum(map(mul, x._num, images))
             if x._den != 1:
                 v *= pow(x._den, -1, p)
             img.append(v % p)
@@ -114,32 +122,109 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> li
 
 
 class EchelonModP:
-    """Incremental row-echelon basis over F_p.
+    """Incremental row-echelon basis over F_p, each row one packed integer.
 
-    Stored rows are scaled to pivot 1 and vanish before their pivot and at
-    every earlier pivot, so one pass in insertion order reduces a new row.
+    A row of `width` entries is an integer of `width` unsigned slots of
+    `slot` bits, entry j in slot j (`pack`).  A stored row, scaled to pivot
+    1, vanishes before its pivot and at every earlier pivot, so one pass in
+    insertion order reduces a new row; it is kept negated, each entry as
+    (p - b_j) mod p, so that the row operation v - f b is the one
+    multiply-add v + f (p - b), which keeps every slot non-negative and
+    never carries into the next.  Only f is read from v (one slot, taken
+    mod p); the row is unpacked once, after its row operations, for the
+    pivot search over the columns that hold no pivot yet.
+
+    An inserted row may hold entries below width * p^2 (a uniqueness row
+    is a sum of two residues, a span closure's product a sum of d products
+    of residues); each of at most width row operations adds below p^2, so
+    every slot stays below 2 * width * p^2, which `slot` bits hold.
     """
 
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[tuple[int, list[int]]] = []
+    def __init__(self, p: int, width: int):
+        self.p, self.width = p, width
+        self.nbytes = -(-(2 * width * p * p).bit_length() // 8)
+        self.slot = 8 * self.nbytes
+        self.mask = (1 << self.slot) - 1
+        self._shifts = [j * self.slot for j in range(width)]
+        self.rows: list[tuple[int, int]] = []  # (pivot, negated reduced row)
+        self._free = list(range(width))  # the columns with no pivot, in order
 
-    def insert(self, row: Sequence[int]) -> bool:
-        """Reduce row (entries in [0, 2p)) and keep it; False when dependent.
+    def pack(self, row: Sequence[int]) -> int:
+        """The packed integer of width non-negative entries."""
+        n = self.nbytes
+        return int.from_bytes(b"".join(x.to_bytes(n, "little") for x in row), "little")
 
-        Only each factor f is taken mod p during the row operations; the
-        row itself is reduced once, before the pivot search.
-        """
-        p = self.p
-        vec = list(row)
-        for piv, basis_row in self.rows:
-            f = vec[piv] % p
+    def unpack(self, v: int) -> list[int]:
+        """The width slots of a packed row, as they are (not reduced mod p)."""
+        mask = self.mask
+        return [v >> s & mask for s in self._shifts]
+
+    def insert(self, v: int) -> bool:
+        """Reduce the packed row v and keep it; False when it is dependent."""
+        p, mask, shifts = self.p, self.mask, self._shifts
+        for piv, neg in self.rows:
+            f = (v >> shifts[piv] & mask) % p
             if f:
-                vec = [a - f * b for a, b in zip(vec, basis_row)]
-        vec = [a % p for a in vec]
-        piv = next((j for j, a in enumerate(vec) if a), None)
-        if piv is None:
+                v += f * neg
+        free = self._free
+        tail = [(v >> shifts[j] & mask) % p for j in free]
+        lead = next((i for i, a in enumerate(tail) if a), None)
+        if lead is None:
             return False
-        scale = pow(vec[piv], -1, p)
-        self.rows.append((piv, [a * scale % p for a in vec]))
+        scale = p - pow(tail[lead], -1, p)  # -1 / pivot entry
+        neg = 0
+        for j, a in zip(free[lead:], tail[lead:]):
+            if a:
+                neg |= a * scale % p << shifts[j]
+        self.rows.append((free.pop(lead), neg))
         return True
+
+    def reduced_rows(self) -> list[tuple[int, list[int]]]:
+        """The stored rows as (pivot, entries), entries reduced mod p."""
+        p = self.p
+        return [(piv, [-a % p for a in self.unpack(neg)]) for piv, neg in self.rows]
+
+
+class _PackedProducts:
+    """d x d matrices over F_p in the packed form of one `EchelonModP` of
+    width d^2, and their products, for a span closure.
+
+    A matrix is the packed row of its transpose flattened: entry (i, k) in
+    slot k d + i, so that slot block k is column k.  Column j of g m is
+    sum_k m[k][j] (column k of g): d multiply-adds on g's packed columns,
+    each slot below d p^2, so the product enters the echelon as it is.
+    Every matrix enters in this one column order, a fixed permutation of
+    the entries, which changes no verdict of the echelon.  An operand is
+    read once however many products it enters: a left one (a generator)
+    as its d packed columns, a right one as its residues; the memo holds
+    each operand, so no id is reused while it lives.
+    """
+
+    def __init__(self, ech: EchelonModP):
+        self.ech = ech
+        self.d = math.isqrt(ech.width)
+        self.block = self.d * ech.slot
+        self._cols: dict[int, tuple[int, list[int]]] = {}
+        self._entries: dict[int, tuple[int, list[int]]] = {}
+
+    def flat(self, rows: Sequence[Sequence[int]]) -> int:
+        """The packed form of a matrix given as rows of residues."""
+        return self.ech.pack([x for col in zip(*rows) for x in col])
+
+    def __call__(self, g: int, m: int) -> int:
+        """g @ m, both in packed form; g's entries must be residues."""
+        d, block = self.d, self.block
+        hit = self._cols.get(id(g))
+        if hit is None:
+            mask = (1 << block) - 1
+            hit = self._cols[id(g)] = (g, [g >> k * block & mask for k in range(d)])
+        cols = hit[1]
+        hit = self._entries.get(id(m))
+        if hit is None:
+            p = self.ech.p
+            hit = self._entries[id(m)] = (m, [a % p for a in self.ech.unpack(m)])
+        entries = hit[1]
+        out = 0
+        for j in range(d):
+            out |= sum(map(mul, entries[j * d : j * d + d], cols)) << j * block
+        return out

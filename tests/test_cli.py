@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopbraid import catalog, extend
+from loopbraid import catalog, cli, extend, linalg, modular
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.linalg import CMatrix
@@ -670,4 +670,62 @@ def test_analyze_reports_on_the_exact_rank_route_are_pinned(tmp_path, capsys):
         "1e2d1de71ed19e64d72f2f73556f5ee3ae4d0c4414a46bd846cd93d5df3faafa",
         "776e5507572cdf7ee0c0ad7a32d4c0722233518ac6dac63c4f7130d4718a2502",
         "836bd2e6160f49def28d248e7ec7c56f53fd24fa3d0c0ec15efd4ec2868a07f5",
+    ]
+
+
+def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch):
+    """All sections of one `analyze` ask about the same matrices, and each
+    matrix keeps what was formed from it: every input matrix is reduced
+    mod p at most once, no exact product is formed twice from the same
+    prepared operands, B's cyclicity is decided once, a product is the
+    same object when asked again, and the reports are the ones pinned
+    before matrices kept their products (the tensor square's digest is
+    also pinned in the test above)."""
+    rep, ext, lb3, square, out = (
+        str(tmp_path / f"{s}.json") for s in ("rep", "ext", "lb3", "sq", "an")
+    )
+    tw5 = ["tw5", "--lambda", "1", "2", "3", "4", "4/3", "--gamma", "2"]
+    assert main(["construct", *tw5, "--out", rep]) == 0
+    assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
+    with open(ext) as fh, open(lb3, "w") as dest:
+        json.dump(json.load(fh)["representation"], dest)
+    assert main(["construct", "tw2", "--lambda", "3", "(-1/2)", "--family", "2", "--out", rep]) == 0
+    assert main(["extend", rep, "--mode", "standard", "--out", ext]) == 0
+    with open(ext) as fh:
+        tw2 = rep_from_obj(json.load(fh)["representation"])
+    with open(square, "w") as fh:
+        fh.write(dumps(rep_to_obj(tensor_product(tw2, tw2))))
+
+    loaded, reduced, products, closures = [], [], [], []
+    load_rep, reduce_rows = cli._load_rep, modular.reduce_rows
+    packed_product, algebra_dimension = linalg.packed_product, linalg.algebra_dimension
+
+    def recorded(log, fn):
+        def wrapper(*args):
+            log.append(args)  # holding the operands, so no id is reused
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(modular, "reduce_rows", recorded(reduced, reduce_rows))
+    monkeypatch.setattr(linalg, "packed_product", recorded(products, packed_product))
+    monkeypatch.setattr(linalg, "algebra_dimension", recorded(closures, algebra_dimension))
+    monkeypatch.setattr(cli, "_load_rep", lambda *a: loaded.append(load_rep(*a)) or loaded[-1])
+    digests = []
+    for path in (lb3, square):
+        for log in (loaded, reduced, products, closures):
+            log.clear()
+        assert main(["analyze", path, "--out", out]) == 0
+        with open(out, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+        (rep, _), = loaded
+        assert rep.S1 is not None and reduced and products
+        for m in rep.present():
+            assert sum(rows is m.rows for rows, _ in reduced) <= 1
+        pairs = [(id(x), id(y)) for x, y in products]
+        assert len(set(pairs)) == len(pairs)
+        assert sum(len(gens) == 1 and gens[0] is rep.B for gens, in closures) == 1
+        assert rep.A @ rep.B is rep.A @ rep.B
+    assert digests == [
+        "2034d41f1bfb245bcb810c4e5cc9b0d27d94c410f83b95bd50f2ecb58d44c752",
+        "1e2d1de71ed19e64d72f2f73556f5ee3ae4d0c4414a46bd846cd93d5df3faafa",
     ]

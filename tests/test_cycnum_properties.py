@@ -1,6 +1,7 @@
 """Derandomized property tests of `CycNum` arithmetic against sympy's
 algebraic fields: the field axioms, and `inv`, `conj` and `promote`, at
-conductors 1, 12 and 60.
+conductors 1, 12 and 60; and `nth_root_in_field`'s search against a scan
+over the roots of unity, at conductors 1, 3, 12, 60 and 105.
 
 Both sides use the power basis 1, zeta, ..., zeta^(phi(N)-1) reduced mod
 Phi_N, with zeta = exp(2 pi i / N) the generator of
@@ -9,10 +10,12 @@ Phi_N, with zeta = exp(2 pi i / N) the generator of
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopbraid import cyclotomic
 from loopbraid.cyclotomic import CycNum, euler_phi, make_root_of_unity
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -141,3 +144,53 @@ def test_promote_matches_sympy_and_is_a_ring_map(case):
     assert (a + b).promote(m) == a.promote(m) + b.promote(m)
     if not a.is_zero:
         assert a.inv().promote(m) == a.promote(m).inv()
+
+
+def _scanned_roots(x: CycNum, n: int) -> list[CycNum]:
+    """The reference for `nth_root_in_field`'s search: y = u r for every
+    root of unity u of the field with x / u^n a rational r^n, one product
+    x u^-n per root."""
+    found = {}
+    roots = cyclotomic.roots_of_unity(x.conductor)
+    for j, u in enumerate(roots):
+        q = (x * roots[(-n * j) % len(roots)]).as_rational()
+        r = None if q is None else cyclotomic.rational_nth_root(q, n)
+        if r is not None:
+            y = u * r
+            found.setdefault((y._num, y._den), y)
+    return sorted(found.values(), key=lambda y: (y._num, y._den))
+
+
+@st.composite
+def root_questions(draw):
+    """(x, n): a rational multiple of a root of unity, its cube, or a sum
+    of two such terms, which is mostly no such multiple."""
+    n_field = draw(st.sampled_from([1, 3, 12, 60, 105]))
+
+    def term():
+        q = Fraction(draw(st.integers(-8, 8).filter(bool)), draw(st.integers(1, 8)))
+        return make_root_of_unity(n_field, draw(st.integers(0, 2 * n_field - 1))) * q
+
+    x = term()
+    shape = draw(st.sampled_from(["multiple", "cube", "sum"]))
+    if shape == "cube":
+        x = x * x * x
+    elif shape == "sum":
+        x = x + term()
+    return x, draw(st.integers(2, 6))
+
+
+@PROPERTY
+@given(root_questions())
+def test_nth_root_in_field_finds_what_the_scan_over_roots_finds(case):
+    x, n = case
+    want = _scanned_roots(x, n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cyclotomic, "_roots_by_factorization", lambda x, n: ["factored"])
+        got = cyclotomic.nth_root_in_field(x, n)
+    fallback = ["factored"] if n <= 3 and euler_phi(x.conductor) > 1 else []
+    assert got == (want or fallback)
+    # the lookup finds a root-of-unity part iff the scan for n = 1 does
+    assert (cyclotomic._root_of_unity_part(x) is None) == (not _scanned_roots(x, 1))
+    for y in want:
+        assert y**n == x

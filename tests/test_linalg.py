@@ -283,6 +283,38 @@ def test_solve_linear_refuses_rows_of_different_lengths():
         solve_linear([[one, one], [one]], [one, one])
 
 
+def test_a_product_is_kept_per_right_operand_object():
+    a, b = CMatrix.diagonal([1, 2], 1), CMatrix.diagonal([3, 5], 1)
+    ab = a @ b
+    assert a @ b is ab and ab == CMatrix.diagonal([3, 10], 1)
+    assert a @ CMatrix.diagonal([3, 5], 1) is not ab  # an equal matrix, not b
+    # the memo holds b weakly: once b is gone, a new matrix that takes its
+    # id gets its own product, not the one kept for b
+    key = id(b)
+    del b
+    for k in range(1000):
+        c = CMatrix.diagonal([7, k], 1)
+        if id(c) == key:
+            break
+    assert a @ c == CMatrix.diagonal([7, 2 * k], 1)
+
+
+def test_solve_linear_lifts_plain_entries():
+    # x + 2y = 1 twice over: the particular solution (1, 0) and the kernel
+    # (-2, 1), over Q, with no CycNum anywhere
+    one, zero = CycNum.one(1), CycNum.zero(1)
+    sol, kern = solve_linear([[1, 2], [2, 4]], [1, 2])
+    assert sol == (one, zero) and kern == [(CycNum.from_rational(-2, 1), one)]
+    assert solve_linear([[1, 2], [2, 4]], [1, 3]) is None
+    # a Fraction beside a CycNum of conductor 12 is lifted to conductor 12
+    w = make_root_of_unity(12, 1)
+    sol, kern = solve_linear([[Fraction(1, 2)]], [w])
+    assert sol == (w * 2,) and sol[0].conductor == 12 and kern == []
+    # entries of two conductors are refused, as CMatrix refuses them
+    with pytest.raises(ConductorMismatch):
+        solve_linear([[w, CycNum.one(3)]], [1])
+
+
 def test_solve_linear_with_no_unknowns():
     zero, one = CycNum.zero(1), CycNum.one(1)
     assert solve_linear([[], []], [zero, zero]) == ((), [])

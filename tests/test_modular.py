@@ -4,6 +4,7 @@ and root, the lazily reduced elimination against an eager one, rank mod p
 against the exact rank, every fast path against its exact fallback, and
 the exact replay of a shortfall against verdicts mod p that lie."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,8 +72,8 @@ def test_rank_mod_p_bounds_the_exact_rank(case):
     exact = len(Echelon(len(rows[0]), n, rows).rows)
     image = modular.reduce_rows(rows, n)
     assert image is not None
-    ech = modular.EchelonModP(modular.ring_map(n)[0])
-    independent = [ech.insert(row) for row in image]
+    ech = modular.EchelonModP(modular.ring_map(n)[0], len(rows[0]))
+    independent = [ech.insert(ech.pack(row)) for row in image]
     assert sum(independent) == len(ech.rows) <= exact
     assert matrix_rank(rows) == exact
 
@@ -100,25 +101,37 @@ class EagerEchelonModP:
 
 @st.composite
 def insert_sequences(draw):
-    """Rows over F_p with entries in [0, 2p), the input range of the lazy
-    insert (a uniqueness row is a sum of two residues), often 0, p - 1, p
-    or 2p - 1; about half are combinations of the rows before them, so
-    dependent on them, with p added to some entries."""
-    p = draw(st.sampled_from([7, modular.ring_map(1)[0], modular.ring_map(60)[0]]))
-    width = draw(st.sampled_from([1, 2, 5, 9, 16, 36]))
-    entry = st.one_of(
-        st.just(0), st.just(p - 1), st.just(p), st.just(2 * p - 1), st.integers(0, 2 * p - 1)
-    )
+    """Rows over F_p for the packed insert, which takes entries below
+    width p^2: often 0, p - 1, p, 2p - 1 (a uniqueness row is a sum of two
+    residues) or width p^2 - 1, and some rows all 2p - 1.  In a mixed
+    run about half the rows are combinations of the rows before them, so
+    dependent on them, with p added to some entries; a full run has width
+    dense rows, of full rank for a large p, and then up to three more, each
+    reduced by width row operations.  Widths reach 81 (d = 9), the primes
+    are those of N = 1, 3, 60 and 105, and 7.  The entries come from one
+    drawn seed, so a wide run stays a small example."""
+    p = draw(st.sampled_from([7, *(modular.ring_map(n)[0] for n in (1, 3, 60, 105))]))
+    width = draw(st.sampled_from([1, 2, 5, 9, 16, 36, 49, 81]))
+    full = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = (0, p - 1, p, 2 * p - 1, width * p * p - 1, None)
+
+    def entry():
+        kind = rng.choice(kinds)
+        return rng.randrange(2 * p) if kind is None else kind
+
     rows = []
-    for _ in range(draw(st.integers(1, width + 3))):
-        if rows and draw(st.booleans()):
-            coeffs = [draw(entry) for _ in rows]
+    for i in range(width + rng.randint(1, 3) if full else rng.randint(1, width + 3)):
+        if rng.random() < 0.1:
+            rows.append([2 * p - 1] * width)
+        elif rows and not (full and i < width) and rng.random() < 0.5:
+            coeffs = [entry() for _ in rows]
             rows.append([
-                sum(c * r[j] for c, r in zip(coeffs, rows)) % p + p * draw(st.booleans())
+                sum(c * r[j] for c, r in zip(coeffs, rows)) % p + p * rng.randint(0, 1)
                 for j in range(width)
             ])
         else:
-            rows.append([draw(entry) for _ in range(width)])
+            rows.append([entry() for _ in range(width)])
     return p, rows
 
 
@@ -126,10 +139,41 @@ def insert_sequences(draw):
 @given(insert_sequences())
 def test_lazy_insert_keeps_the_rows_of_the_eager_reduction(case):
     p, rows = case
-    lazy, eager = modular.EchelonModP(p), EagerEchelonModP(p)
+    lazy, eager = modular.EchelonModP(p, len(rows[0])), EagerEchelonModP(p)
     for row in rows:
-        assert lazy.insert(row) == eager.insert(row)
-    assert lazy.rows == eager.rows
+        packed = lazy.pack(row)
+        assert lazy.unpack(packed) == row
+        assert lazy.insert(packed) == eager.insert(row)
+    assert lazy.reduced_rows() == eager.rows
+
+
+def test_packed_slots_hold_every_row_operation():
+    # the largest slot an insert can meet: width p^2 - 1 in every entry,
+    # then width row operations with f = p - 1 on rows of entries p - 1
+    p = modular.ring_map(105)[0]
+    for width in (1, 9, 36, 81, 200):
+        ech = modular.EchelonModP(p, width)
+        assert 2 * width * p * p <= 1 << ech.slot
+        assert (2 * width * p * p).bit_length() > ech.slot - 8
+        most = width * p * p - 1 + width * (p - 1) ** 2
+        assert most < 1 << ech.slot
+
+
+def test_span_closure_products_mod_p_match_matmul():
+    rng = random.Random(3)
+    p = modular.ring_map(12)[0]
+    for d in (1, 2, 4, 9):
+        ech = modular.EchelonModP(p, d * d)
+        products = modular._PackedProducts(ech)
+        g, m = ([[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(2))
+        gm = products(products.flat(g), products.flat(m))
+        want = modular.matmul(g, m, p)
+        assert [x % p for x in ech.unpack(gm)] == [x for col in zip(*want) for x in col]
+        # a product enters unreduced, and as a right operand it is reduced
+        again = products(products.flat(g), gm)
+        assert [x % p for x in ech.unpack(again)] == [
+            x for col in zip(*modular.matmul(g, want, p)) for x in col
+        ]
 
 
 # -- every fast path against its exact fallback --------------------------------
@@ -175,9 +219,10 @@ def _answers(rep):
 
 
 def test_fast_paths_match_the_exact_fallback(monkeypatch):
-    reps = _inputs()
-    fast = [_answers(rep) for rep in reps]
+    fast = [_answers(rep) for rep in _inputs()]
     monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
+    # fresh matrices: a CMatrix keeps its image mod p and its is_cyclic
+    reps = _inputs()
     exact = [_answers(rep) for rep in reps]
     assert fast == exact
     # the pool holds both verdicts of each question
@@ -283,7 +328,10 @@ def test_lying_verdicts_mod_p_end_in_the_exact_answer(name, lie, monkeypatch):
     reported dependent, or the first dependent row reported independent.
     The replay either proves the exact answer or gives way to the plain
     exact pass, so the answer is the one exact elimination gives."""
-    question = _short_questions()[name]
+    # each run asks fresh matrices, which have no image mod p kept yet
+    def question():
+        return _short_questions()[name]()
+
     with monkeypatch.context() as m:
         m.setattr(modular, "reduce_rows", lambda rows, conductor: None)
         want = question()

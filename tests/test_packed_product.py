@@ -229,7 +229,8 @@ def test_exact_zero_product():
 
 
 def fresh(m: CMatrix) -> CMatrix:
-    """A copy of m built anew, so that neither of its sides is prepared."""
+    """A copy of m built anew, so that neither of its sides is prepared
+    and it keeps no product, verdict or image mod p."""
     return CMatrix([list(r) for r in m.rows], m.conductor)
 
 
@@ -279,9 +280,9 @@ def test_plain_vectors_of_another_conductor_are_refused():
     with pytest.raises(ConductorMismatch):
         dot([x12], [x3])
     with pytest.raises(ConductorMismatch):
-        linalg._exact_products(12)(m.rows, [[x12, x3], [x3, x12]])
+        linalg._exact_ring(12).mul(m.rows, [[x12, x3], [x3, x12]])
     with pytest.raises(ConductorMismatch):
-        linalg._exact_products(12)([[x12, x3], [x3, x12]], m.rows)
+        linalg._exact_ring(12).mul([[x12, x3], [x3, x12]], m.rows)
     with pytest.raises(ConductorMismatch):
         extend._combination([x3], [m])
 
@@ -414,13 +415,13 @@ def record_eliminations(monkeypatch) -> tuple[list, list]:
             return super().insert(row)
 
     class ModP(modular.EchelonModP):
-        def __init__(self, p):
+        def __init__(self, *args):
             self.inserted, self.verdicts = [], []
             mod_p.append(self)
-            super().__init__(p)
+            super().__init__(*args)
 
         def insert(self, row):
-            self.inserted.append(list(row))
+            self.inserted.append(self.unpack(row))
             self.verdicts.append(super().insert(row))
             return self.verdicts[-1]
 
@@ -453,7 +454,7 @@ def test_uniqueness_rows_rank_and_verdict_match_the_definition(rep, monkeypatch)
     exact.clear()
     mod_p.clear()
     monkeypatch.setattr(modular, "reduce_rows", lambda rows, conductor: None)
-    assert extend.uniqueness_linearized(rep.A, rep.B) == lin
+    assert extend.uniqueness_linearized(fresh(rep.A), fresh(rep.B)) == lin
     assert mod_p == []
     assert [e.inserted for e in exact] == [want]
 
