@@ -332,7 +332,11 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
 
 
 def lkb3(q, t) -> LBRep:
-    """The Lawrence-Krammer-Bigelow pair for three strands."""
+    """The Lawrence-Krammer-Bigelow pair for three strands.
+
+    The paper's degenerate locus is t q^2 = -1, t q = 1, q = 1; the pair
+    is built there too.  q = 0 or t = 0 is refused (ZeroParameter).
+    """
     (qq, tt), n = common_field(q, t)
     if qq.is_zero or tt.is_zero:
         raise ZeroParameter("q and t must be nonzero")
@@ -355,16 +359,6 @@ def lkb3(q, t) -> LBRep:
         n,
     )
     return LBRep(target=GroupKind.B3, A=a, B=b)
-
-
-def lkb3_generic(q, t) -> bool:
-    """True away from the degenerate locus t*q^2 = -1, t*q = 1, q = 1."""
-    (qq, tt), _ = common_field(q, t)
-    return (
-        tt * qq * qq != -1
-        and not (tt * qq).is_one
-        and not qq.is_one
-    )
 
 
 def perm3(t) -> LBRep:

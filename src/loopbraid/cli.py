@@ -126,8 +126,6 @@ def _cmd_construct(args) -> int:
         )
     elif args.family == "perm3":
         rep = catalog.perm3(parse_scalar(_req(args.t, "--t")))
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     _emit(rep, args.out)
     return 0
 
@@ -170,9 +168,7 @@ def _cmd_extend(args) -> int:
         return _extend_standard(rep, meta, args)
     if args.mode == "nonstandard3":
         return _extend_nonstandard3(rep, meta, args)
-    if args.mode == "vb3":
-        return _extend_vb3(rep, meta, args)
-    raise ValueError(f"unknown mode {args.mode!r}")
+    return _extend_vb3(rep, meta, args)
 
 
 def _extend_standard(rep: LBRep, meta: dict, args) -> int:
@@ -286,30 +282,38 @@ def _cmd_analyze(args) -> int:
     if args.irreducible or run_all:
         sections["irreducible"] = is_irreducible(rep)
     if pair and (args.uniqueness or run_all and rep.dim in (4, 5)):
-        try:
-            sections["uniqueness"] = extend.uniqueness_linearized(rep.A, rep.B)
-        except LoopBraidError as exc:
-            sections["uniqueness"] = f"unavailable: {exc}"
+        sections["uniqueness"] = _or_why(extend.uniqueness_linearized, rep.A, rep.B)
     if (args.slb3 or run_all) and with_s:
-        sections["slb3"] = {"direct": extend.slb3_test(rep, "direct")}
-        try:
-            sections["slb3"]["commutator"] = extend.slb3_test(rep, "commutator")
-        except LoopBraidError as exc:
-            sections["slb3"]["commutator"] = f"hypothesis unmet: {exc}"
-    if (args.poly_s or run_all) and with_s:
-        try:
-            sections["polynomial_S"] = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
-        except LoopBraidError as exc:
-            sections["polynomial_S"] = f"unavailable: {exc}"
-    if run_all and pair:
-        search = extend.standard_k_candidates(rep.A, rep.B)
-        sections["k_candidates"] = {
-            "candidates": [{"k": k, "m": m} for k, m in search.candidates],
-            "reason": search.reason,
+        sections["slb3"] = {
+            "direct": extend.slb3_test(rep, "direct"),
+            "commutator": _or_why(
+                extend.slb3_test, rep, "commutator", why="hypothesis unmet"
+            ),
         }
+    if (args.poly_s or run_all) and with_s:
+        sections["polynomial_S"] = _or_why(extend.polynomial_S_solve, rep.A, rep.B, rep.S)
+    if run_all and pair:
+        sections["k_candidates"] = _or_why(_k_candidates, rep.A, rep.B)
     payload = {"meta": meta, "analysis": sections}
     _emit(payload, args.out)
     return 0
+
+
+def _or_why(section, *args, why: str = "unavailable"):
+    """section(*args), or the text "why: reason" when it cannot be computed,
+    so that analyze keeps every section it can."""
+    try:
+        return section(*args)
+    except LoopBraidError as exc:
+        return f"{why}: {exc}"
+
+
+def _k_candidates(a, b) -> dict:
+    search = extend.standard_k_candidates(a, b)
+    return {
+        "candidates": [{"k": k, "m": m} for k, m in search.candidates],
+        "reason": search.reason,
+    }
 
 
 # -- certify ---------------------------------------------------------------------

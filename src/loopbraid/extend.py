@@ -87,14 +87,11 @@ class StandardKSearch:
     reason: str | None = None
     suggested_conductor: int | None = None
 
-    @property
-    def cube_is_scalar(self) -> bool:
-        return self.k_cubed is not None
-
 
 def _k_cube_roots(ab: CMatrix) -> tuple[CycNum | None, list[CycNum]]:
     """k^3 = (AB)^-3 and its cube roots in the field of AB, in
-    `nth_root_in_field`'s order; (None, []) when (AB)^3 is not scalar.
+    `nth_root_in_field`'s order; (None, []) when (AB)^3 is not scalar, and
+    SingularMatrix when it is 0.
 
     The one k-search, behind `standard_k_candidates` and
     `default_polynomial_candidates`.
@@ -102,6 +99,8 @@ def _k_cube_roots(ab: CMatrix) -> tuple[CycNum | None, list[CycNum]]:
     c = ab.matpow(3).is_scalar()
     if c is None:
         return None, []
+    if c.is_zero:
+        raise SingularMatrix("(AB)^3 = 0, so no k gives (kAB)^3 = I")
     k_cubed = c.inv()
     return k_cubed, nth_root_in_field(k_cubed, 3)
 
@@ -303,12 +302,6 @@ def build_standard_extension(
     s1, s2 = _complete(s, params)
     rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
     return rep, ExtensionCertificate(k, s, params, s.trace().as_integer())
-
-
-def standard_extensions(a: CMatrix, b: CMatrix) -> list[tuple[LBRep, ExtensionCertificate]]:
-    """Build one verified representation per in-field candidate k."""
-    search = standard_k_candidates(a, b)
-    return [build_standard_extension(a, b, k) for k, _ in search.candidates]
 
 
 def involution_param_dimension(ell: int, t: int, a: int | None = None) -> int:
@@ -525,27 +518,6 @@ def uniqueness_linearized(a: CMatrix, b: CMatrix) -> LinearizedSystem:
 # ---------------------------------------------------------------------------
 # SLB3 and VB3 logic
 # ---------------------------------------------------------------------------
-
-
-def l2_equivalence(rep: LBRep) -> dict[str, bool]:
-    """The four equivalent formulations of the mixed relation L2.
-
-    (a) AB S1 = S2 AB, (b) S2 commutes with AB S^-1, (c) S1 commutes with
-    (AB)^-1 S, (d) AB S = S2 AB S2.  For involutive braid-related S1, S2
-    the four truth values coincide.
-    """
-    a, b, s1, s2 = rep.A, rep.B, rep.S1, rep.S2
-    ab = a @ b
-    s = s1 @ s2
-    abinv = ab.inverse()
-    x = ab @ s.inverse()
-    y = abinv @ s
-    return {
-        "a": ab @ s1 == s2 @ ab,
-        "b": s2 @ x == x @ s2,
-        "c": s1 @ y == y @ s1,
-        "d": ab @ s == s2 @ ab @ s2,
-    }
 
 
 def slb3_test(rep: LBRep, route: str = "direct") -> bool:

@@ -179,11 +179,6 @@ class EchelonModP:
         self.rows.append((free.pop(lead), neg))
         return True
 
-    def reduced_rows(self) -> list[tuple[int, list[int]]]:
-        """The stored rows as (pivot, entries), entries reduced mod p."""
-        p = self.p
-        return [(piv, [-a % p for a in self.unpack(neg)]) for piv, neg in self.rows]
-
 
 class _PackedProducts:
     """d x d matrices over F_p in the packed form of one `EchelonModP` of

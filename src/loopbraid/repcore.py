@@ -76,8 +76,8 @@ def _letters(kind: GroupKind) -> set[str]:
 class LBRep:
     """A candidate representation: images of the generators plus a target.
 
-    S = S1*S2 is always derived on demand, never stored.  All present
-    matrices must share a dimension and conductor.
+    S = S1*S2 is derived, not a field.  All present matrices must share a
+    dimension and conductor.
     """
 
     target: GroupKind
@@ -128,7 +128,8 @@ class LBRep:
 
     @property
     def S(self) -> CMatrix:
-        """The derived image of s_1 s_2, recomputed on every access."""
+        """The derived image of s_1 s_2: S1 @ S2, which S1 forms on the
+        first access and keeps, so every later access returns that matrix."""
         if self.S1 is None or self.S2 is None:
             raise MissingGenerator("S = S1*S2 needs both s-generator images")
         return self.S1 @ self.S2

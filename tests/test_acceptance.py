@@ -20,6 +20,7 @@ from loopbraid.linalg import (
 )
 from loopbraid.repcore import GroupKind, verify
 
+from extension_support import l2_equivalence, standard_extensions
 from order3_support import eigenprojectors_order3
 from poly_support import eval_at
 
@@ -62,7 +63,7 @@ def extension_corpus():
                 k, _ = search.candidates[0]
                 pairs = [extend.build_standard_extension(rep.A, rep.B, k)]
             else:
-                pairs = extend.standard_extensions(rep.A, rep.B)
+                pairs = standard_extensions(rep.A, rep.B)
             assert pairs, (family, params)
             entries.append((rep, pairs))
         corpus[family] = entries
@@ -272,7 +273,7 @@ def test_criterion_7_structural_properties(extension_corpus):
     for family in ("tw2", "tw3", "tw4", "tw5", "binomial"):
         for rep, pairs in extension_corpus[family]:
             for built, _ in pairs:
-                flags = extend.l2_equivalence(built)
+                flags = l2_equivalence(built)
                 assert len(set(flags.values())) == 1 and flags["a"]
                 l2_checked += 1
     # skew-triangularity on all tw4/tw5 extensions

@@ -282,11 +282,7 @@ def test_lkb3_traceless():
     assert len(rep.A.min_poly()) - 1 == 3
 
 
-def test_lkb3_genericity_flag():
-    assert catalog.lkb3_generic(2, 3)
-    assert not catalog.lkb3_generic(1, 5)  # q = 1
-    assert not catalog.lkb3_generic(2, Fraction(-1, 4))  # t q^2 = -1
-    assert not catalog.lkb3_generic(2, Fraction(1, 2))  # t q = 1
+def test_lkb3_refuses_a_zero_parameter():
     with pytest.raises(ZeroParameter):
         catalog.lkb3(0, 1)
 
@@ -343,3 +339,33 @@ def test_tw3_irreducibility_boundary_draws():
         assert algebra_dimension([rep.A, rep.B]) == 9
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: catalog.tw5([1, 2, 3, 4, 5], 1), ConstraintViolated, "gamma\\^5"),
+        (lambda: catalog.binomial_pair([1], 1), ConstraintViolated, "at least two"),
+        (lambda: catalog.binomial_pair([1, 2], 3), ConstraintViolated, "lambda_0 \\* lambda_1"),
+        (lambda: catalog.nonstandard_3d(1, 2, 3, sign=0), ZeroParameter, "sign"),
+        (lambda: catalog.nonstandard_3d(1, 2, 0), ZeroParameter, "z must be nonzero"),
+        (lambda: catalog.abeq_family(0, 4, 2), InvalidBlockCombination, "block size"),
+        (lambda: catalog.abeq_family(1, 0, 0), ZeroParameter, "mu must be nonzero"),
+        (lambda: catalog.abeq_family(1, 4, 3), NotASquareRoot, "sqrt_mu"),
+        (lambda: catalog.abeq_family(2, 4, 2, sign=2), InvalidBlockCombination, "sign"),
+    ],
+    ids=[
+        "tw5-gamma",
+        "binomial-length",
+        "binomial-pairing",
+        "nonstandard3-sign",
+        "nonstandard3-z",
+        "abeq-n",
+        "abeq-mu",
+        "abeq-sqrt-mu",
+        "abeq-sign",
+    ],
+)
+def test_catalog_constraint_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

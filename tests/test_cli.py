@@ -287,6 +287,39 @@ def test_requested_analyze_section_says_why_it_is_unavailable(
     }
 
 
+def test_singular_pair_is_refused_and_analyze_keeps_its_other_sections(
+    tmp_path, capsys
+):
+    # A = B nilpotent: ABA = BAB = 0 and (AB)^3 = 0, so no k has (kAB)^3 = I;
+    # with S1 = S2 the swap the pair is an LB3 representation too
+    nil = CMatrix([[0, 1], [0, 0]], 1)
+    swap = CMatrix([[0, 1], [1, 0]], 1)
+    pair_file, lb3_file = tmp_path / "pair.json", tmp_path / "lb3.json"
+    pair_file.write_text(json.dumps(rep_to_obj(LBRep(GroupKind.B3, A=nil, B=nil))))
+    lb3 = LBRep(GroupKind.LB3, A=nil, B=nil, S1=swap, S2=swap)
+    lb3_file.write_text(json.dumps(rep_to_obj(lb3)))
+    for args in (
+        ["extend", str(pair_file)],
+        ["extend", str(lb3_file), "--mode", "vb3"],
+        ["certify", str(pair_file), "--starts", "10"],
+    ):
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: (AB)^3 = 0") and err.count("\n") == 1, err
+    code, out = run(["analyze", str(pair_file)], capsys)
+    assert code == 0
+    assert json.loads(out)["analysis"] == {
+        "irreducible": False,
+        "k_candidates": "unavailable: (AB)^3 = 0, so no k gives (kAB)^3 = I",
+    }
+    code, out = run(["analyze", str(lb3_file)], capsys)
+    assert code == 0
+    sections = json.loads(out)["analysis"]
+    assert sections["k_candidates"].startswith("unavailable: (AB)^3 = 0")
+    assert sections["slb3"] == {"direct": True, "commutator": True}
+    assert sections["polynomial_S"] == "unavailable: S is not in the span of the B^n A B"
+
+
 @pytest.fixture(scope="module")
 def malformed_inputs(tmp_path_factory):
     """The bad files: a rep without a target, a matrix entry written as

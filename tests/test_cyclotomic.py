@@ -8,6 +8,7 @@ import pytest
 
 from loopbraid.cyclotomic import (
     CycNum,
+    _Side,
     common_field,
     cyclotomic_polynomial,
     dot,
@@ -15,6 +16,7 @@ from loopbraid.cyclotomic import (
     make_root_of_unity,
     nth_root_in_field,
     omega,
+    packed_product,
     roots_of_unity,
 )
 from loopbraid.catalog import perm3
@@ -284,3 +286,20 @@ def test_roots_of_unity_built_once_per_conductor():
     for j, u in enumerate(first):
         assert u == gen**j
         assert (u * first[-j]).is_one
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (
+            lambda: packed_product([[CycNum.one(1)]], _Side([[CycNum.one(3)]], 3)),
+            ConductorMismatch,
+            "share a conductor",
+        ),
+        (lambda: omega(4), NotASubfield, "divisible by 3"),
+    ],
+    ids=["packed-columns", "omega"],
+)
+def test_cyclotomic_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -30,7 +30,7 @@ from loopbraid.errors import (
     WrongForm,
 )
 from loopbraid.linalg import CMatrix, is_proportional, matrix_rank
-from loopbraid.repcore import GroupKind, relation_holds, verify
+from loopbraid.repcore import GroupKind, LBRep, relation_holds, verify
 from loopbraid.sampling import (
     draw_binomial,
     draw_tw2,
@@ -41,6 +41,7 @@ from loopbraid.sampling import (
     rng_for,
 )
 
+from extension_support import standard_extensions
 from order3_support import eigenprojectors_order3
 
 
@@ -54,7 +55,7 @@ TW5 = ([1, 2, 1, 3, Fraction(1, 192)], Fraction(1, 2))  # gamma = 1/2, k = 4
 def test_k_candidates_tw4_unique():
     rep = catalog.tw4(*TW4)
     res = extend.standard_k_candidates(rep.A, rep.B)
-    assert res.cube_is_scalar
+    assert res.k_cubed is not None
     assert len(res.candidates) == 1
     k, m = res.candidates[0]
     assert k == Fraction(-1, 2) and m == 1
@@ -66,7 +67,7 @@ def test_k_candidates_tw3_123_requires_bigger_field():
     # suggests no conductor.
     rep = catalog.tw3(1, 2, 3)
     res = extend.standard_k_candidates(rep.A, rep.B)
-    assert res.cube_is_scalar
+    assert res.k_cubed is not None
     assert res.candidates == []
     assert res.reason == "not-cyclotomic"
     assert res.k_cubed == Fraction(1, 36)
@@ -130,7 +131,7 @@ def test_k_candidates_conductor_check_matches_the_search_at_3n(x, suggested):
 def test_k_candidates_counterexample_no_integer_trace():
     rep = catalog.counterexample6()
     res = extend.standard_k_candidates(rep.A, rep.B)
-    assert res.cube_is_scalar and res.k_cubed.is_one
+    assert res.k_cubed is not None and res.k_cubed.is_one
     assert res.candidates == []
     assert res.reason == "no-integer-trace"
 
@@ -148,7 +149,7 @@ def test_k_candidates_traceless_gives_three():
 def test_k_candidates_cube_not_scalar():
     a = CMatrix([[1, 1], [0, 1]], 1)
     res = extend.standard_k_candidates(a, a)
-    assert not res.cube_is_scalar and res.reason == "cube-not-scalar"
+    assert res.k_cubed is None and res.reason == "cube-not-scalar"
 
 
 # -- the power-trace criterion -----------------------------------------------------
@@ -219,7 +220,7 @@ def test_trace_power_test_agrees_with_search():
 
 def test_build_tw4_default_params():
     rep = catalog.tw4(*TW4)
-    pairs = extend.standard_extensions(rep.A, rep.B)
+    pairs = standard_extensions(rep.A, rep.B)
     assert len(pairs) == 1
     built, cert = pairs[0]
     assert verify(built, GroupKind.LB3).all_hold
@@ -245,7 +246,7 @@ def test_build_dim1():
 
 def test_build_three_candidates_three_reps():
     rep = catalog.tw3(CycNum.from_rational(1, 3), 2, Fraction(27, 2))
-    pairs = extend.standard_extensions(rep.A, rep.B)
+    pairs = standard_extensions(rep.A, rep.B)
     assert len(pairs) == 3
     seen = set()
     for built, cert in pairs:
@@ -264,7 +265,7 @@ def test_build_rejects_bad_k():
 def test_build_rejects_bad_basis_change():
     rep = catalog.tw4(*TW4)
     k = CycNum.from_rational(Fraction(-1, 2), 1)
-    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    (built, cert), = standard_extensions(rep.A, rep.B)
     good = cert.params
     bad = extend.ExtensionParams(
         M=CMatrix.identity(4, built.conductor), G=good.G, a=good.a, N=good.N
@@ -633,7 +634,7 @@ def test_nonstandard_3d_cube_property_random_z():
 
 def test_polynomial_solve_standard():
     rep = catalog.tw4(*TW4)
-    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    (built, cert), = standard_extensions(rep.A, rep.B)
     ps = extend.polynomial_S_solve(built.A, built.B, built.S)
     assert ps[0] == cert.k
     assert all(c.is_zero for c in ps[1:])
@@ -730,7 +731,7 @@ def test_skew_triangular_shapes_of_extensions():
         (catalog.tw4(*TW4), None),
         (catalog.tw5(*TW5), None),
     ):
-        (built, cert), = extend.standard_extensions(rep.A, rep.B)
+        (built, cert), = standard_extensions(rep.A, rep.B)
         d = built.dim
         ab = built.A @ built.B
         s = built.S
@@ -778,7 +779,7 @@ def test_slb3_routes_agree_when_applicable():
     rng = rng_for(17)
     for _ in range(5):
         base, _ = draw_tw3(rng)
-        pairs = extend.standard_extensions(base.A, base.B)
+        pairs = standard_extensions(base.A, base.B)
         rep = pairs[0][0]
         if rep.A.min_poly() != rep.A.char_poly():
             continue
@@ -794,7 +795,7 @@ def test_slb3_routes_agree_when_applicable():
 
 def test_vb3_lift_of_standard_extension():
     rep = catalog.tw4(*TW4)
-    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    (built, cert), = standard_extensions(rep.A, rep.B)
     lifted = extend.vb3_lift(built, cert.k)
     assert verify(lifted, GroupKind.VB3).all_hold
     k = cert.k.promote(lifted.conductor)
@@ -822,7 +823,7 @@ def test_vb3_lift_accepts_exactly_the_standard_candidates():
     cases = [
         (built, cert.k)
         for base in bases
-        for built, cert in extend.standard_extensions(base.A, base.B)
+        for built, cert in standard_extensions(base.A, base.B)
     ]
     perm = catalog.perm3(8)
     cases.append((perm, extend.standard_k_candidates(perm.A, perm.B).candidates[0][0]))
@@ -1008,7 +1009,7 @@ def test_generic_3dim_extensions_are_standard():
             continue
         if base.A.min_poly() != base.A.char_poly():
             continue
-        for rep, _cert in extend.standard_extensions(base.A, base.B):
+        for rep, _cert in standard_extensions(base.A, base.B):
             assert is_proportional(rep.S, rep.A @ rep.B)
             checked += 1
     assert checked > 0
@@ -1052,7 +1053,7 @@ def test_traceless_3dim_extension_is_pure_multiple():
             continue
         if base.B.min_poly() != base.B.char_poly():
             continue
-        for rep, _cert in extend.standard_extensions(base.A, base.B):
+        for rep, _cert in standard_extensions(base.A, base.B):
             ps = extend.polynomial_S_solve(rep.A, rep.B, rep.S)
             assert not ps[0].is_zero
             assert all(c.is_zero for c in ps[1:])
@@ -1091,3 +1092,74 @@ def test_finitely_many_slb3_clusters_tw4():
         if abs(c.trace.imag) < 1e-6 and abs(c.trace.real - round(c.trace.real)) < 1e-6
     ]
     assert len(integral) <= 6
+
+
+_I1, _I2, _I3 = (CMatrix.identity(d, 1) for d in (1, 2, 3))
+_JORDAN = CMatrix([[1, 1], [0, 1]], 1)  # cyclic, and (J^2)^3 is not scalar
+_DIAG12 = CMatrix.diagonal([1, 2], 1)
+# AB = the flip is skew lower triangular, and (AB)^2 = I is not skew upper
+_FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        # l + 2t = 1 does not tile dimension 3; a = 2 > l = 1
+        (
+            lambda: extend._block_involution(extend.ExtensionParams(_I3, None, 0, _I1), 3, 1),
+            BadBasisChange,
+            "tile",
+        ),
+        (
+            lambda: extend._block_involution(extend.ExtensionParams(_I1, None, 2, _I1), 1, 1),
+            BadBasisChange,
+            "0 <= a <= l",
+        ),
+        # S = I does not intertwine A = diag(1, 2) with B = I
+        (
+            lambda: extend.vb3_lift(
+                LBRep(GroupKind.LB3, A=_DIAG12, B=_I2, S1=_I2, S2=_I2), 1
+            ),
+            ConstraintViolated,
+            "SA = BS",
+        ),
+        (
+            lambda: extend.slb3_test(
+                LBRep(GroupKind.LB3, A=_JORDAN, B=_JORDAN, S1=_I2, S2=_I2), "commutator"
+            ),
+            HypothesisUnmet,
+            "scalar",
+        ),
+        (
+            lambda: extend.uniqueness_linearized(_FLIP4, CMatrix.identity(4, 1)),
+            WrongForm,
+            "\\(AB\\)\\^2",
+        ),
+        (
+            lambda: extend.default_polynomial_candidates([_JORDAN, _JORDAN]),
+            ConstraintViolated,
+            "scalar",
+        ),
+        (lambda: extend.standard_extension_2d(_I3, _I3, (1, 1, 1)), DimMismatch, "2x2"),
+        (lambda: extend.standard_extension_2d(_I2, _I2, (1, 1)), ConstraintViolated, "A != B"),
+        (
+            lambda: extend.standard_extension_2d(_DIAG12, _JORDAN, (1, 1)),
+            ConstraintViolated,
+            "braid relation",
+        ),
+    ],
+    ids=[
+        "block-tiling",
+        "block-a",
+        "vb3-intertwining",
+        "slb3-commutator-cube",
+        "uniqueness-square",
+        "poly-candidates-cube",
+        "2d-dimension",
+        "2d-equal",
+        "2d-braid",
+    ],
+)
+def test_extend_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

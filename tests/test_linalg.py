@@ -21,6 +21,7 @@ from loopbraid.linalg import (
     solve_linear,
 )
 
+from extension_support import standard_extensions
 from order3_support import eigenprojectors_order3
 from poly_support import divides, divmod_monic, eval_at
 
@@ -192,9 +193,7 @@ def test_kernel_examples():
 def test_kernel_matches_char_poly_multiplicity_tw4():
     # dim of ker(S - wI) equals the multiplicity of w as a root of char(S)
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
-    from loopbraid import extend
-
-    (rep4, cert), = extend.standard_extensions(rep.A, rep.B)
+    (rep4, cert), = standard_extensions(rep.A, rep.B)
     s = cert.S
     w = omega(s.conductor)
     ident = CMatrix.identity(4, s.conductor)
@@ -219,10 +218,8 @@ def test_eigenprojectors_examples():
 
 
 def test_eigenprojector_laws_on_tw4_standard_s():
-    from loopbraid import extend
-
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
-    (rep4, cert), = extend.standard_extensions(rep.A, rep.B)
+    (rep4, cert), = standard_extensions(rep.A, rep.B)
     s = cert.S
     p1, pw, pw2 = eigenprojectors_order3(s)
     ident = CMatrix.identity(4, s.conductor)
@@ -367,3 +364,30 @@ def test_kron_shape_and_values():
     k = x.kron(y)
     assert k.dim == 4
     assert k[(0, 1)] == 1 and k[(0, 3)] == 2 and k[(2, 1)] == 3
+
+
+_I2 = CMatrix.identity(2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: algebra_dimension([]), ValueError, "at least one generator"),
+        (
+            lambda: algebra_dimension([_I2, CMatrix.identity(3, 1)]),
+            DimMismatch,
+            "share a dimension",
+        ),
+        (
+            lambda: algebra_dimension([_I2, CMatrix.identity(2, 3)]),
+            ConductorMismatch,
+            "share a conductor",
+        ),
+        (lambda: _I2.apply([CycNum.one(1)]), DimMismatch, "vector length"),
+        (lambda: _I2.kron(CMatrix.identity(2, 3)), ConductorMismatch, "kron"),
+    ],
+    ids=["algdim-empty", "algdim-dims", "algdim-conductors", "apply", "kron"],
+)
+def test_linalg_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -7,7 +7,13 @@ import pytest
 
 from loopbraid import catalog, extend
 from loopbraid.cyclotomic import CycNum, omega
-from loopbraid.errors import MissingGenerator, NotAWeakening
+from loopbraid.errors import (
+    ConductorMismatch,
+    ConstraintViolated,
+    DimMismatch,
+    MissingGenerator,
+    NotAWeakening,
+)
 from loopbraid.linalg import CMatrix, matrix_rank, solve_linear
 from loopbraid.repcore import (
     GroupKind,
@@ -20,6 +26,8 @@ from loopbraid.repcore import (
     verify,
 )
 from loopbraid.sampling import draw_tw3, rng_for
+
+from extension_support import l2_equivalence, standard_extensions
 
 
 def trivial_rep(d=2, target=GroupKind.SLB3):
@@ -73,7 +81,7 @@ def test_mixed_relations_follow_from_standard_shape():
     rng = rng_for(11)
     for _ in range(10):
         base, _ = draw_tw3(rng)
-        pairs = extend.standard_extensions(base.A, base.B)
+        pairs = standard_extensions(base.A, base.B)
         assert pairs
         rep, cert = pairs[0]
         assert verify(rep, GroupKind.B3).all_hold
@@ -88,11 +96,11 @@ def test_l2_equivalence_chain():
     built = []
     for _ in range(5):
         base, _ = draw_tw3(rng)
-        built.extend(r for r, _ in extend.standard_extensions(base.A, base.B))
+        built.extend(r for r, _ in standard_extensions(base.A, base.B))
     built.append(catalog.perm3(5))
     built.append(catalog.nonstandard_3d(2, 1, 3))
     for rep in built:
-        flags = extend.l2_equivalence(rep)
+        flags = l2_equivalence(rep)
         assert len(set(flags.values())) == 1  # all four agree
         assert flags["a"] == verify(rep, GroupKind.LB3).holds("L2")
 
@@ -323,3 +331,36 @@ def test_verify_forms_each_product_once(monkeypatch):
         counts[kind] = len(calls)
     # one product per distinct word of two or more letters
     assert counts == {"B3": 3, "S3": 5, "VB3": 10, "LB3": 12, "SLB3": 15}
+
+
+_I2, _I3 = CMatrix.identity(2, 1), CMatrix.identity(3, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: LBRep(GroupKind.B3, A=_I2, B=_I3), DimMismatch, "dimension"),
+        (
+            lambda: LBRep(GroupKind.B3, A=_I2, B=CMatrix.identity(2, 3)),
+            ConductorMismatch,
+            "conductor",
+        ),
+        (
+            lambda: tensor_product(trivial_rep(), LBRep(GroupKind.B3, A=_I2, B=_I2)),
+            ConstraintViolated,
+            "target",
+        ),
+        (
+            lambda: tensor_product(
+                LBRep(GroupKind.S3, S1=_I2, S2=_I2),
+                LBRep(GroupKind.S3, A=_I2, S1=_I2, S2=_I2),
+            ),
+            MissingGenerator,
+            "present images",
+        ),
+    ],
+    ids=["LBRep-dim", "LBRep-conductor", "tensor-target", "tensor-images"],
+)
+def test_repcore_refusals(call, error, text):
+    with pytest.raises(error, match=text):
+        call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, cyclotomic, extend, repcore
+from loopbraid import catalog, cyclotomic, repcore
 from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import MalformedInput
 from loopbraid.repcore import GroupKind
@@ -24,6 +24,8 @@ from loopbraid.serialize import (
     rep_to_obj,
     report_to_obj,
 )
+
+from extension_support import standard_extensions
 
 
 def test_cycnum_round_trip_exact():
@@ -79,7 +81,7 @@ def test_rep_round_trip_with_and_without_s():
 
 def test_certificate_round_trip():
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
-    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    (built, cert), = standard_extensions(rep.A, rep.B)
     obj = report_to_obj(cert)
     back = certificate_from_obj(json.loads(json.dumps(obj)))
     assert back.k == cert.k
@@ -125,7 +127,7 @@ def test_dumps_matches_json_byte_for_byte(value):
 
 def test_dumps_matches_json_on_reports_and_refuses_what_json_refuses():
     rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
-    (built, cert), = extend.standard_extensions(rep.A, rep.B)
+    (built, cert), = standard_extensions(rep.A, rep.B)
     small = {"k": [True, 1, 1.5, None, (2, "x")], "e": {}, "l": []}
     # the scalars of cycnum_to_obj are marked and written from a template;
     # plain dicts that only look like scalars take the general route
@@ -153,3 +155,13 @@ def test_dumps_matches_json_on_reports_and_refuses_what_json_refuses():
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             dumps(bad)
+
+
+@pytest.mark.parametrize(
+    "obj, error, text",
+    [({**rep_to_obj(catalog.tw3(1, 2, 3)), "target": "B4"}, MalformedInput, "unknown target")],
+    ids=["unknown-target"],
+)
+def test_serialize_refusals(obj, error, text):
+    with pytest.raises(error, match=text):
+        rep_from_obj(obj)
