@@ -16,7 +16,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -54,13 +53,6 @@ def parse_scalar(text: str) -> CycNum:
     return value
 
 
-def _seed_default(args_seed: int | None) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("LOOPBRAID_SEED")
-    return int(env) if env else 0
-
-
 def _emit(payload, out: str | None) -> None:
     """Write a report: domain objects take their wire formats here."""
     text = dumps(report_to_obj(payload))
@@ -94,40 +86,16 @@ def _meta(input_sha256: str | None) -> dict:
 # -- construct ---------------------------------------------------------------
 
 
-def _cmd_construct(args) -> int:
-    lam = [parse_scalar(s) for s in args.lam or []]
-    if args.family == "tw2":
-        rep = catalog.tw2(*_arity(lam, 2), family=args.variant)
-    elif args.family == "tw3":
-        rep = catalog.tw3(*_arity(lam, 3))
-    elif args.family == "tw4":
-        rep = catalog.tw4(_arity(lam, 4), parse_scalar(_req(args.gamma2, "--gamma2")))
-    elif args.family == "tw5":
-        rep = catalog.tw5(_arity(lam, 5), parse_scalar(_req(args.gamma, "--gamma")))
-    elif args.family == "binomial":
-        rep = catalog.binomial_rep(lam, parse_scalar(_req(args.c, "--c")))
-    elif args.family == "counterexample6":
-        rep = catalog.counterexample6()
-    elif args.family == "v1":
-        rep = catalog.v1_family(
-            _arity(lam, 1)[0],
-            parse_scalar(args.x or "0"),
-        )
-    elif args.family == "abeq":
-        rep = catalog.abeq_family(
-            _req(args.n, "--n"),
-            parse_scalar(_req(args.mu, "--mu")),
-            parse_scalar(_req(args.sqrt_mu, "--sqrt-mu")),
-            sign=args.sign,
-        )
-    elif args.family == "lkb3":
-        rep = catalog.lkb3(
-            parse_scalar(_req(args.q, "--q")), parse_scalar(_req(args.t, "--t"))
-        )
-    elif args.family == "perm3":
-        rep = catalog.perm3(parse_scalar(_req(args.t, "--t")))
-    _emit(rep, args.out)
-    return 0
+def _required(args, name: str):
+    """args.<name>, or ValueError naming the missing flag --name."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"missing required --{name.replace('_', '-')}")
+    return value
+
+
+def _cyc(args, name: str) -> CycNum:
+    return parse_scalar(_required(args, name))
 
 
 def _arity(values: list, n: int) -> list:
@@ -136,10 +104,27 @@ def _arity(values: list, n: int) -> list:
     return values
 
 
-def _req(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required {flag}")
-    return value
+# each family's constructor, called on the flags and the --lambda scalars
+_FAMILIES = {
+    "tw2": lambda args, lam: catalog.tw2(*_arity(lam, 2), family=args.variant),
+    "tw3": lambda args, lam: catalog.tw3(*_arity(lam, 3)),
+    "tw4": lambda args, lam: catalog.tw4(_arity(lam, 4), _cyc(args, "gamma2")),
+    "tw5": lambda args, lam: catalog.tw5(_arity(lam, 5), _cyc(args, "gamma")),
+    "binomial": lambda args, lam: catalog.binomial_rep(lam, _cyc(args, "c")),
+    "counterexample6": lambda args, lam: catalog.counterexample6(),
+    "v1": lambda args, lam: catalog.v1_family(_arity(lam, 1)[0], parse_scalar(args.x or "0")),
+    "abeq": lambda args, lam: catalog.abeq_family(
+        _required(args, "n"), _cyc(args, "mu"), _cyc(args, "sqrt_mu"), sign=args.sign
+    ),
+    "lkb3": lambda args, lam: catalog.lkb3(_cyc(args, "q"), _cyc(args, "t")),
+    "perm3": lambda args, lam: catalog.perm3(_cyc(args, "t")),
+}
+
+
+def _cmd_construct(args) -> int:
+    lam = [parse_scalar(s) for s in args.lam or []]
+    _emit(_FAMILIES[args.family](args, lam), args.out)
+    return 0
 
 
 # -- verify --------------------------------------------------------------------
@@ -164,29 +149,30 @@ def _cmd_verify(args) -> int:
 
 def _cmd_extend(args) -> int:
     rep, meta = _load_rep(args.file, need_pair=True)
-    if args.mode == "standard":
-        return _extend_standard(rep, meta, args)
-    if args.mode == "nonstandard3":
-        return _extend_nonstandard3(rep, meta, args)
-    return _extend_vb3(rep, meta, args)
+    return _MODES[args.mode](rep, meta, args)
 
 
 def _extend_standard(rep: LBRep, meta: dict, args) -> int:
     search = extend.standard_k_candidates(rep.A, rep.B)
     if not search.candidates:
+        no_root = f"k^3 must equal {search.k_cubed}, which has no cube root in"
+        n = search.suggested_conductor
         reason = {
             "cube-not-scalar": "(AB)^3 is not scalar",
-            "not-cyclotomic": f"k^3 must equal {search.k_cubed}, which has no cube "
-            "root in any cyclotomic field",
-            "no-root-in-field": "no cube root of Det-scalar in the field "
-            f"(k^3 must equal {search.k_cubed}); "
-            + (
-                f"suggested conductor {search.suggested_conductor}"
-                if search.suggested_conductor
-                else "no larger conductor was confirmed"
-            ),
+            "not-cyclotomic": f"{no_root} any cyclotomic field",
+            "no-root-in-field": f"{no_root} the working field; "
+            + (f"suggested conductor {n}" if n else "no larger conductor was confirmed"),
             "no-integer-trace": "no k gives Tr(kAB) a rational integer",
         }[search.reason]
+        if search.reason in ("not-cyclotomic", "no-root-in-field"):
+            # an empty search forces Tr(AB) = 0: (AB)^3 = cI gives
+            # Tr(AB) = mu (m0 + m1 w + m2 w^2) for a cube root mu of c, and
+            # were that nonzero, 1/mu would be a k in the field.  So every
+            # cube root k of k^3 has Tr(kAB) = 0, and the extension exists
+            # over the field with k adjoined: bad input, not "no extension"
+            raise ValueError(
+                f"a standard extension exists only outside the working field: {reason}"
+            )
         print(f"no standard extension: {reason}", file=sys.stderr)
         return 3
     if args.k is not None:
@@ -222,7 +208,7 @@ def _extend_nonstandard3(rep: LBRep, meta: dict, args) -> int:
         hint = " (relabel the eigenvalues)" if -l1 in (l2, l3) else ""
         print(f"no nonstandard extension: requires lambda3 = -lambda2{hint}", file=sys.stderr)
         return 3
-    z = parse_scalar(_req(args.z, "--z"))
+    z = _cyc(args, "z")
     built = catalog.nonstandard_3d(l1, l2, z, sign=args.sign)
     payload = {
         "meta": meta,
@@ -261,41 +247,47 @@ def _extend_vb3(rep: LBRep, meta: dict, args) -> int:
     return 0
 
 
+_MODES = {"standard": _extend_standard, "nonstandard3": _extend_nonstandard3, "vb3": _extend_vb3}
+
+
 # -- analyze ---------------------------------------------------------------------
+
+
+# each analyze section: its flag (None: only a run with no flag has it),
+# what it needs (0 nothing, 1 the braid pair A, B, 2 the pair and S1, S2),
+# the dimensions at which a run with no flag has it (None: all), and its
+# computation, which looks its functions up when it runs, so a wrapper put
+# on a module's name (as benchmarks/tracing.py puts) sees every call
+_SECTIONS = {
+    "irreducible": ("--irreducible", 0, None, lambda rep: is_irreducible(rep)),
+    "uniqueness": (
+        "--uniqueness", 1, (4, 5),
+        lambda rep: _or_why(extend.uniqueness_linearized, rep.A, rep.B),
+    ),
+    "slb3": ("--slb3", 2, None, lambda rep: {
+        "direct": extend.slb3_test(rep, "direct"),
+        "commutator": _or_why(extend.slb3_test, rep, "commutator", why="hypothesis unmet"),
+    }),
+    "polynomial_S": (
+        "--poly-s", 2, None,
+        lambda rep: _or_why(extend.polynomial_S_solve, rep.A, rep.B, rep.S),
+    ),
+    "k_candidates": (None, 1, None, lambda rep: _or_why(_k_candidates, rep.A, rep.B)),
+}
+# a requested section that cannot run says why, by what the input has
+_MISSING = ("input has no braid pair A, B", "input has no S1, S2")
 
 
 def _cmd_analyze(args) -> int:
     rep, meta = _load_rep(args.file)
+    has = 0 if rep.A is None or rep.B is None else 1 if rep.S1 is None else 2
+    asked = [name for name in _SECTIONS if getattr(args, name, False)]
     sections = {}
-    run_all = not (args.uniqueness or args.slb3 or args.irreducible or args.poly_s)
-    pair = rep.A is not None and rep.B is not None
-    with_s = pair and rep.S1 is not None
-    # an explicitly requested section that cannot run says why
-    missing = "input has no S1, S2" if pair else "input has no braid pair A, B"
-    for requested, name, ready in (
-        (args.uniqueness, "uniqueness", pair),
-        (args.slb3, "slb3", with_s),
-        (args.poly_s, "polynomial_S", with_s),
-    ):
-        if requested and not ready:
-            sections[name] = f"unavailable: {missing}"
-    if args.irreducible or run_all:
-        sections["irreducible"] = is_irreducible(rep)
-    if pair and (args.uniqueness or run_all and rep.dim in (4, 5)):
-        sections["uniqueness"] = _or_why(extend.uniqueness_linearized, rep.A, rep.B)
-    if (args.slb3 or run_all) and with_s:
-        sections["slb3"] = {
-            "direct": extend.slb3_test(rep, "direct"),
-            "commutator": _or_why(
-                extend.slb3_test, rep, "commutator", why="hypothesis unmet"
-            ),
-        }
-    if (args.poly_s or run_all) and with_s:
-        sections["polynomial_S"] = _or_why(extend.polynomial_S_solve, rep.A, rep.B, rep.S)
-    if run_all and pair:
-        sections["k_candidates"] = _or_why(_k_candidates, rep.A, rep.B)
-    payload = {"meta": meta, "analysis": sections}
-    _emit(payload, args.out)
+    for name, (_, needs, dims, compute) in _SECTIONS.items():
+        ready = has >= needs
+        if (name in asked) if asked else (ready and (dims is None or rep.dim in dims)):
+            sections[name] = compute(rep) if ready else f"unavailable: {_MISSING[has]}"
+    _emit({"meta": meta, "analysis": sections}, args.out)
     return 0
 
 
@@ -327,10 +319,9 @@ def _cmd_certify(args) -> int:
         starts=args.starts,
         tol=args.tol,
         cluster_radius=args.cluster_radius,
-        seed=_seed_default(args.seed),
+        seed=args.seed,
     )
-    payload = {"meta": meta, "report": report}
-    _emit(payload, args.out)
+    _emit({"meta": meta, "report": report}, args.out)
     return 0
 
 
@@ -338,11 +329,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = sampling.standard_extension_sweep(
-        args.family, args.draws, _seed_default(args.seed)
-    )
-    payload = {"meta": _meta(None), "sweep": report}
-    _emit(payload, args.out)
+    report = sampling.standard_extension_sweep(args.family, args.draws, args.seed)
+    _emit({"meta": _meta(None), "sweep": report}, args.out)
     return 0
 
 
@@ -355,12 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact toolkit for extending B3 representations to the loop braid group",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # the arguments several commands share, each declared once
+    file_arg, out_arg, seed_arg = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    file_arg.add_argument("file")
+    out_arg.add_argument("--out")
+    seed_arg.add_argument("--seed", type=int, default=0)
 
-    c = sub.add_parser("construct", help="build a catalog representation")
-    c.add_argument("family", choices=[
-        "tw2", "tw3", "tw4", "tw5", "binomial", "counterexample6",
-        "v1", "abeq", "lkb3", "perm3",
-    ])
+    c = sub.add_parser("construct", parents=[out_arg], help="build a catalog representation")
+    c.add_argument("family", choices=list(_FAMILIES))
     c.add_argument("--lambda", dest="lam", nargs="*", metavar="CYC")
     c.add_argument("--family", dest="variant", type=int, default=2, help="tw2 family (1 or 2)")
     c.add_argument("--gamma2", metavar="CYC")
@@ -373,47 +363,42 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sign", type=int, default=-1)
     c.add_argument("--q", metavar="CYC")
     c.add_argument("--t", metavar="CYC")
-    c.add_argument("--out")
     c.set_defaults(func=_cmd_construct)
 
-    v = sub.add_parser("verify", help="check the relations of a group")
-    v.add_argument("file")
+    v = sub.add_parser(
+        "verify", parents=[file_arg, out_arg], help="check the relations of a group"
+    )
     v.add_argument("--group", required=True, choices=[k.value for k in GroupKind])
-    v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 
-    e = sub.add_parser("extend", help="search/build extensions")
-    e.add_argument("file")
-    e.add_argument("--mode", default="standard", choices=["standard", "nonstandard3", "vb3"])
+    e = sub.add_parser("extend", parents=[file_arg, out_arg], help="search/build extensions")
+    e.add_argument("--mode", default="standard", choices=list(_MODES))
     e.add_argument("--k", metavar="CYC")
     e.add_argument("--z", metavar="CYC")
     e.add_argument("--sign", type=int, default=1)
-    e.add_argument("--out")
     e.set_defaults(func=_cmd_extend)
 
-    a = sub.add_parser("analyze", help="uniqueness/SLB3/irreducibility reports")
-    a.add_argument("file")
-    a.add_argument("--uniqueness", action="store_true")
-    a.add_argument("--slb3", action="store_true")
-    a.add_argument("--irreducible", action="store_true")
-    a.add_argument("--poly-s", dest="poly_s", action="store_true")
-    a.add_argument("--out")
+    a = sub.add_parser(
+        "analyze", parents=[file_arg, out_arg], help="uniqueness/SLB3/irreducibility reports"
+    )
+    for name, (flag, *_) in _SECTIONS.items():
+        if flag:
+            a.add_argument(flag, dest=name, action="store_true")
     a.set_defaults(func=_cmd_analyze)
 
-    ce = sub.add_parser("certify", help="no-extension certification")
-    ce.add_argument("file")
+    ce = sub.add_parser(
+        "certify", parents=[file_arg, seed_arg, out_arg], help="no-extension certification"
+    )
     ce.add_argument("--starts", type=int, default=2000)
     ce.add_argument("--tol", type=float, default=1e-9)
     ce.add_argument("--cluster-radius", dest="cluster_radius", type=float, default=1e-6)
-    ce.add_argument("--seed", type=int, default=None)
-    ce.add_argument("--out")
     ce.set_defaults(func=_cmd_certify)
 
-    s = sub.add_parser("sweep", help="extension-existence rates over random draws")
+    s = sub.add_parser(
+        "sweep", parents=[seed_arg, out_arg], help="extension-existence rates over random draws"
+    )
     s.add_argument("--family", required=True, choices=sampling.family_names())
     s.add_argument("--draws", type=int, default=25)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--out")
     s.set_defaults(func=_cmd_sweep)
     return p
 

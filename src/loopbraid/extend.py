@@ -435,8 +435,11 @@ class LinearizedSystem:
     (BSA)^2, which must vanish for any extension in ordered triangular
     form; rank = N_d certifies that S = kAB is the only solution.  The rank
     is first asked of the images of A and B in F_p, where rank N_d already
-    proves rank N_d; otherwise it is the rank of the exact rows in one
-    exact `Echelon`.
+    proves rank N_d.  Anything less is replayed on the exact rows with
+    F_p's verdicts (`linalg._mod_p_first`): the rows independent mod p
+    enter one exact `Echelon`, one packed product confirms that the others
+    lie in their span, and only a failed confirmation ranks every exact row
+    afresh.
     """
 
     d: int

@@ -4,6 +4,7 @@ import builtins
 import codecs
 import hashlib
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -187,14 +188,6 @@ def test_sweep_deterministic(capsys):
     assert payload["sweep"]["successes"] == 4
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LOOPBRAID_SEED", "7")
-    _, out_env = run(["sweep", "--family", "tw2", "--draws", "3"], capsys)
-    monkeypatch.delenv("LOOPBRAID_SEED")
-    _, out_flag = run(["sweep", "--family", "tw2", "--draws", "3", "--seed", "7"], capsys)
-    assert json.loads(out_env)["sweep"]["results"] == json.loads(out_flag)["sweep"]["results"]
-
-
 def test_sweep_tw5_full_rate(capsys):
     code, out = run(["sweep", "--family", "tw5", "--draws", "25", "--seed", "7"], capsys)
     assert code == 0
@@ -236,10 +229,38 @@ def test_extend_tw3_123_reports_no_cyclotomic_root(tmp_path, capsys):
     rep_file = tmp_path / "tw3.json"
     assert main(["construct", "tw3", "--lambda", "1", "2", "3", "--out", str(rep_file)]) == 0
     capsys.readouterr()
-    assert main(["extend", str(rep_file)]) == 3
+    assert main(["extend", str(rep_file)]) == 2
     err = capsys.readouterr().err
     assert "no cube root in any cyclotomic field" in err
     assert "suggested conductor" not in err
+
+
+@pytest.mark.parametrize(
+    "lam, k_cubed, conductor",
+    [
+        (["1", "2", "3"], "1/36", None),
+        (["z12", "1", "1"], "1 + -1*z12^2", 36),
+    ],
+    ids=["tw3-123", "tw3-z12-1-1"],
+)
+def test_extend_says_an_extension_outside_the_field_exists(
+    tmp_path, capsys, lam, k_cubed, conductor
+):
+    # the search is empty, so Tr(AB) = 0 and every cube root k of k^3 has
+    # Tr(kAB) = 0: a standard extension exists over the field with k adjoined,
+    # and the command, which works inside the field, refuses its input
+    rep_file = str(tmp_path / "tw3.json")
+    assert main(["construct", "tw3", "--lambda", *lam, "--out", rep_file]) == 0
+    capsys.readouterr()
+    assert main(["extend", rep_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a standard extension exists only outside the working field")
+    assert err.count("\n") == 1
+    assert f"k^3 must equal {k_cubed}," in err
+    if conductor is None:
+        assert "conductor" not in err
+    else:
+        assert f"suggested conductor {conductor}" in err
 
 
 def test_analyze_dense_tw4_reports_uniqueness_unavailable(tmp_path, capsys):
@@ -593,6 +614,124 @@ def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# each family with the fewest flags it builds from
+MINIMAL_CONSTRUCT = {
+    "tw2": ["--lambda", "1", "2"],
+    "tw3": ["--lambda", "1", "2", "3"],
+    "tw4": TW4_ARGS[1:],
+    "tw5": ["--lambda", "1", "2", "3", "4", "4/3", "--gamma", "2"],
+    "binomial": ["--lambda", "1", "2", "--c", "2"],
+    "counterexample6": [],
+    "v1": ["--lambda", "2"],
+    "abeq": ["--n", "1", "--mu", "4", "--sqrt-mu", "2"],
+    "lkb3": ["--q", "2", "--t", "3"],
+    "perm3": ["--t", "2"],
+}
+
+
+@pytest.mark.parametrize("family", MINIMAL_CONSTRUCT)
+def test_every_family_constructs_from_its_minimal_flags(family, capsys):
+    code, out = run(["construct", family, *MINIMAL_CONSTRUCT[family]], capsys)
+    assert code == 0
+    assert json.loads(out)["A"] is not None
+
+
+def test_construct_offers_exactly_the_pinned_families(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "nope"])
+    assert exc.value.code == 2
+    offered = capsys.readouterr().err.split("choose from", 1)[1]
+    assert set(re.findall(r"\w+", offered)) == set(MINIMAL_CONSTRUCT)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["tw4", "--lambda", "1", "2", "3", "2/3"], "--gamma2"),
+        (["tw5", "--lambda", "1", "2", "3", "4", "4/3"], "--gamma"),
+        (["binomial", "--lambda", "1", "2"], "--c"),
+        (["abeq", "--mu", "4", "--sqrt-mu", "2"], "--n"),
+        (["abeq", "--n", "1", "--sqrt-mu", "2"], "--mu"),
+        (["abeq", "--n", "1", "--mu", "4"], "--sqrt-mu"),
+        (["lkb3", "--t", "3"], "--q"),
+        (["lkb3", "--q", "2"], "--t"),
+        (["perm3"], "--t"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_a_missing_required_flag_is_named(argv, flag, capsys):
+    capsys.readouterr()
+    assert main(["construct", *argv]) == 2
+    assert capsys.readouterr().err == f"error: missing required {flag}\n"
+
+
+def test_nonstandard3_without_z_names_the_flag(tmp_path, capsys):
+    rep_file = str(tmp_path / "tw3.json")
+    assert main(["construct", "tw3", "--lambda", "1", "1", "-1", "--out", rep_file]) == 0
+    capsys.readouterr()
+    assert main(["extend", rep_file, "--mode", "nonstandard3"]) == 2
+    assert capsys.readouterr().err == "error: missing required --z\n"
+
+
+@pytest.fixture(scope="module")
+def analyze_inputs(tmp_path_factory):
+    """An S3-only rep (perm3 without A, B), a 3-dimensional B3 pair, a
+    4-dimensional B3 pair and a 4-dimensional LB3 rep (its extension)."""
+    root = tmp_path_factory.mktemp("analyze")
+    paths = {name: str(root / f"{name}.json") for name in ("s3", "tw3", "tw4", "lb3")}
+    obj = rep_to_obj(catalog.perm3(2))
+    with open(paths["s3"], "w") as fh:
+        json.dump({**obj, "target": "S3", "A": None, "B": None}, fh)
+    assert main(["construct", "tw3", "--lambda", "1", "2", "3", "--out", paths["tw3"]]) == 0
+    assert main(["construct", *TW4_ARGS, "--out", paths["tw4"]]) == 0
+    ext = str(root / "ext.json")
+    assert main(["extend", paths["tw4"], "--out", ext]) == 0
+    with open(ext) as fh, open(paths["lb3"], "w") as out:
+        json.dump(json.load(fh)["representation"], out)
+    return paths
+
+
+NO_PAIR = "unavailable: input has no braid pair A, B"
+NO_S = "unavailable: input has no S1, S2"
+
+
+@pytest.mark.parametrize(
+    "flags, name, expected",
+    [
+        ([], "s3", {"irreducible": "bool"}),
+        ([], "tw3", {"irreducible": "bool", "k_candidates": "dict"}),
+        ([], "tw4", {"irreducible": "bool", "uniqueness": "dict", "k_candidates": "dict"}),
+        (
+            [], "lb3",
+            {
+                "irreducible": "bool", "uniqueness": "dict", "slb3": "dict",
+                "polynomial_S": "list", "k_candidates": "dict",
+            },
+        ),
+        (["--uniqueness", "--slb3"], "s3", {"uniqueness": NO_PAIR, "slb3": NO_PAIR}),
+        (
+            ["--uniqueness", "--slb3"], "tw3",
+            {
+                "uniqueness": "unavailable: uniqueness linearization is for dimensions 4 and 5",
+                "slb3": NO_S,
+            },
+        ),
+        (["--uniqueness", "--slb3"], "tw4", {"uniqueness": "dict", "slb3": NO_S}),
+        (["--uniqueness", "--slb3"], "lb3", {"uniqueness": "dict", "slb3": "dict"}),
+    ],
+    ids=[
+        *(f"no-flag-{name}" for name in ("s3", "tw3", "tw4", "lb3")),
+        *(f"uniqueness-slb3-{name}" for name in ("s3", "tw3", "tw4", "lb3")),
+    ],
+)
+def test_analyze_writes_the_pinned_sections(analyze_inputs, flags, name, expected, capsys):
+    code, out = run(["analyze", analyze_inputs[name], *flags], capsys)
+    assert code == 0
+    sections = json.loads(out)["analysis"]
+    shapes = {k: v if isinstance(v, str) else type(v).__name__ for k, v in sections.items()}
+    assert shapes == expected
 
 
 def test_inputs_asking_for_too_much_memory_exit_2(tmp_path, c6_file, capsys):

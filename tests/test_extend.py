@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,7 @@ from loopbraid.sampling import (
     draw_tw4,
     draw_tw5,
     rand_rational,
+    rand_scalar,
     rng_for,
 )
 
@@ -150,6 +152,47 @@ def test_k_candidates_cube_not_scalar():
     a = CMatrix([[1, 1], [0, 1]], 1)
     res = extend.standard_k_candidates(a, a)
     assert res.k_cubed is None and res.reason == "cube-not-scalar"
+
+
+@st.composite
+def k_search_pairs(draw):
+    """(A, B): a tw3 pair with three independent `rand_scalar` eigenvalues
+    (`draw_tw3` forces their product to be a cube), or a tw2, tw4 or tw5
+    draw, conjugated half the time by a dense unimodular P = U U^T."""
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["tw3", "tw2", "tw4", "tw5"]))
+    if family == "tw3":
+        rep = catalog.tw3(*(rand_scalar(rng) for _ in range(3)))
+    else:
+        rep = {"tw2": draw_tw2, "tw4": draw_tw4, "tw5": draw_tw5}[family](rng)[0]
+    a, b = rep.A, rep.B
+    if draw(st.booleans()):
+        d = a.dim
+        above = draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d))
+        u = CMatrix([[above[i * d + j] if j > i else int(i == j) for j in range(d)]
+                     for i in range(d)], a.conductor)
+        p = u @ u.transpose()
+        a, b = p @ a @ p.inverse(), p @ b @ p.inverse()
+    return a, b
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k_search_pairs())
+def test_a_search_empty_for_want_of_a_root_leaves_a_traceless_k(pair):
+    # the premise of `extend` exiting 2 there: (AB)^3 = cI makes
+    # Tr(AB) = mu (m0 + m1 w + m2 w^2) for a cube root mu of c, so a nonzero
+    # trace would put k = 1/mu in the field; with none there Tr(AB) = 0, and
+    # every cube root k of k^3 gives (kAB)^3 = I with Tr(kAB) = 0
+    a, b = pair
+    res = extend.standard_k_candidates(a, b)
+    if res.reason not in ("not-cyclotomic", "no-root-in-field"):
+        return
+    ab = a @ b
+    assert ab.trace().is_zero
+    k = res.k_cubed.to_complex() ** (1 / 3)
+    s = k * np.array([[x.to_complex() for x in row] for row in ab.rows])
+    assert np.abs(np.linalg.matrix_power(s, 3) - np.eye(a.dim)).max() < 1e-8
+    assert abs(np.trace(s)) < 1e-8
 
 
 # -- the power-trace criterion -----------------------------------------------------
