@@ -8,6 +8,8 @@ bytes the command parsed, and are byte-identical for identical inputs and
 seed.
 
 Exit codes: 0 success, 1 relation violation, 2 bad input, 3 no extension.
+Each command returns its report and exit code; main alone writes the
+report and turns bad input into exit 2 and no extension into exit 3.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ def parse_scalar(text: str) -> CycNum:
         root = make_root_of_unity(n, k)
         value = value.promote(n) * root
     return value
+
+
+class _NoExtension(Exception):
+    """No extension exists: main writes the message alone and exits 3."""
 
 
 def _emit(payload, out: str | None) -> None:
@@ -121,16 +127,15 @@ _FAMILIES = {
 }
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[LBRep, int]:
     lam = [parse_scalar(s) for s in args.lam or []]
-    _emit(_FAMILIES[args.family](args, lam), args.out)
-    return 0
+    return _FAMILIES[args.family](args, lam), 0
 
 
 # -- verify --------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     rep, meta = _load_rep(args.file)
     report = verify(rep, GroupKind[args.group])
     payload = {
@@ -140,62 +145,56 @@ def _cmd_verify(args) -> int:
         "all_hold": report.all_hold,
         "failing": report.failing,
     }
-    _emit(payload, args.out)
-    return 0 if report.all_hold else 1
+    return payload, 0 if report.all_hold else 1
 
 
 # -- extend ----------------------------------------------------------------------
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> tuple[dict, int]:
     rep, meta = _load_rep(args.file, need_pair=True)
-    return _MODES[args.mode](rep, meta, args)
+    return {"meta": meta, "mode": args.mode, **_MODES[args.mode](rep, args)}, 0
 
 
-def _extend_standard(rep: LBRep, meta: dict, args) -> int:
+def _k_search(rep: LBRep, refusal: str) -> list[tuple[CycNum, int]]:
+    """The k-search's candidates (k, m).  An empty search is bad input when
+    k lies only outside the working field, and "refusal: reason" (exit 3)
+    otherwise."""
     search = extend.standard_k_candidates(rep.A, rep.B)
-    if not search.candidates:
-        no_root = f"k^3 must equal {search.k_cubed}, which has no cube root in"
-        n = search.suggested_conductor
-        reason = {
-            "cube-not-scalar": "(AB)^3 is not scalar",
-            "not-cyclotomic": f"{no_root} any cyclotomic field",
-            "no-root-in-field": f"{no_root} the working field; "
-            + (f"suggested conductor {n}" if n else "no larger conductor was confirmed"),
-            "no-integer-trace": "no k gives Tr(kAB) a rational integer",
-        }[search.reason]
-        if search.reason in ("not-cyclotomic", "no-root-in-field"):
-            # an empty search forces Tr(AB) = 0: (AB)^3 = cI gives
-            # Tr(AB) = mu (m0 + m1 w + m2 w^2) for a cube root mu of c, and
-            # were that nonzero, 1/mu would be a k in the field.  So every
-            # cube root k of k^3 has Tr(kAB) = 0, and the extension exists
-            # over the field with k adjoined: bad input, not "no extension"
-            raise ValueError(
-                f"a standard extension exists only outside the working field: {reason}"
-            )
-        print(f"no standard extension: {reason}", file=sys.stderr)
-        return 3
+    if search.candidates:
+        return search.candidates
+    no_root = f"k^3 must equal {search.k_cubed}, which has no cube root in"
+    n = search.suggested_conductor
+    reason = {
+        "cube-not-scalar": "(AB)^3 is not scalar",
+        "not-cyclotomic": f"{no_root} any cyclotomic field",
+        "no-root-in-field": f"{no_root} the working field; "
+        + (f"suggested conductor {n}" if n else "no larger conductor was confirmed"),
+        "no-integer-trace": "no k gives Tr(kAB) a rational integer",
+    }[search.reason]
+    if search.reason in ("not-cyclotomic", "no-root-in-field"):
+        # an empty search forces Tr(AB) = 0: (AB)^3 = cI gives
+        # Tr(AB) = mu (m0 + m1 w + m2 w^2) for a cube root mu of c, and
+        # were that nonzero, 1/mu would be a k in the field.  So every
+        # cube root k of k^3 has Tr(kAB) = 0, and the extension exists
+        # over the field with k adjoined: bad input, not "no extension"
+        raise ValueError(f"a standard extension exists only outside the working field: {reason}")
+    raise _NoExtension(f"{refusal}: {reason}")
+
+
+def _extend_standard(rep: LBRep, args) -> dict:
+    candidates = _k_search(rep, "no standard extension")
+    k = candidates[0][0]
     if args.k is not None:
         want = parse_scalar(args.k)
-        matches = [kk for kk, _ in search.candidates if kk == want]
-        if not matches:
+        k = next((kk for kk, _ in candidates if kk == want), None)
+        if k is None:
             raise ValueError("--k is not a valid candidate")
-        k = matches[0]
-    else:
-        k = search.candidates[0][0]
     built, cert = extend.build_standard_extension(rep.A, rep.B, k)
-    payload = {
-        "meta": meta,
-        "mode": "standard",
-        "representation": built,
-        "certificate": cert,
-        "candidate_count": len(search.candidates),
-    }
-    _emit(payload, args.out)
-    return 0
+    return {"representation": built, "certificate": cert, "candidate_count": len(candidates)}
 
 
-def _extend_nonstandard3(rep: LBRep, meta: dict, args) -> int:
+def _extend_nonstandard3(rep: LBRep, args) -> dict:
     if rep.A.dim != 3:
         raise ValueError("nonstandard3 mode needs a 3-dimensional braid pair")
     l1, l2, l3 = (rep.A.rows[i][i] for i in range(3))
@@ -206,45 +205,26 @@ def _extend_nonstandard3(rep: LBRep, meta: dict, args) -> int:
     if l3 != -l2:
         # relabeling helps only when another pair of eigenvalues sums to 0
         hint = " (relabel the eigenvalues)" if -l1 in (l2, l3) else ""
-        print(f"no nonstandard extension: requires lambda3 = -lambda2{hint}", file=sys.stderr)
-        return 3
+        raise _NoExtension(f"no nonstandard extension: requires lambda3 = -lambda2{hint}")
     z = _cyc(args, "z")
     built = catalog.nonstandard_3d(l1, l2, z, sign=args.sign)
-    payload = {
-        "meta": meta,
-        "mode": "nonstandard3",
+    return {
         "z": z,
         "sign": args.sign,
         "representation": built,
         "verifies_SLB3": verify(built, GroupKind.SLB3).all_hold,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def _extend_vb3(rep: LBRep, meta: dict, args) -> int:
+def _extend_vb3(rep: LBRep, args) -> dict:
     if rep.S1 is None or rep.S2 is None:
         raise ValueError("vb3 mode needs a verified LB3 representation")
     if not verify(rep, GroupKind.LB3).all_hold:
         raise ValueError("input does not verify LB3")
-    if args.k is not None:
-        k = parse_scalar(args.k)
-    else:
-        search = extend.standard_k_candidates(rep.A, rep.B)
-        if not search.candidates:
-            print("no VB3 lift: no standard-extension candidate k exists", file=sys.stderr)
-            return 3
-        k = search.candidates[0][0]
+    # a given k goes to vb3_lift, which checks it, without the search
+    k = parse_scalar(args.k) if args.k is not None else _k_search(rep, "no VB3 lift")[0][0]
     built = extend.vb3_lift(rep, k)
-    payload = {
-        "meta": meta,
-        "mode": "vb3",
-        "k": k,
-        "representation": built,
-        "trace_of_S": built.S.trace(),
-    }
-    _emit(payload, args.out)
-    return 0
+    return {"k": k, "representation": built, "trace_of_S": built.S.trace()}
 
 
 _MODES = {"standard": _extend_standard, "nonstandard3": _extend_nonstandard3, "vb3": _extend_vb3}
@@ -278,7 +258,7 @@ _SECTIONS = {
 _MISSING = ("input has no braid pair A, B", "input has no S1, S2")
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[dict, int]:
     rep, meta = _load_rep(args.file)
     has = 0 if rep.A is None or rep.B is None else 1 if rep.S1 is None else 2
     asked = [name for name in _SECTIONS if getattr(args, name, False)]
@@ -287,8 +267,7 @@ def _cmd_analyze(args) -> int:
         ready = has >= needs
         if (name in asked) if asked else (ready and (dims is None or rep.dim in dims)):
             sections[name] = compute(rep) if ready else f"unavailable: {_MISSING[has]}"
-    _emit({"meta": meta, "analysis": sections}, args.out)
-    return 0
+    return {"meta": meta, "analysis": sections}, 0
 
 
 def _or_why(section, *args, why: str = "unavailable"):
@@ -311,7 +290,7 @@ def _k_candidates(a, b) -> dict:
 # -- certify ---------------------------------------------------------------------
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[dict, int]:
     rep, meta = _load_rep(args.file, need_pair=True)
     report = extend.certify_no_extension(
         rep.A,
@@ -321,17 +300,15 @@ def _cmd_certify(args) -> int:
         cluster_radius=args.cluster_radius,
         seed=args.seed,
     )
-    _emit({"meta": meta, "report": report}, args.out)
-    return 0
+    return {"meta": meta, "report": report}, 0
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, int]:
     report = sampling.standard_extension_sweep(args.family, args.draws, args.seed)
-    _emit({"meta": _meta(None), "sweep": report}, args.out)
-    return 0
+    return {"meta": _meta(None), "sweep": report}, 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -408,10 +385,18 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; bad input of any kind exits 2 here."""
+    """Run one subcommand and write its report, to --out or stdout, with
+    the handler's exit code (0, or 1 for a relation violation).  Bad input
+    of any kind exits 2 and no extension exits 3, each here, with one line
+    on stderr and no report."""
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        _emit(report, args.out)
+        return code
+    except _NoExtension as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except (LoopBraidError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,8 +69,10 @@ def test_verify_failing_relation_exit1(tmp_path, capsys):
     obj["S1"], obj["S2"] = obj["S2"], obj["S1"]  # break L2 but keep shapes
     rep_file.write_text(json.dumps(obj))
     capsys.readouterr()
-    code = main(["verify", str(rep_file), "--group", "LB3"])
+    code, out = run(["verify", str(rep_file), "--group", "LB3"], capsys)
     assert code == 1
+    report = json.loads(out)  # a relation violation still writes its report
+    assert report["all_hold"] is False and report["failing"]
 
 
 def test_extend_standard_and_verify(tmp_path, capsys):
@@ -543,12 +545,39 @@ def test_extend_with_k_picks_one_of_three_candidates(tmp_path, capsys):
     assert cycnum_from_obj(payload["certificate"]["k"]) == parse_scalar("(1/16*z3)")
 
 
-def test_extend_vb3_without_a_candidate_exits_3(tmp_path, capsys):
+def test_extend_vb3_refuses_a_k_outside_the_working_field(tmp_path, capsys):
+    # perm3(2): k^3 = 1/4 has no cube root in any cyclotomic field, and the
+    # empty search forces Tr(AB) = 0, so the refusal is extend's exit 2
     rep_file = tmp_path / "perm3.json"
     assert main(["construct", "perm3", "--t", "2", "--out", str(rep_file)]) == 0
     capsys.readouterr()
-    assert main(["extend", str(rep_file), "--mode", "vb3"]) == 3
-    assert "no VB3 lift" in capsys.readouterr().err
+    assert main(["extend", str(rep_file), "--mode", "vb3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a standard extension exists only outside the working field: "
+        "k^3 must equal 1/4, which has no cube root in any cyclotomic field\n"
+    )
+
+
+# A = B and S1 = S2 = I give B^2 S = AB: the lift's condition on k is the
+# k-search's, so its empty search leaves no lift in any field
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("z6", "no k gives Tr(kAB) a rational integer"),
+        ("d12", "(AB)^3 is not scalar"),
+    ],
+    ids=["diag-1-1-z6", "diag-1-2"],
+)
+def test_extend_vb3_without_a_lift_names_the_search_reason(report_inputs, name, reason, capsys):
+    capsys.readouterr()
+    assert main(["verify", report_inputs[name], "--group", "LB3"]) == 0
+    capsys.readouterr()
+    assert main(["extend", report_inputs[name], "--mode", "vb3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no VB3 lift: {reason}\n"
 
 
 def test_extend_vb3_of_a_non_lb3_input_exits_2(tmp_path, capsys):
@@ -560,6 +589,99 @@ def test_extend_vb3_of_a_non_lb3_input_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["extend", str(rep_file), "--mode", "vb3"]) == 2
     assert "input does not verify LB3" in capsys.readouterr().err
+
+
+def _diagonal_lb3(path, entries) -> str:
+    """Write A = B = diag(entries), S1 = S2 = I: diagonal A and B commute, so
+    every relation of LB3 holds."""
+    a = CMatrix.diagonal(entries)
+    one = CMatrix.identity(a.dim, a.conductor)
+    path.write_text(json.dumps(rep_to_obj(LBRep(GroupKind.LB3, A=a, B=a, S1=one, S2=one))))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    """Input files for every command and every extend mode."""
+    d = tmp_path_factory.mktemp("reports")
+    paths = {name: str(d / f"{name}.json") for name in ("tw3", "tw311", "tw5", "lb3", "c6", "bad")}
+    for name, construct in (
+        ("tw3", ["tw3", "--lambda", "1", "2", "3"]),
+        ("tw311", ["tw3", "--lambda", "1", "1", "-1"]),
+        ("tw5", ["tw5", "--lambda", "1", "2", "1", "3", "1/192", "--gamma", "1/2"]),
+        ("lb3", ["perm3", "--t", "8"]),
+        ("c6", ["counterexample6"]),
+        ("bad", ["perm3", "--t", "2"]),
+    ):
+        assert main(["construct", *construct, "--out", paths[name]]) == 0
+    # S2 := S1 breaks an LB3 relation but keeps the shapes
+    bad = d / "bad.json"
+    obj = json.loads(bad.read_text())
+    obj["S2"] = obj["S1"]
+    bad.write_text(json.dumps(obj))
+    paths["z6"] = _diagonal_lb3(d / "z6.json", [1, 1, make_root_of_unity(6, 1)])
+    paths["d12"] = _diagonal_lb3(d / "d12.json", [1, 2])
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "tw3", "--lambda", "1", "2", "3"], 0),
+        (["verify", "{tw3}", "--group", "B3"], 0),
+        (["verify", "{bad}", "--group", "LB3"], 1),
+        (["extend", "{tw5}"], 0),
+        (["extend", "{tw311}", "--mode", "nonstandard3", "--z", "2"], 0),
+        (["extend", "{lb3}", "--mode", "vb3"], 0),
+        (["analyze", "{tw5}"], 0),
+        (["certify", "{c6}", "--starts", "20"], 0),
+        (["sweep", "--family", "tw2", "--draws", "3"], 0),
+    ],
+    ids=[
+        "construct", "verify", "verify-failing", "extend-standard", "extend-nonstandard3",
+        "extend-vb3", "analyze", "certify", "sweep",
+    ],
+)
+def test_out_writes_the_bytes_stdout_gets(report_inputs, argv, code, tmp_path, capsys):
+    argv = [a.format(**report_inputs) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)
+    out_file = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out_file)]) == code
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "{c6}"],
+        ["extend", "{tw3}", "--mode", "nonstandard3", "--z", "2"],
+        ["extend", "{z6}", "--mode", "vb3"],
+    ],
+    ids=["standard-c6", "nonstandard3-tw3-123", "vb3-diag-1-1-z6"],
+)
+def test_no_extension_writes_no_report(report_inputs, argv, tmp_path, capsys):
+    argv = [a.format(**report_inputs) for a in argv]
+    out_file = tmp_path / "report.json"
+    capsys.readouterr()
+    for extra in ([], ["--out", str(out_file)]):
+        assert main([*argv, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_nonstandard3_of_a_2_dimensional_pair_exits_2(tmp_path, capsys):
+    rep_file = str(tmp_path / "tw2.json")
+    assert main(["construct", "tw2", "--lambda", "1", "2", "--out", rep_file]) == 0
+    capsys.readouterr()
+    assert main(["extend", rep_file, "--mode", "nonstandard3", "--z", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nonstandard3 mode needs a 3-dimensional braid pair\n"
 
 
 @pytest.fixture(scope="module")

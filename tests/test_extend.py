@@ -149,9 +149,13 @@ def test_k_candidates_traceless_gives_three():
 
 
 def test_k_candidates_cube_not_scalar():
-    a = CMatrix([[1, 1], [0, 1]], 1)
-    res = extend.standard_k_candidates(a, a)
-    assert res.k_cubed is None and res.reason == "cube-not-scalar"
+    # A = B = diag(1, 2): (AB)^3 = diag(1, 64) is diagonal but not scalar; a
+    # test that read only the off-diagonal entries would take k^3 = 1 and the
+    # candidate (1, 5)
+    for a in (CMatrix([[1, 1], [0, 1]], 1), CMatrix.diagonal([1, 2])):
+        res = extend.standard_k_candidates(a, a)
+        assert res.k_cubed is None and res.reason == "cube-not-scalar"
+        assert res.candidates == []
 
 
 @st.composite
