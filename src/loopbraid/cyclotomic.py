@@ -60,6 +60,13 @@ def _divisors(n: int) -> list[int]:
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be a positive integer")
+    # every field and scalar constructor asks for phi(n) first: n > 2^24
+    # gives n * phi(n) > 2^24, so n is refused before trial division, which
+    # runs to sqrt(n)
+    if n > _FIELD_ENTRIES:
+        raise FieldTooLarge(
+            f"conductor {n} is too large: its tables would hold more than 2^24 entries"
+        )
     qs = prime_factors(n)
     return n // math.prod(qs) * math.prod(q - 1 for q in qs)
 

@@ -633,7 +633,7 @@ def certify_no_extension(
     cluster_radius: float = 1e-6,
     seed: int = 0,
 ) -> NoExtensionReport:
-    _check_oracle_options(a.dim, starts, tol, cluster_radius)
+    _check_oracle_options(a.dim, starts, tol, cluster_radius, seed)
     (a, b), n = common_field(a, b, extra=3)
     basis = _basis_matrices(a, b)
     cands = default_polynomial_candidates(basis)
@@ -934,7 +934,7 @@ def numeric_cubic_oracle(
     import numpy as np
 
     d = basis[0].dim
-    _check_oracle_options(d, starts, tol, cluster_radius)
+    _check_oracle_options(d, starts, tol, cluster_radius, seed)
     if len(basis) != d:
         raise DimMismatch(f"oracle needs {d} basis matrices of size {d}, got {len(basis)}")
     e = np.stack(
@@ -1019,10 +1019,12 @@ def numeric_cubic_oracle(
     )
 
 
-def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float):
+def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float, seed: int):
     """Refuse what the oracle cannot run, before any exact work."""
     if starts < 1:
         raise InvalidOption(f"starts must be at least 1, got {starts}")
+    if seed < 0:
+        raise InvalidOption(f"seed must be non-negative, got {seed}")
     for name, value in (("tol", tol), ("cluster_radius", cluster_radius)):
         if not (math.isfinite(value) and value > 0):
             raise InvalidOption(f"{name} must be finite and > 0, got {value}")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopbraid import catalog
+from loopbraid import catalog, sampling
 from loopbraid.cyclotomic import CycNum, omega
 from loopbraid.errors import (
     ConstraintViolated,
@@ -353,6 +353,7 @@ def test_tw3_irreducibility_boundary_draws():
         (lambda: catalog.abeq_family(1, 0, 0), ZeroParameter, "mu must be nonzero"),
         (lambda: catalog.abeq_family(1, 4, 3), NotASquareRoot, "sqrt_mu"),
         (lambda: catalog.abeq_family(2, 4, 2, sign=2), InvalidBlockCombination, "sign"),
+        (lambda: sampling.standard_extension_sweep("nope", 1, 0), ValueError, "unknown family"),
     ],
     ids=[
         "tw5-gamma",
@@ -364,6 +365,7 @@ def test_tw3_irreducibility_boundary_draws():
         "abeq-mu",
         "abeq-sqrt-mu",
         "abeq-sign",
+        "sweep-family",
     ],
 )
 def test_catalog_constraint_refusals(call, error, text):

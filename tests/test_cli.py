@@ -181,13 +181,18 @@ def test_analyze_uniqueness(tmp_path, capsys):
     assert u["verdict"] == "unique-standard"
 
 
-def test_sweep_deterministic(capsys):
+def test_sweep_deterministic(capsys, monkeypatch):
     code, out1 = run(["sweep", "--family", "tw4", "--draws", "4", "--seed", "7"], capsys)
     assert code == 0
     code, out2 = run(["sweep", "--family", "tw4", "--draws", "4", "--seed", "7"], capsys)
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["sweep"]["successes"] == 4
+    # the seed comes from --seed alone, 0 by default: no environment
+    # variable changes a report
+    _, seed0 = run(["sweep", "--family", "tw2", "--draws", "3", "--seed", "0"], capsys)
+    monkeypatch.setenv("LOOPBRAID_SEED", "7")
+    assert run(["sweep", "--family", "tw2", "--draws", "3"], capsys) == (0, seed0)
 
 
 def test_sweep_tw5_full_rate(capsys):
@@ -475,6 +480,8 @@ def test_analyze_says_why_the_commutator_and_polynomial_routes_fail(tmp_path, ca
         "hypothesis unmet: commutator route needs min poly = char poly"
     )
     assert sections["polynomial_S"] == "unavailable: min poly of B must equal its char poly"
+    assert main(["certify", rep_file]) == 2
+    assert capsys.readouterr().err == "error: min poly of B must equal its char poly\n"
 
 
 GENERATORS = ("A", "B", "S1", "S2")
@@ -604,7 +611,8 @@ def _diagonal_lb3(path, entries) -> str:
 def report_inputs(tmp_path_factory):
     """Input files for every command and every extend mode."""
     d = tmp_path_factory.mktemp("reports")
-    paths = {name: str(d / f"{name}.json") for name in ("tw3", "tw311", "tw5", "lb3", "c6", "bad")}
+    names = ("tw3", "tw311", "tw5", "lb3", "c6", "bad", "b9")
+    paths = {name: str(d / f"{name}.json") for name in names}
     for name, construct in (
         ("tw3", ["tw3", "--lambda", "1", "2", "3"]),
         ("tw311", ["tw3", "--lambda", "1", "1", "-1"]),
@@ -612,6 +620,7 @@ def report_inputs(tmp_path_factory):
         ("lb3", ["perm3", "--t", "8"]),
         ("c6", ["counterexample6"]),
         ("bad", ["perm3", "--t", "2"]),
+        ("b9", ["binomial", "--lambda", *"1 2 3 4 6 9 12 18 36".split(), "--c", "36"]),
     ):
         assert main(["construct", *construct, "--out", paths[name]]) == 0
     # S2 := S1 breaks an LB3 relation but keeps the shapes
@@ -634,20 +643,25 @@ def report_inputs(tmp_path_factory):
         (["extend", "{tw311}", "--mode", "nonstandard3", "--z", "2"], 0),
         (["extend", "{lb3}", "--mode", "vb3"], 0),
         (["analyze", "{tw5}"], 0),
+        (["analyze", "{b9}"], 0),
         (["certify", "{c6}", "--starts", "20"], 0),
         (["sweep", "--family", "tw2", "--draws", "3"], 0),
     ],
     ids=[
         "construct", "verify", "verify-failing", "extend-standard", "extend-nonstandard3",
-        "extend-vb3", "analyze", "certify", "sweep",
+        "extend-vb3", "analyze", "analyze-binomial-9", "certify", "sweep",
     ],
 )
 def test_out_writes_the_bytes_stdout_gets(report_inputs, argv, code, tmp_path, capsys):
+    # each command runs twice; the 9-dimensional binomial pair's closure
+    # rows mod p have width 81, so each packed slot holds 81 row operations
     argv = [a.format(**report_inputs) for a in argv]
     capsys.readouterr()
     assert main(argv) == code
     stdout = capsys.readouterr().out
-    assert json.loads(stdout)
+    report = json.loads(stdout)
+    if argv[0] == "analyze":
+        assert report["analysis"]["irreducible"] is True
     out_file = tmp_path / "report.json"
     assert main([*argv, "--out", str(out_file)]) == code
     assert capsys.readouterr().out == ""
@@ -700,8 +714,9 @@ def c6_file(tmp_path_factory):
         ["--tol", "nan"],
         ["--cluster-radius", "0"],
         ["--cluster-radius", "inf"],
+        ["--seed", "-1"],
     ],
-    ids=["starts-0", "starts-neg", "tol-neg", "tol-nan", "radius-0", "radius-inf"],
+    ids=["starts-0", "starts-neg", "tol-neg", "tol-nan", "radius-0", "radius-inf", "seed-neg"],
 )
 def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
     capsys.readouterr()
@@ -724,10 +739,11 @@ def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
         ["construct", *TW4_ARGS[:-1], "1/0"],
         ["construct", "lkb3", "--q", "2", "--t", "3/0"],
         ["construct", "binomial", "--lambda", "1", "1", "--c", "(-1/0)"],
+        ["construct", "binomial", "--lambda", "1", "1", "--c", "0"],
     ],
     ids=[
         "abeq-without-n", "tw2-family-0", "v1-three-lambdas", "sweep-negative-draws",
-        "lambda-1/0", "lambda-0/0", "lambda-root-1/0", "gamma2-1/0", "t-3/0", "c-1/0",
+        "lambda-1/0", "lambda-0/0", "lambda-root-1/0", "gamma2-1/0", "t-3/0", "c-1/0", "c-0",
     ],
 )
 def test_bad_construct_and_sweep_arguments_exit_2(argv, capsys):
@@ -859,7 +875,9 @@ def test_analyze_writes_the_pinned_sections(analyze_inputs, flags, name, expecte
 def test_inputs_asking_for_too_much_memory_exit_2(tmp_path, c6_file, capsys):
     """A conductor whose reduction tables would not fit, from the command
     line or from a wire file, and an oracle too large to allocate: each is
-    refused with one error line, and the conductor before any table."""
+    refused with one error line, and the conductor before any table.  A
+    prime conductor past 2^24, here 2^61 - 1, is refused before it is
+    factored."""
     rep_file = tmp_path / "n20000.json"
     assert main(["construct", "tw2", "--lambda", "1", "2", "--out", str(rep_file)]) == 0
     obj = json.loads(rep_file.read_text())
@@ -872,14 +890,16 @@ def test_inputs_asking_for_too_much_memory_exit_2(tmp_path, c6_file, capsys):
     capsys.readouterr()
     start = time.monotonic()
     assert main(["construct", "tw2", "--lambda", "z60000", "1"]) == 2
+    assert main(["construct", "tw2", "--lambda", f"z{2**61 - 1}", "1"]) == 2
     assert main(["verify", str(rep_file), "--group", "B3"]) == 2
     assert time.monotonic() - start < 5
     assert main(["certify", str(c6_file), "--starts", "1000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 3 and all(line.startswith("error: ") for line in lines)
-    assert "conductor 60000" in lines[0] and "conductor 20000" in lines[1]
+    assert len(lines) == 4 and all(line.startswith("error: ") for line in lines)
+    assert "conductor 60000" in lines[0] and f"conductor {2**61 - 1}" in lines[1]
+    assert "conductor 20000" in lines[2]
 
 
 def pinned_flow_digests(tmp_path, construct):

@@ -1177,6 +1177,7 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
             HypothesisUnmet,
             "scalar",
         ),
+        (lambda: extend.slb3_test(catalog.perm3(8), "bogus"), ValueError, "unknown route"),
         (
             lambda: extend.uniqueness_linearized(_FLIP4, CMatrix.identity(4, 1)),
             WrongForm,
@@ -1200,6 +1201,7 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
         "block-a",
         "vb3-intertwining",
         "slb3-commutator-cube",
+        "slb3-route",
         "uniqueness-square",
         "poly-candidates-cube",
         "2d-dimension",

@@ -315,6 +315,7 @@ def test_solve_linear_lifts_plain_entries():
 def test_solve_linear_with_no_unknowns():
     zero, one = CycNum.zero(1), CycNum.one(1)
     assert solve_linear([[], []], [zero, zero]) == ((), [])
+    assert solve_linear([], []) == ((), [])
     assert solve_linear([[]], [one]) is None
 
 

@@ -401,9 +401,10 @@ def _binomial_pair_9():
         ({"tol": 0.0}, InvalidOption),
         ({"tol": float("nan")}, InvalidOption),
         ({"cluster_radius": float("inf")}, InvalidOption),
+        ({"seed": -1}, InvalidOption),
         ({"dim": 9}, DimMismatch),
     ],
-    ids=["starts-0", "starts-neg", "tol-0", "tol-nan", "radius-inf", "dim-9"],
+    ids=["starts-0", "starts-neg", "tol-0", "tol-nan", "radius-inf", "seed-neg", "dim-9"],
 )
 def test_certify_refuses_bad_input_before_exact_work(monkeypatch, options, error):
     options = dict(options)
