@@ -5,14 +5,17 @@ field: `common_field` joins the parameters' conductors (with 3 where a
 primitive cube root of unity is structurally required), and all promotion
 happens here at construction time, never lazily.
 
-Parameters may be ints, Fractions or CycNum values.
+Parameters may be ints, Fractions or CycNum values.  Each constructor is
+written as its formula: 0, 1 and -1 are plain integers, which `CMatrix` and
+`CycNum` arithmetic lift into the field, and tw3 and tw5 share the B that
+the signed flip `_signed_flip` derives from A.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cyclotomic import CycNum, common_field, make_root_of_unity, omega
+from .cyclotomic import common_field, make_root_of_unity, omega
 from .errors import (
     ConstraintViolated,
     InvalidBlockCombination,
@@ -25,10 +28,22 @@ from .linalg import CMatrix
 from .repcore import GroupKind, LBRep
 
 
-def _require_nonzero(vals, error=ZeroEigenvalue, what="eigenvalue"):
-    for v in vals:
-        if v.is_zero:
-            raise error(f"{what} parameters must be nonzero")
+def _require_nonzero(*vals, error=ZeroEigenvalue, message="eigenvalue parameters must be nonzero"):
+    if any(v.is_zero for v in vals):
+        raise error(message)
+
+
+def _signed_flip(a: CMatrix) -> CMatrix:
+    """B[i][j] = (-1)^(i+j) * A[d-1-i][d-1-j]: the B of tw3 and tw5.
+
+    tw4, the binomial pairs and tw2 do not follow this rule, and write
+    their B out.
+    """
+    flipped = [row[::-1] for row in reversed(a.rows)]
+    return CMatrix._of(  # the entries are A's, already in its field
+        [[-x if (i + j) % 2 and x else x for j, x in enumerate(r)] for i, r in enumerate(flipped)],
+        a.conductor,
+    )
 
 
 def tw2(lam1, lam2, family: int = 2) -> LBRep:
@@ -40,8 +55,8 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
                with l1^2 - l1*l2 + l2^2 != 0.
     """
     (l1, l2), n = common_field(lam1, lam2, extra=3 if family == 1 else 1)
-    _require_nonzero([l1, l2])
-    a = CMatrix([[l1, l1], [CycNum.zero(n), l2]], n)
+    _require_nonzero(l1, l2)
+    a = CMatrix([[l1, l1], [0, l2]], n)
     if family == 1:
         w = omega(n)
         ratio = -l1 / l2
@@ -49,27 +64,26 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
             raise ConstraintViolated(
                 "family 1 requires -lambda1/lambda2 to be a primitive cube root of unity"
             )
-        b = CMatrix([[l1, -l2], [CycNum.zero(n), l2]], n)
+        b = CMatrix([[l1, -l2], [0, l2]], n)
     elif family == 2:
         if (l1 * l1 - l1 * l2 + l2 * l2).is_zero:
             raise ConstraintViolated(
                 "family 2 requires lambda1^2 - lambda1*lambda2 + lambda2^2 != 0"
             )
-        b = CMatrix([[l2, CycNum.zero(n)], [-l2, l1]], n)
+        b = CMatrix([[l2, 0], [-l2, l1]], n)
     else:
         raise ConstraintViolated("family must be 1 or 2")
     return LBRep(target=GroupKind.B3, A=a, B=b)
 
 
 def tw3(lam1, lam2, lam3) -> LBRep:
-    """The 3-dimensional ordered-triangular pair with spectrum (l1, l2, l3)."""
+    """The 3-dimensional ordered-triangular pair with spectrum (l1, l2, l3);
+    B is the signed flip of A."""
     (l1, l2, l3), n = common_field(lam1, lam2, lam3)
-    _require_nonzero([l1, l2, l3])
-    z = CycNum.zero(n)
+    _require_nonzero(l1, l2, l3)
     mix = l1 * l3 / l2 + l2
-    a = CMatrix([[l1, mix, l2], [z, l2, l2], [z, z, l3]], n)
-    b = CMatrix([[l3, z, z], [-l2, l2, z], [l2, -mix, l1]], n)
-    return LBRep(target=GroupKind.B3, A=a, B=b)
+    a = CMatrix([[l1, mix, l2], [0, l2, l2], [0, 0, l3]], n)
+    return LBRep(target=GroupKind.B3, A=a, B=_signed_flip(a))
 
 
 def tw4(lams, gamma2) -> LBRep:
@@ -80,33 +94,26 @@ def tw4(lams, gamma2) -> LBRep:
     """
     vals, n = common_field(*lams, gamma2)
     l1, l2, l3, l4, g2 = vals
-    _require_nonzero([l1, l2, l3, l4])
+    _require_nonzero(l1, l2, l3, l4)
     if g2 * g2 != l1 * l2 * l3 * l4:
         raise ConstraintViolated("need gamma^4 = lambda1*lambda2*lambda3*lambda4")
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
     q = l1 * l4 / g2
     r = l2 * l3 / g2
     a = CMatrix(
         [
-            [l1, (one + q + q * q) * l2, (one + q + q * q) * l3, l4],
-            [z, l2, (one + q) * l3, l4],
-            [z, z, l3, l4],
-            [z, z, z, l4],
+            [l1, (1 + q + q * q) * l2, (1 + q + q * q) * l3, l4],
+            [0, l2, (1 + q) * l3, l4],
+            [0, 0, l3, l4],
+            [0, 0, 0, l4],
         ],
         n,
     )
     b = CMatrix(
         [
-            [l4, z, z, z],
-            [-l3, l3, z, z],
-            [l2 * l2 * l3 / g2, -(r + one) * l2, l2, z],
-            [
-                -l1 * l2**3 * l3**3 / g2**3,
-                (r**3 + r * r + r) * l1,
-                -(r * r + r + one) * l1,
-                l1,
-            ],
+            [l4, 0, 0, 0],
+            [-l3, l3, 0, 0],
+            [l2 * l2 * l3 / g2, -(r + 1) * l2, l2, 0],
+            [-l1 * l2**3 * l3**3 / g2**3, (r**3 + r * r + r) * l1, -(r * r + r + 1) * l1, l1],
         ],
         n,
     )
@@ -116,35 +123,32 @@ def tw4(lams, gamma2) -> LBRep:
 def tw5(lams, gamma) -> LBRep:
     """The 5-dimensional family; gamma is a fixed fifth root of the product.
 
-    B is determined entrywise by B[i][j] = (-1)^(i-j) * A[6-i][6-j]
-    (1-indexed).
+    B is the signed flip of A.
     """
     vals, n = common_field(*lams, gamma)
     l1, l2, l3, l4, l5, g = vals
-    _require_nonzero([l1, l2, l3, l4, l5])
+    _require_nonzero(l1, l2, l3, l4, l5)
     if g**5 != l1 * l2 * l3 * l4 * l5:
         raise ConstraintViolated("need gamma^5 = lambda1*...*lambda5")
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
     g2, g3 = g * g, g**3
     t15 = g3 / (l1 * l5)
-    arows = [
+    a = CMatrix(
         [
-            l1,
-            (one + g2 / (l2 * l4)) * (l2 + g3 / (l3 * l4)),
-            (one + l1 * l5 / g2) * (l3 + g + g2 / l3),
-            (one + l2 * l4 / g2) * (l3 + g3 / (l2 * l4)),
-            t15,
+            [
+                l1,
+                (1 + g2 / (l2 * l4)) * (l2 + g3 / (l3 * l4)),
+                (1 + l1 * l5 / g2) * (l3 + g + g2 / l3),
+                (1 + l2 * l4 / g2) * (l3 + g3 / (l2 * l4)),
+                t15,
+            ],
+            [0, l2, l3 + g + g2 / l3, l3 + g + t15, t15],
+            [0, 0, l3, l3 + t15, t15],
+            [0, 0, 0, l4, l4],
+            [0, 0, 0, 0, l5],
         ],
-        [z, l2, l3 + g + g2 / l3, l3 + g + t15, t15],
-        [z, z, l3, l3 + t15, t15],
-        [z, z, z, l4, l4],
-        [z, z, z, z, l5],
-    ]
-    a = CMatrix(arows, n)
-    sign = lambda k: CycNum.one(n) if k % 2 == 0 else -CycNum.one(n)
-    b = CMatrix.build(5, n, lambda i, j: sign(i + j) * arows[4 - i][4 - j])
-    return LBRep(target=GroupKind.B3, A=a, B=b)
+        n,
+    )
+    return LBRep(target=GroupKind.B3, A=a, B=_signed_flip(a))
 
 
 def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
@@ -164,24 +168,14 @@ def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
     d = len(ls) - 1
     if d < 1:
         raise ConstraintViolated("need at least two eigenvalue parameters")
-    _require_nonzero(ls)
-    if cc.is_zero:
-        raise ZeroParameter("c must be nonzero")
+    _require_nonzero(*ls)
+    _require_nonzero(cc, error=ZeroParameter, message="c must be nonzero")
     for i in range(d + 1):
         if ls[i] * ls[d - i] != cc:
-            raise ConstraintViolated(
-                f"need lambda_{i} * lambda_{d - i} = c"
-            )
-    zero = CycNum.zero(n)
-    a = CMatrix.build(
-        d + 1, n, lambda i, j: math.comb(j, i) * ls[d - j] if i <= j else zero
-    )
+            raise ConstraintViolated(f"need lambda_{i} * lambda_{d - i} = c")
+    a = CMatrix.build(d + 1, n, lambda i, j: math.comb(j, i) * ls[d - j] if i <= j else 0)
     b = CMatrix.build(
-        d + 1,
-        n,
-        lambda i, j: (
-            ((-1) ** (i + j)) * math.comb(d - j, d - i) * ls[i] if j <= i else zero
-        ),
+        d + 1, n, lambda i, j: (-1) ** (i + j) * math.comb(d - j, d - i) * ls[i] if j <= i else 0
     )
     return a, b
 
@@ -207,27 +201,10 @@ def nonstandard_3d(lam1, lam2, z, sign: int = 1) -> LBRep:
         raise ZeroParameter("sign must be +1 or -1")
     (l1, l2, zz), n = common_field(lam1, lam2, z)
     base = tw3(l1, l2, -l2)
-    if zz.is_zero:
-        raise ZeroParameter("z must be nonzero")
+    _require_nonzero(zz, error=ZeroParameter, message="z must be nonzero")
     zi = zz.inv()
-    zero = CycNum.zero(n)
-    one = CycNum.one(n)
-    s = CMatrix(
-        [
-            [zero, zero, zz],
-            [zero, zz, zz],
-            [-zi * zi, (one - zz**3) * zi * zi, -zz],
-        ],
-        n,
-    )
-    s1 = CMatrix(
-        [
-            [one, zz - one, zz],
-            [zero, zz, zz],
-            [zero, (one - zz * zz) * zi, -zz],
-        ],
-        n,
-    )
+    s = CMatrix([[0, 0, zz], [0, zz, zz], [-zi * zi, (1 - zz**3) * zi * zi, -zz]], n)
+    s1 = CMatrix([[1, zz - 1, zz], [0, zz, zz], [0, (1 - zz * zz) * zi, -zz]], n)
     if sign == -1:
         s1 = -s1
     s2 = s1 @ s  # S1^2 = I, so S2 = S1 S
@@ -238,27 +215,25 @@ def counterexample6() -> LBRep:
     """The 6-dimensional irreducible pair over Z[w] with no extension."""
     w = make_root_of_unity(3, 1)
     w2 = w * w
-    one = CycNum.one(3)
-    z = CycNum.zero(3)
     a = CMatrix(
         [
-            [one, 1 - w, 1 - w2, w - 1, w2 - 1, w - 1],
-            [w2 - 1, w2, z, 1 - w2, z, z],
-            [w2 - 1, w2 - 1, w2, 1 - w2, 1 - w2, z],
-            [z, w - 1, w2 - 1, -w, 1 - w2, 1 - w],
-            [1 - w2, 1 - w2, z, w2 - 1, -one, z],
-            [1 - w2, 1 - w2, 1 - w2, w2 - 1, w2 - 1, -one],
+            [1, 1 - w, 1 - w2, w - 1, w2 - 1, w - 1],
+            [w2 - 1, w2, 0, 1 - w2, 0, 0],
+            [w2 - 1, w2 - 1, w2, 1 - w2, 1 - w2, 0],
+            [0, w - 1, w2 - 1, -w, 1 - w2, 1 - w],
+            [1 - w2, 1 - w2, 0, w2 - 1, -1, 0],
+            [1 - w2, 1 - w2, 1 - w2, w2 - 1, w2 - 1, -1],
         ],
         3,
     )
     b = CMatrix(
         [
-            [one, 1 - w, 1 - w2, 1 - w, 1 - w2, 1 - w],
-            [w2 - 1, w2, z, w2 - 1, z, z],
-            [w2 - 1, w2 - 1, w2, w2 - 1, w2 - 1, z],
-            [z, 1 - w, 1 - w2, -w, 1 - w2, 1 - w],
-            [w2 - 1, w2 - 1, z, w2 - 1, -one, z],
-            [w2 - 1, w2 - 1, w2 - 1, w2 - 1, w2 - 1, -one],
+            [1, 1 - w, 1 - w2, 1 - w, 1 - w2, 1 - w],
+            [w2 - 1, w2, 0, w2 - 1, 0, 0],
+            [w2 - 1, w2 - 1, w2, w2 - 1, w2 - 1, 0],
+            [0, 1 - w, 1 - w2, -w, 1 - w2, 1 - w],
+            [w2 - 1, w2 - 1, 0, w2 - 1, -1, 0],
+            [w2 - 1, w2 - 1, w2 - 1, w2 - 1, w2 - 1, -1],
         ],
         3,
     )
@@ -268,12 +243,9 @@ def counterexample6() -> LBRep:
 def v1_family(lam, x) -> LBRep:
     """Two-dimensional loop representations with S = I and A = B."""
     (l, xx), n = common_field(lam, x)
-    if l.is_zero:
-        raise ZeroEigenvalue("lambda must be nonzero")
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
-    a = CMatrix([[l, xx], [z, -l]], n)
-    swap = CMatrix([[z, one], [one, z]], n)
+    _require_nonzero(l, message="lambda must be nonzero")
+    a = CMatrix([[l, xx], [0, -l]], n)
+    swap = CMatrix([[0, 1], [1, 0]], n)
     return LBRep(target=GroupKind.LB3, A=a, B=a, S1=swap, S2=swap)
 
 
@@ -288,22 +260,19 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     if n_half < 1:
         raise InvalidBlockCombination("block size n must be >= 1")
     (m, sm), n = common_field(mu, sqrt_mu, extra=3)
-    if m.is_zero:
-        raise ZeroParameter("mu must be nonzero")
+    _require_nonzero(m, error=ZeroParameter, message="mu must be nonzero")
     if sm * sm != m:
         raise NotASquareRoot("sqrt_mu^2 != mu")
     if sign not in (1, -1):
         raise InvalidBlockCombination("sign must be +1 or -1")
     w = omega(n)
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
 
-    def companion(top) -> list[list[CycNum]]:
-        return [[z, top], [one, z]]
+    def companion(top) -> list[list]:
+        return [[0, top], [1, 0]]
 
-    def diag_blocks(blocks) -> list[list[CycNum]]:
+    def diag_blocks(blocks) -> list[list]:
         size = sum(len(b) for b in blocks)
-        rows = [[z] * size for _ in range(size)]
+        rows = [[0] * size for _ in range(size)]
         at = 0
         for blk in blocks:
             for i, row in enumerate(blk):
@@ -316,16 +285,10 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
         a1 = diag_blocks([[[sm]]] + [companion(m)] * ((n_half - 1) // 2))
         a2 = diag_blocks([companion(m * w)] * ((n_half - 1) // 2) + [[[sm * w * w]]])
     else:
-        a1 = diag_blocks(
-            [[[sm]]] + [companion(m)] * ((n_half - 2) // 2) + [[[sign * sm]]]
-        )
+        a1 = diag_blocks([[[sm]]] + [companion(m)] * ((n_half - 2) // 2) + [[[sign * sm]]])
         a2 = diag_blocks([companion(m * w)] * (n_half // 2))
     a = CMatrix(diag_blocks([a1, a2]), n)
-    s2 = CMatrix.build(
-        2 * n_half,
-        n,
-        lambda i, j: one if abs(i - j) == n_half else z,
-    )
+    s2 = CMatrix.build(2 * n_half, n, lambda i, j: int(abs(i - j) == n_half))
     s = (a @ a).scalar_mul(w / m)
     s1 = s @ s2
     return LBRep(target=GroupKind.LB3, A=a, B=a, S1=s1, S2=s2)
@@ -338,26 +301,9 @@ def lkb3(q, t) -> LBRep:
     is built there too.  q = 0 or t = 0 is refused (ZeroParameter).
     """
     (qq, tt), n = common_field(q, t)
-    if qq.is_zero or tt.is_zero:
-        raise ZeroParameter("q and t must be nonzero")
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
-    a = CMatrix(
-        [
-            [tt * qq * qq, z, tt * qq * (qq - one)],
-            [z, one - qq, qq],
-            [z, one, z],
-        ],
-        n,
-    )
-    b = CMatrix(
-        [
-            [one - qq, z, one],
-            [z, tt * qq * qq, tt * qq * qq * (qq - one)],
-            [qq, z, z],
-        ],
-        n,
-    )
+    _require_nonzero(qq, tt, error=ZeroParameter, message="q and t must be nonzero")
+    a = CMatrix([[tt * qq * qq, 0, tt * qq * (qq - 1)], [0, 1 - qq, qq], [0, 1, 0]], n)
+    b = CMatrix([[1 - qq, 0, 1], [0, tt * qq * qq, tt * qq * qq * (qq - 1)], [qq, 0, 0]], n)
     return LBRep(target=GroupKind.B3, A=a, B=b)
 
 
@@ -368,14 +314,11 @@ def perm3(t) -> LBRep:
     extension, factoring through the symmetric loop braid group.
     """
     (tt,), n = common_field(t)
-    if tt.is_zero:
-        raise ZeroParameter("t must be nonzero")
+    _require_nonzero(tt, error=ZeroParameter, message="t must be nonzero")
     if tt.is_one:
         raise ConstraintViolated("t = 1 is excluded (reducible degenerate)")
-    z = CycNum.zero(n)
-    one = CycNum.one(n)
-    a = CMatrix([[z, tt, z], [one, z, z], [z, z, one]], n)
-    b = CMatrix([[one, z, z], [z, z, tt], [z, one, z]], n)
-    s1 = CMatrix([[z, one, z], [one, z, z], [z, z, one]], n)
-    s2 = CMatrix([[one, z, z], [z, z, one], [z, one, z]], n)
+    a = CMatrix([[0, tt, 0], [1, 0, 0], [0, 0, 1]], n)
+    b = CMatrix([[1, 0, 0], [0, 0, tt], [0, 1, 0]], n)
+    s1 = CMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], n)
+    s2 = CMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], n)
     return LBRep(target=GroupKind.SLB3, A=a, B=b, S1=s1, S2=s2)

@@ -322,7 +322,7 @@ class _Side:
         one integer sum c_j 2^(k j)."""
         packed = self.packed.get(k)
         if packed is None:
-            packed = self.packed[k] = []
+            packed = []
             for vec, scales in zip(self.vectors, self.scales):
                 line = []
                 for x, s in zip(vec, scales):
@@ -331,6 +331,9 @@ class _Side:
                         p = (p << k) + c
                     line.append(p * s)
                 packed.append(line)
+            # stored only when whole: a concurrent caller either packs its
+            # own copy or reads every row
+            self.packed[k] = packed
         return packed
 
 
@@ -430,6 +433,8 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, value: Rational | int, conductor: int = 1) -> "CycNum":
+        if type(value) is int and value in (0, 1):
+            return _constant(conductor, value)  # the shared zero(N) and one(N)
         q = Fraction(value)
         num = [0] * euler_phi(conductor)
         num[0] = q.numerator

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import modular
@@ -699,6 +699,14 @@ def _span_closure(mats, ring: _Ring, insert, full: int) -> int:
     return size
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int, conductor: int) -> CMatrix:
+    # the closure's empty word, shared so that its image mod p is formed
+    # once per (d, N); it enters `_mod_p_first` only as rows, so its
+    # product memo stays empty
+    return CMatrix.identity(dim, conductor)
+
+
 def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     """Dimension of the unital matrix algebra generated by gens.
 
@@ -719,5 +727,5 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     # Cayley-Hamilton: the powers of one matrix span at most d dimensions
     full = d if len(gens) == 1 else d * d
     return _mod_p_first(
-        [CMatrix.identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full)
+        [_identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full)
     )

@@ -1,12 +1,13 @@
 """Family constructors: displayed-matrix identities and constraints."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from loopbraid import catalog, sampling
-from loopbraid.cyclotomic import CycNum, omega
+from loopbraid.cyclotomic import CycNum, make_root_of_unity, omega
 from loopbraid.errors import (
     ConstraintViolated,
     InvalidBlockCombination,
@@ -20,6 +21,7 @@ from loopbraid.linalg import (
     is_proportional,
 )
 from loopbraid.repcore import GroupKind, verify
+from loopbraid.serialize import dumps, rep_to_obj
 
 from order3_support import eigenprojectors_order3
 
@@ -341,33 +343,200 @@ def test_tw3_irreducibility_boundary_draws():
     assert checked >= 5
 
 
+EIGENVALUES = "eigenvalue parameters must be nonzero"
+
+
 @pytest.mark.parametrize(
     "call, error, text",
     [
-        (lambda: catalog.tw5([1, 2, 3, 4, 5], 1), ConstraintViolated, "gamma\\^5"),
-        (lambda: catalog.binomial_pair([1], 1), ConstraintViolated, "at least two"),
-        (lambda: catalog.binomial_pair([1, 2], 3), ConstraintViolated, "lambda_0 \\* lambda_1"),
-        (lambda: catalog.nonstandard_3d(1, 2, 3, sign=0), ZeroParameter, "sign"),
+        (lambda: catalog.tw2(0, 1), ZeroEigenvalue, EIGENVALUES),
+        (lambda: catalog.tw2(1, 1, family=3), ConstraintViolated, "family must be 1 or 2"),
+        (
+            lambda: catalog.tw2(1, 1, family=1),
+            ConstraintViolated,
+            "family 1 requires -lambda1/lambda2 to be a primitive cube root of unity",
+        ),
+        (
+            lambda: catalog.tw2(-omega(3), 1, family=2),
+            ConstraintViolated,
+            "family 2 requires lambda1^2 - lambda1*lambda2 + lambda2^2 != 0",
+        ),
+        (lambda: catalog.tw3(1, 0, 2), ZeroEigenvalue, EIGENVALUES),
+        (lambda: catalog.tw4([1, 1, 0, 1], 1), ZeroEigenvalue, EIGENVALUES),
+        (
+            lambda: catalog.tw4([1, 1, 1, 2], 1),
+            ConstraintViolated,
+            "need gamma^4 = lambda1*lambda2*lambda3*lambda4",
+        ),
+        (lambda: catalog.tw5([1, 1, 1, 1, 0], 0), ZeroEigenvalue, EIGENVALUES),
+        (
+            lambda: catalog.tw5([1, 2, 3, 4, 5], 1),
+            ConstraintViolated,
+            "need gamma^5 = lambda1*...*lambda5",
+        ),
+        (
+            lambda: catalog.binomial_pair([1], 1),
+            ConstraintViolated,
+            "need at least two eigenvalue parameters",
+        ),
+        (lambda: catalog.binomial_pair([0, 1], 0), ZeroEigenvalue, EIGENVALUES),
+        (lambda: catalog.binomial_pair([1, 1], 0), ZeroParameter, "c must be nonzero"),
+        (
+            lambda: catalog.binomial_pair([1, 2], 3),
+            ConstraintViolated,
+            "need lambda_0 * lambda_1 = c",
+        ),
+        (
+            lambda: catalog.binomial_rep([1, 2, 1], 1),
+            ConstraintViolated,
+            "need lambda_1 * lambda_1 = c",
+        ),
+        (lambda: catalog.nonstandard_3d(1, 2, 3, sign=0), ZeroParameter, "sign must be +1 or -1"),
+        (lambda: catalog.nonstandard_3d(1, 0, 3), ZeroEigenvalue, EIGENVALUES),
         (lambda: catalog.nonstandard_3d(1, 2, 0), ZeroParameter, "z must be nonzero"),
-        (lambda: catalog.abeq_family(0, 4, 2), InvalidBlockCombination, "block size"),
+        (lambda: catalog.v1_family(0, 1), ZeroEigenvalue, "lambda must be nonzero"),
+        (
+            lambda: catalog.abeq_family(0, 4, 2),
+            InvalidBlockCombination,
+            "block size n must be >= 1",
+        ),
         (lambda: catalog.abeq_family(1, 0, 0), ZeroParameter, "mu must be nonzero"),
-        (lambda: catalog.abeq_family(1, 4, 3), NotASquareRoot, "sqrt_mu"),
-        (lambda: catalog.abeq_family(2, 4, 2, sign=2), InvalidBlockCombination, "sign"),
-        (lambda: sampling.standard_extension_sweep("nope", 1, 0), ValueError, "unknown family"),
+        (lambda: catalog.abeq_family(1, 4, 3), NotASquareRoot, "sqrt_mu^2 != mu"),
+        (
+            lambda: catalog.abeq_family(2, 4, 2, sign=2),
+            InvalidBlockCombination,
+            "sign must be +1 or -1",
+        ),
+        (lambda: catalog.lkb3(0, 1), ZeroParameter, "q and t must be nonzero"),
+        (lambda: catalog.lkb3(1, 0), ZeroParameter, "q and t must be nonzero"),
+        (lambda: catalog.perm3(0), ZeroParameter, "t must be nonzero"),
+        (lambda: catalog.perm3(1), ConstraintViolated, "t = 1 is excluded (reducible degenerate)"),
+        (
+            lambda: sampling.standard_extension_sweep("nope", 1, 0),
+            ValueError,
+            "unknown family 'nope'",
+        ),
     ],
     ids=[
+        "tw2-eigenvalue",
+        "tw2-family",
+        "tw2-family1",
+        "tw2-family2",
+        "tw3-eigenvalue",
+        "tw4-eigenvalue",
+        "tw4-gamma",
+        "tw5-eigenvalue",
         "tw5-gamma",
         "binomial-length",
+        "binomial-eigenvalue",
+        "binomial-c",
         "binomial-pairing",
+        "binomial-middle-pairing",
         "nonstandard3-sign",
+        "nonstandard3-eigenvalue",
         "nonstandard3-z",
+        "v1-lambda",
         "abeq-n",
         "abeq-mu",
         "abeq-sqrt-mu",
         "abeq-sign",
+        "lkb3-q",
+        "lkb3-t",
+        "perm3-zero",
+        "perm3-one",
         "sweep-family",
     ],
 )
 def test_catalog_constraint_refusals(call, error, text):
-    with pytest.raises(error, match=text):
+    # every refusal in catalog, with its exact type and message
+    with pytest.raises(error) as refused:
         call()
+    assert type(refused.value) is error
+    assert str(refused.value) == text
+
+
+# -- pinned representations ------------------------------------------------------
+
+
+def _param(n, a, b, k):
+    """a + b zeta_n^k, nonzero as |a| != |b|; a Fraction at n = 1, so that
+    plain rationals are lifted as well."""
+    return Fraction(a) + b if n == 1 else a + b * make_root_of_unity(n, k)
+
+
+def _grid(n):
+    s0, s1, s2, s3, s4 = (
+        _param(n, *abk)
+        for abk in (
+            (2, 1, 1),
+            (Fraction(1, 3), -1, 7),
+            (-3, 2, 5),
+            (Fraction(5, 2), 1, 11),
+            (1, Fraction(-1, 2), 2),
+        )
+    )
+    w = omega(math.lcm(n, 3))
+
+    def binomial_params(d):
+        half = [s0, s1][: (d + 1) // 2]
+        c = s4 * s4 if d % 2 == 0 else s3
+        mid = [s4] if d % 2 == 0 else []
+        return half + mid + [c / x for x in reversed(half)], c
+
+    return {
+        "tw2-1": [lambda: catalog.tw2(-w * s0, s0, family=1)],
+        "tw2-2": [lambda: catalog.tw2(s0, s1, family=2)],
+        "tw3": [lambda: catalog.tw3(s0, s1, s2)],
+        "tw4": [lambda: catalog.tw4([s0, s1, s2, s3 * s3 / (s0 * s1 * s2)], s3)],
+        "tw5": [lambda: catalog.tw5([s0, s1, s2, s3, s4**5 / (s0 * s1 * s2 * s3)], s4)],
+        "binomial_pair": [
+            lambda d=d: catalog.binomial_pair(*binomial_params(d)) for d in range(1, 5)
+        ],
+        "binomial_rep": [
+            lambda d=d: catalog.binomial_rep(*binomial_params(d)) for d in range(1, 5)
+        ],
+        "nonstandard_3d": [
+            lambda sg=sg: catalog.nonstandard_3d(s0, s1, s2, sign=sg) for sg in (1, -1)
+        ],
+        "counterexample6": [catalog.counterexample6] if n == 1 else [],
+        "v1_family": [lambda: catalog.v1_family(s0, s1), lambda: catalog.v1_family(s2, 0)],
+        "abeq_family": [
+            lambda h=h, sg=sg: catalog.abeq_family(h, s4 * s4, s4, sign=sg)
+            for h in range(1, 5)
+            for sg in (1, -1)
+        ],
+        "lkb3": [lambda: catalog.lkb3(s0, s1)],
+        "perm3": [lambda: catalog.perm3(s2)],
+    }
+
+
+DIGEST_GRID = {
+    "tw2-1": "d4f38e7091a99280a52c9ac235df54013fca004a2764a8496f1cca92d14452d5",
+    "tw2-2": "ca4169de5993e1d7324a6a62c9a5a415cbf72bff52484a34f055fe739688aaaf",
+    "tw3": "3a104de27b4040d3a3b23201be3d225571d0d3035200d3c74f0add5f8aff49b1",
+    "tw4": "ecfc3cc29ee6724c085ddbac8032e7265010b82864f8d1f9c88b5e6b8431a4df",
+    "tw5": "a1ad857fa0ed582bf9770c8e4244eb86b0e9a0e79a7cbdcbcede945c15321ede",
+    "binomial_pair": "401347f06214ef863d5be199e65cfa2a9e88b6ed6752a1777bf7fe34b5b810e8",
+    "binomial_rep": "08e9b70624e8e0ccaadfbfc98795b428e10928fd29986e2bc7ecf465495b0614",
+    "nonstandard_3d": "28e6aaf48e50e4ced00bf58751b40747359b538593d9a07b5948828c66c7fe89",
+    "counterexample6": "4cb62ab53d7da685f9ab759492e8286fa2fd44fde453622956227774bf0de723",
+    "v1_family": "a8422ccb247e705deda0b5c35e0fece3f4a1e14415e9e46b4e06bdbb863e097f",
+    "abeq_family": "16be162b27e34048e2682f36803703a4536f85dba5805b00279af8bf9d11f676",
+    "lkb3": "1bcaab44213896e6c248143a4963e5e8aa0d6020bf0a1e18c0ab9cf75bd01eea",
+    "perm3": "6715a4475d2f1bb68091ed5e71e1dad1851d29208cea91514e7d38af193c2404",
+}
+
+
+def _grid_digest(name):
+    h = hashlib.sha256()
+    for n in (1, 12, 60):
+        for build in _grid(n)[name]:
+            h.update(dumps(rep_to_obj(build())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_GRID))
+def test_catalog_representations_are_pinned(name):
+    # sha256 of the wire JSON of every representation over a grid of
+    # parameters at N = 1, 12 and 60: a rewrite of a formula moves no byte
+    assert _grid_digest(name) == DIGEST_GRID[name]

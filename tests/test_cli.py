@@ -989,12 +989,12 @@ def test_analyze_reports_on_the_exact_rank_route_are_pinned(tmp_path, capsys):
 
 def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch):
     """All sections of one `analyze` ask about the same matrices, and each
-    matrix keeps what was formed from it: every input matrix is reduced
-    mod p at most once, no exact product is formed twice from the same
-    prepared operands, B's cyclicity is decided once, a product is the
-    same object when asked again, and the reports are the ones pinned
-    before matrices kept their products (the tensor square's digest is
-    also pinned in the test above)."""
+    matrix keeps what was formed from it: every input matrix, and the
+    identity of each size, is reduced mod p at most once, no exact product
+    is formed twice from the same prepared operands, B's cyclicity is
+    decided once, a product is the same object when asked again, and the
+    reports are the ones pinned before matrices kept their products (the
+    tensor square's digest is also pinned in the test above)."""
     rep, ext, lb3, square, out = (
         str(tmp_path / f"{s}.json") for s in ("rep", "ext", "lb3", "sq", "an")
     )
@@ -1035,6 +1035,16 @@ def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch
         assert rep.S1 is not None and reduced and products
         for m in rep.present():
             assert sum(rows is m.rows for rows, _ in reduced) <= 1
+        identities = [
+            (len(rows), n)
+            for rows, n in reduced
+            if all(
+                x.is_one if i == j else x.is_zero
+                for i, r in enumerate(rows)
+                for j, x in enumerate(r)
+            )
+        ]
+        assert len(set(identities)) == len(identities)
         pairs = [(id(x), id(y)) for x, y in products]
         assert len(set(pairs)) == len(pairs)
         assert sum(len(gens) == 1 and gens[0] is rep.B for gens, in closures) == 1

@@ -7,14 +7,33 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loopbraid"
 MODULES = {p.stem: p for p in PACKAGE.glob("*.py")}  # "__init__" is the package
-LAZY_ALLOWED = {"numpy", "sympy"}
+# (module, function, package) of every import made inside a function: the
+# numeric oracle's numpy and the root factorization's sympy, nothing else,
+# so that no float reaches an exact verdict unseen
+LAZY_SITES = {
+    *(
+        ("extend", fn, "numpy")
+        for fn in (
+            "_gemm_rows",
+            "_cubic_jacobian",
+            "_normal_equations",
+            "_solve_hpd",
+            "_steps_on",
+            "_gauss_newton",
+            "numeric_cubic_oracle",
+        )
+    ),
+    ("cyclotomic", "_roots_by_factorization", "sympy"),
+}
 
 
 def _imports(path: Path):
-    """(absolute module name, inside a function) for each import in path."""
+    """(absolute module name, innermost enclosing function or None) for
+    each import in path."""
     tree = ast.parse(path.read_text())
+    # ast.walk is breadth first, so a nested function overrides its parent
     lazy = {
-        id(node)
+        id(node): fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
@@ -31,7 +50,7 @@ def _imports(path: Path):
             ]
         else:
             continue
-        yield from ((name, id(node) in lazy) for name in names)
+        yield from ((name, lazy.get(id(node))) for name in names)
 
 
 def _stem(name: str) -> str | None:
@@ -66,13 +85,13 @@ def test_no_intra_package_import_inside_a_function():
 
 
 def test_only_numpy_and_sympy_are_imported_lazily():
-    lazy = [
-        (stem, name)
+    lazy = {
+        (stem, fn, name.partition(".")[0])
         for stem, path in MODULES.items()
-        for name, inner in _imports(path)
-        if inner and name.partition(".")[0] not in LAZY_ALLOWED
-    ]
-    assert lazy == []
+        for name, fn in _imports(path)
+        if fn or name.partition(".")[0] in {"numpy", "sympy"}  # a module-top one too
+    }
+    assert lazy == LAZY_SITES
 
 
 def test_modular_sits_behind_linalg_alone():

@@ -23,6 +23,7 @@ from loopbraid import catalog, extend, linalg, modular, sampling
 from loopbraid.cyclotomic import (
     _REMAINDER_BITS,
     CycNum,
+    _Side,
     _field,
     _packed_modulus,
     _slot_bits,
@@ -266,6 +267,34 @@ def test_a_prepared_matrix_multiplies_as_a_fresh_one(n):
     # each side of m holds one packing per width it met
     assert set(m._as_cols.packed) == set(m._as_rows.packed) == set(widths)
     assert m._as_cols.top == m._as_rows.top == 1
+
+
+def test_a_packing_is_stored_only_when_whole():
+    # concurrent products of one matrix share its prepared sides: a caller
+    # that asks for a width while another is packing it must find either
+    # no packing or all d rows.  Re-entering pack(k) after the first vector
+    # is that second caller, deterministically.
+    n, d, k = 12, 4, 16
+    seen = []
+
+    class Reentrant(list):
+        armed = False
+
+        def __iter__(self):
+            for i, vec in enumerate(list.__iter__(self)):
+                yield vec
+                if i == 0 and self.armed:
+                    self.armed = False
+                    seen.append(len(side.pack(k)))
+
+    vectors = Reentrant(
+        [[CycNum.from_rational(i * d + j + 1, n) for j in range(d)] for i in range(d)]
+    )
+    side = _Side(vectors, n)
+    vectors.armed = True
+    assert len(side.pack(k)) == d
+    assert seen == [d]
+    assert len(side.packed[k]) == d
 
 
 def test_plain_vectors_of_another_conductor_are_refused():
