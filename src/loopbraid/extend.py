@@ -711,7 +711,8 @@ class OracleCluster:
 class OracleReport:
     """Every start ends converged (final residual below tol), diverged
     (the residual became non-finite) or unconverged (finite, but not
-    below tol after the last step): the three counts sum to `starts`."""
+    below tol after the last step, whether the start stalled or reached
+    the sweep cap): the three counts sum to `starts`."""
 
     dim: int
     starts: int
@@ -732,6 +733,14 @@ _ORACLE_BLOCK = 512
 _ORACLE_CHUNK = 128
 # Gauss-Newton steps per start
 _ORACLE_MAX_ITER = 80
+# a start retires once its |f|_2 has stalled: finite, at least
+# _ORACLE_STALL_FLOOR times the step threshold (tol / 100, so 1e6 tol), and
+# moved by at most _ORACLE_STALL_RTOL of itself in each of its last
+# _ORACLE_STALL_SWEEPS sweeps.  Gauss-Newton does not leave such a point,
+# a stationary point of |F|_2 where F is not zero
+_ORACLE_STALL_FLOOR = 1e8
+_ORACLE_STALL_RTOL = 1e-9
+_ORACLE_STALL_SWEEPS = 3
 
 
 def _gemm_rows(x, y):
@@ -853,8 +862,9 @@ def _solve_hpd(g, rhs):
 
 
 def _steps_on(f, p, thr):
-    """Which rows of coordinates f step on: those whose F = f @ p, in
-    entries, has a largest modulus that is finite and above thr.
+    """(go, norm): which rows of coordinates f step on, those whose
+    F = f @ p, in entries, has a largest modulus that is finite and above
+    thr, and each row's |f|_2.
 
     p has orthonormal rows, so |F|_2 = |f|_2 and max|F_ij| >= |f|_2 / d,
     while rounding moves an entry of f @ p by about m * eps * |f|_2.  A
@@ -876,27 +886,39 @@ def _steps_on(f, p, thr):
     if near.any():
         r = np.abs(_gemm_rows(f[near], p)).max(axis=1)
         go[near] = np.isfinite(r) & (r > thr)
-    return go
+    return go, norm
 
 
 def _gauss_newton(bvec, p, linearize, thr):
     """Take the damped Gauss-Newton steps of every start, a row of bvec,
     in place.
 
-    A start steps on while `_steps_on` finds its F above thr, for at most
-    _ORACLE_MAX_ITER sweeps; one that leaves (converged or non-finite)
-    keeps its b from then on.  Each start's steps depend on that start
-    alone, so a block of starts runs all its sweeps before the next
-    begins.
+    A start steps on while `_steps_on` finds its F above thr and its
+    |f|_2 has not stalled, for at most _ORACLE_MAX_ITER sweeps; one that
+    leaves (converged, non-finite or stalled) keeps its b from then on.
+    A stalled start's |f|_2 is at least 1e6 tol, so its final residual
+    counts it unconverged, as the sweep cap does.  Each start's steps
+    depend on that start alone, so a block of starts runs all its sweeps
+    before the next begins.
     """
     import numpy as np
 
     d = bvec.shape[1]
+    floor = _ORACLE_STALL_FLOOR * thr
     for lo in range(0, len(bvec), _ORACLE_BLOCK):
         pending = np.arange(lo, min(lo + _ORACLE_BLOCK, len(bvec)))
+        last = np.full(len(pending), np.inf)  # |f|_2 one sweep back
+        calm = np.zeros(len(pending), dtype=int)  # stalled sweeps in a row
         for _ in range(_ORACLE_MAX_ITER):
             jt, f = linearize(bvec[pending])
-            go = _steps_on(f, p, thr)
+            go, norm = _steps_on(f, p, thr)
+            # only finite norms are subtracted: inf - inf would warn
+            still = np.isfinite(norm) & (norm >= floor)
+            moved = np.abs(norm[still] - last[still])
+            still[still] = moved <= _ORACLE_STALL_RTOL * norm[still]
+            calm = np.where(still, calm + 1, 0)
+            last = norm
+            go &= calm < _ORACLE_STALL_SWEEPS
             leaving = not go.all()
             if leaving:
                 if not go.any():
@@ -909,6 +931,7 @@ def _gauss_newton(bvec, p, linearize, thr):
             del jt, f  # the block's Jacobian is not needed for the solve
             if leaving:
                 pending, gram, rhs = pending[go], gram[..., go], rhs[:, go]
+                last, calm = last[go], calm[go]
             gram[range(d), range(d)] += 1e-12  # damping
             bvec[pending] -= _solve_hpd(gram, rhs).T
 

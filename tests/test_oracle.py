@@ -223,14 +223,19 @@ def _sweep_ordered_gauss_newton(bvec, p, linearize, thr):
 
 
 def test_oracle_matches_the_sweep_ordered_reference(monkeypatch):
-    for rep in (catalog.counterexample6(), catalog.tw3(1, 1, 1)):
+    # the reference retires no stalled start.  At seeds 49 and 54 a looser
+    # stall rule (one sweep, 1e-6 of |f|_2) retires a start that converges
+    c6 = catalog.counterexample6()
+    cases = [(c6, 300, 5), (catalog.tw3(1, 1, 1), 300, 5)]
+    cases += [(c6, 2000, seed) for seed in (0, 49, 54)]
+    for rep, starts, seed in cases:
         basis = extend._basis_matrices(rep.A, rep.B)
-        report = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
+        report = extend.numeric_cubic_oracle(basis, starts=starts, seed=seed)
         assert report.converged > 0
         with monkeypatch.context() as m:
             m.setattr(extend, "_gauss_newton", _sweep_ordered_gauss_newton)
-            reference = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
-        assert report == reference
+            reference = extend.numeric_cubic_oracle(basis, starts=starts, seed=seed)
+        assert report == reference, (starts, seed)
 
 
 def test_oracle_report_independent_of_block_size(monkeypatch):
@@ -252,6 +257,74 @@ def test_oracle_report_independent_of_block_size(monkeypatch):
             blocked = extend.numeric_cubic_oracle(basis, starts=300, seed=5)
             monkeypatch.undo()
             assert blocked == default, (block, chunk)
+
+
+def _normal_equation_rows(monkeypatch, basis, **options):
+    # (report, rows that entered `_normal_equations`, one per start-step)
+    rows = []
+    normal_equations = extend._normal_equations
+
+    def counting(jt, f):
+        rows.append(len(jt))
+        return normal_equations(jt, f)
+
+    with monkeypatch.context() as m:
+        m.setattr(extend, "_normal_equations", counting)
+        report = extend.numeric_cubic_oracle(basis, **options)
+    return report, sum(rows)
+
+
+def test_stalled_starts_retire(monkeypatch):
+    # seed 0, 2000 starts: 1476 starts stall where |f|_2 is 1.7 to 2.1.
+    # Stepped to the sweep cap, the starts took 132,173 rows; with the
+    # stalled ones retired, about half that
+    rep = catalog.counterexample6()
+    (a, b), _ = common_field(rep.A, rep.B, extra=3)
+    report, rows = _normal_equation_rows(
+        monkeypatch, extend._basis_matrices(a, b), starts=2000, seed=0
+    )
+    assert (report.converged, report.diverged, report.unconverged) == (524, 0, 1476)
+    assert rows <= 75_000, rows
+
+
+def test_stall_floor_follows_tol(monkeypatch):
+    # the floor is 1e6 tol.  At tol 1e-5 it is 10, above the |f|_2 where
+    # 361 of these starts stall, and at tol 1e3 it is 1e9: no start
+    # retires, so the run takes the steps and gives the report of a run
+    # whose stall window outlasts the sweep cap
+    rep = catalog.counterexample6()
+    basis = extend._basis_matrices(rep.A, rep.B)
+    for tol, unconverged in ((1e-5, 361), (1e3, 0)):
+        retiring = _normal_equation_rows(monkeypatch, basis, starts=500, seed=3, tol=tol)
+        monkeypatch.setattr(extend, "_ORACLE_STALL_SWEEPS", extend._ORACLE_MAX_ITER)
+        capped = _normal_equation_rows(monkeypatch, basis, starts=500, seed=3, tol=tol)
+        monkeypatch.undo()
+        assert retiring == capped, tol
+        assert retiring[0].unconverged == unconverged
+
+
+def test_stall_rule_on_still_and_non_finite_starts():
+    # a zero Jacobian leaves every b where it is, so each start's f = b
+    # never moves.  Each start is counted at every sweep it is evaluated in
+    p = np.eye(1, dtype=complex)
+    seen = {}
+
+    def linearize(bv):
+        for b in bv[:, 0]:
+            key = repr(complex(b))
+            seen[key] = seen.get(key, 0) + 1
+        return np.zeros((len(bv), 1, 1), dtype=complex), bv.copy()
+
+    bvec = np.array([[1.0], [1e-5], [1e200], [np.nan], [1e-20]], dtype=complex)
+    with np.errstate(all="raise"):
+        extend._gauss_newton(bvec, p, linearize, 1e-11)
+    sweeps = [seen[repr(complex(b))] for b in bvec[:, 0]]
+    # |f|_2 = 1, at least the floor 1e-3: retired once it stood still for
+    # three sweeps, so it is evaluated four times and stepped three.  1e-5
+    # lies below the floor, and the square of 1e200 overflows |f|_2: both
+    # step to the cap.  NaN leaves at once, and so does 1e-20, below thr
+    cap = extend._ORACLE_MAX_ITER
+    assert sweeps == [extend._ORACLE_STALL_SWEEPS + 1, cap, cap, 1, 1]
 
 
 def _gate_rows(p, thr, rng):
@@ -293,7 +366,7 @@ def test_norm_gate_decides_as_the_entry_gate(case):
     for thr in (1e-11, 1e-3, 1e-160, 1e-300, 1e290):
         f = _gate_rows(p, thr, rng) if len(p) else np.zeros((5, 0), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            go = extend._steps_on(f, p, thr)
+            go, _ = extend._steps_on(f, p, thr)
             ref = _entry_gate(f, p, thr)
         assert np.array_equal(go, ref), (thr, np.flatnonzero(go != ref))
         if len(p) and thr == 1e-11:
@@ -304,8 +377,9 @@ def test_oracle_memory_peak_on_counterexample6():
     # traced after one warm-up call, seed 0, 2000 starts: 2.26 MiB with
     # blocks of 256 whose Jacobians outlived their sweep, 2.32 MiB measured
     # with blocks of 512, each Jacobian dropped before its solve and its
-    # conjugate formed 128 starts at a time.  The bound is 2.25 MiB plus a
-    # 0.25 MiB margin; two Jacobians of 512 starts alive at once exceed it
+    # conjugate formed 128 starts at a time, and 2.33 MiB with the stall
+    # rule's two per-start arrays.  The bound is 2.25 MiB plus a 0.25 MiB
+    # margin; two Jacobians of 512 starts alive at once exceed it
     rep = catalog.counterexample6()
     (a, b), _ = common_field(rep.A, rep.B, extra=3)
     basis = extend._basis_matrices(a, b)
