@@ -712,7 +712,9 @@ class OracleReport:
     """Every start ends converged (final residual below tol), diverged
     (the residual became non-finite) or unconverged (finite, but not
     below tol after the last step, whether the start stalled or reached
-    the sweep cap): the three counts sum to `starts`."""
+    the sweep cap): the three counts sum to `starts`.  Each start is
+    scaled to |S(b)^3|_F = |I|_F before its first step, so the counts and
+    cluster sizes are those of the scaled starts."""
 
     dim: int
     starts: int
@@ -753,6 +755,12 @@ def _gemm_rows(x, y):
     if len(x) == 1:
         return (np.repeat(x, 2, axis=0) @ y)[:1]
     return x @ y
+
+
+def _cubes(bv, eflat, d):
+    """S(b)^3 for each row b, flattened; S = b @ eflat through `_gemm_rows`."""
+    s = _gemm_rows(bv, eflat).reshape(-1, d, d)
+    return (s @ s @ s).reshape(len(bv), d * d)
 
 
 def _cubic_jacobian(e):
@@ -951,6 +959,9 @@ def numeric_cubic_oracle(
     double-precision complex arithmetic; converged solutions are
     clustered by max-norm radius and each cluster reports its trace and
     the nearest exact candidate, a coefficient tuple over the same basis.
+    Each start is drawn complex standard normal and multiplied by the
+    positive real (sqrt(d) / |S(b)^3|_F)^(1/3), so that |S(b)^3|_F =
+    |I|_F; one whose S(b)^3 is 0 or not finite stays as drawn.
     Deterministic for a fixed seed.  The basis must hold d matrices of
     size d x d (DimMismatch otherwise).
     """
@@ -972,13 +983,21 @@ def numeric_cubic_oracle(
     p, linearize = _cubic_jacobian(e)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
+    # far from every solution J(b) b = 3 S(b)^3 makes the Newton step about
+    # b / 3; a positive real factor moves b to where |S(b)^3|_F = |I|_F,
+    # a norm taken by hypot, which does not overflow where squares would
+    for lo in range(0, starts, _ORACLE_BLOCK):
+        part = bvec[lo : lo + _ORACLE_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.hypot.reduce(np.abs(_cubes(part, eflat, d)), axis=1)
+        ok = np.isfinite(size) & (size > 0)  # else b stays as drawn
+        part[ok] *= (d ** (1 / 6) / np.cbrt(size[ok]))[:, None]
     _gauss_newton(bvec, p, linearize, tol * 0.01)
     # measured directly, so the counts never rest on the coordinates
     res = np.empty(starts)
     for lo in range(0, starts, _ORACLE_BLOCK):
-        s = _gemm_rows(bvec[lo : lo + _ORACLE_BLOCK], eflat).reshape(-1, d, d)
-        f = s @ s @ s - np.eye(d)
-        res[lo : lo + _ORACLE_BLOCK] = np.abs(f).reshape(len(f), -1).max(axis=1)
+        f = _cubes(bvec[lo : lo + _ORACLE_BLOCK], eflat, d) - np.eye(d).reshape(-1)
+        res[lo : lo + _ORACLE_BLOCK] = np.abs(f).max(axis=1)
     finite = np.isfinite(res)
     good = finite & (res < tol)
     solutions = bvec[good]
