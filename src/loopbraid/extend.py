@@ -727,9 +727,9 @@ class OracleReport:
     clusters: list[OracleCluster]
 
 
-# starts per Newton block, which runs all its sweeps before the next block
-# starts; it bounds the Newton step's temporaries, while the start vectors,
-# residuals and converged solutions grow with `starts`
+# starts per block: the oracle scales, steps and measures one block before
+# the next; it bounds the Newton step's temporaries, while the start
+# vectors, residuals and converged solutions grow with `starts`
 _ORACLE_BLOCK = 512
 # starts per conjugate Jacobian in `_normal_equations`
 _ORACLE_CHUNK = 128
@@ -898,50 +898,49 @@ def _steps_on(f, p, thr):
 
 
 def _gauss_newton(bvec, p, linearize, thr):
-    """Take the damped Gauss-Newton steps of every start, a row of bvec,
-    in place.
+    """Take the damped Gauss-Newton steps of a block of starts, the rows of
+    bvec, in place.
 
     A start steps on while `_steps_on` finds its F above thr and its
     |f|_2 has not stalled, for at most _ORACLE_MAX_ITER sweeps; one that
     leaves (converged, non-finite or stalled) keeps its b from then on.
     A stalled start's |f|_2 is at least 1e6 tol, so its final residual
     counts it unconverged, as the sweep cap does.  Each start's steps
-    depend on that start alone, so a block of starts runs all its sweeps
-    before the next begins.
+    depend on that start alone, so the block it is stepped in does not
+    change them.
     """
     import numpy as np
 
     d = bvec.shape[1]
     floor = _ORACLE_STALL_FLOOR * thr
-    for lo in range(0, len(bvec), _ORACLE_BLOCK):
-        pending = np.arange(lo, min(lo + _ORACLE_BLOCK, len(bvec)))
-        last = np.full(len(pending), np.inf)  # |f|_2 one sweep back
-        calm = np.zeros(len(pending), dtype=int)  # stalled sweeps in a row
-        for _ in range(_ORACLE_MAX_ITER):
-            jt, f = linearize(bvec[pending])
-            go, norm = _steps_on(f, p, thr)
-            # only finite norms are subtracted: inf - inf would warn
-            still = np.isfinite(norm) & (norm >= floor)
-            moved = np.abs(norm[still] - last[still])
-            still[still] = moved <= _ORACLE_STALL_RTOL * norm[still]
-            calm = np.where(still, calm + 1, 0)
-            last = norm
-            go &= calm < _ORACLE_STALL_SWEEPS
-            leaving = not go.all()
-            if leaving:
-                if not go.any():
-                    break
-                # zeroed in place: copying the other rows out of jt would
-                # hold two Jacobians at once
-                jt[~go] = 0
-                f[~go] = 0
-            gram, rhs = _normal_equations(jt, f)
-            del jt, f  # the block's Jacobian is not needed for the solve
-            if leaving:
-                pending, gram, rhs = pending[go], gram[..., go], rhs[:, go]
-                last, calm = last[go], calm[go]
-            gram[range(d), range(d)] += 1e-12  # damping
-            bvec[pending] -= _solve_hpd(gram, rhs).T
+    pending = np.arange(len(bvec))
+    last = np.full(len(pending), np.inf)  # |f|_2 one sweep back
+    calm = np.zeros(len(pending), dtype=int)  # stalled sweeps in a row
+    for _ in range(_ORACLE_MAX_ITER):
+        jt, f = linearize(bvec[pending])
+        go, norm = _steps_on(f, p, thr)
+        # only finite norms are subtracted: inf - inf would warn
+        still = np.isfinite(norm) & (norm >= floor)
+        moved = np.abs(norm[still] - last[still])
+        still[still] = moved <= _ORACLE_STALL_RTOL * norm[still]
+        calm = np.where(still, calm + 1, 0)
+        last = norm
+        go &= calm < _ORACLE_STALL_SWEEPS
+        leaving = not go.all()
+        if leaving:
+            if not go.any():
+                break
+            # zeroed in place: copying the other rows out of jt would
+            # hold two Jacobians at once
+            jt[~go] = 0
+            f[~go] = 0
+        gram, rhs = _normal_equations(jt, f)
+        del jt, f  # the block's Jacobian is not needed for the solve
+        if leaving:
+            pending, gram, rhs = pending[go], gram[..., go], rhs[:, go]
+            last, calm = last[go], calm[go]
+        gram[range(d), range(d)] += 1e-12  # damping
+        bvec[pending] -= _solve_hpd(gram, rhs).T
 
 
 def numeric_cubic_oracle(
@@ -963,91 +962,80 @@ def numeric_cubic_oracle(
     positive real (sqrt(d) / |S(b)^3|_F)^(1/3), so that |S(b)^3|_F =
     |I|_F; one whose S(b)^3 is 0 or not finite stays as drawn.
     Deterministic for a fixed seed.  The basis must hold d matrices of
-    size d x d (DimMismatch otherwise).
+    size d x d and each exact candidate d coefficients (DimMismatch
+    otherwise).
+
+    One loop walks the starts in blocks of _ORACLE_BLOCK: it scales the
+    block's starts, runs their Newton sweeps and measures their final
+    residual directly, before the next block begins.  Converged solutions
+    are taken in the order of `_rounded`, and each joins the first
+    cluster centre within cluster_radius or opens a new centre.
     """
     import numpy as np
 
+    if not basis:
+        raise DimMismatch("oracle needs d basis matrices of size d, got none")
     d = basis[0].dim
     _check_oracle_options(d, starts, tol, cluster_radius, seed)
-    if len(basis) != d:
-        raise DimMismatch(f"oracle needs {d} basis matrices of size {d}, got {len(basis)}")
-    e = np.stack(
-        [
-            np.array(
-                [[x.to_complex() for x in row] for row in mat.rows], dtype=complex
-            )
-            for mat in basis
-        ]
-    )
+    sizes = sorted({mat.dim for mat in basis})
+    if len(basis) != d or sizes != [d]:
+        got = f"{len(basis)} of sizes {sizes}"
+        raise DimMismatch(f"oracle needs {d} basis matrices of size {d}, got {got}")
+    cands = exact_candidates or []
+    if any(len(cand) != d for cand in cands):
+        raise DimMismatch(f"oracle needs exact candidates of {d} coefficients")
+    e = np.array([[[x.to_complex() for x in r] for r in m.rows] for m in basis], dtype=complex)
     eflat = e.reshape(d, d * d)  # S = bvec @ eflat, one row per start
     p, linearize = _cubic_jacobian(e)
     rng = np.random.default_rng(seed)
     bvec = rng.standard_normal((starts, d)) + 1j * rng.standard_normal((starts, d))
-    # far from every solution J(b) b = 3 S(b)^3 makes the Newton step about
-    # b / 3; a positive real factor moves b to where |S(b)^3|_F = |I|_F,
-    # a norm taken by hypot, which does not overflow where squares would
+    ident = np.eye(d).reshape(-1)
+    res = np.empty(starts)
     for lo in range(0, starts, _ORACLE_BLOCK):
         part = bvec[lo : lo + _ORACLE_BLOCK]
+        # far from every solution J(b) b = 3 S(b)^3 makes the Newton step
+        # about b / 3; a positive real factor moves b to where
+        # |S(b)^3|_F = |I|_F, a norm taken by hypot, which does not
+        # overflow where squares would
         with np.errstate(over="ignore", invalid="ignore"):
             size = np.hypot.reduce(np.abs(_cubes(part, eflat, d)), axis=1)
         ok = np.isfinite(size) & (size > 0)  # else b stays as drawn
         part[ok] *= (d ** (1 / 6) / np.cbrt(size[ok]))[:, None]
-    _gauss_newton(bvec, p, linearize, tol * 0.01)
-    # measured directly, so the counts never rest on the coordinates
-    res = np.empty(starts)
-    for lo in range(0, starts, _ORACLE_BLOCK):
-        f = _cubes(bvec[lo : lo + _ORACLE_BLOCK], eflat, d) - np.eye(d).reshape(-1)
-        res[lo : lo + _ORACLE_BLOCK] = np.abs(f).max(axis=1)
+        _gauss_newton(part, p, linearize, tol * 0.01)
+        # measured directly, so the counts never rest on the coordinates
+        res[lo : lo + _ORACLE_BLOCK] = np.abs(_cubes(part, eflat, d) - ident).max(axis=1)
     finite = np.isfinite(res)
     good = finite & (res < tol)
     solutions = bvec[good]
     residuals = res[good]
-    order = sorted(
-        range(len(solutions)),
-        key=lambda i: tuple(
-            (round(float(x.real), 9), round(float(x.imag), 9)) for x in solutions[i]
-        ),
-    )
+    centers = np.empty_like(solutions)
     clusters: list[list[int]] = []
-    centers: list[np.ndarray] = []
-    for idx in order:
-        v = solutions[idx]
-        placed = False
-        for ci, c in enumerate(centers):
-            if np.abs(v - c).max() <= cluster_radius:
-                clusters[ci].append(idx)
-                placed = True
-                break
-        if not placed:
-            centers.append(v)
-            clusters.append([idx])
-    cand_vecs = None
-    if exact_candidates:
-        cand_vecs = np.array(
-            [[c.to_complex() for c in cand] for cand in exact_candidates]
-        )
+    for i in sorted(range(len(solutions)), key=lambda j: _rounded(solutions[j])):
+        v = solutions[i]
+        dist = np.abs(v - centers[: len(clusters)]).max(axis=1)
+        near = np.flatnonzero(dist <= cluster_radius)
+        if len(near):
+            clusters[near[0]].append(i)
+        else:
+            centers[len(clusters)] = v
+            clusters.append([i])
+    cand_vecs = np.array([[c.to_complex() for c in x] for x in cands], dtype=complex)
+    cand_vecs = cand_vecs.reshape(len(cands), d)  # (0, d) without candidates
     out = []
-    for ci, members in enumerate(clusters):
-        pts = solutions[members]
-        centroid = pts.mean(axis=0)
-        strace = (centroid @ eflat).reshape(d, d).trace()
-        nearest = None
-        ndist = None
-        if cand_vecs is not None and len(cand_vecs):
-            dists = np.abs(cand_vecs - centroid[None, :]).max(axis=1)
-            nearest = int(dists.argmin())
-            ndist = float(dists.min())
+    for members in clusters:
+        centroid = solutions[members].mean(axis=0)
+        dists = np.abs(cand_vecs - centroid).max(axis=1)
         out.append(
             OracleCluster(
                 centroid=tuple(complex(x) for x in centroid),
                 size=len(members),
                 max_residual=float(residuals[members].max()),
-                trace=complex(strace),
-                nearest_candidate=nearest,
-                nearest_distance=ndist,
+                trace=complex((centroid @ eflat).reshape(d, d).trace()),
+                nearest_candidate=int(dists.argmin()) if len(dists) else None,
+                nearest_distance=float(dists.min()) if len(dists) else None,
             )
         )
-    out.sort(key=lambda c: tuple((round(x.real, 9), round(x.imag, 9)) for x in c.centroid))
+    out.sort(key=lambda c: _rounded(c.centroid))
     return OracleReport(
         dim=d,
         starts=starts,
@@ -1059,6 +1047,12 @@ def numeric_cubic_oracle(
         seed=seed,
         clusters=out,
     )
+
+
+def _rounded(v) -> tuple:
+    """The order of solutions and of clusters: each coordinate's real and
+    imaginary parts rounded to 9 places."""
+    return tuple((round(float(x.real), 9), round(float(x.imag), 9)) for x in v)
 
 
 def _check_oracle_options(d: int, starts: int, tol: float, cluster_radius: float, seed: int):

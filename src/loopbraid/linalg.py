@@ -53,6 +53,27 @@ def _lift(value, conductor: int) -> CycNum:
 _UNSET = object()
 
 
+class _Kept(weakref.ref):
+    """A product in its left operand's memo, held beside a weak reference
+    to the right operand: when the right operand dies, the entry leaves
+    the memo if it is still this one.  The left operand is held weakly
+    too, so no entry forms a reference cycle."""
+
+    __slots__ = ("product", "left", "key")
+
+    def __new__(cls, right, left, product):
+        return super().__new__(cls, right, _Kept._drop)
+
+    def __init__(self, right, left, product):
+        super().__init__(right, _Kept._drop)
+        self.product, self.left, self.key = product, weakref.ref(left), id(right)
+
+    def _drop(self):
+        left = self.left()
+        if left is not None and left._products.get(self.key) is self:
+            del left._products[self.key]
+
+
 class CMatrix:
     """A square matrix over Q(zeta_N) with exact entries.
 
@@ -60,9 +81,11 @@ class CMatrix:
     and its columns, each prepared for `packed_product` the first time they
     enter a product; the products it has formed as the left operand, keyed
     on the id of the right one (`a @ b is a @ b`), which the memo holds by
-    a weak reference, so that a reused id is told apart and no reference
-    cycle (a @ b beside b @ a) outlives the matrices; its `is_cyclic`
-    verdict; and its image in F_p, which `_mod_p_first` forms once.
+    a weak reference, so that a reused id is told apart, no reference
+    cycle (a @ b beside b @ a) outlives the matrices, and the entry,
+    product and all, leaves the memo when the right one dies; its
+    `is_cyclic` verdict; and its image in F_p, which `_mod_p_first` forms
+    once.
     """
 
     __slots__ = (
@@ -247,13 +270,13 @@ class CMatrix:
 
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         hit = self._products.get(id(other))
-        if hit is None or hit[0]() is not other:
+        if hit is None or hit() is not other:
             self._check(other)
             product = CMatrix._of(
                 packed_product(self._rows_side(), other._cols_side()), self.conductor
             )
-            hit = self._products[id(other)] = (weakref.ref(other), product)
-        return hit[1]
+            hit = self._products[id(other)] = _Kept(other, self, product)
+        return hit.product
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)

@@ -1,6 +1,8 @@
 """Exact linear algebra: decompositions, projectors, algebra closure."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -294,6 +296,26 @@ def test_a_product_is_kept_per_right_operand_object():
         if id(c) == key:
             break
     assert a @ c == CMatrix.diagonal([7, 2 * k], 1)
+
+
+def test_a_dead_operand_takes_its_product_out_of_the_memo():
+    # with gc off, only reference counting frees: an entry left behind, or
+    # a callback that held `a` in a cycle, would show
+    gc.disable()
+    try:
+        a = CMatrix.diagonal([1, 2], 1)
+        operands = [CMatrix.diagonal([3, k], 1) for k in range(200)]
+        for o in operands:
+            assert a @ o is a @ o
+        assert len(a._products) == 200
+        del o
+        operands.clear()
+        assert a._products == {}
+        gone = weakref.ref(a)
+        del a
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_solve_linear_lifts_plain_entries():

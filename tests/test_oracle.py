@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from loopbraid import catalog, extend
-from loopbraid.cyclotomic import common_field
+from loopbraid.cyclotomic import CycNum, common_field
 from loopbraid.errors import DimMismatch, InvalidOption
 from loopbraid.linalg import CMatrix
 
@@ -62,6 +63,33 @@ def test_oracle_refuses_a_basis_whose_length_is_not_its_size():
     rep = catalog.tw3(1, 2, 3)
     with pytest.raises(DimMismatch, match="oracle needs 3 basis matrices of size 3, got 9"):
         extend.numeric_cubic_oracle(extend._basis_matrices(rep.A, rep.B) * 3, starts=10)
+    # an empty basis, a matrix of another size among d, and a candidate
+    # of another length are refused too
+    with pytest.raises(DimMismatch, match="got none"):
+        extend.numeric_cubic_oracle([], starts=10)
+    with pytest.raises(DimMismatch, match=r"size 6, got 6 of sizes \[3, 6\]"):
+        extend.numeric_cubic_oracle(basis[:5] + [rep.A], starts=10)
+    cands = [(basis[0].rows[0][0],) * 6, (basis[0].rows[0][0],) * 5]
+    with pytest.raises(DimMismatch, match="exact candidates of 6 coefficients"):
+        extend.numeric_cubic_oracle(basis, starts=10, exact_candidates=cands)
+
+
+def test_curve_solutions_each_form_their_own_cluster():
+    # the solutions of nonstandard_3d(2, zeta12, 2) lie on a curve, so no
+    # two converged starts share a cluster: 1795 clusters of one, each
+    # formed against the array of centres found so far (5.4 s to 6.7 s
+    # when each solution was tested against each centre in turn)
+    rep = catalog.nonstandard_3d(2, CycNum.from_coeffs(12, [0, 1, 0, 0]), 2)
+    basis = extend._basis_matrices(rep.A, rep.B)
+    start = time.perf_counter()
+    report = extend.numeric_cubic_oracle(basis, starts=2000, seed=0)
+    elapsed = time.perf_counter() - start
+    assert report.converged == len(report.clusters) == 1795
+    assert {c.size for c in report.clusters} == {1}
+    keys = [extend._rounded(c.centroid) for c in report.clusters]
+    assert keys == sorted(keys)
+    assert all(c.nearest_candidate is None for c in report.clusters)
+    assert elapsed < 2.0, elapsed
 
 
 def test_oracle_matches_exact_candidates():
@@ -381,10 +409,12 @@ def test_oracle_memory_peak_on_counterexample6():
     # blocks of 256 whose Jacobians outlived their sweep, 2.32 MiB measured
     # with blocks of 512, each Jacobian dropped before its solve and its
     # conjugate formed 128 starts at a time, 2.33 MiB with the stall
-    # rule's two per-start arrays, and 2.34 MiB with the start scale,
-    # whose S(b)^3 is formed a block at a time (3.56 MiB for all 2000
-    # starts at once).  The bound is 2.25 MiB plus a 0.25 MiB margin; two
-    # Jacobians of 512 starts alive at once exceed it
+    # rule's two per-start arrays, 2.34 MiB with the start scale, whose
+    # S(b)^3 is formed a block at a time (3.56 MiB for all 2000 starts at
+    # once), and 2.35 MiB with the residuals allocated before the first
+    # block, which each block writes unnamed (2.63 MiB if a block's
+    # S(b)^3 - I outlives it).  The bound is 2.25 MiB plus a 0.25 MiB
+    # margin; two Jacobians of 512 starts alive at once exceed it
     rep = catalog.counterexample6()
     (a, b), _ = common_field(rep.A, rep.B, extra=3)
     basis = extend._basis_matrices(a, b)
