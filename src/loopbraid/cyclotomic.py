@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Sequence
 
 from .errors import ConductorMismatch, DivisionByZero, FieldTooLarge, NotASubfield
@@ -407,6 +408,68 @@ def packed_product(
     return out
 
 
+def _lift(value, n: int) -> "CycNum":
+    """value as an element of Q(zeta_n): the one rule by which a value
+    enters a field.  A CycNum of conductor n is taken as it is and a
+    rational is lifted (`from_rational`); a CycNum of another conductor
+    raises ConductorMismatch, since mixing conductors is always explicit."""
+    if isinstance(value, CycNum):
+        if value.conductor != n:
+            raise ConductorMismatch(
+                f"conductors {n} and {value.conductor} differ; promote() explicitly"
+            )
+        return value
+    return CycNum.from_rational(value, n)
+
+
+def _conductor_of(values: Iterable) -> int:
+    """The conductor of the first CycNum among values, else 1."""
+    return next((v.conductor for v in values if isinstance(v, CycNum)), 1)
+
+
+def _binary(body):
+    """body(x, y) as a CycNum operator: the one operand check.  A CycNum or
+    a rational y enters the field of x through `_lift`; any other value
+    gives NotImplemented, so Python tries the reflected operator."""
+
+    @wraps(body)
+    def op(x: "CycNum", y):
+        if isinstance(y, (CycNum, int, Fraction)):
+            return body(x, _lift(y, x.conductor))
+        return NotImplemented
+
+    return op
+
+
+def _additive(op):
+    """The one body of x + y (op is operator.add) and x - y (operator.sub)
+    for x and y of one field."""
+
+    def body(x: "CycNum", y: "CycNum") -> "CycNum":
+        da, db = x._den, y._den
+        if da == db:
+            return _new(x.conductor, list(map(op, x._num, y._num)), da)
+        l = math.lcm(da, db)
+        fa, fb = l // da, l // db
+        return _new(x.conductor, [op(fa * a, fb * b) for a, b in zip(x._num, y._num)], l)
+
+    return body
+
+
+def _power(x, e: int, mul):
+    """x^e for e >= 1, mul(a, b) being the product: the one powering loop,
+    behind `CycNum.__pow__` and `CMatrix.matpow`.  Square-and-multiply
+    starts at the lowest set bit, so x^1 costs no product and x^3 two."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return result
+        x = mul(x, x)
+
+
 class CycNum:
     """An element of Q(zeta_N), immutable and hashable."""
 
@@ -532,54 +595,15 @@ class CycNum:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other) -> "CycNum":
-        if isinstance(other, CycNum):
-            if other.conductor != self.conductor:
-                raise ConductorMismatch(
-                    f"conductors {self.conductor} and {other.conductor} differ; "
-                    "promote() explicitly"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(other, self.conductor)
-        raise TypeError(f"cannot coerce {type(other).__name__} to CycNum")
-
-    def __add__(self, other) -> "CycNum":
-        if not isinstance(other, (CycNum, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        da, db = self._den, other._den
-        if da == db:
-            return _new(self.conductor, [a + b for a, b in zip(self._num, other._num)], da)
-        l = math.lcm(da, db)
-        fa, fb = l // da, l // db
-        num = [fa * a + fb * b for a, b in zip(self._num, other._num)]
-        return _new(self.conductor, num, l)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CycNum":
-        if not isinstance(other, (CycNum, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
-        da, db = self._den, other._den
-        if da == db:
-            return _new(self.conductor, [a - b for a, b in zip(self._num, other._num)], da)
-        l = math.lcm(da, db)
-        fa, fb = l // da, l // db
-        num = [fa * a - fb * b for a, b in zip(self._num, other._num)]
-        return _new(self.conductor, num, l)
-
-    def __rsub__(self, other) -> "CycNum":
-        return (-self) + other
+    __add__ = __radd__ = _binary(_additive(operator.add))
+    __sub__ = _binary(_additive(operator.sub))
+    __rsub__ = _binary(lambda x, y: y - x)
 
     def __neg__(self) -> "CycNum":
         return _new(self.conductor, [-v for v in self._num], self._den)
 
-    def __mul__(self, other) -> "CycNum":
-        if not isinstance(other, (CycNum, int, Fraction)):
-            return NotImplemented
-        other = self._coerce(other)
+    @_binary
+    def __mul__(self, other: "CycNum") -> "CycNum":
         num = _mul_num(self._num, other._num, _field(self.conductor))
         return _new(self.conductor, num, self._den * other._den)
 
@@ -614,26 +638,20 @@ class CycNum:
             cof = [1]
         return _new(n, [c * self._den for c in cof], y[0])
 
-    def __truediv__(self, other) -> "CycNum":
-        other = self._coerce(other)
+    @_binary
+    def __truediv__(self, other: "CycNum") -> "CycNum":
         return self * other.inv()
 
-    def __rtruediv__(self, other) -> "CycNum":
-        return self._coerce(other) * self.inv()
+    @_binary
+    def __rtruediv__(self, other: "CycNum") -> "CycNum":
+        return other * self.inv()
 
     def __pow__(self, e: int) -> "CycNum":
         if not isinstance(e, int):
             raise TypeError("exponent must be an integer")
         if e < 0:
             return self.inv() ** (-e)
-        result = CycNum.one(self.conductor)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, CycNum.__mul__) if e else CycNum.one(self.conductor)
 
     def conj(self) -> "CycNum":
         """Complex conjugation: the Galois map zeta -> zeta^(N-1)."""

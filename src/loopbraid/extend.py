@@ -54,6 +54,7 @@ from .errors import (
     HypothesisUnmet,
     InvalidOption,
     MinPolyMismatch,
+    MissingGenerator,
     NoSolution,
     NotOrderThree,
     SingularMatrix,
@@ -529,8 +530,11 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
     route "direct" checks the relation L2' exactly as defined; route
     "commutator" uses the [S2, B^2] = [S1, A^2] = 0 criterion, valid when
     the minimal and characteristic polynomials of A and B agree and
-    (AB)^3 is scalar (HypothesisUnmet otherwise).
+    (AB)^3 is scalar (HypothesisUnmet otherwise).  Both routes need S1 and
+    S2 (MissingGenerator otherwise).
     """
+    if rep.S1 is None or rep.S2 is None:
+        raise MissingGenerator("the SLB3 test needs S1 and S2")
     if route == "direct":
         return relation_holds(rep.images(), "L2prime")
     if route == "commutator":

@@ -24,13 +24,16 @@ products, its `is_cyclic` verdict and its image in F_p.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import modular
-from .cyclotomic import CycNum, _field, _mul_num, _new, _Side, packed_product
+from .cyclotomic import (
+    CycNum, _conductor_of, _field, _lift, _mul_num, _new, _power, _Side, packed_product,
+)
 from .errors import (
     ConductorMismatch,
     DimMismatch,
@@ -38,16 +41,6 @@ from .errors import (
 )
 
 Vector = tuple[CycNum, ...]
-
-
-def _lift(value, conductor: int) -> CycNum:
-    if isinstance(value, CycNum):
-        if value.conductor != conductor:
-            raise ConductorMismatch(
-                f"entry conductor {value.conductor} != matrix conductor {conductor}"
-            )
-        return value
-    return CycNum.from_rational(value, conductor)
 
 
 _UNSET = object()
@@ -98,9 +91,7 @@ class CMatrix:
         if d == 0 or any(len(r) != d for r in rows):
             raise DimMismatch("matrix must be square and nonempty")
         if conductor is None:
-            conductor = next(
-                (e.conductor for r in rows for e in r if isinstance(e, CycNum)), 1
-            )
+            conductor = _conductor_of(e for r in rows for e in r)
         self_rows = tuple(tuple(_lift(e, conductor) for e in r) for r in rows)
         self._set_fields(d, conductor, self_rows)
 
@@ -130,32 +121,20 @@ class CMatrix:
 
     @classmethod
     def identity(cls, dim: int, conductor: int = 1) -> "CMatrix":
-        one, zero = CycNum.one(conductor), CycNum.zero(conductor)
-        return cls(
-            [[one if i == j else zero for j in range(dim)] for i in range(dim)],
-            conductor,
-        )
+        return cls.diagonal([1] * dim, conductor)
 
     @classmethod
     def zero(cls, dim: int, conductor: int = 1) -> "CMatrix":
-        z = CycNum.zero(conductor)
-        return cls([[z] * dim for _ in range(dim)], conductor)
+        return cls.diagonal([0] * dim, conductor)
 
     @classmethod
     def diagonal(cls, entries: Sequence, conductor: int | None = None) -> "CMatrix":
+        """Built through `CMatrix(...)`, which lifts the entries and refuses
+        an empty matrix."""
         if conductor is None:
-            conductor = next(
-                (e.conductor for e in entries if isinstance(e, CycNum)), 1
-            )
-        d = len(entries)
-        z = CycNum.zero(conductor)
-        return cls(
-            [
-                [_lift(entries[i], conductor) if i == j else z for j in range(d)]
-                for i in range(d)
-            ],
-            conductor,
-        )
+            conductor = _conductor_of(entries)
+        z, d = CycNum.zero(conductor), len(entries)
+        return cls([[e if i == j else z for j in range(d)] for i, e in enumerate(entries)], conductor)
 
     @classmethod
     def build(cls, dim: int, conductor: int, f: Callable[[int, int], object]) -> "CMatrix":
@@ -173,10 +152,7 @@ class CMatrix:
         return list(zip(*self.rows))
 
     def transpose(self) -> "CMatrix":
-        return CMatrix(
-            [[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)],
-            self.conductor,
-        )
+        return CMatrix._of(self.columns(), self.conductor)
 
     def flatten(self) -> Vector:
         """Row-major flattening into a d^2 vector."""
@@ -235,28 +211,20 @@ class CMatrix:
                 f"conductors {self.conductor} and {other.conductor} differ"
             )
 
-    def __add__(self, other: "CMatrix") -> "CMatrix":
+    def _entrywise(self, other: "CMatrix", op) -> "CMatrix":
+        """The one body of + (op is operator.add) and - (operator.sub)."""
         self._check(other)
-        return CMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.conductor,
-        )
+        rows = [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
+        return CMatrix._of(rows, self.conductor)
+
+    def __add__(self, other: "CMatrix") -> "CMatrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "CMatrix") -> "CMatrix":
-        self._check(other)
-        return CMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.conductor,
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "CMatrix":
-        return CMatrix([[-e for e in r] for r in self.rows], self.conductor)
+        return CMatrix._of([[-e for e in r] for r in self.rows], self.conductor)
 
     def _rows_side(self) -> _Side:
         if self._as_rows is None:
@@ -280,7 +248,7 @@ class CMatrix:
 
     def scalar_mul(self, c) -> "CMatrix":
         c = _lift(c, self.conductor)
-        return CMatrix([[c * e for e in r] for r in self.rows], self.conductor)
+        return CMatrix._of([[c * e for e in r] for r in self.rows], self.conductor)
 
     def __mul__(self, c) -> "CMatrix":
         return self.scalar_mul(c)
@@ -293,20 +261,12 @@ class CMatrix:
         return tuple(r[0] for r in packed_product(self.rows, [tuple(vec)]))
 
     def matpow(self, e: int) -> "CMatrix":
-        """Square-and-multiply that starts at the lowest set bit: M^1 costs
-        no product and M^3 two."""
+        """M^e by `cyclotomic._power`: M^1 costs no product and M^3 two."""
         if e < 0:
             return self.inverse().matpow(-e)
         if e == 0:
             return CMatrix.identity(self.dim, self.conductor)
-        result, base = None, self
-        while True:
-            if e & 1:
-                result = base if result is None else result @ base
-            e >>= 1
-            if not e:
-                return result
-            base = base @ base
+        return _power(self, e, CMatrix.__matmul__)
 
     def kron(self, other: "CMatrix") -> "CMatrix":
         """Kronecker product, conductors must already agree."""
@@ -675,7 +635,7 @@ def solve_linear(
     if not rows:
         return tuple(), []
     ncols = len(rows[0])
-    n = next((e.conductor for r in (*rows, rhs) for e in r if isinstance(e, CycNum)), 1)
+    n = _conductor_of(e for r in (*rows, rhs) for e in r)
     ech = Echelon(ncols, n)
     for row, b in zip(rows, rhs):
         residual, pivot = ech.insert([_lift(e, n) for e in (*row, b)])

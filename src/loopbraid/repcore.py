@@ -189,16 +189,15 @@ def relation_holds(gens: dict[str, CMatrix], relation: str, memo: dict | None = 
     )
 
 
-def verify(rep: LBRep, kind: GroupKind | str | None = None) -> RelationReport:
-    """Check exactly the relation subset of `kind` (default: rep.target).
+def verify(rep: LBRep, kind: GroupKind | None = None) -> RelationReport:
+    """Check exactly the relation subset of the GroupKind `kind` (default:
+    rep.target).
 
     All violated relations are reported, not just the first.  Relations
     outside the kind come back as "not-applicable".
     """
     if kind is None:
         kind = rep.target
-    if isinstance(kind, str):
-        kind = GroupKind[kind]
     wanted = _KIND_RELATIONS[kind]
     gens, memo = rep.images(), {}
     missing = _letters(kind) - gens.keys()

@@ -190,37 +190,44 @@ def rep_to_obj(rep: LBRep) -> dict:
     return report_to_obj(rep)
 
 
-def rep_from_obj(obj: dict) -> LBRep:
-    def opt(o):
-        return None if o is None else matrix_from_obj(o)
+def _matrix_or_none(obj) -> CMatrix | None:
+    return None if obj is None else matrix_from_obj(obj)
 
+
+def rep_from_obj(obj: dict) -> LBRep:
     target = _member(obj, "target", str, "a representation")
     if target not in GroupKind.__members__:
         raise MalformedInput(f"unknown target {target!r}")
     return LBRep(
         target=GroupKind[target],
-        A=opt(obj.get("A")),
-        B=opt(obj.get("B")),
-        S1=opt(obj.get("S1")),
-        S2=opt(obj.get("S2")),
+        A=_matrix_or_none(obj.get("A")),
+        B=_matrix_or_none(obj.get("B")),
+        S1=_matrix_or_none(obj.get("S1")),
+        S2=_matrix_or_none(obj.get("S2")),
     )
 
 
 def params_from_obj(obj: dict) -> ExtensionParams:
+    """M an object, a an int, and G and N each null (or absent) or a matrix;
+    anything else is MalformedInput, naming the key."""
+    what = "extension parameters"
     return ExtensionParams(
-        M=matrix_from_obj(obj["M"]),
-        G=None if obj.get("G") is None else matrix_from_obj(obj["G"]),
-        a=obj["a"],
-        N=None if obj.get("N") is None else matrix_from_obj(obj["N"]),
+        M=matrix_from_obj(_member(obj, "M", dict, what)),
+        G=_matrix_or_none(obj.get("G")),
+        a=_member(obj, "a", int, what),
+        N=_matrix_or_none(obj.get("N")),
     )
 
 
 def certificate_from_obj(obj: dict) -> ExtensionCertificate:
+    """k, S and params objects and trace_value an int; anything else is
+    MalformedInput, naming the key."""
+    what = "a certificate"
     return ExtensionCertificate(
-        k=cycnum_from_obj(obj["k"]),
-        S=matrix_from_obj(obj["S"]),
-        params=params_from_obj(obj["params"]),
-        trace_value=obj["trace_value"],
+        k=cycnum_from_obj(_member(obj, "k", dict, what)),
+        S=matrix_from_obj(_member(obj, "S", dict, what)),
+        params=params_from_obj(_member(obj, "params", dict, what)),
+        trace_value=_member(obj, "trace_value", int, what),
     )
 
 

@@ -92,9 +92,27 @@ def test_division_by_zero():
 def test_conductor_mixing_is_explicit():
     w = omega(3)
     i = make_root_of_unity(4, 1)
-    with pytest.raises(ConductorMismatch):
-        _ = w + i
+    # every operator, reflected forms included, and every lift into a matrix
+    mixed = [
+        lambda: w + i,
+        lambda: w - i,
+        lambda: w * i,
+        lambda: w / i,
+        lambda: w.__radd__(i),
+        lambda: w.__rsub__(i),
+        lambda: w.__rmul__(i),
+        lambda: w.__rtruediv__(i),
+        lambda: CMatrix([[w]], 4),
+        lambda: CMatrix([[w]]).scalar_mul(i),
+    ]
+    for call in mixed:
+        with pytest.raises(ConductorMismatch):
+            call()
     assert w.promote(12) * i.promote(12) == make_root_of_unity(12, 7)
+    with pytest.raises(TypeError):
+        _ = w / "3"
+    with pytest.raises(TypeError):
+        _ = "3" / w
 
 
 def test_promotion():

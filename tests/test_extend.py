@@ -25,6 +25,7 @@ from loopbraid.errors import (
     EigenlineChosen,
     HypothesisUnmet,
     MinPolyMismatch,
+    MissingGenerator,
     NoSolution,
     NotOrderThree,
     SingularMatrix,
@@ -1178,6 +1179,12 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
             "scalar",
         ),
         (lambda: extend.slb3_test(catalog.perm3(8), "bogus"), ValueError, "unknown route"),
+        (lambda: extend.slb3_test(catalog.tw3(1, 2, 3), "direct"), MissingGenerator, "S1 and S2"),
+        (
+            lambda: extend.slb3_test(catalog.tw3(1, 2, 3), "commutator"),
+            MissingGenerator,
+            "S1 and S2",
+        ),
         (
             lambda: extend.uniqueness_linearized(_FLIP4, CMatrix.identity(4, 1)),
             WrongForm,
@@ -1202,6 +1209,8 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
         "vb3-intertwining",
         "slb3-commutator-cube",
         "slb3-route",
+        "slb3-direct-no-s",
+        "slb3-commutator-no-s",
         "uniqueness-square",
         "poly-candidates-cube",
         "2d-dimension",

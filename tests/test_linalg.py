@@ -93,25 +93,33 @@ def test_det_multiplicative_trace_cyclic():
 
 
 def test_matpow_squares_only_up_to_the_top_bit(monkeypatch):
+    # `matpow` and `CycNum.__pow__` share one loop, and each looks its
+    # product up at call time, so a patched product sees every call
     a = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2).A
-    matmul = CMatrix.__matmul__
+    x = make_root_of_unity(12, 5) + Fraction(2, 3)
+    cases = [
+        (CMatrix, "__matmul__", a, CMatrix.matpow, CMatrix.identity(4, a.conductor)),
+        (CycNum, "__mul__", x, CycNum.__pow__, CycNum.one(12)),
+    ]
     calls = []
+    for cls, name, base, power, one in cases:
+        mul = getattr(cls, name)
 
-    def counted(x, y):
-        calls.append(1)
-        return matmul(x, y)
+        def counted(u, v, mul=mul):
+            calls.append(1)
+            return mul(u, v)
 
-    monkeypatch.setattr(CMatrix, "__matmul__", counted)
-    counts = []
-    for e in range(9):
-        calls.clear()
-        power = a.matpow(e)
-        counts.append(len(calls))
-        expected = CMatrix.identity(4, a.conductor)
-        for _ in range(e):
-            expected = matmul(expected, a)
-        assert power == expected
-    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3]
+        monkeypatch.setattr(cls, name, counted)
+        counts = []
+        for e in range(9):
+            calls.clear()
+            got = power(base, e)
+            counts.append(len(calls))
+            expected = one
+            for _ in range(e):
+                expected = mul(expected, base)
+            assert got == expected
+        assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3], name
 
 
 def test_equality_and_hash_across_conductors():

@@ -296,7 +296,7 @@ def test_verify_matches_direct_evaluation(failing):
         [] if failing == "none" else [failing]
     )
     for kind, wanted in _KIND_RELATIONS.items():
-        report = verify(rep, kind)
+        report = verify(rep, GroupKind[kind])
         assert report.verdicts == {
             rel: direct[rel] if rel in wanted else "not-applicable" for rel in direct
         }
@@ -327,7 +327,7 @@ def test_verify_forms_each_product_once(monkeypatch):
     counts = {}
     for kind in ("B3", "S3", "VB3", "LB3", "SLB3"):
         calls.clear()
-        assert verify(rep, kind).all_hold
+        assert verify(rep, GroupKind[kind]).all_hold
         counts[kind] = len(calls)
     # one product per distinct word of two or more letters
     assert counts == {"B3": 3, "S3": 5, "VB3": 10, "LB3": 12, "SLB3": 15}

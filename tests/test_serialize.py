@@ -91,6 +91,28 @@ def test_certificate_round_trip():
     assert back.params.a == cert.params.a
 
 
+@pytest.mark.parametrize(
+    "edit, text",
+    [
+        (lambda obj: {}, "'k' of type dict"),
+        (lambda obj: {**obj, "params": {**obj["params"], "a": "x"}}, "'a' of type int"),
+        (lambda obj: {**obj, "params": {**obj["params"], "a": True}}, "'a' of type int"),
+        (lambda obj: {**obj, "trace_value": "3"}, "'trace_value' of type int"),
+        (lambda obj: obj, None),
+    ],
+    ids=["empty", "a-string", "a-bool", "trace-string", "valid"],
+)
+def test_certificate_reader_refuses_malformed_objects(edit, text):
+    rep = catalog.tw4([1, 2, 3, Fraction(2, 3)], 2)
+    (_, cert), = standard_extensions(rep.A, rep.B)
+    obj = edit(json.loads(json.dumps(report_to_obj(cert))))
+    if text is None:
+        assert certificate_from_obj(obj) == cert
+    else:
+        with pytest.raises(MalformedInput, match=text):
+            certificate_from_obj(obj)
+
+
 def test_dumps_is_deterministic():
     rep = catalog.perm3(2)
     assert dumps(rep_to_obj(rep)) == dumps(rep_to_obj(catalog.perm3(2)))
