@@ -24,7 +24,7 @@ from .errors import (
     ZeroParameter,
 )
 from .extend import build_standard_extension
-from .linalg import CMatrix
+from .linalg import CMatrix, _block_diagonal
 from .repcore import GroupKind, LBRep
 
 
@@ -252,7 +252,8 @@ def v1_family(lam, x) -> LBRep:
 def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     """The 2n-dimensional A = B families with S = mu^-1 w A^2 and V_1 = 0.
 
-    A = diag(A1, A2) in n x n blocks; A2's companion blocks carry mu*w and
+    A = diag(A1, A2) in n x n blocks, one `linalg._block_diagonal` of A1's
+    blocks followed by A2's; A2's companion blocks carry mu*w and
     S2 swaps the two blocks.  The parity of n picks the blocks: for n odd
     A1 is sqrt(mu) then companion blocks, for n even sqrt(mu), companion
     blocks, -+sqrt(mu); A2 mirrors that parity.
@@ -270,24 +271,13 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     def companion(top) -> list[list]:
         return [[0, top], [1, 0]]
 
-    def diag_blocks(blocks) -> list[list]:
-        size = sum(len(b) for b in blocks)
-        rows = [[0] * size for _ in range(size)]
-        at = 0
-        for blk in blocks:
-            for i, row in enumerate(blk):
-                for j, e in enumerate(row):
-                    rows[at + i][at + j] = e
-            at += len(blk)
-        return rows
-
     if n_half % 2 == 1:
-        a1 = diag_blocks([[[sm]]] + [companion(m)] * ((n_half - 1) // 2))
-        a2 = diag_blocks([companion(m * w)] * ((n_half - 1) // 2) + [[[sm * w * w]]])
+        a1 = [[[sm]]] + [companion(m)] * ((n_half - 1) // 2)
+        a2 = [companion(m * w)] * ((n_half - 1) // 2) + [[[sm * w * w]]]
     else:
-        a1 = diag_blocks([[[sm]]] + [companion(m)] * ((n_half - 2) // 2) + [[[sign * sm]]])
-        a2 = diag_blocks([companion(m * w)] * (n_half // 2))
-    a = CMatrix(diag_blocks([a1, a2]), n)
+        a1 = [[[sm]]] + [companion(m)] * ((n_half - 2) // 2) + [[[sign * sm]]]
+        a2 = [companion(m * w)] * (n_half // 2)
+    a = _block_diagonal(a1 + a2, n)
     s2 = CMatrix.build(2 * n_half, n, lambda i, j: int(abs(i - j) == n_half))
     s = (a @ a).scalar_mul(w / m)
     s1 = s @ s2

@@ -410,15 +410,18 @@ def packed_product(
 
 def _lift(value, n: int) -> "CycNum":
     """value as an element of Q(zeta_n): the one rule by which a value
-    enters a field.  A CycNum of conductor n is taken as it is and a
-    rational is lifted (`from_rational`); a CycNum of another conductor
-    raises ConductorMismatch, since mixing conductors is always explicit."""
+    enters a field.  A CycNum of conductor n is taken as it is and an int
+    or a Fraction is lifted (`from_rational`); a CycNum of another
+    conductor raises ConductorMismatch, since mixing conductors is always
+    explicit, and any other value (a float, a string) TypeError."""
     if isinstance(value, CycNum):
         if value.conductor != n:
             raise ConductorMismatch(
                 f"conductors {n} and {value.conductor} differ; promote() explicitly"
             )
         return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"a {type(value).__name__} does not enter Q(zeta_{n})")
     return CycNum.from_rational(value, n)
 
 
@@ -716,13 +719,14 @@ def common_field(*values, extra: int = 1) -> tuple[list, int]:
 
     n is the lcm of `extra` and the values' conductors.  A CycNum, CMatrix
     or LBRep (anything with `conductor` and `promote`) is promoted, None
-    passes through (an empty block) and a rational is lifted.
+    passes through (an empty block) and anything else enters through
+    `_lift`.
     """
     n = math.lcm(extra, *(getattr(v, "conductor", 1) for v in values))
     return [
         v if v is None
         else v.promote(n) if hasattr(v, "promote")
-        else CycNum.from_rational(v, n)
+        else _lift(v, n)
         for v in values
     ], n
 
@@ -770,6 +774,8 @@ def _int_nth_root(m: int, n: int) -> int | None:
 
 def rational_nth_root(q: Rational, n: int) -> Rational | None:
     """The rational n-th root of q, or None when none exists."""
+    if n < 1:
+        raise ValueError("root order must be >= 1")
     if q == 0:
         return Fraction(0)
     sign = 1

@@ -13,9 +13,12 @@ the cube roots of (AB)^-3 in the field; `standard_k_candidates`, behind
 Tr(kAB) in Z.
 
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
-step, `_complete`, whether S = kAB (`build_standard_extension` and the
-2-dimensional line route `standard_extension_2d`) or the VB3 twist
-k B^2 S' (`vb3_lift`).  The eigenspaces of S decide S^3 = I with Tr(S)
+step, `_complete(s, m, ell, a)`, whether S = kAB (`build_standard_extension`
+and the 2-dimensional line route `standard_extension_2d`) or the VB3 twist
+k B^2 S' (`vb3_lift`).  Its J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]])
+is a signed permutation, so S1 = (M J0) M^-1 is M with its columns moved,
+then one product and one inverse; `build_standard_extension` folds any other
+(N, G) into M once.  The eigenspaces of S decide S^3 = I with Tr(S)
 in Z in one test, `default_extension_params`; no builder cubes S.  Whether
 a given S1 completes S is the S3 relation table itself
 (`s3_completion_check`).  Mixed inputs meet in one field through
@@ -61,7 +64,7 @@ from .errors import (
     TraceZero,
     WrongForm,
 )
-from .linalg import CMatrix, Vector, _mod_p_first, matrix_rank, solve_linear
+from .linalg import CMatrix, Vector, _block_diagonal, _mod_p_first, matrix_rank, solve_linear
 from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
@@ -227,33 +230,6 @@ def _shifted(s: CMatrix, u) -> CMatrix:
     return CMatrix._of(rows, s.conductor)
 
 
-def _block_involution(params: ExtensionParams, dim: int, conductor: int) -> CMatrix:
-    """J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]); an N or G
-    that is the identity, as the default parameters' are, is not
-    multiplied or inverted."""
-    ell, t = params.ell, params.t
-    if ell + 2 * t != dim:
-        raise BadBasisChange("parameter block sizes do not tile the dimension")
-    if not 0 <= params.a <= ell:
-        raise BadBasisChange("need 0 <= a <= l")
-    zero = CycNum.zero(conductor)
-    rows = [[zero] * dim for _ in range(dim)]
-    if ell:
-        inv = CMatrix.diagonal([1] * params.a + [-1] * (ell - params.a), conductor)
-        if not params.N.is_identity:
-            inv = params.N @ inv @ params.N.inverse()
-        for i in range(ell):
-            for j in range(ell):
-                rows[i][j] = inv.rows[i][j]
-    if t:
-        ginv = params.G if params.G.is_identity else params.G.inverse()
-        for i in range(t):
-            for j in range(t):
-                rows[ell + i][ell + t + j] = params.G.rows[i][j]
-                rows[ell + t + i][ell + j] = ginv.rows[i][j]
-    return CMatrix(rows, conductor)
-
-
 def _diag_pattern(ell: int, t: int, conductor: int) -> CMatrix:
     w = omega(conductor)
     return CMatrix.diagonal(
@@ -269,13 +245,19 @@ def _seed_params(s: CMatrix) -> ExtensionParams:
         raise BadCandidate(f"k fails the existence criterion: {exc}") from None
 
 
-def _complete(s: CMatrix, params: ExtensionParams) -> tuple[CMatrix, CMatrix]:
-    """(S1, S2) = (M J M^-1, S1 S) for the block involution J of (G, a, N).
+def _complete(s: CMatrix, m: CMatrix, ell: int, a: int) -> tuple[CMatrix, CMatrix]:
+    """(S1, S2) = (M J0 M^-1, S1 S) for J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]]).
 
     The one completion step of every order-three S; M must already be
-    known to conjugate S to diag(I_l, w I_t, w^2 I_t).
+    known to conjugate S to diag(I_l, w I_t, w^2 I_t).  J0 is a signed
+    permutation, so M J0 is M with its columns moved: the first a as they
+    are, the rest of the 1-block negated, then the w^2 block and the w
+    block, exchanged.
     """
-    s1 = params.M @ _block_involution(params, s.dim, s.conductor) @ params.M.inverse()
+    t, cols = (s.dim - ell) // 2, m.columns()
+    negated = [[-e for e in c] for c in cols[a:ell]]
+    moved = [*cols[:a], *negated, *cols[ell + t :], *cols[ell : ell + t]]
+    s1 = CMatrix._of(list(zip(*moved)), s.conductor) @ m.inverse()
     return s1, s1 @ s
 
 
@@ -284,23 +266,36 @@ def build_standard_extension(
 ) -> tuple[LBRep, ExtensionCertificate]:
     """Assemble the loop representation with S = kAB and its certificate.
 
-    The image of s_1 is M S1 M^-1 for the block involution S1 determined
-    by (G, a, N); s_2 maps to s_1's image times S.  Raises BadCandidate
+    The image of s_1 is M J M^-1 for the block involution
+    J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]) of (G, a, N);
+    s_2 maps to s_1's image times S.  J = Q J0 Q^-1 for Q = diag(N, I_t, G^-1)
+    and the J0 of `_complete`, so M Q is completed in place of M, and
+    default parameters (N = I, G = I) take M as it is.  Raises BadCandidate
     unless (kAB)^3 = I and Tr(kAB) is in Z, with or without params, and
-    BadBasisChange when M does not diagonalize S to the required pattern.
+    BadBasisChange when the blocks do not tile the dimension, a is not in
+    0..l, or M does not diagonalize S to the required pattern.
     """
     given = () if params is None else (params.M, params.G, params.N)
     (a, b, k, *given), n = common_field(a, b, k, *given, extra=3)
     s = (a @ b).scalar_mul(k)
     default = _seed_params(s)
     if params is None:
-        params = default
+        params, m = default, default.M
     else:
         m, g, nmat = given
         params = ExtensionParams(M=m, G=g, a=params.a, N=nmat)
-        if params.M.inverse() @ s @ params.M != _diag_pattern(params.ell, params.t, n):
+        ell, t = params.ell, params.t
+        if ell + 2 * t != s.dim:
+            raise BadBasisChange("parameter block sizes do not tile the dimension")
+        if not 0 <= params.a <= ell:
+            raise BadBasisChange("need 0 <= a <= l")
+        if m.inverse() @ s @ m != _diag_pattern(ell, t, n):
             raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
-    s1, s2 = _complete(s, params)
+        if not all(x is None or x.is_identity for x in (g, nmat)):
+            ident = [[int(i == j) for j in range(t)] for i in range(t)]
+            q = [nmat.rows if ell else [], ident, g.inverse().rows if t else []]
+            m = m @ _block_diagonal(q, n)
+    s1, s2 = _complete(s, m, params.ell, params.a)
     rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
     return rep, ExtensionCertificate(k, s, params, s.trace().as_integer())
 
@@ -370,8 +365,7 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
     c = m.inverse().apply(v)
     if any(x.is_zero for x in c):
         raise EigenlineChosen("line must avoid the two eigenlines of S")
-    params = ExtensionParams(m @ CMatrix.diagonal(c, n), CMatrix.identity(1, n), 0, None)
-    s1, s2 = _complete(s, params)
+    s1, s2 = _complete(s, m @ CMatrix.diagonal(c, n), 0, 0)
     return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
 
 
@@ -561,7 +555,8 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
     s_new = (b @ b @ rep.S).scalar_mul(k)
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    s1, s2 = _complete(s_new, _seed_params(s_new))
+    seed = _seed_params(s_new)
+    s1, s2 = _complete(s_new, seed.M, seed.ell, seed.a)
     return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
 
 

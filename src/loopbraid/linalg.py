@@ -212,7 +212,10 @@ class CMatrix:
             )
 
     def _entrywise(self, other: "CMatrix", op) -> "CMatrix":
-        """The one body of + (op is operator.add) and - (operator.sub)."""
+        """The one body of + (op is operator.add) and - (operator.sub);
+        NotImplemented for an operand that is not a matrix."""
+        if not isinstance(other, CMatrix):
+            return NotImplemented
         self._check(other)
         rows = [list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)]
         return CMatrix._of(rows, self.conductor)
@@ -239,6 +242,8 @@ class CMatrix:
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         hit = self._products.get(id(other))
         if hit is None or hit() is not other:
+            if not isinstance(other, CMatrix):
+                return NotImplemented
             self._check(other)
             product = CMatrix._of(
                 packed_product(self._rows_side(), other._cols_side()), self.conductor
@@ -362,6 +367,16 @@ class CMatrix:
         for k in range(len(p) - 1, 0, -1):
             acc = acc @ self + ident.scalar_mul(p[k] * k)
         return matrix_rank(acc.rows) == self.dim
+
+
+def _block_diagonal(blocks: Sequence[Sequence[Sequence]], conductor: int) -> CMatrix:
+    """diag(blocks) for square blocks given as lists of rows, lifted through
+    `CMatrix(...)`; an empty block adds nothing."""
+    d, at, rows = sum(map(len, blocks)), 0, []
+    for blk in blocks:
+        rows += ([0] * at + list(r) + [0] * (d - at - len(blk)) for r in blk)
+        at += len(blk)
+    return CMatrix(rows, conductor)
 
 
 # -- the elimination kernel ------------------------------------------------------

@@ -17,6 +17,7 @@ from loopbraid.cyclotomic import (
     nth_root_in_field,
     omega,
     packed_product,
+    rational_nth_root,
     roots_of_unity,
 )
 from loopbraid.catalog import perm3
@@ -217,6 +218,12 @@ def test_roots_requiring_factorization():
     assert len(roots) == 2
     for r in roots:
         assert r * r == 5
+
+
+@pytest.mark.parametrize("q, n", [(1, 0), (-1, 0), (1, -1), (-1, -1)])
+def test_rational_nth_root_refuses_an_order_below_one(q, n):
+    with pytest.raises(ValueError, match="root order must be >= 1"):
+        rational_nth_root(Fraction(q), n)
 
 
 def test_rootless_cases_are_empty():

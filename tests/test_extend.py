@@ -423,8 +423,7 @@ def test_involution_param_dimension_is_the_tangent_rank(ell, t):
     ident = CMatrix.identity(d, n)
     span = (ident.kron(s.transpose()) - (s @ s).kron(ident)).rows
     for a in range(ell + 1):
-        params = extend.ExtensionParams(M=base.M, G=base.G, a=a, N=base.N)
-        s1, _ = extend._complete(s, params)
+        s1, _ = extend._complete(s, base.M, base.ell, a)
         assert extend.s3_completion_check(s, s1)
         tangent = (s1.kron(ident) + ident.kron(s1.transpose())).rows
         rank = matrix_rank([*span, *tangent])
@@ -434,10 +433,10 @@ def test_involution_param_dimension_is_the_tangent_rank(ell, t):
     ) == extend.involution_param_dimension(ell, t)
 
 
-def test_block_involution_spends_no_arithmetic_on_identity_blocks(monkeypatch):
+def test_completion_is_m_with_its_columns_moved(monkeypatch):
     # J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]) for any N
-    # and G; an identity N or G, as the default parameters have, is neither
-    # multiplied nor inverted
+    # and G, built by hand: the completion, with (N, G) folded into M, is
+    # S1 = M J M^-1; a default completion forms two products and one inverse
     n, ell, t = 3, 3, 1
     d = ell + 2 * t
     p = CMatrix.build(d, n, lambda i, j: int(i <= j))
@@ -453,14 +452,16 @@ def test_block_involution_spends_no_arithmetic_on_identity_blocks(monkeypatch):
             for i in range(ell):
                 want[i][:ell] = top.rows[i]
             want[ell][ell + t], want[ell + t][ell] = g[0, 0], ginv[0, 0]
-            assert extend._block_involution(params, d, n) == CMatrix(want, n)
-            s1, _ = extend._complete(s, params)
-            assert extend.s3_completion_check(s, s1)
+            # S = kAB with A = S, B = I and k = 1
+            rep, _ = extend.build_standard_extension(s, CMatrix.identity(d, n), 1, params)
+            assert rep.S1 == base.M @ CMatrix(want, n) @ base.M.inverse()
+            assert extend.s3_completion_check(s, rep.S1)
     calls = []
-    monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: calls.append("@"))
-    monkeypatch.setattr(CMatrix, "inverse", lambda x: calls.append("inverse"))
-    extend._block_involution(base, d, n)
-    assert calls == []
+    matmul, inverse = CMatrix.__matmul__, CMatrix.inverse
+    monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: calls.append("@") or matmul(x, y))
+    monkeypatch.setattr(CMatrix, "inverse", lambda x: calls.append("inverse") or inverse(x))
+    extend._complete(s, base.M, base.ell, base.a)
+    assert sorted(calls) == ["@", "@", "inverse"]
 
 
 # -- s3 completion -------------------------------------------------------------------
@@ -509,8 +510,7 @@ def s3_completion_cases(draw):
     d, n = s.dim, s.conductor
     if a == b and draw(st.booleans()):
         base = extend.default_extension_params(s)
-        params = extend.ExtensionParams(M=base.M, G=base.G, a=draw(st.integers(0, ell)), N=base.N)
-        s1, _ = extend._complete(s, params)
+        s1, _ = extend._complete(s, base.M, base.ell, draw(st.integers(0, ell)))
         return s, draw(st.sampled_from([s1, s1.scalar_mul(-1), s1 @ s]))
     signs = [draw(st.sampled_from([1, -1])) for _ in range(d)]
     return s, draw(st.sampled_from([CMatrix.identity(d, n), CMatrix.diagonal(signs, n)]))
@@ -1152,14 +1152,18 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
 @pytest.mark.parametrize(
     "call, error, text",
     [
-        # l + 2t = 1 does not tile dimension 3; a = 2 > l = 1
+        # S = kAB = I: l + 2t = 1 does not tile dimension 3; a = 2 > l = 1
         (
-            lambda: extend._block_involution(extend.ExtensionParams(_I3, None, 0, _I1), 3, 1),
+            lambda: extend.build_standard_extension(
+                _I3, _I3, 1, extend.ExtensionParams(_I3, None, 0, _I1)
+            ),
             BadBasisChange,
             "tile",
         ),
         (
-            lambda: extend._block_involution(extend.ExtensionParams(_I1, None, 2, _I1), 1, 1),
+            lambda: extend.build_standard_extension(
+                _I1, _I1, 1, extend.ExtensionParams(_I1, None, 2, _I1)
+            ),
             BadBasisChange,
             "0 <= a <= l",
         ),

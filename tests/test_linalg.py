@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from loopbraid import catalog
-from loopbraid.cyclotomic import CycNum, make_root_of_unity, omega
+from loopbraid.cyclotomic import CycNum, common_field, make_root_of_unity, omega
 from loopbraid.errors import (
     ConductorMismatch,
     DimMismatch,
@@ -416,9 +416,38 @@ _I2 = CMatrix.identity(2, 1)
         ),
         (lambda: _I2.apply([CycNum.one(1)]), DimMismatch, "vector length"),
         (lambda: _I2.kron(CMatrix.identity(2, 3)), ConductorMismatch, "kron"),
+        # an operand that is not a matrix gives NotImplemented, so Python refuses it
+        (lambda: _I2 + 1, TypeError, "unsupported operand"),
+        (lambda: _I2 - 1, TypeError, "unsupported operand"),
+        (lambda: _I2 @ 1, TypeError, "unsupported operand"),
+        (lambda: 1 @ _I2, TypeError, "unsupported operand"),
     ],
-    ids=["algdim-empty", "algdim-dims", "algdim-conductors", "apply", "kron"],
+    ids=[
+        "algdim-empty", "algdim-dims", "algdim-conductors", "apply", "kron",
+        "add-int", "sub-int", "matmul-int", "rmatmul-int",
+    ],
 )
 def test_linalg_refusals(call, error, text):
     with pytest.raises(error, match=text):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: CMatrix([[0.1]]), "float"),
+        (lambda: CMatrix([["1/3"]]), "str"),
+        (lambda: _I2.scalar_mul(0.5), "float"),
+        (lambda: _I2 * "2", "str"),
+        (lambda: CMatrix.diagonal([0.5]), "float"),
+        (lambda: solve_linear([[0.5]], [1]), "float"),
+        (lambda: common_field(0.5), "float"),
+    ],
+    ids=[
+        "matrix-float", "matrix-str", "scalar-mul", "mul-str", "diagonal", "solve",
+        "common-field",
+    ],
+)
+def test_only_a_rational_or_a_cycnum_enters_a_field(call, kind):
+    with pytest.raises(TypeError, match=f"a {kind} does not enter"):
         call()
