@@ -7,8 +7,10 @@ happens here at construction time, never lazily.
 
 Parameters may be ints, Fractions or CycNum values.  Each constructor is
 written as its formula: 0, 1 and -1 are plain integers, which `CMatrix` and
-`CycNum` arithmetic lift into the field, and tw3 and tw5 share the B that
-the signed flip `_signed_flip` derives from A.
+`CycNum` arithmetic lift into the field.  In B3, s2 = (s1 s2) s1 (s1 s2)^-1,
+so B is conjugate to A, and in every braid pair here by a monomial P (a
+permutation with scales): each braid constructor states its A and its P,
+and the one rule `_conjugate` derives B = P A P^-1.
 """
 
 from __future__ import annotations
@@ -33,16 +35,26 @@ def _require_nonzero(*vals, error=ZeroEigenvalue, message="eigenvalue parameters
         raise error(message)
 
 
-def _signed_flip(a: CMatrix) -> CMatrix:
-    """B[i][j] = (-1)^(i+j) * A[d-1-i][d-1-j]: the B of tw3 and tw5.
+def _conjugate(a: CMatrix, scale, perm=None) -> CMatrix:
+    """P A P^-1 for the monomial P with P[i][perm[i]] = scale[i]: entry
+    (i, j) is scale[i] * A[perm[i]][perm[j]] / scale[j], the one rule by
+    which every braid pair here derives its B from its A.
 
-    tw4, the binomial pairs and tw2 do not follow this rule, and write
-    their B out.
+    With no perm, P reverses the basis and scale[i] is signed by (-1)^i.
+    Each scale is inverted once, in the field, and a zero entry of A costs
+    no product.
     """
-    flipped = [row[::-1] for row in reversed(a.rows)]
-    return CMatrix._of(  # the entries are A's, already in its field
-        [[-x if (i + j) % 2 and x else x for j, x in enumerate(r)] for i, r in enumerate(flipped)],
-        a.conductor,
+    if perm is None:
+        perm = range(a.dim - 1, -1, -1)
+        scale = [-x if i % 2 else x for i, x in enumerate(scale)]
+    scale, n = common_field(*scale, extra=a.conductor)
+    inverse = [x.inv() for x in scale]
+    return CMatrix._of(  # the entries are A's times scales, already in its field
+        [
+            [x and si * x * ti for x, ti in zip((a.rows[p][q] for q in perm), inverse)]
+            for si, p in zip(scale, perm)
+        ],
+        n,
     )
 
 
@@ -50,9 +62,11 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
     """The two 2-dimensional braid pairs (reducible family 1, irreducible 2).
 
     Family 1:  A = [[l1, l1], [0, l2]],  B = [[l1, -l2], [0, l2]]
-               with -l1/l2 a primitive cube root of unity.
+               with -l1/l2 a primitive cube root of unity;
+               B = P A P^-1 with P = diag(-l2, l1).
     Family 2:  A = [[l1, l1], [0, l2]],  B = [[l2, 0], [-l2, l1]]
-               with l1^2 - l1*l2 + l2^2 != 0.
+               with l1^2 - l1*l2 + l2^2 != 0;
+               B = P A P^-1 with P the reversal times diag(l1, -l2).
     """
     (l1, l2), n = common_field(lam1, lam2, extra=3 if family == 1 else 1)
     _require_nonzero(l1, l2)
@@ -64,13 +78,13 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
             raise ConstraintViolated(
                 "family 1 requires -lambda1/lambda2 to be a primitive cube root of unity"
             )
-        b = CMatrix([[l1, -l2], [0, l2]], n)
+        b = _conjugate(a, [-l2, l1], perm=range(2))
     elif family == 2:
         if (l1 * l1 - l1 * l2 + l2 * l2).is_zero:
             raise ConstraintViolated(
                 "family 2 requires lambda1^2 - lambda1*lambda2 + lambda2^2 != 0"
             )
-        b = CMatrix([[l2, 0], [-l2, l1]], n)
+        b = _conjugate(a, [l1, l2])
     else:
         raise ConstraintViolated("family must be 1 or 2")
     return LBRep(target=GroupKind.B3, A=a, B=b)
@@ -78,12 +92,12 @@ def tw2(lam1, lam2, family: int = 2) -> LBRep:
 
 def tw3(lam1, lam2, lam3) -> LBRep:
     """The 3-dimensional ordered-triangular pair with spectrum (l1, l2, l3);
-    B is the signed flip of A."""
+    B[i][j] = (-1)^(i+j) A[2-i][2-j], A conjugated by the signed reversal."""
     (l1, l2, l3), n = common_field(lam1, lam2, lam3)
     _require_nonzero(l1, l2, l3)
     mix = l1 * l3 / l2 + l2
     a = CMatrix([[l1, mix, l2], [0, l2, l2], [0, 0, l3]], n)
-    return LBRep(target=GroupKind.B3, A=a, B=_signed_flip(a))
+    return LBRep(target=GroupKind.B3, A=a, B=_conjugate(a, [1] * 3))
 
 
 def tw4(lams, gamma2) -> LBRep:
@@ -91,6 +105,8 @@ def tw4(lams, gamma2) -> LBRep:
 
     Only even powers of gamma enter the entries, so the constructor takes
     gamma^2 as the primary datum subject to (gamma^2)^2 = l1*l2*l3*l4.
+    B = P A P^-1 with P the reversal times diag(l4, -l3, r*l2, -r*l2*l3/l4),
+    r = l2*l3/gamma^2.
     """
     vals, n = common_field(*lams, gamma2)
     l1, l2, l3, l4, g2 = vals
@@ -108,22 +124,13 @@ def tw4(lams, gamma2) -> LBRep:
         ],
         n,
     )
-    b = CMatrix(
-        [
-            [l4, 0, 0, 0],
-            [-l3, l3, 0, 0],
-            [l2 * l2 * l3 / g2, -(r + 1) * l2, l2, 0],
-            [-l1 * l2**3 * l3**3 / g2**3, (r**3 + r * r + r) * l1, -(r * r + r + 1) * l1, l1],
-        ],
-        n,
-    )
-    return LBRep(target=GroupKind.B3, A=a, B=b)
+    return LBRep(target=GroupKind.B3, A=a, B=_conjugate(a, [l4, l3, r * l2, r * l2 * l3 / l4]))
 
 
 def tw5(lams, gamma) -> LBRep:
     """The 5-dimensional family; gamma is a fixed fifth root of the product.
 
-    B is the signed flip of A.
+    B[i][j] = (-1)^(i+j) A[4-i][4-j], A conjugated by the signed reversal.
     """
     vals, n = common_field(*lams, gamma)
     l1, l2, l3, l4, l5, g = vals
@@ -148,7 +155,7 @@ def tw5(lams, gamma) -> LBRep:
         ],
         n,
     )
-    return LBRep(target=GroupKind.B3, A=a, B=_signed_flip(a))
+    return LBRep(target=GroupKind.B3, A=a, B=_conjugate(a, [1] * 5))
 
 
 def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
@@ -159,6 +166,7 @@ def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
         A[i][j] = C(j, i) * lambda_(d-j)
         B[i][j] = (-1)^(i+j) * C(d-j, d-i) * lambda_i
 
+    that is, B = P A P^-1 with P the reversal times diag((-1)^i lambda_i),
     subject to lambda_i * lambda_(d-i) = c for all i.  Every lambda product
     in AB telescopes through that pairing, so AB is pure binomial data and
     cubes to (-1)^d c^3 I.
@@ -174,10 +182,7 @@ def binomial_pair(lams, c) -> tuple[CMatrix, CMatrix]:
         if ls[i] * ls[d - i] != cc:
             raise ConstraintViolated(f"need lambda_{i} * lambda_{d - i} = c")
     a = CMatrix.build(d + 1, n, lambda i, j: math.comb(j, i) * ls[d - j] if i <= j else 0)
-    b = CMatrix.build(
-        d + 1, n, lambda i, j: (-1) ** (i + j) * math.comb(d - j, d - i) * ls[i] if j <= i else 0
-    )
-    return a, b
+    return a, _conjugate(a, ls)
 
 
 def binomial_rep(lams, c) -> LBRep:
@@ -212,7 +217,10 @@ def nonstandard_3d(lam1, lam2, z, sign: int = 1) -> LBRep:
 
 
 def counterexample6() -> LBRep:
-    """The 6-dimensional irreducible pair over Z[w] with no extension."""
+    """The 6-dimensional irreducible pair over Z[w] with no extension.
+
+    B = D A D with D = diag(1, 1, 1, -1, -1, -1).
+    """
     w = make_root_of_unity(3, 1)
     w2 = w * w
     a = CMatrix(
@@ -226,18 +234,7 @@ def counterexample6() -> LBRep:
         ],
         3,
     )
-    b = CMatrix(
-        [
-            [1, 1 - w, 1 - w2, 1 - w, 1 - w2, 1 - w],
-            [w2 - 1, w2, 0, w2 - 1, 0, 0],
-            [w2 - 1, w2 - 1, w2, w2 - 1, w2 - 1, 0],
-            [0, 1 - w, 1 - w2, -w, 1 - w2, 1 - w],
-            [w2 - 1, w2 - 1, 0, w2 - 1, -1, 0],
-            [w2 - 1, w2 - 1, w2 - 1, w2 - 1, w2 - 1, -1],
-        ],
-        3,
-    )
-    return LBRep(target=GroupKind.B3, A=a, B=b)
+    return LBRep(target=GroupKind.B3, A=a, B=_conjugate(a, [1, 1, 1, -1, -1, -1], perm=range(6)))
 
 
 def v1_family(lam, x) -> LBRep:
@@ -260,6 +257,8 @@ def abeq_family(n_half: int, mu, sqrt_mu, sign: int = -1) -> LBRep:
     """
     if n_half < 1:
         raise InvalidBlockCombination("block size n must be >= 1")
+    if n_half > 128:  # A would hold more than 2^16 entries
+        raise InvalidBlockCombination("block size n must be <= 128")
     (m, sm), n = common_field(mu, sqrt_mu, extra=3)
     _require_nonzero(m, error=ZeroParameter, message="mu must be nonzero")
     if sm * sm != m:
@@ -289,26 +288,27 @@ def lkb3(q, t) -> LBRep:
 
     The paper's degenerate locus is t q^2 = -1, t q = 1, q = 1; the pair
     is built there too.  q = 0 or t = 0 is refused (ZeroParameter).
+    B = P A P^-1 with P[i][perm[i]] = (1, q^2, q)[i], perm = (1, 0, 2).
     """
     (qq, tt), n = common_field(q, t)
     _require_nonzero(qq, tt, error=ZeroParameter, message="q and t must be nonzero")
     a = CMatrix([[tt * qq * qq, 0, tt * qq * (qq - 1)], [0, 1 - qq, qq], [0, 1, 0]], n)
-    b = CMatrix([[1 - qq, 0, 1], [0, tt * qq * qq, tt * qq * qq * (qq - 1)], [qq, 0, 0]], n)
-    return LBRep(target=GroupKind.B3, A=a, B=b)
+    return LBRep(target=GroupKind.B3, A=a, B=_conjugate(a, [1, qq * qq, qq], perm=(1, 0, 2)))
 
 
 def perm3(t) -> LBRep:
     """The permutation-flavored symmetric extension with parameter t.
 
     Its S = S1*S2 is not proportional to AB: a genuinely non-standard
-    extension, factoring through the symmetric loop braid group.
+    extension, factoring through the symmetric loop braid group.  B is A
+    with its basis permuted: B[i][j] = A[p[i]][p[j]], p = (2, 0, 1).
     """
     (tt,), n = common_field(t)
     _require_nonzero(tt, error=ZeroParameter, message="t must be nonzero")
     if tt.is_one:
         raise ConstraintViolated("t = 1 is excluded (reducible degenerate)")
     a = CMatrix([[0, tt, 0], [1, 0, 0], [0, 0, 1]], n)
-    b = CMatrix([[1, 0, 0], [0, 0, tt], [0, 1, 0]], n)
+    b = _conjugate(a, [1] * 3, perm=(2, 0, 1))
     s1 = CMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], n)
     s2 = CMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], n)
     return LBRep(target=GroupKind.SLB3, A=a, B=b, S1=s1, S2=s2)

@@ -154,6 +154,8 @@ def standard_extension_sweep(family: str, draws: int, seed: int) -> dict:
     """
     if draws < 0:
         raise InvalidOption(f"draws must be at least 0, got {draws}")
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise InvalidOption(f"seed must be non-negative, got {seed}")
     rng = rng_for(seed)
     results = []
     for i in range(draws):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from loopbraid import catalog, sampling
-from loopbraid.cyclotomic import CycNum, make_root_of_unity, omega
+from loopbraid.cyclotomic import CycNum, common_field, make_root_of_unity, omega
 from loopbraid.errors import (
     ConstraintViolated,
     InvalidBlockCombination,
+    InvalidOption,
     NotASquareRoot,
     ZeroEigenvalue,
     ZeroParameter,
@@ -400,6 +401,11 @@ EIGENVALUES = "eigenvalue parameters must be nonzero"
             InvalidBlockCombination,
             "block size n must be >= 1",
         ),
+        (
+            lambda: catalog.abeq_family(129, 4, 2),
+            InvalidBlockCombination,
+            "block size n must be <= 128",
+        ),
         (lambda: catalog.abeq_family(1, 0, 0), ZeroParameter, "mu must be nonzero"),
         (lambda: catalog.abeq_family(1, 4, 3), NotASquareRoot, "sqrt_mu^2 != mu"),
         (
@@ -415,6 +421,11 @@ EIGENVALUES = "eigenvalue parameters must be nonzero"
             lambda: sampling.standard_extension_sweep("nope", 1, 0),
             ValueError,
             "unknown family 'nope'",
+        ),
+        (
+            lambda: sampling.standard_extension_sweep("tw2", 1, -5),
+            InvalidOption,
+            "seed must be non-negative, got -5",
         ),
     ],
     ids=[
@@ -437,6 +448,7 @@ EIGENVALUES = "eigenvalue parameters must be nonzero"
         "nonstandard3-z",
         "v1-lambda",
         "abeq-n",
+        "abeq-n-129",
         "abeq-mu",
         "abeq-sqrt-mu",
         "abeq-sign",
@@ -445,6 +457,7 @@ EIGENVALUES = "eigenvalue parameters must be nonzero"
         "perm3-zero",
         "perm3-one",
         "sweep-family",
+        "sweep-seed",
     ],
 )
 def test_catalog_constraint_refusals(call, error, text):
@@ -453,6 +466,70 @@ def test_catalog_constraint_refusals(call, error, text):
         call()
     assert type(refused.value) is error
     assert str(refused.value) == text
+
+
+# -- B is A conjugated by a monomial matrix --------------------------------------
+
+
+def _reversal(scale):
+    """The basis reversal, with scale[i] signed by (-1)^i."""
+    return [(-1) ** i * x for i, x in enumerate(scale)], range(len(scale) - 1, -1, -1)
+
+
+def _tw4_monomial(lams, gamma2):
+    l1, l2, l3, l4 = lams
+    r = l2 * l3 / gamma2
+    return _reversal([l4, l3, r * l2, r * l2 * l3 / l4])
+
+
+# each braid constructor's P, from its arguments, as (scale, perm) with
+# P[i][perm[i]] = scale[i]; written from the formulas, not read off B
+MONOMIALS = {
+    "tw2": lambda l1, l2, family: ([-l2, l1], range(2)) if family == 1 else _reversal([l1, l2]),
+    "tw3": lambda *lams: _reversal([1] * 3),
+    "tw4": _tw4_monomial,
+    "tw5": lambda lams, gamma: _reversal([1] * 5),
+    "binomial_rep": lambda lams, c: _reversal(lams),
+    "lkb3": lambda q, t: ([1, q * q, q], (1, 0, 2)),
+    "perm3": lambda t: ([1] * 3, (2, 0, 1)),
+    "counterexample6": lambda: ([1, 1, 1, -1, -1, -1], range(6)),
+}
+
+
+def _monomial(scale, perm, n):
+    """The dense matrix P with P[i][perm[i]] = scale[i] and zeros elsewhere."""
+    scale, n = common_field(*scale, extra=n)
+    return CMatrix.build(len(scale), n, lambda i, j: scale[i] if j == perm[i] else 0)
+
+
+# the seeded `sampling` draws that call each braid constructor
+DRAWS = {
+    "tw2": [sampling.draw_tw2],
+    "tw3": [sampling.draw_tw3],
+    "tw4": [sampling.draw_tw4],
+    "tw5": [sampling.draw_tw5],
+    "binomial_rep": [lambda rng, d=d: sampling.draw_binomial(rng, d) for d in range(1, 6)],
+    "lkb3": [sampling.draw_lkb3],
+    "perm3": [sampling.draw_perm3],
+    "counterexample6": [lambda rng: (catalog.counterexample6(), {})],
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(MONOMIALS))
+def test_b_is_a_conjugated_by_a_monomial(constructor, monkeypatch):
+    # B = P A P^-1, checked as B P == P A with exact products, for the P
+    # built from the arguments of each constructor call behind 40 draws
+    calls = []
+    build = getattr(catalog, constructor)
+    monkeypatch.setattr(
+        catalog, constructor, lambda *args, **kw: calls.append((args, kw)) or build(*args, **kw)
+    )
+    for seed in range(40):
+        for draw in DRAWS[constructor]:
+            rep, _ = draw(sampling.rng_for(seed))
+            args, kw = calls.pop()
+            p = _monomial(*MONOMIALS[constructor](*args, **kw), rep.conductor)
+            assert rep.B @ p == p @ rep.A
 
 
 # -- pinned representations ------------------------------------------------------

@@ -733,6 +733,8 @@ def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
         ["construct", "tw2", "--lambda", "1", "2", "--family", "0"],
         ["construct", "v1", "--lambda", "1", "2", "3"],
         ["sweep", "--family", "tw2", "--draws", "-1"],
+        ["sweep", "--family", "tw2", "--draws", "1", "--seed", "-1"],
+        ["construct", "abeq", "--n", "129", "--mu", "4", "--sqrt-mu", "2"],
         ["construct", "tw3", "--lambda", "1/0", "1", "1"],
         ["construct", "tw3", "--lambda", "0/0", "1", "1"],
         ["construct", "tw3", "--lambda", "(1/0*z3)", "1", "1"],
@@ -743,6 +745,7 @@ def test_certify_out_of_range_option_exits_2(c6_file, option, capsys):
     ],
     ids=[
         "abeq-without-n", "tw2-family-0", "v1-three-lambdas", "sweep-negative-draws",
+        "sweep-negative-seed", "abeq-n-129",
         "lambda-1/0", "lambda-0/0", "lambda-root-1/0", "gamma2-1/0", "t-3/0", "c-1/0", "c-0",
     ],
 )

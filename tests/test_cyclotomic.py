@@ -185,6 +185,7 @@ def test_cube_roots_of_one():
     roots = nth_root_in_field(CycNum.one(3), 3)
     w = omega(3)
     assert set(roots) == {CycNum.one(3), w, w * w}
+    assert nth_root_in_field(w, 1) == [w]
 
 
 def test_square_roots_of_omega():
@@ -322,8 +323,10 @@ def test_roots_of_unity_built_once_per_conductor():
             "share a conductor",
         ),
         (lambda: omega(4), NotASubfield, "divisible by 3"),
+        (lambda: nth_root_in_field(omega(3), 0), ValueError, "root order must be >= 1"),
+        (lambda: omega(3) ** 1.5, TypeError, "exponent must be an integer"),
     ],
-    ids=["packed-columns", "omega"],
+    ids=["packed-columns", "omega", "nth-root-order-0", "float-exponent"],
 )
 def test_cyclotomic_refusals(call, error, text):
     with pytest.raises(error, match=text):

@@ -1206,6 +1206,8 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
             ConstraintViolated,
             "braid relation",
         ),
+        (lambda: extend.involution_param_dimension(-1, 0), ValueError, "nonnegative"),
+        (lambda: extend.involution_param_dimension(2, 1, 3), ValueError, "0 <= a <= l"),
     ],
     ids=[
         "block-tiling",
@@ -1220,6 +1222,8 @@ _FLIP4 = CMatrix.build(4, 1, lambda i, j: 1 if i + j == 3 else 0)
         "2d-dimension",
         "2d-equal",
         "2d-braid",
+        "involution-negative-block",
+        "involution-a",
     ],
 )
 def test_extend_refusals(call, error, text):

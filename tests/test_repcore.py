@@ -358,8 +358,9 @@ _I2, _I3 = CMatrix.identity(2, 1), CMatrix.identity(3, 1)
             MissingGenerator,
             "present images",
         ),
+        (lambda: catalog.tw3(1, 2, 3).S, MissingGenerator, "needs both s-generator images"),
     ],
-    ids=["LBRep-dim", "LBRep-conductor", "tensor-target", "tensor-images"],
+    ids=["LBRep-dim", "LBRep-conductor", "tensor-target", "tensor-images", "S-of-B3"],
 )
 def test_repcore_refusals(call, error, text):
     with pytest.raises(error, match=text):
