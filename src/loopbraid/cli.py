@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, catalog, extend, sampling
-from .cyclotomic import CycNum, make_root_of_unity
+from .cyclotomic import CycNum, common_field, dot, make_root_of_unity
 from .errors import LoopBraidError, MalformedInput
 from .repcore import GroupKind, LBRep, is_irreducible, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
@@ -34,25 +34,31 @@ _SCALAR_RE = re.compile(
 
 
 def parse_scalar(text: str) -> CycNum:
-    """Parse a CYC literal: RATIONAL, zN[^K], or RATIONAL*zN[^K].
+    """Parse a CYC literal: a sum of terms RATIONAL, zN[^K] or
+    RATIONAL*zN[^K], joined by "+", as `str(CycNum)` writes one
+    ("3/5 + -3/5*z12^2").
 
     Literals may be wrapped in parentheses, which keeps argparse from
     mistaking negative values like "(-1/2*z3)" for option flags.  A zero
-    denominator ("1/0", "0/0") does not parse.
+    denominator ("1/0", "0/0") does not parse.  The sum lies in the field
+    of the lcm of its terms' conductors.
     """
     text = text.strip().replace(" ", "")
     while text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    m = _SCALAR_RE.match(text)
-    if not m or (m.group("rat") is None and m.group("root") is None):
-        raise ValueError(f"cannot parse scalar literal {text!r}")
-    value = CycNum.from_rational(Fraction(m.group("rat") or 1), 1)
-    if m.group("root"):
-        n = int(m.group("n"))
-        k = int(m.group("k") or 1)
-        root = make_root_of_unity(n, k)
-        value = value.promote(n) * root
-    return value
+    terms = []
+    # every term ends in a digit, and a sign "+" never follows one
+    for term in re.split(r"(?<=\d)\+", text):
+        m = _SCALAR_RE.match(term)
+        if not m or (m.group("rat") is None and m.group("root") is None):
+            raise ValueError(f"cannot parse scalar literal {text!r}")
+        value = CycNum.from_rational(Fraction(m.group("rat") or 1), 1)
+        if m.group("root"):
+            n = int(m.group("n"))
+            value = value.promote(n) * make_root_of_unity(n, int(m.group("k") or 1))
+        terms.append(value)
+    (first, *rest), _ = common_field(*terms)
+    return sum(rest, first)
 
 
 class _NoExtension(Exception):
@@ -224,7 +230,9 @@ def _extend_vb3(rep: LBRep, args) -> dict:
     # a given k goes to vb3_lift, which checks it, without the search
     k = parse_scalar(args.k) if args.k is not None else _k_search(rep, "no VB3 lift")[0][0]
     built = extend.vb3_lift(rep, k)
-    return {"k": k, "representation": built, "trace_of_S": built.S.trace()}
+    # Tr(S1 S2) = vec(S1) . vec(S2^T): one sum of d^2 products, not S1 S2
+    trace = dot(built.S1.flatten(), built.S2.transpose().flatten())
+    return {"k": k, "representation": built, "trace_of_S": trace}
 
 
 _MODES = {"standard": _extend_standard, "nonstandard3": _extend_nonstandard3, "vb3": _extend_vb3}

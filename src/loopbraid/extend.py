@@ -13,13 +13,16 @@ the cube roots of (AB)^-3 in the field; `standard_k_candidates`, behind
 Tr(kAB) in Z.
 
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
-step, `_complete(s, m, ell, a)`, whether S = kAB (`build_standard_extension`
-and the 2-dimensional line route `standard_extension_2d`) or the VB3 twist
-k B^2 S' (`vb3_lift`).  Its J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]])
-is a signed permutation, so S1 = (M J0) M^-1 is M with its columns moved,
-then one product and one inverse; `build_standard_extension` folds any other
-(N, G) into M once.  The eigenspaces of S decide S^3 = I with Tr(S)
-in Z in one test, `default_extension_params`; no builder cubes S.  Whether
+step, `_complete(s, m, m_inv, ell, a)`, whether S = kAB
+(`build_standard_extension` and the 2-dimensional line route
+`standard_extension_2d`) or the VB3 twist k B^2 S' (`vb3_lift`).  Its
+J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]]) is a signed permutation, so
+S1 = (M J0) M^-1 is M with its columns moved, then one product with the
+M^-1 the caller hands in; `build_standard_extension` folds any other
+(N, G) into M once.  The eigenspaces of S decide S^3 = I with Tr(S) in Z
+in one test, `default_extension_params`; no builder cubes S.  M^-1 is read
+off the spectral projectors of S (`_eigenbasis`), so no completion of a
+default M runs an elimination to invert it.  Whether
 a given S1 completes S is the S3 relation table itself
 (`s3_completion_check`).  Mixed inputs meet in one field through
 `cyclotomic.common_field`, with omega adjoined wherever S is split.
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     CycNum,
+    _new,
     _root_of_unity_part,
     common_field,
     make_root_of_unity,
@@ -204,22 +208,45 @@ class ExtensionCertificate:
 def default_extension_params(s: CMatrix) -> ExtensionParams:
     """Canonical parameters: M from eigenspace bases, G = I, N = I, a = l.
 
-    The one test of S^3 = I with Tr(S) in Z (NotOrderThree otherwise): the
-    1-, w- and w^2-eigenspaces fill the space iff S^3 = I, and then
-    Tr(S) = l + t_w w + t_w2 w^2 is rational iff t_w = t_w2 = t.
-    M^-1 S M = diag(I_l, w I_t, w^2 I_t) holds by construction.
+    The one test of S^3 = I with Tr(S) in Z (NotOrderThree otherwise), made
+    by `_eigenbasis`, which also reads M^-1 off S for the builders.
     """
-    w = omega(s.conductor)
-    v1, vw, vw2 = (_shifted(s, u).kernel() for u in (1, w, w * w))
+    return _eigenbasis(s)[0]
+
+
+def _eigenbasis(s: CMatrix) -> tuple[ExtensionParams, CMatrix]:
+    """`default_extension_params(s)` and the inverse of its M.
+
+    The 1-, w- and w^2-eigenspaces fill the space iff S^3 = I, and then
+    Tr(S) = l + t_w w + t_w2 w^2 is rational iff t_w = t_w2 = t.
+    M^-1 S M = diag(I_l, w I_t, w^2 I_t) holds by construction.  Each
+    kernel vector of S - uI holds 1 at its own free column f, its last
+    nonzero entry, and 0 at the block's other free columns
+    (`Echelon.kernel`), so its row of M^-1 is row f of the projector
+    P_u = (I + u^-1 S + u^-2 S^2) / 3 onto the u-eigenspace: one product,
+    S^2, and d rows, with no elimination.
+    """
+    n, w = s.conductor, omega(s.conductor)
+    units = (CycNum.one(n), w, w * w)
+    blocks = [_shifted(s, u).kernel() for u in units]
+    v1, vw, vw2 = blocks
     if len(v1) + len(vw) + len(vw2) != s.dim:
         raise NotOrderThree("S^3 != I")
     if len(vw) != len(vw2):
         raise NotOrderThree("Tr(S) is not a rational integer")
     ell, t = len(v1), len(vw)
-    m = CMatrix([*v1, *vw, *vw2], s.conductor).transpose()
-    g = CMatrix.identity(t, s.conductor) if t else None
-    nmat = CMatrix.identity(ell, s.conductor) if ell else None
-    return ExtensionParams(M=m, G=g, a=ell, N=nmat)
+    m = CMatrix([*v1, *vw, *vw2], n).transpose()
+    g = CMatrix.identity(t, n) if t else None
+    nmat = CMatrix.identity(ell, n) if ell else None
+    s2, m_inv = s @ s, []
+    for u, vectors in zip(units, blocks):
+        u_inv = u * u  # u^3 = 1, so u^-1 = u^2 and u^-2 = u
+        for v in vectors:
+            f = max(j for j, e in enumerate(v) if e)  # v's free column
+            row = [x * u_inv + y * u for x, y in zip(s.rows[f], s2.rows[f])]
+            row[f] = row[f] + 1
+            m_inv.append([_new(n, e._num, 3 * e._den) for e in row])
+    return ExtensionParams(M=m, G=g, a=ell, N=nmat), CMatrix._of(m_inv, n)
 
 
 def _shifted(s: CMatrix, u) -> CMatrix:
@@ -237,27 +264,30 @@ def _diag_pattern(ell: int, t: int, conductor: int) -> CMatrix:
     )
 
 
-def _seed_params(s: CMatrix) -> ExtensionParams:
-    """default_extension_params(s), with BadCandidate for a k that fails."""
+def _seed_params(s: CMatrix) -> tuple[ExtensionParams, CMatrix]:
+    """`_eigenbasis(s)`, with BadCandidate for a k that fails."""
     try:
-        return default_extension_params(s)
+        return _eigenbasis(s)
     except NotOrderThree as exc:
         raise BadCandidate(f"k fails the existence criterion: {exc}") from None
 
 
-def _complete(s: CMatrix, m: CMatrix, ell: int, a: int) -> tuple[CMatrix, CMatrix]:
+def _complete(
+    s: CMatrix, m: CMatrix, m_inv: CMatrix, ell: int, a: int
+) -> tuple[CMatrix, CMatrix]:
     """(S1, S2) = (M J0 M^-1, S1 S) for J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]]).
 
     The one completion step of every order-three S; M must already be
-    known to conjugate S to diag(I_l, w I_t, w^2 I_t).  J0 is a signed
-    permutation, so M J0 is M with its columns moved: the first a as they
-    are, the rest of the 1-block negated, then the w^2 block and the w
-    block, exchanged.
+    known to conjugate S to diag(I_l, w I_t, w^2 I_t), and every caller
+    hands its inverse m_inv in.  J0 is a signed permutation, so M J0 is M
+    with its columns moved: the first a as they are, the rest of the
+    1-block negated, then the w^2 block and the w block, exchanged.  Two
+    products, and no inverse.
     """
     t, cols = (s.dim - ell) // 2, m.columns()
     negated = [[-e for e in c] for c in cols[a:ell]]
     moved = [*cols[:a], *negated, *cols[ell + t :], *cols[ell : ell + t]]
-    s1 = CMatrix._of(list(zip(*moved)), s.conductor) @ m.inverse()
+    s1 = CMatrix._of(list(zip(*moved)), s.conductor) @ m_inv
     return s1, s1 @ s
 
 
@@ -269,8 +299,9 @@ def build_standard_extension(
     The image of s_1 is M J M^-1 for the block involution
     J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]) of (G, a, N);
     s_2 maps to s_1's image times S.  J = Q J0 Q^-1 for Q = diag(N, I_t, G^-1)
-    and the J0 of `_complete`, so M Q is completed in place of M, and
-    default parameters (N = I, G = I) take M as it is.  Raises BadCandidate
+    and the J0 of `_complete`, so M Q is completed in place of M, with
+    (M Q)^-1 = Q^-1 M^-1, and default parameters (N = I, G = I) take M as it
+    is, with the M^-1 of `_eigenbasis`.  Raises BadCandidate
     unless (kAB)^3 = I and Tr(kAB) is in Z, with or without params, and
     BadBasisChange when the blocks do not tile the dimension, a is not in
     0..l, or M does not diagonalize S to the required pattern.
@@ -278,9 +309,9 @@ def build_standard_extension(
     given = () if params is None else (params.M, params.G, params.N)
     (a, b, k, *given), n = common_field(a, b, k, *given, extra=3)
     s = (a @ b).scalar_mul(k)
-    default = _seed_params(s)
+    default, default_inv = _seed_params(s)
     if params is None:
-        params, m = default, default.M
+        params, m, m_inv = default, default.M, default_inv
     else:
         m, g, nmat = given
         params = ExtensionParams(M=m, G=g, a=params.a, N=nmat)
@@ -289,13 +320,15 @@ def build_standard_extension(
             raise BadBasisChange("parameter block sizes do not tile the dimension")
         if not 0 <= params.a <= ell:
             raise BadBasisChange("need 0 <= a <= l")
-        if m.inverse() @ s @ m != _diag_pattern(ell, t, n):
+        m_inv = m.inverse()
+        if m_inv @ s @ m != _diag_pattern(ell, t, n):
             raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
         if not all(x is None or x.is_identity for x in (g, nmat)):
             ident = [[int(i == j) for j in range(t)] for i in range(t)]
             q = [nmat.rows if ell else [], ident, g.inverse().rows if t else []]
-            m = m @ _block_diagonal(q, n)
-    s1, s2 = _complete(s, m, params.ell, params.a)
+            q_inv = [nmat.inverse().rows if ell else [], ident, g.rows if t else []]
+            m, m_inv = m @ _block_diagonal(q, n), _block_diagonal(q_inv, n) @ m_inv
+    s1, s2 = _complete(s, m, m_inv, params.ell, params.a)
     rep = LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
     return rep, ExtensionCertificate(k, s, params, s.trace().as_integer())
 
@@ -360,12 +393,13 @@ def standard_extension_2d(a: CMatrix, b: CMatrix, line: Vector) -> LBRep:
         raise TraceZero("Tr(AB) = 0 cannot occur for 2-dim braid pairs")
     s = ab.scalar_mul(-tr.inv())
     # the eigenvector columns m_w, m_w2 of M split v = c_0 m_w + c_1 m_w2,
-    # so M diag(c) = (v_w v_w2)
-    m = default_extension_params(s).M
-    c = m.inverse().apply(v)
+    # so M diag(c) = (v_w v_w2), whose inverse is diag(c)^-1 M^-1
+    params, m_inv = _eigenbasis(s)
+    c = m_inv.apply(v)
     if any(x.is_zero for x in c):
         raise EigenlineChosen("line must avoid the two eigenlines of S")
-    s1, s2 = _complete(s, m @ CMatrix.diagonal(c, n), 0, 0)
+    scaled_inv = CMatrix.diagonal([x.inv() for x in c], n) @ m_inv
+    s1, s2 = _complete(s, params.M @ CMatrix.diagonal(c, n), scaled_inv, 0, 0)
     return LBRep(target=GroupKind.LB3, A=a, B=b, S1=s1, S2=s2)
 
 
@@ -555,8 +589,8 @@ def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
     s_new = (b @ b @ rep.S).scalar_mul(k)
     if s_new @ a != b @ s_new:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    seed = _seed_params(s_new)
-    s1, s2 = _complete(s_new, seed.M, seed.ell, seed.a)
+    seed, seed_inv = _seed_params(s_new)
+    s1, s2 = _complete(s_new, seed.M, seed_inv, seed.ell, seed.a)
     return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
 
 

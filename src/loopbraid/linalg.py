@@ -451,7 +451,10 @@ class Echelon:
         return sorted(zip(pivots, rows), key=lambda pr: pr[0])
 
     def kernel(self) -> list[Vector]:
-        """Null space of the first `width` columns, one vector per free column."""
+        """Null space of the first `width` columns, one vector per free
+        column j: 1 at j, 0 at every other free column, and 0 at every
+        pivot past j, since a reduced row vanishes before its pivot.  So j
+        is the vector's last nonzero entry."""
         reduced = self.rref()
         zero, one = CycNum.zero(self.conductor), CycNum.one(self.conductor)
         basis = []

@@ -9,10 +9,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopbraid import catalog, cli, extend, linalg, modular
+from loopbraid import catalog, cli, extend, linalg, modular, sampling
 from loopbraid.cli import main, parse_scalar
-from loopbraid.cyclotomic import CycNum, make_root_of_unity
+from loopbraid.cyclotomic import CycNum, euler_phi, make_root_of_unity
 from loopbraid.linalg import CMatrix
 from loopbraid.repcore import GroupKind, LBRep, tensor_product
 from loopbraid.serialize import cycnum_from_obj, dumps, rep_from_obj, rep_to_obj
@@ -35,6 +37,44 @@ def test_parse_scalar_literals():
     assert parse_scalar("-1/2*z3^2") == make_root_of_unity(3, 2) * Fraction(-1, 2)
     with pytest.raises(ValueError):
         parse_scalar("nope")
+
+
+@st.composite
+def _scalars(draw):
+    """A CycNum at N = 3, 12 or 60 with some coefficients zero."""
+    n = draw(st.sampled_from([3, 12, 60]))
+    coeffs = [
+        Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4))) if draw(st.booleans()) else 0
+        for _ in range(euler_phi(n))
+    ]
+    return CycNum.from_coeffs(n, coeffs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_scalars())
+def test_parse_scalar_reads_what_str_writes(x):
+    for text in (str(x), f"({x})"):
+        y = parse_scalar(text)
+        assert y == x
+        assert y.conductor == (1 if x.is_rational else x.conductor)
+
+
+def test_a_malformed_term_of_a_sum_exits_2(capsys):
+    assert main(["construct", "tw3", "--lambda", "(3/5 + z12^)", "1", "1"]) == 2
+    assert capsys.readouterr().err == "error: cannot parse scalar literal '3/5+z12^'\n"
+
+
+def test_a_sweep_draw_rebuilds_with_construct(capsys):
+    # sweep writes each draw's scalars by str(CycNum), sums included
+    _, out = run(["sweep", "--family", "tw4", "--draws", "1", "--seed", "0"], capsys)
+    params = json.loads(out)["sweep"]["results"][0]["params"]
+    assert any("+" in text for text in params["lambda"])
+    lam = [f"({text})" for text in params["lambda"]]
+    code, out = run(["construct", "tw4", "--lambda", *lam, "--gamma2", f"({params['gamma2']})"], capsys)
+    assert code == 0
+    drawn, _ = sampling.draw_family("tw4", sampling.rng_for(0))
+    built = rep_from_obj(json.loads(out))
+    assert (built.A, built.B) == (drawn.A, drawn.B)
 
 
 def test_construct_verify_round_trip(tmp_path, capsys):
@@ -160,6 +200,26 @@ def test_extend_vb3(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["representation"]["target"] == "VB3"
+
+
+def test_extend_vb3_reads_the_trace_without_forming_s(tmp_path, capsys, monkeypatch):
+    # Tr(S1 S2) = vec(S1) . vec(S2^T), one sum of d^2 products: the
+    # lifted S1 @ S2 is never formed
+    rep_file = tmp_path / "perm.json"
+    assert main(["construct", "perm3", "--t", "8", "--out", str(rep_file)]) == 0
+    capsys.readouterr()
+    built, products, sums = [], [], []
+    lift, matmul, dot = extend.vb3_lift, CMatrix.__matmul__, cli.dot
+    monkeypatch.setattr(extend, "vb3_lift", lambda rep, k: built.append(lift(rep, k)) or built[-1])
+    monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: products.append((x, y)) or matmul(x, y))
+    monkeypatch.setattr(cli, "dot", lambda xs, ys: sums.append(len(xs)) or dot(xs, ys))
+    code, out = run(["extend", str(rep_file), "--mode", "vb3"], capsys)
+    assert code == 0
+    (rep,) = built
+    assert not any(x is rep.S1 and y is rep.S2 for x, y in products)
+    assert sums == [rep.A.dim**2]
+    monkeypatch.undo()
+    assert cycnum_from_obj(json.loads(out)["trace_of_S"]) == rep.S.trace()
 
 
 def test_analyze_uniqueness(tmp_path, capsys):

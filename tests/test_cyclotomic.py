@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopbraid import cyclotomic
 from loopbraid.cyclotomic import (
     CycNum,
     _Side,
@@ -88,6 +89,21 @@ def test_division_by_zero():
         CycNum.zero(3).inv()
     with pytest.raises(DivisionByZero):
         omega(3) / CycNum.zero(3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 60, 105])
+def test_inverse_of_a_rational_takes_no_product(n, monkeypatch):
+    # a rational c / den inverts to den / c on its first coefficient,
+    # without the Galois tower's schoolbook products
+    values = [CycNum.from_rational(q, n) for q in (Fraction(3, 5), Fraction(-7, 2), 1, -1, 12)]
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "_mul_num", None)
+        inverses = [x.inv() for x in values]
+        with pytest.raises(DivisionByZero):
+            CycNum.zero(n).inv()
+    for x, y in zip(values, inverses):
+        assert y == CycNum.from_rational(1 / x.as_rational(), n)
+        assert y.conductor == n and (x * y).is_one
 
 
 def test_conductor_mixing_is_explicit():

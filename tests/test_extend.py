@@ -419,11 +419,11 @@ def test_involution_param_dimension_is_the_tangent_rank(ell, t):
     d, n = ell + 2 * t, 3
     p = CMatrix.build(d, n, lambda i, j: int(i <= j))
     s = p @ extend._diag_pattern(ell, t, n) @ p.inverse()
-    base = extend.default_extension_params(s)
+    base, m_inv = extend._eigenbasis(s)
     ident = CMatrix.identity(d, n)
     span = (ident.kron(s.transpose()) - (s @ s).kron(ident)).rows
     for a in range(ell + 1):
-        s1, _ = extend._complete(s, base.M, base.ell, a)
+        s1, _ = extend._complete(s, base.M, m_inv, base.ell, a)
         assert extend.s3_completion_check(s, s1)
         tangent = (s1.kron(ident) + ident.kron(s1.transpose())).rows
         rank = matrix_rank([*span, *tangent])
@@ -436,12 +436,12 @@ def test_involution_param_dimension_is_the_tangent_rank(ell, t):
 def test_completion_is_m_with_its_columns_moved(monkeypatch):
     # J = diag(N diag(I_a, -I_(l-a)) N^-1, [[0, G], [G^-1, 0]]) for any N
     # and G, built by hand: the completion, with (N, G) folded into M, is
-    # S1 = M J M^-1; a default completion forms two products and one inverse
+    # S1 = M J M^-1; a completion forms two products and no inverse
     n, ell, t = 3, 3, 1
     d = ell + 2 * t
     p = CMatrix.build(d, n, lambda i, j: int(i <= j))
     s = p @ extend._diag_pattern(ell, t, n) @ p.inverse()
-    base = extend.default_extension_params(s)
+    base, m_inv = extend._eigenbasis(s)
     vandermonde = CMatrix.build(ell, n, lambda i, j: (i + 1) ** j)
     for a in range(ell + 1):
         for nmat, g in ((base.N, base.G), (vandermonde, CMatrix([[2]], n))):
@@ -460,8 +460,58 @@ def test_completion_is_m_with_its_columns_moved(monkeypatch):
     matmul, inverse = CMatrix.__matmul__, CMatrix.inverse
     monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: calls.append("@") or matmul(x, y))
     monkeypatch.setattr(CMatrix, "inverse", lambda x: calls.append("inverse") or inverse(x))
-    extend._complete(s, base.M, base.ell, base.a)
-    assert sorted(calls) == ["@", "@", "inverse"]
+    extend._complete(s, base.M, m_inv, base.ell, base.a)
+    assert sorted(calls) == ["@", "@"]
+
+
+@st.composite
+def split_order_three(draw):
+    """(S, l, t, P, D): S = P D P^-1 for D = diag(I_l, w I_t, w^2 I_t) and a
+    unimodular P = L U, at N = 3, 12 or 60, with 1 <= l + 2t <= 6."""
+    n = draw(st.sampled_from([3, 12, 60]))
+    t = draw(st.integers(0, 3))
+    ell = draw(st.integers(int(t == 0), 6 - 2 * t))
+    d = ell + 2 * t
+
+    def scalar():
+        q = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        return make_root_of_unity(n, draw(st.integers(0, n - 1))) * q
+
+    lower = [[scalar() if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    upper = [[scalar() if j > i else int(i == j) for j in range(d)] for i in range(d)]
+    p = CMatrix(lower, n) @ CMatrix(upper, n)
+    pattern = extend._diag_pattern(ell, t, n)
+    return p @ pattern @ p.inverse(), ell, t, p, pattern
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(split_order_three())
+def test_projector_rows_are_the_inverse_of_m(case):
+    # row f of P_u = (I + u^-1 S + u^-2 S^2) / 3 is M^-1's row for the
+    # kernel vector of S - uI with its 1 at f; the completion it feeds is
+    # M J0 M^-1 for every a
+    s, ell, t, p, pattern = case
+    n, d = s.conductor, s.dim
+    params, m_inv = extend._eigenbasis(s)
+    m, inverse = params.M, params.M.inverse()
+    assert (params.ell, params.t) == (ell, t)
+    assert m_inv == inverse
+    for a in range(ell + 1):
+        j0 = [[0] * d for _ in range(d)]
+        for i in range(ell):
+            j0[i][i] = 1 if i < a else -1
+        for i in range(ell, ell + t):
+            j0[i][i + t] = j0[i + t][i] = 1
+        s1, s2 = extend._complete(s, m, m_inv, ell, a)
+        assert s1 == m @ CMatrix(j0, n) @ inverse
+        assert s2 == s1 @ s
+    with pytest.raises(NotOrderThree, match=r"^S\^3 != I$"):
+        extend.default_extension_params(s.scalar_mul(2))
+    # one eigenvalue moved from 1 to w, or from w to w^2: t_w != t_w2
+    w = omega(n)
+    moved = [w if ell else w * w, *(pattern[i, i] for i in range(1, d))]
+    with pytest.raises(NotOrderThree, match=r"^Tr\(S\) is not a rational integer$"):
+        extend.default_extension_params(p @ CMatrix.diagonal(moved, n) @ p.inverse())
 
 
 # -- s3 completion -------------------------------------------------------------------
@@ -509,8 +559,8 @@ def s3_completion_cases(draw):
     s, ell, a, b = draw(order_three_operators())
     d, n = s.dim, s.conductor
     if a == b and draw(st.booleans()):
-        base = extend.default_extension_params(s)
-        s1, _ = extend._complete(s, base.M, base.ell, draw(st.integers(0, ell)))
+        base, m_inv = extend._eigenbasis(s)
+        s1, _ = extend._complete(s, base.M, m_inv, base.ell, draw(st.integers(0, ell)))
         return s, draw(st.sampled_from([s1, s1.scalar_mul(-1), s1 @ s]))
     signs = [draw(st.sampled_from([1, -1])) for _ in range(d)]
     return s, draw(st.sampled_from([CMatrix.identity(d, n), CMatrix.diagonal(signs, n)]))
