@@ -28,8 +28,9 @@ from .errors import LoopBraidError, MalformedInput
 from .repcore import GroupKind, LBRep, is_irreducible, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
 
+# a rational ends the term or is joined to a root by "*"
 _SCALAR_RE = re.compile(
-    r"^(?P<rat>[+-]?\d+(?:/0*[1-9]\d*)?)?(?:(?<=\d)\*)?(?P<root>z(?P<n>\d+)(?:\^(?P<k>-?\d+))?)?$"
+    r"^(?:(?P<rat>[+-]?\d+(?:/0*[1-9]\d*)?)(?:\*(?=z)|$))?(?P<root>z(?P<n>\d+)(?:\^(?P<k>-?\d+))?)?$"
 )
 
 

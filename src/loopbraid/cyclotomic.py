@@ -513,8 +513,8 @@ class CycNum:
         """Coefficients on the power basis: ints, Fractions or strings.
 
         Every coefficient goes through Fraction once, so it is accepted or
-        refused as there.  The wire's fast path is the whole-matrix pass of
-        `serialize._canonical_matrix`; this is the general path.
+        refused as there.  The wire reader (`serialize`) accepts and
+        refuses the same, reading canonical strings by int().
         """
         fracs = [Fraction(c) for c in coeffs]
         den = math.lcm(*(f.denominator for f in fracs))

@@ -10,13 +10,14 @@ writer's form is canonical: "p" when the coefficient is an integer, else
 "p/q" in lowest terms with q > 1, the sign on p and no leading zeros or
 other characters, each string made from the scalar's integer numerators
 and denominator with one gcd, and each scalar written from one template.
-The reader has one fast path and one general path.  A matrix whose every
-entry is a scalar of its conductor with strings of the shape
--?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007") is read in one pass
-(`_canonical_matrix`) with int().  Every other scalar, such as one holding
-"1.5", "+3" or a JSON number, goes through Fraction, and is refused
-(MalformedInput) exactly where Fraction refuses it; both paths give the
-same matrix.  Complex numbers in oracle reports are [re, im] pairs.
+One reader takes every scalar, alone or in a matrix: the member checks,
+a length guard, then each coefficient as a rational, a canonical
+string -?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007") by int() and
+any other value, such as "1.5", "+3" or a JSON number, by Fraction,
+which accepts and refuses it (MalformedInput) as there.  A matrix reads
+its entries in row-major order, so a refusal names the first bad one,
+and parses each distinct coefficient string once; equal scalars share
+one CycNum.  Complex numbers in oracle reports are [re, im] pairs.
 
 Output reports are encoded field by field from their dataclasses by
 `report_to_obj`: a dataclass field is a key of the JSON body.  So a
@@ -32,9 +33,10 @@ import enum
 import json
 import math
 import re
+from fractions import Fraction
 from typing import Any
 
-from .cyclotomic import CycNum, _new, euler_phi
+from .cyclotomic import CycNum
 from .errors import MalformedInput
 from .extend import ExtensionCertificate, ExtensionParams
 from .linalg import CMatrix
@@ -67,15 +69,63 @@ def _member(obj, key: str, kind: type, what: str):
     return value
 
 
-def cycnum_from_obj(obj: dict) -> CycNum:
+# a canonical wire rational "p" or "p/q": ASCII digits, the sign on p and
+# q > 0 without a leading zero
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def _rational(c) -> tuple[int, int]:
+    """A coefficient as (p, q) with q > 0: a canonical string by int(),
+    any other value by Fraction, which accepts and refuses it as there."""
+    if type(c) is str and _CANONICAL.fullmatch(c):
+        p, _, q = c.partition("/")
+        try:  # int refuses digits past int_max_str_digits; Fraction says so
+            return int(p), int(q) if q else 1
+        except ValueError:
+            pass
+    f = Fraction(c)
+    return f.numerator, f.denominator
+
+
+class _Rationals(dict):
+    """The coefficient strings of one matrix, each with its (p, q), parsed
+    on first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> tuple[int, int]:
+        self[text] = pq = _rational(text)
+        return pq
+
+
+def _read_scalar(obj, rationals: _Rationals, scalars: dict) -> CycNum:
+    """The scalar of obj, the one scalar reader.  rationals and scalars
+    are the tables of the matrix being read: each coefficient string's
+    (p, q), and each scalar keyed by its conductor and coefficients, so
+    that equal scalars share one CycNum."""
     conductor = _member(obj, "conductor", int, "a scalar")
     coeffs = _member(obj, "coeffs", list, "a scalar")
     if 2 * len(coeffs) ** 2 < conductor:  # phi(n) >= sqrt(n/2), without factoring n
         raise MalformedInput(f"bad scalar: coefficient vector must have length phi({conductor})")
+    key = (conductor, *coeffs)
     try:
-        return CycNum.from_coeffs(conductor, coeffs)
+        x = scalars.get(key)
+    except TypeError:  # a list or an object among the coefficients, refused below
+        x = None
+    if x is not None:
+        return x
+    try:
+        pairs = [rationals[c] if type(c) is str else _rational(c) for c in coeffs]
+        den = math.lcm(*[q for _, q in pairs])
+        x = CycNum(conductor, [p * (den // q) for p, q in pairs], den)
     except (TypeError, ValueError, ArithmeticError) as exc:  # 1/0, an infinite float
         raise MalformedInput(f"bad scalar: {exc}") from None
+    scalars[key] = x
+    return x
+
+
+def cycnum_from_obj(obj: dict) -> CycNum:
+    return _read_scalar(obj, _Rationals(), {})
 
 
 def matrix_to_obj(m: CMatrix) -> dict:
@@ -86,77 +136,17 @@ def matrix_to_obj(m: CMatrix) -> dict:
     }
 
 
-# canonical wire rationals "p" or "p/q" (ASCII digits, the sign on p, q > 0
-# without a leading zero), joined by commas
-_CANONICAL_RUN = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?:,-?[0-9]+(?:/[1-9][0-9]*)?)*")
-
-
-def _canonical_matrix(entries: list, conductor: int) -> CMatrix | None:
-    """The matrix of entries in one pass, or None unless it is square and
-    every entry is a scalar of this conductor whose coefficients are all
-    canonical strings "p" or "p/q": one regex over the joined strings,
-    then int, `_new` and `CMatrix._of`.
-
-    None sends the matrix scalar by scalar through `cycnum_from_obj`, so
-    every refusal keeps its text.  Where this pass answers, that route
-    gives the same matrix: the lengths are checked against 2 len^2 <
-    conductor before euler_phi, as there, and a string holding a comma
-    matches the regex only as two strings, which int refuses.
-    """
-    d = len(entries)
-    if not d or conductor < 1:
-        return None
-    strings = []
-    width = None
-    for row in entries:
-        if len(row) != d:
-            return None
-        for e in row:
-            if type(e) is not dict:
-                return None
-            n, coeffs = e.get("conductor"), e.get("coeffs")
-            if type(n) is not int or n != conductor or type(coeffs) is not list:
-                return None
-            if width is None:
-                width = len(coeffs)
-            if len(coeffs) != width:
-                return None
-            strings += coeffs
-    if 2 * width * width < conductor or euler_phi(conductor) != width:
-        return None
-    try:
-        joined = ",".join(strings)
-    except TypeError:  # a coefficient that is not a string
-        return None
-    if not _CANONICAL_RUN.fullmatch(joined):
-        return None
-    scalars = []
-    try:  # int refuses digits past int_max_str_digits; the scalar route says so
-        for i in range(0, len(strings), width):
-            chunk = strings[i : i + width]
-            if "/" not in "".join(chunk):
-                scalars.append(_new(conductor, list(map(int, chunk)), 1))
-                continue
-            parts = [c.partition("/") for c in chunk]
-            dens = [int(q) if q else 1 for _, _, q in parts]
-            den = math.lcm(*dens)
-            scalars.append(
-                _new(conductor, [int(p) * (den // q) for (p, _, _), q in zip(parts, dens)], den)
-            )
-    except ValueError:
-        return None
-    return CMatrix._of([scalars[i : i + d] for i in range(0, d * d, d)], conductor)
-
-
 def matrix_from_obj(obj: dict) -> CMatrix:
+    """The matrix of obj: its entries read in row-major order, so that a
+    refusal names the first bad one, then CMatrix's shape and conductor
+    checks."""
     dim = _member(obj, "dim", int, "a matrix")
     conductor = _member(obj, "conductor", int, "a matrix")
     entries = _member(obj, "entries", list, "a matrix")
     if not all(isinstance(row, list) for row in entries):
         raise MalformedInput("a matrix needs 'entries' as a list of rows")
-    m = _canonical_matrix(entries, conductor)
-    if m is None:
-        m = CMatrix([[cycnum_from_obj(e) for e in row] for row in entries], conductor)
+    rationals, scalars = _Rationals(), {}
+    m = CMatrix([[_read_scalar(e, rationals, scalars) for e in row] for row in entries], conductor)
     if m.dim != dim:
         raise MalformedInput("matrix dim field disagrees with the entries")
     return m

@@ -64,6 +64,13 @@ def test_a_malformed_term_of_a_sum_exits_2(capsys):
     assert capsys.readouterr().err == "error: cannot parse scalar literal '3/5+z12^'\n"
 
 
+@pytest.mark.parametrize("text", ["3*", "(-1/2*)", "3/5 + 2*", "2z3", "1/2z12^5"])
+def test_a_star_stands_only_between_a_rational_and_a_root(text, capsys):
+    assert main(["construct", "tw3", "--lambda", text, "1", "1"]) == 2
+    literal = text.replace(" ", "").strip("()")
+    assert capsys.readouterr().err == f"error: cannot parse scalar literal {literal!r}\n"
+
+
 def test_a_sweep_draw_rebuilds_with_construct(capsys):
     # sweep writes each draw's scalars by str(CycNum), sums included
     _, out = run(["sweep", "--family", "tw4", "--draws", "1", "--seed", "0"], capsys)

@@ -6,17 +6,17 @@ import functools
 import json
 import re
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import serialize
+from loopbraid import cyclotomic
 from loopbraid.cli import main
 from loopbraid.cyclotomic import CycNum, euler_phi
-from loopbraid.errors import LoopBraidError, MalformedInput
-from loopbraid.serialize import cycnum_from_obj, cycnum_to_obj, matrix_from_obj
+from loopbraid.errors import ConductorMismatch, LoopBraidError, MalformedInput
+from loopbraid.linalg import CMatrix
+from loopbraid.serialize import _member, cycnum_from_obj, cycnum_to_obj, matrix_from_obj
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -116,7 +116,7 @@ def test_wire_writer_bytes_and_round_trip(x):
     assert (back.conductor, back._num, back._den) == (x.conductor, x._num, x._den)
 
 
-# -- the one-pass matrix reader ---------------------------------------------------
+# -- the one matrix reader ------------------------------------------------------
 
 CANONICAL_TEXT = ["0", "-0", "7", "-3", "1/2", "-12/5", "2/4", "007", "-007/3", "1/3"]
 OTHER_TEXT = [
@@ -128,9 +128,9 @@ OTHER_TEXT = [
 @st.composite
 def wire_matrices(draw):
     """A matrix wire object, all canonical or with one kind of trouble in
-    it: a spelling Fraction reads or refuses, a wrong length, a mixed or
-    mistyped conductor, a ragged shape, a wrong dim or an entry that is
-    not an object."""
+    it: a spelling Fraction reads or refuses, one spelling repeated across
+    entries, a wrong length, a mixed or mistyped conductor, a ragged
+    shape, a wrong dim or an entry that is not an object."""
     n = draw(st.sampled_from([1, 3, 4, 12]))
     phi, d = euler_phi(n), draw(st.integers(1, 3))
     entries = [
@@ -143,13 +143,24 @@ def wire_matrices(draw):
     ]
     obj = {"dim": d, "conductor": n, "entries": entries}
     trouble = draw(st.sampled_from(
-        ["none", "text", "length", "entry-conductor", "matrix-conductor", "ragged", "dim",
-         "not-a-dict"]
+        ["none", "text", "repeat", "length", "entry-conductor", "matrix-conductor", "ragged",
+         "dim", "not-a-dict"]
     ))
     i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
     entry = entries[i][j]
     if trouble == "text":
         entry["coeffs"][draw(st.integers(0, phi - 1))] = draw(st.sampled_from(OTHER_TEXT))
+    elif trouble == "repeat":
+        # one spelling at one place of several entries, or 1, 1.0 and True
+        # there, which are equal and hash alike
+        spellings = draw(st.sampled_from(
+            [[text] for text in CANONICAL_TEXT + OTHER_TEXT] + [[1, 1.0, True]]
+        ))
+        k = draw(st.integers(0, phi - 1))
+        for row in entries:
+            for e in row:
+                if draw(st.booleans()):
+                    e["coeffs"][k] = draw(st.sampled_from(spellings))
     elif trouble == "length":
         entry["coeffs"] = entry["coeffs"] + draw(st.sampled_from([["0"], []]))
         if draw(st.booleans()):
@@ -164,13 +175,40 @@ def wire_matrices(draw):
         obj["dim"] = d + 1
     elif trouble == "not-a-dict":
         entries[i][j] = draw(st.sampled_from([["1"], "1", 1, None]))
-    return trouble, obj
+    return obj
 
 
-def read_outcome(obj):
+def reference_scalar(obj) -> CycNum:
+    """A scalar as the Fraction route reads it: the member checks and the
+    length guard, then CycNum.from_coeffs."""
+    conductor = _member(obj, "conductor", int, "a scalar")
+    coeffs = _member(obj, "coeffs", list, "a scalar")
+    if 2 * len(coeffs) ** 2 < conductor:
+        raise MalformedInput(f"bad scalar: coefficient vector must have length phi({conductor})")
+    try:
+        return CycNum.from_coeffs(conductor, coeffs)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise MalformedInput(f"bad scalar: {exc}") from None
+
+
+def reference_matrix(obj) -> CMatrix:
+    """A matrix as the Fraction route reads it: its scalars in row-major
+    order, then CMatrix, then the dim check."""
+    dim = _member(obj, "dim", int, "a matrix")
+    conductor = _member(obj, "conductor", int, "a matrix")
+    entries = _member(obj, "entries", list, "a matrix")
+    if not all(isinstance(row, list) for row in entries):
+        raise MalformedInput("a matrix needs 'entries' as a list of rows")
+    m = CMatrix([[reference_scalar(e) for e in row] for row in entries], conductor)
+    if m.dim != dim:
+        raise MalformedInput("matrix dim field disagrees with the entries")
+    return m
+
+
+def read_outcome(read, obj):
     """The matrix read, or the class and text of what was raised."""
     try:
-        m = matrix_from_obj(obj)
+        m = read(obj)
     except LoopBraidError as exc:
         return type(exc), str(exc)
     return m.dim, m.conductor, [(x.conductor, x._num, x._den) for r in m.rows for x in r]
@@ -178,22 +216,39 @@ def read_outcome(obj):
 
 @PROPERTY
 @given(wire_matrices())
-def test_one_pass_matrix_reader_matches_the_scalar_route(drawn):
-    trouble, obj = drawn
+def test_one_pass_matrix_reader_matches_the_scalar_route(obj):
     text = json.dumps(obj)
-    got = read_outcome(json.loads(text))
-    with mock.patch.object(serialize, "_canonical_matrix", lambda entries, conductor: None):
-        want = read_outcome(json.loads(text))
-    assert got == want
-    if trouble == "none":
-        # all canonical: the one pass answers
-        assert serialize._canonical_matrix(obj["entries"], obj["conductor"]) is not None
+    got = read_outcome(matrix_from_obj, json.loads(text))
+    assert got == read_outcome(reference_matrix, json.loads(text))
+
+
+def test_equal_scalars_share_one_cycnum():
+    half, one = {"conductor": 3, "coeffs": ["1/2", "0"]}, {"conductor": 3, "coeffs": [1, 0]}
+    true = {"conductor": 3, "coeffs": [True, 0.0]}
+    m = matrix_from_obj({"dim": 2, "conductor": 3, "entries": [[half, one], [true, half]]})
+    (a, b), (c, e) = m.rows
+    assert a is e and b is c and b == 1 and a == Fraction(1, 2)
+    # the conductor is part of the key: ["1"] at conductor 2 is not one(1)
+    one_at = [{"conductor": n, "coeffs": ["1"]} for n in (1, 2)]
+    with pytest.raises(ConductorMismatch, match="conductors 1 and 2 differ"):
+        matrix_from_obj({"dim": 2, "conductor": 1, "entries": [one_at, one_at]})
+
+
+def test_the_first_bad_entry_in_row_major_order_is_named():
+    good = {"conductor": 3, "coeffs": ["1", "0"]}
+    bad = [{"conductor": 3, "coeffs": [text, "0"]} for text in ("abc", "1/0", "0x1")]
+    entries = [[good, bad[0]], [bad[1], bad[2]]]
+    with pytest.raises(MalformedInput, match="^bad scalar: Invalid literal for Fraction: 'abc'$"):
+        matrix_from_obj({"dim": 2, "conductor": 3, "entries": entries})
+    entries[0][1] = good
+    with pytest.raises(MalformedInput, match=r"^bad scalar: Fraction\(1, 0\)$"):
+        matrix_from_obj({"dim": 2, "conductor": 3, "entries": entries})
 
 
 def test_wrong_length_matrix_is_rejected_before_euler_phi(monkeypatch):
     # as for a scalar, a short coefficient list of a huge conductor is
     # refused by its length before phi(n) factors n
-    monkeypatch.setattr(serialize, "euler_phi", lambda n: pytest.fail("phi called"))
+    monkeypatch.setattr(cyclotomic, "euler_phi", lambda n: pytest.fail("phi called"))
     for n in (12, 4000, 10**18 + 9):
         entry = {"conductor": n, "coeffs": ["1"]}
         with pytest.raises(MalformedInput, match="length phi"):
