@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, catalog, extend, sampling
-from .cyclotomic import CycNum, common_field, dot, make_root_of_unity
+from .cyclotomic import CycNum, common_field, make_root_of_unity
 from .errors import LoopBraidError, MalformedInput
 from .repcore import GroupKind, LBRep, is_irreducible, verify
 from .serialize import dumps, rep_from_obj, report_to_obj
@@ -230,10 +230,8 @@ def _extend_vb3(rep: LBRep, args) -> dict:
         raise ValueError("input does not verify LB3")
     # a given k goes to vb3_lift, which checks it, without the search
     k = parse_scalar(args.k) if args.k is not None else _k_search(rep, "no VB3 lift")[0][0]
-    built = extend.vb3_lift(rep, k)
-    # Tr(S1 S2) = vec(S1) . vec(S2^T): one sum of d^2 products, not S1 S2
-    trace = dot(built.S1.flatten(), built.S2.transpose().flatten())
-    return {"k": k, "representation": built, "trace_of_S": trace}
+    built, cert = extend.vb3_lift(rep, k)
+    return {"k": k, "representation": built, "trace_of_S": cert.S.trace()}
 
 
 _MODES = {"standard": _extend_standard, "nonstandard3": _extend_nonstandard3, "vb3": _extend_vb3}

@@ -487,10 +487,7 @@ class CycNum:
             )
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        x = _new(conductor, numl, den)
-        _set_conductor(self, conductor)
-        _set_num(self, x._num)
-        _set_den(self, x._den)
+        _normalize_into(self, conductor, numl, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycNum is immutable")
@@ -687,12 +684,19 @@ _set_den = CycNum._den.__set__
 
 
 def _new(n: int, num: Sequence[int], den: int) -> CycNum:
-    """The element num / den of Q(zeta_n), in lowest terms with a positive
-    denominator: the one normalizing constructor.
+    """The element num / den of Q(zeta_n), normalized into a fresh object.
 
     The caller guarantees len(num) == phi(n) and den != 0;
-    `CycNum.__init__` checks both first.  The slots are set through their
-    descriptors, past the immutability guard.
+    `CycNum.__init__` checks both first.
+    """
+    return _normalize_into(_alloc(CycNum), n, num, den)
+
+
+def _normalize_into(x: CycNum, n: int, num: Sequence[int], den: int) -> CycNum:
+    """x set to num / den of Q(zeta_n), in lowest terms with a positive
+    denominator: the one normalizing body, behind `_new` and
+    `CycNum.__init__`.  The slots are set through their descriptors, past
+    the immutability guard.
     """
     g = math.gcd(*num, den)  # > 0 as den != 0
     if den < 0:
@@ -700,7 +704,6 @@ def _new(n: int, num: Sequence[int], den: int) -> CycNum:
     if g != 1:
         num = [v // g for v in num]
         den //= g
-    x = _alloc(CycNum)
     _set_conductor(x, n)
     _set_num(x, tuple(num))
     _set_den(x, den)

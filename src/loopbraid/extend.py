@@ -15,17 +15,20 @@ Tr(kAB) in Z.
 Every order-three S becomes its involutions (S1, S2 = S1 S) through one
 step, `_complete(s, m, m_inv, ell, a)`, whether S = kAB
 (`build_standard_extension` and the 2-dimensional line route
-`standard_extension_2d`) or the VB3 twist k B^2 S' (`vb3_lift`).  Its
-J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]]) is a signed permutation, so
-S1 = (M J0) M^-1 is M with its columns moved, then one product with the
-M^-1 the caller hands in; `build_standard_extension` folds any other
-(N, G) into M once.  The eigenspaces of S decide S^3 = I with Tr(S) in Z
-in one test, `default_extension_params`; no builder cubes S.  M^-1 is read
-off the spectral projectors of S (`_eigenbasis`), so no completion of a
-default M runs an elimination to invert it.  Whether
-a given S1 completes S is the S3 relation table itself
-(`s3_completion_check`).  Mixed inputs meet in one field through
-`cyclotomic.common_field`, with omega adjoined wherever S is split.
+`standard_extension_2d`) or the VB3 twist k B^2 S' (`vb3_lift`); both
+builders return the same certificate of S, and `vb3_lift` forms
+k B (B S') from the products S'A and BS' that verifying the input's L1
+kept on its matrices.  Its J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]])
+is a signed permutation, so S1 = (M J0) M^-1 is M with its columns moved,
+then one product with the M^-1 the caller hands in;
+`build_standard_extension` folds any other (N, G) into M once.  The
+eigenspaces of S decide S^3 = I with Tr(S) in Z in one test,
+`default_extension_params`; no builder cubes S.  M^-1 is read off the
+spectral projectors of S (`_eigenbasis`), so no completion of a default M
+runs an elimination to invert it.  Whether a given S1 completes S is the
+S3 relation table itself (`s3_completion_check`).  Mixed inputs meet in
+one field through `cyclotomic.common_field`, with omega adjoined wherever
+S is split.
 
 Every S with SA = BS is a combination of E_k = B^k AB when B is cyclic.
 `_basis_matrices` checks that hypothesis and builds the E_k; it is the
@@ -196,8 +199,9 @@ class ExtensionParams:
 
 @dataclass
 class ExtensionCertificate:
-    """Witness that S = kAB extends (A, B): the scalar, S itself, the free
-    parameters that rebuilt S1/S2 and the integer trace value."""
+    """Witness that S extends (A, B): the scalar k, S itself, the free
+    parameters that rebuilt S1/S2 and the integer trace value.  S is kAB
+    for `build_standard_extension` and k B^2 S' for `vb3_lift`."""
 
     k: CycNum
     S: CMatrix
@@ -576,22 +580,28 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
     raise ValueError(f"unknown route {route!r}")
 
 
-def vb3_lift(rep: LBRep, k: CycNum) -> LBRep:
-    """Twist a loop extension into a virtual one: new S = k B^2 S'.
+def vb3_lift(rep: LBRep, k: CycNum) -> tuple[LBRep, ExtensionCertificate]:
+    """Twist a loop extension into a virtual one: new S = k B^2 S', and its
+    certificate, as `build_standard_extension` returns one.
 
-    Raises BadCandidate unless k B^2 S' cubes to I with trace in Z: for a
-    standard S' = k0 AB, k B^2 S' = k k0 (BA)^2, which holds exactly when
-    k is a standard-extension candidate for (A, B).  The new S keeps the
-    trace of kAB, and a fresh involution completes it.
+    Raises ConstraintViolated unless S'A = BS' (then SA = BS: for the new
+    S, SA - BS = k B^2 (S'A - BS')), and BadCandidate unless k B^2 S' cubes
+    to I with trace in Z: for a standard S' = k0 AB, k B^2 S' = k k0 (BA)^2,
+    which holds exactly when k is a standard-extension candidate for
+    (A, B).  The new S keeps the trace of kAB, and a fresh involution
+    completes it.  S is formed as k B (B S'), and the check compares S'A
+    with BS': `verify`'s L1 keeps both products on the input's matrices.
     """
     (rep, k), _ = common_field(rep, k, extra=3)
-    a, b = rep.A, rep.B
-    s_new = (b @ b @ rep.S).scalar_mul(k)
-    if s_new @ a != b @ s_new:
+    a, b, s_in = rep.A, rep.B, rep.S
+    b_s = b @ s_in
+    if s_in @ a != b_s:
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    seed, seed_inv = _seed_params(s_new)
-    s1, s2 = _complete(s_new, seed.M, seed_inv, seed.ell, seed.a)
-    return LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
+    s = (b @ b_s).scalar_mul(k)
+    params, m_inv = _seed_params(s)
+    s1, s2 = _complete(s, params.M, m_inv, params.ell, params.a)
+    built = LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)
+    return built, ExtensionCertificate(k, s, params, s.trace().as_integer())
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,12 @@ def test_criterion_8_vb3_lift(extension_corpus):
     for family in ("tw2", "tw3", "tw4", "tw5", "binomial"):
         for rep, pairs in extension_corpus[family]:
             for built, cert in pairs:
-                out = extend.vb3_lift(built, cert.k)
+                out, lift_cert = extend.vb3_lift(built, cert.k)
                 assert verify(out, GroupKind.VB3).all_hold
                 k = cert.k.promote(out.conductor)
                 assert out.S.trace() == k * (out.A @ out.B).trace()
-                assert out.S.trace().as_integer() == cert.trace_value
+                assert lift_cert.S == out.S
+                assert out.S.trace().as_integer() == lift_cert.trace_value == cert.trace_value
                 lifted += 1
     print(f"\n[PASS] criterion 8: VB3 lift verified with Tr(S) = Tr(kAB) on "
           f"{lifted} standard extensions")

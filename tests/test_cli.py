@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, cli, extend, linalg, modular, sampling
+from loopbraid import catalog, cli, cyclotomic, extend, linalg, modular, sampling
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, euler_phi, make_root_of_unity
 from loopbraid.linalg import CMatrix
@@ -210,23 +210,24 @@ def test_extend_vb3(tmp_path, capsys):
 
 
 def test_extend_vb3_reads_the_trace_without_forming_s(tmp_path, capsys, monkeypatch):
-    # Tr(S1 S2) = vec(S1) . vec(S2^T), one sum of d^2 products: the
-    # lifted S1 @ S2 is never formed
+    # S1^2 = I, so Tr(S1 S2) = Tr(S): the trace is read off the lift's
+    # certificate, and the lifted S1 @ S2 is never formed, nor summed
     rep_file = tmp_path / "perm.json"
     assert main(["construct", "perm3", "--t", "8", "--out", str(rep_file)]) == 0
     capsys.readouterr()
     built, products, sums = [], [], []
-    lift, matmul, dot = extend.vb3_lift, CMatrix.__matmul__, cli.dot
+    lift, matmul, dot = extend.vb3_lift, CMatrix.__matmul__, cyclotomic.dot
     monkeypatch.setattr(extend, "vb3_lift", lambda rep, k: built.append(lift(rep, k)) or built[-1])
     monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: products.append((x, y)) or matmul(x, y))
-    monkeypatch.setattr(cli, "dot", lambda xs, ys: sums.append(len(xs)) or dot(xs, ys))
+    monkeypatch.setattr(cyclotomic, "dot", lambda xs, ys: sums.append(len(xs)) or dot(xs, ys))
     code, out = run(["extend", str(rep_file), "--mode", "vb3"], capsys)
     assert code == 0
-    (rep,) = built
+    (rep, cert), = built
     assert not any(x is rep.S1 and y is rep.S2 for x, y in products)
-    assert sums == [rep.A.dim**2]
+    assert sums == [] and not hasattr(cli, "dot")
     monkeypatch.undo()
-    assert cycnum_from_obj(json.loads(out)["trace_of_S"]) == rep.S.trace()
+    trace = cycnum_from_obj(json.loads(out)["trace_of_S"])
+    assert trace == (rep.S1 @ rep.S2).trace() == cert.S.trace()
 
 
 def test_analyze_uniqueness(tmp_path, capsys):
@@ -1123,3 +1124,35 @@ def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch
         "2034d41f1bfb245bcb810c4e5cc9b0d27d94c410f83b95bd50f2ecb58d44c752",
         "1e2d1de71ed19e64d72f2f73556f5ee3ae4d0c4414a46bd846cd93d5df3faafa",
     ]
+
+
+def test_extend_forms_each_product_once(tmp_path, monkeypatch):
+    """No `extend` command forms a sum of products twice from the same
+    operands, compared by value.  A standard extension makes 6: (AB)^3's
+    two, S = kAB, S^2 and the completion's two.  The VB3 lift reuses S'A
+    and BS', which verifying the input's L1 kept, and reads Tr(S) off its
+    certificate: 12 in `verify`, (AB)^3's two, S, S^2 and the completion's
+    two."""
+    rep, out = str(tmp_path / "rep60.json"), str(tmp_path / "out.json")
+    binomial = ["binomial", "--lambda", "z60", "(2*z60^6)", "(4*z60^11)", "--c", "(4*z60^12)"]
+    assert main(["construct", *binomial, "--out", rep]) == 0
+    products, packed_product = [], cyclotomic.packed_product
+
+    def values(operand):
+        vectors = operand.vectors if isinstance(operand, cyclotomic._Side) else operand
+        return tuple(map(tuple, vectors))
+
+    def recorded(rows, cols):
+        products.append((values(rows), values(cols)))
+        return packed_product(rows, cols)
+
+    for module in (cyclotomic, linalg, extend, modular):
+        if getattr(module, "packed_product", None) is packed_product:
+            monkeypatch.setattr(module, "packed_product", recorded)
+    counts = {}
+    for mode in ("standard", "vb3"):
+        products.clear()
+        assert main(["extend", rep, "--mode", mode, "--out", out]) == 0
+        assert len(set(products)) == len(products)
+        counts[mode] = len(products)
+    assert counts["standard"] == 6 and counts["vb3"] <= 18

@@ -894,12 +894,14 @@ def test_slb3_routes_agree_when_applicable():
 def test_vb3_lift_of_standard_extension():
     rep = catalog.tw4(*TW4)
     (built, cert), = standard_extensions(rep.A, rep.B)
-    lifted = extend.vb3_lift(built, cert.k)
+    lifted, lift_cert = extend.vb3_lift(built, cert.k)
     assert verify(lifted, GroupKind.VB3).all_hold
     k = cert.k.promote(lifted.conductor)
     expected = (lifted.B @ lifted.B @ lifted.A @ lifted.B).scalar_mul(k * k)
-    assert lifted.S == expected  # new S = k^2 B^2 AB
+    assert lifted.S == expected == lift_cert.S  # new S = k^2 B^2 AB
     assert lifted.S.trace() == k * (lifted.A @ lifted.B).trace()  # Tr(kAB)
+    assert lift_cert.k == k and lift_cert.trace_value == cert.trace_value
+    assert lift_cert.params == extend.default_extension_params(lift_cert.S)
 
 
 def test_vb3_lift_perm3():
@@ -907,8 +909,9 @@ def test_vb3_lift_perm3():
     res = extend.standard_k_candidates(rep.A, rep.B)
     assert res.candidates
     k = next(k for k, _ in res.candidates if k.is_rational)
-    lifted = extend.vb3_lift(rep, k)
+    lifted, cert = extend.vb3_lift(rep, k)
     assert verify(lifted, GroupKind.VB3).all_hold
+    assert cert.S == lifted.S and cert.trace_value == lifted.S.trace().as_integer()
     assert lifted.S.trace() == k.promote(lifted.conductor) * (
         lifted.A @ lifted.B
     ).trace()
@@ -927,13 +930,14 @@ def test_vb3_lift_accepts_exactly_the_standard_candidates():
     cases.append((perm, extend.standard_k_candidates(perm.A, perm.B).candidates[0][0]))
     assert len(cases) >= 6
     for rep, k0 in cases:
-        n = extend.vb3_lift(rep, k0).conductor
+        n = extend.vb3_lift(rep, k0)[0].conductor
         a, b = rep.A.promote(n), rep.B.promote(n)
         good = {k for k, _ in extend.standard_k_candidates(a, b).candidates}
         for u in roots_of_unity(n):
             k = u * k0.promote(n)
             if k in good:
-                assert verify(extend.vb3_lift(rep, k), GroupKind.VB3).all_hold
+                lifted, _ = extend.vb3_lift(rep, k)
+                assert verify(lifted, GroupKind.VB3).all_hold
             else:
                 with pytest.raises(BadCandidate):
                     extend.vb3_lift(rep, k)

@@ -1,11 +1,14 @@
 """Module layering: the package's imports form an acyclic graph, made at
-module top, and only the heavy numeric dependencies load lazily."""
+module top, and only the heavy numeric dependencies load lazily; the
+benchmark's tracer still binds to the names it wraps."""
 
 import ast
 import graphlib
+import types
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loopbraid"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "loopbraid"
 MODULES = {p.stem: p for p in PACKAGE.glob("*.py")}  # "__init__" is the package
 # (module, function, package) of every import made inside a function: the
 # numeric oracle's numpy and the root factorization's sympy, nothing else,
@@ -110,3 +113,31 @@ def test_every_public_name_resolves():
 
     missing = [name for name in loopbraid.__all__ if not hasattr(loopbraid, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_binds_and_unbinds():
+    """benchmarks/tracing.py wraps names by lookup (CycNum.__init__, the
+    CMatrix methods, cyclotomic.dot, _roots_by_factorization): one that
+    src/ drops or renames fails its install."""
+    from loopbraid import cyclotomic
+    from loopbraid.cyclotomic import CycNum
+    from loopbraid.linalg import CMatrix
+
+    path = ROOT / "benchmarks" / "tracing.py"
+    tracing = types.ModuleType("tracing")  # compiled here: no bytecode is written
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    init, matmul = CycNum.__dict__["__init__"], CMatrix.__dict__["__matmul__"]
+    dot, factor = cyclotomic.dot, cyclotomic._roots_by_factorization
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert CycNum.__dict__["__init__"] is not init
+        assert CMatrix.__dict__["__matmul__"] is not matmul
+        assert cyclotomic.dot is not dot and cyclotomic._roots_by_factorization is not factor
+        CycNum(12, [3, 0, -6, 0], 9)
+        assert tracer.counts["new"] == 1
+    finally:
+        tracer.uninstall()
+    assert CycNum.__dict__["__init__"] is init
+    assert CMatrix.__dict__["__matmul__"] is matmul
+    assert cyclotomic.dot is dot and cyclotomic._roots_by_factorization is factor

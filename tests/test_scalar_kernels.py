@@ -132,21 +132,24 @@ def test_new_normalizes_like_fractions(case):
 
 
 def test_new_on_zero_vectors_and_negative_denominators():
-    for n in (1, 12, 60):
-        phi = euler_phi(n)
-        for den in (1, -1, 7, -30):
-            z = _new(n, [0] * phi, den)
-            assert (z._num, z._den) == ((0,) * phi, 1)
-            assert z == CycNum.zero(n) and z.is_zero
-        x = _new(n, [4] + [-6] * (phi - 1), -8)
-        assert x.coeffs == (Fraction(-1, 2),) + (Fraction(3, 4),) * (phi - 1)
-        assert x._den == (4 if phi > 1 else 2)
+    # `_new` and `CycNum(...)` share one normalizing body
+    for make in (_new, CycNum):
+        for n in (1, 12, 60):
+            phi = euler_phi(n)
+            for den in (1, -1, 7, -30):
+                z = make(n, [0] * phi, den)
+                assert (z._num, z._den) == ((0,) * phi, 1)
+                assert z == CycNum.zero(n) and z.is_zero
+            x = make(n, [4] + [-6] * (phi - 1), -8)
+            assert x.coeffs == (Fraction(-1, 2),) + (Fraction(3, 4),) * (phi - 1)
+            assert x._den == (4 if phi > 1 else 2)
+            assert type(x) is CycNum and x.conductor == n
 
 
 def test_init_keeps_its_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"length phi\(12\) = 4"):
         CycNum(12, [1, 2, 3])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
         CycNum(12, [1, 0, 0, 0], 0)
     assert CycNum(4, iter([2, -4]), -6) == CycNum(4, [-1, 2], 3)
 
