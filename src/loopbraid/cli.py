@@ -189,7 +189,16 @@ def _k_search(rep: LBRep, refusal: str) -> list[tuple[CycNum, int]]:
     raise _NoExtension(f"{refusal}: {reason}")
 
 
+def _working(rep: LBRep) -> LBRep:
+    """rep promoted once into the working field, its field with omega
+    adjoined, where the k-search and the builders each take it as it is,
+    so every step shares its matrices and the products they keep."""
+    (rep,), _ = common_field(rep, extra=3)
+    return rep
+
+
 def _extend_standard(rep: LBRep, args) -> dict:
+    rep = _working(rep)
     candidates = _k_search(rep, "no standard extension")
     k = candidates[0][0]
     if args.k is not None:
@@ -226,6 +235,7 @@ def _extend_nonstandard3(rep: LBRep, args) -> dict:
 def _extend_vb3(rep: LBRep, args) -> dict:
     if rep.S1 is None or rep.S2 is None:
         raise ValueError("vb3 mode needs a verified LB3 representation")
+    rep = _working(rep)
     if not verify(rep, GroupKind.LB3).all_hold:
         raise ValueError("input does not verify LB3")
     # a given k goes to vb3_lift, which checks it, without the search

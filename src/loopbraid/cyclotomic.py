@@ -200,14 +200,16 @@ def _field(n: int) -> _Field:
     return _Field(n)
 
 
-def _power_map(num: Sequence[int], fld: _Field, step: int) -> list[int]:
-    # The image of sum c_j zeta^j under zeta -> zeta_M^(j*step), M = fld.n:
-    # a Galois automorphism when M is the conductor, else an embedding.
+def _power_map(num: Sequence[int], fld: _Field, step: int, shift: int = 0) -> list[int]:
+    # The image of sum c_j zeta^j under zeta^j -> zeta_M^(j*step + shift),
+    # M = fld.n: with no shift a Galois automorphism when M is the
+    # conductor, else an embedding; with step 1, the product by zeta^shift,
+    # a rotation of the coefficients.
     out = [0] * fld.phi
     n, fold = fld.n, fld.fold
     for j, c in enumerate(num):
         if c:
-            for i, r in fold[(j * step) % n]:
+            for i, r in fold[(j * step + shift) % n]:
                 out[i] += c * r
     return out
 
@@ -338,6 +340,41 @@ class _Side:
         return packed
 
 
+def _sides(
+    rows: Sequence[Sequence["CycNum"]] | _Side, cols: Sequence[Sequence["CycNum"]] | _Side
+) -> tuple[_Side, _Side]:
+    """rows and cols as `_Side`s of one conductor, a plain list of vectors
+    prepared here."""
+    if not isinstance(rows, _Side):
+        rows = _Side(rows, rows[0][0].conductor)
+    if not isinstance(cols, _Side):
+        cols = _Side(cols, rows.conductor)
+    elif cols.conductor != rows.conductor:
+        raise ConductorMismatch("matrix entries must share a conductor")
+    return rows, cols
+
+
+def _route(fld: _Field, bound: int) -> tuple[int, int, int, object]:
+    """(K, modulus, mid, read) for packed sums of products in the field
+    fld whose convolution slots are at most bound, length * phi *
+    max|a| * max|b|: the one slot-width and reduction setup, behind
+    `packed_product` and `packed_equal`.
+
+    On the remainder route modulus is Phi_n(2^K) and mid its half, and
+    read takes the symmetric residue r(2^K) of the reduced product r to
+    its phi coefficients.  On the fold route modulus is 0 and read takes
+    the raw sum C(2^K) to C's 2 phi - 1 slots, which the caller folds with
+    `_reduce`.
+    """
+    phi = fld.phi
+    k = _slot_bits(bound * fld.growth, phi)
+    if phi * k <= _REMAINDER_BITS:
+        modulus, mid = _packed_modulus(fld.n, k)
+        return k, modulus, mid, _slot_reader(k, phi)
+    k = _slot_bits(bound, 2 * phi - 1)
+    return k, 0, 0, _slot_reader(k, 2 * phi - 1)
+
+
 def packed_product(
     rows: Sequence[Sequence["CycNum"]] | _Side, cols: Sequence[Sequence["CycNum"]] | _Side
 ) -> list[list["CycNum"]]:
@@ -355,9 +392,9 @@ def packed_product(
     bound by `_Field.growth`, g_N, so K is the bit length of s * g_N plus
     a sign bit, rounded up to 8, 16, 32 or 64 bits when one of them holds
     it and phi of them stay within `_REMAINDER_BITS`, so that one struct
-    unpack reads every slot, else to whole bytes.  rows and cols are each
-    a `_Side`, which keeps that scaling and packing, or a list of vectors,
-    prepared here.
+    unpack reads every slot, else to whole bytes (`_route`).  rows and
+    cols are each a `_Side`, which keeps that scaling and packing, or a
+    list of vectors, prepared here.
     `_packed_modulus` checks that the symmetric residue is exact at (N, K).
     Division is quadratic in CPython, so when Phi_N(2^K) has more than
     `_REMAINDER_BITS` bits the entry instead reads all 2 phi - 1 slots, K
@@ -365,24 +402,10 @@ def packed_product(
     polynomial multiplication via multipoint Kronecker substitution",
     J. Symb. Comp. 2009.
     """
-    if not isinstance(rows, _Side):
-        rows = _Side(rows, rows[0][0].conductor)
+    rows, cols = _sides(rows, cols)
     n = rows.conductor
-    if not isinstance(cols, _Side):
-        cols = _Side(cols, n)
-    elif cols.conductor != n:
-        raise ConductorMismatch("matrix entries must share a conductor")
     fld = _field(n)
-    phi = fld.phi
-    bound = rows.length * phi * rows.top * cols.top  # every slot of the convolution
-    k = _slot_bits(bound * fld.growth, phi)
-    remainder = phi * k <= _REMAINDER_BITS
-    if remainder:
-        modulus, mid = _packed_modulus(n, k)
-        read = _slot_reader(k, phi)
-    else:
-        k = _slot_bits(bound, 2 * phi - 1)
-        read = _slot_reader(k, 2 * phi - 1)
+    k, modulus, mid, read = _route(fld, rows.length * fld.phi * rows.top * cols.top)
     pcols = list(zip(cols.pack(k), cols.dens))
     zero = CycNum.zero(n)
     out = []
@@ -396,7 +419,7 @@ def packed_product(
             if not acc:
                 line.append(zero)
                 continue
-            if remainder:
+            if modulus:
                 acc %= modulus
                 if acc > mid:
                     acc -= modulus
@@ -406,6 +429,70 @@ def packed_product(
             line.append(_new(n, num, da * db))
         out.append(line)
     return out
+
+
+def packed_equal(
+    rows: Sequence[Sequence["CycNum"]] | _Side,
+    cols: Sequence[Sequence["CycNum"]] | _Side,
+    other_rows: Sequence[Sequence["CycNum"]] | _Side,
+    other_cols: Sequence[Sequence["CycNum"]] | _Side,
+) -> bool:
+    """Whether packed_product(rows, cols) == packed_product(other_rows,
+    other_cols), decided on the packed residues of `packed_product`'s
+    setup (`_route`, at one K for both) and forming no CycNum.
+
+    Entry (i, j) of each product is r / D: r the reduced product, read
+    from its residue, and D = d_i e_j, the row's and the column's common
+    denominators.  So r / D = r' / D' iff r D' = r' D.  On the remainder
+    route the residue v is r(2^K) with every |r_j| < 2^(K-1), and r D' has
+    every coefficient below 2^(K-1) too whenever D' times the bound on r
+    is, which makes v D' = r D' (2^K) a faithful encoding: the two sides
+    are then compared as integers, v D' = v' D.  Otherwise, and on the
+    fold route, the coefficients are read back and compared.
+    """
+    rows, cols = _sides(rows, cols)
+    other_rows, other_cols = _sides(other_rows, other_cols)
+    n = rows.conductor
+    if other_rows.conductor != n:
+        raise ConductorMismatch("matrix entries must share a conductor")
+    if (len(rows.vectors), len(cols.vectors)) != (len(other_rows.vectors), len(other_cols.vectors)):
+        return False
+    fld = _field(n)
+    bound = rows.length * fld.phi * rows.top * cols.top
+    other = other_rows.length * fld.phi * other_rows.top * other_cols.top
+    k, modulus, mid, read = _route(fld, max(bound, other))
+    # every |r_j| is at most bound * g_N: r D' is exact for D' <= lim, and
+    # r' D for D <= other_lim
+    half = (1 << (k - 1)) - 1
+    lim, other_lim = (half // max(1, b * fld.growth) for b in (bound, other))
+    pcols = list(zip(cols.pack(k), cols.dens, other_cols.pack(k), other_cols.dens))
+    for pa, da, pc, dc in zip(rows.pack(k), rows.dens, other_rows.pack(k), other_rows.dens):
+        for pb, db, pd, dd in pcols:
+            acc = other_acc = 0
+            for a, b in zip(pa, pb):
+                if a and b:
+                    acc += a * b
+            for a, b in zip(pc, pd):
+                if a and b:
+                    other_acc += a * b
+            den, other_den = da * db, dc * dd
+            if modulus:
+                acc %= modulus
+                if acc > mid:
+                    acc -= modulus
+                other_acc %= modulus
+                if other_acc > mid:
+                    other_acc -= modulus
+                if den == other_den or (other_den <= lim and den <= other_lim):
+                    if acc * other_den != other_acc * den:
+                        return False
+                    continue
+                num, other_num = read(acc), read(other_acc)
+            else:
+                num, other_num = _reduce(read(acc), fld), _reduce(read(other_acc), fld)
+            if [c * other_den for c in num] != [c * den for c in other_num]:
+                return False
+    return True
 
 
 def _lift(value, n: int) -> "CycNum":

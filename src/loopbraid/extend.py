@@ -17,8 +17,7 @@ step, `_complete(s, m, m_inv, ell, a)`, whether S = kAB
 (`build_standard_extension` and the 2-dimensional line route
 `standard_extension_2d`) or the VB3 twist k B^2 S' (`vb3_lift`); both
 builders return the same certificate of S, and `vb3_lift` forms
-k B (B S') from the products S'A and BS' that verifying the input's L1
-kept on its matrices.  Its J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]])
+k B (B S') once S'A = BS' holds.  Its J0 = diag(I_a, -I_(l-a), [[0, I_t], [I_t, 0]])
 is a signed permutation, so S1 = (M J0) M^-1 is M with its columns moved,
 then one product with the M^-1 the caller hands in;
 `build_standard_extension` folds any other (N, G) into M once.  The
@@ -46,7 +45,9 @@ from dataclasses import dataclass
 
 from .cyclotomic import (
     CycNum,
+    _field,
     _new,
+    _power_map,
     _root_of_unity_part,
     common_field,
     make_root_of_unity,
@@ -71,7 +72,9 @@ from .errors import (
     TraceZero,
     WrongForm,
 )
-from .linalg import CMatrix, Vector, _block_diagonal, _mod_p_first, matrix_rank, solve_linear
+from .linalg import (
+    CMatrix, Vector, _block_diagonal, _mod_p_first, matrix_rank, products_equal, solve_linear,
+)
 from .repcore import GroupKind, LBRep, relation_holds, verify
 
 
@@ -242,14 +245,23 @@ def _eigenbasis(s: CMatrix) -> tuple[ExtensionParams, CMatrix]:
     m = CMatrix([*v1, *vw, *vw2], n).transpose()
     g = CMatrix.identity(t, n) if t else None
     nmat = CMatrix.identity(ell, n) if ell else None
-    s2, m_inv = s @ s, []
-    for u, vectors in zip(units, blocks):
-        u_inv = u * u  # u^3 = 1, so u^-1 = u^2 and u^-2 = u
+    s2, m_inv, fld = s @ s, [], _field(n)
+    for e, vectors in enumerate(blocks):
+        # u = w^e = zeta^(e n/3), u^3 = 1, so u^-1 = u^2 and u^-2 = u: the
+        # products are rotations of the coefficients (`_power_map`)
+        back, ahead = 2 * e * n // 3, e * n // 3
         for v in vectors:
-            f = max(j for j, e in enumerate(v) if e)  # v's free column
-            row = [x * u_inv + y * u for x, y in zip(s.rows[f], s2.rows[f])]
-            row[f] = row[f] + 1
-            m_inv.append([_new(n, e._num, 3 * e._den) for e in row])
+            f = max(j for j, x in enumerate(v) if x)  # v's free column
+            row = []
+            for j, (x, y) in enumerate(zip(s.rows[f], s2.rows[f])):
+                den = math.lcm(x._den, y._den)
+                fx, fy = den // x._den, den // y._den
+                xu, yu = _power_map(x._num, fld, 1, back), _power_map(y._num, fld, 1, ahead)
+                num = [fx * p + fy * q for p, q in zip(xu, yu)]
+                if j == f:
+                    num[0] += den
+                row.append(_new(n, num, 3 * den))
+            m_inv.append(row)
     return ExtensionParams(M=m, G=g, a=ell, N=nmat), CMatrix._of(m_inv, n)
 
 
@@ -576,7 +588,7 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
         if (a @ b).matpow(3).is_scalar() is None:
             raise HypothesisUnmet("commutator route needs (AB)^3 scalar")
         a2, b2 = a @ a, b @ b
-        return s2 @ b2 == b2 @ s2 and s1 @ a2 == a2 @ s1
+        return products_equal(s2, b2, b2, s2) and products_equal(s1, a2, a2, s1)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -589,15 +601,14 @@ def vb3_lift(rep: LBRep, k: CycNum) -> tuple[LBRep, ExtensionCertificate]:
     to I with trace in Z: for a standard S' = k0 AB, k B^2 S' = k k0 (BA)^2,
     which holds exactly when k is a standard-extension candidate for
     (A, B).  The new S keeps the trace of kAB, and a fresh involution
-    completes it.  S is formed as k B (B S'), and the check compares S'A
-    with BS': `verify`'s L1 keeps both products on the input's matrices.
+    completes it.  S'A = BS' is decided by `products_equal`, which forms
+    neither side, and S is formed as k B (B S').
     """
     (rep, k), _ = common_field(rep, k, extra=3)
     a, b, s_in = rep.A, rep.B, rep.S
-    b_s = b @ s_in
-    if s_in @ a != b_s:
+    if not products_equal(s_in, a, b, s_in):
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
-    s = (b @ b_s).scalar_mul(k)
+    s = (b @ (b @ s_in)).scalar_mul(k)
     params, m_inv = _seed_params(s)
     s1, s2 = _complete(s, params.M, m_inv, params.ell, params.a)
     built = LBRep(target=GroupKind.VB3, A=a, B=b, S1=s1, S2=s2)

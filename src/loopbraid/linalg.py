@@ -32,7 +32,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import modular
 from .cyclotomic import (
-    CycNum, _conductor_of, _field, _lift, _mul_num, _new, _power, _Side, packed_product,
+    CycNum, _conductor_of, _field, _lift, _mul_num, _new, _power, _Side, packed_equal,
+    packed_product,
 )
 from .errors import (
     ConductorMismatch,
@@ -369,6 +370,14 @@ class CMatrix:
         return matrix_rank(acc.rows) == self.dim
 
 
+def products_equal(a: CMatrix, b: CMatrix, c: CMatrix, d: CMatrix) -> bool:
+    """a @ b == c @ d, decided by `cyclotomic.packed_equal` on the four
+    matrices' kept rows and columns: neither product is formed or kept."""
+    for m in (b, c, d):
+        a._check(m)
+    return packed_equal(a._rows_side(), b._cols_side(), c._rows_side(), d._cols_side())
+
+
 def _block_diagonal(blocks: Sequence[Sequence[Sequence]], conductor: int) -> CMatrix:
     """diag(blocks) for square blocks given as lists of rows, lifted through
     `CMatrix(...)`; an empty block adds nothing."""
@@ -702,9 +711,10 @@ def _span_closure(mats, ring: _Ring, insert, full: int) -> int:
 
 @lru_cache(maxsize=None)
 def _identity(dim: int, conductor: int) -> CMatrix:
-    # the closure's empty word, shared so that its image mod p is formed
-    # once per (d, N); it enters `_mod_p_first` only as rows, so its
-    # product memo stays empty
+    # the empty word of the closure and of `repcore`'s relations, shared
+    # so that its image mod p and its rows and columns for the kernel are
+    # prepared once per (d, N); it enters `_mod_p_first` only as rows and
+    # `products_equal` only as a factor, so its product memo stays empty
     return CMatrix.identity(dim, conductor)
 
 

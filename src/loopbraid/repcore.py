@@ -14,7 +14,8 @@ generators (the empty word is I):
 
 B3 checks {B1}; S3 checks {Sigma1, Sigma2}; VB3 adds L1, LB3 adds L2 and
 SLB3 adds L2'.  Verdicts are exact matrix equalities, never numeric, and
-one verify call forms each distinct word product once.
+one verify call forms each factor it needs (AB, S1 S2, BA) once and
+compares the two sides of each equation on packed residues, unformed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     MissingGenerator,
     NotAWeakening,
 )
-from .linalg import CMatrix, algebra_dimension
+from .linalg import CMatrix, _identity, algebra_dimension, products_equal
 
 
 class GroupKind(enum.Enum):
@@ -159,32 +160,51 @@ class RelationReport:
         return self.verdicts.get(relation) == "holds"
 
 
+def _word(word: tuple[str, ...], gens: dict[str, CMatrix], memo: dict) -> CMatrix:
+    """The product of word on gens, formed once and kept in memo, keyed
+    by letter tuple; a letter is its generator and the empty word is the
+    shared I of `linalg._identity`."""
+    if len(word) == 1:
+        return gens[word[0]]
+    if not word:
+        g = next(iter(gens.values()))
+        return _identity(g.dim, g.conductor)
+    if word not in memo:
+        x, y = _factors(word, gens, memo)
+        memo[word] = x @ y
+    return memo[word]
+
+
+def _factors(
+    word: tuple[str, ...], gens: dict[str, CMatrix], memo: dict
+) -> tuple[CMatrix, CMatrix]:
+    """Two matrices whose product is word: g and the product of the rest
+    when that suffix is known, else the product of the prefix and g; a
+    word of one letter or none is itself and I."""
+    if len(word) < 2:
+        return _word(word, gens, memo), _word((), gens, memo)
+    if word[1:] in memo:
+        return gens[word[0]], memo[word[1:]]
+    return _word(word[:-1], gens, memo), gens[word[-1]]
+
+
 def relation_holds(gens: dict[str, CMatrix], relation: str, memo: dict | None = None) -> bool:
     """Do both words of every equation of `relation` agree on gens?
 
     gens maps the letters A, B, S1, S2 to matrices; only the letters the
-    relation uses are read.  Word products go into memo, keyed by letter
-    tuple, so one memo passed to several calls on the same gens shares
-    them.  A new word costs one matmul: g @ product(rest) when that suffix
-    is known, else product(prefix) @ g.
+    relation uses are read.  Each side is split into two factors
+    (`_factors`), whose word products go into memo, keyed by letter tuple,
+    so one memo passed to several calls on the same gens shares them; a
+    new one costs one matmul.  The two sides' last products are compared
+    by `products_equal` and never formed.  Module-level functions build
+    the words, so no closure keeps memo, and the products in it, alive
+    past the call.
     """
     memo = {} if memo is None else memo
-
-    def product(word: tuple[str, ...]) -> CMatrix:
-        if len(word) == 1:
-            return gens[word[0]]
-        if word not in memo:
-            if not word:
-                g = next(iter(gens.values()))
-                memo[word] = CMatrix.identity(g.dim, g.conductor)
-            elif word[1:] in memo:
-                memo[word] = gens[word[0]] @ memo[word[1:]]
-            else:
-                memo[word] = product(word[:-1]) @ gens[word[-1]]
-        return memo[word]
-
     return all(
-        product(tuple(lhs.split())) == product(tuple(rhs.split()))
+        products_equal(
+            *_factors(tuple(lhs.split()), gens, memo), *_factors(tuple(rhs.split()), gens, memo)
+        )
         for lhs, rhs in RELATION_WORDS[relation]
     )
 

@@ -9,9 +9,11 @@ Rationals travel as base-10 strings, so round-trips are exact.  The
 writer's form is canonical: "p" when the coefficient is an integer, else
 "p/q" in lowest terms with q > 1, the sign on p and no leading zeros or
 other characters, each string made from the scalar's integer numerators
-and denominator with one gcd, and each scalar written from one template.
-One reader takes every scalar, alone or in a matrix: the member checks,
-a length guard, then each coefficient as a rational, a canonical
+and denominator, with one gcd unless the coefficient is zero or the
+denominator 1, and each scalar and each matrix written from one template.
+One reader takes every scalar, alone or in a matrix: the member checks
+(a JSON object holding an int and a list passes them as it is), a
+length guard, then each coefficient as a rational, a canonical
 string -?[0-9]+(/[1-9][0-9]*)? (so also "2/4" or "007") by int() and
 any other value, such as "1.5", "+3" or a JSON number, by Fraction,
 which accepts and refuses it (MalformedInput) as there.  A matrix reads
@@ -51,11 +53,26 @@ class _Scalar(dict):
     __slots__ = ()
 
 
+class _Matrix(dict):
+    """The wire object of a matrix as `matrix_to_obj` makes it: a dict to
+    every reader, with int "dim" and "conductor" and "entries" a list of
+    rows of `_Scalar`s, which `_write` emits from one template."""
+
+    __slots__ = ()
+
+
 def cycnum_to_obj(x: CycNum) -> dict:
-    den, coeffs = x._den, []
-    for v in x._num:
-        g = math.gcd(v, den)
-        coeffs.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    den = x._den
+    if den == 1:  # every coefficient an integer: no gcd
+        coeffs = list(map(str, x._num))
+    else:
+        coeffs = []
+        for v in x._num:
+            if not v:
+                coeffs.append("0")
+                continue
+            g = math.gcd(v, den)
+            coeffs.append(str(v // g) if g == den else f"{v // g}/{den // g}")
     obj = _Scalar()  # two stores: faster than passing the keys to the constructor
     obj["conductor"], obj["coeffs"] = x.conductor, coeffs
     return obj
@@ -103,8 +120,12 @@ def _read_scalar(obj, rationals: _Rationals, scalars: dict) -> CycNum:
     are the tables of the matrix being read: each coefficient string's
     (p, q), and each scalar keyed by its conductor and coefficients, so
     that equal scalars share one CycNum."""
-    conductor = _member(obj, "conductor", int, "a scalar")
-    coeffs = _member(obj, "coeffs", list, "a scalar")
+    conductor = coeffs = None
+    if type(obj) is dict:  # a JSON object: _member's checks, made on exact types
+        conductor, coeffs = obj.get("conductor"), obj.get("coeffs")
+    if type(conductor) is not int or type(coeffs) is not list:
+        conductor = _member(obj, "conductor", int, "a scalar")
+        coeffs = _member(obj, "coeffs", list, "a scalar")
     if 2 * len(coeffs) ** 2 < conductor:  # phi(n) >= sqrt(n/2), without factoring n
         raise MalformedInput(f"bad scalar: coefficient vector must have length phi({conductor})")
     key = (conductor, *coeffs)
@@ -129,11 +150,10 @@ def cycnum_from_obj(obj: dict) -> CycNum:
 
 
 def matrix_to_obj(m: CMatrix) -> dict:
-    return {
-        "dim": m.dim,
-        "conductor": m.conductor,
-        "entries": [[cycnum_to_obj(e) for e in row] for row in m.rows],
-    }
+    obj = _Matrix()
+    obj["dim"], obj["conductor"] = m.dim, m.conductor
+    obj["entries"] = [[cycnum_to_obj(e) for e in row] for row in m.rows]
+    return obj
 
 
 def matrix_from_obj(obj: dict) -> CMatrix:
@@ -247,17 +267,44 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
+def _scalar_text(x: _Scalar, newline: str) -> str:
+    """The JSON of a `_Scalar` whose first line is already indented and
+    whose later lines start with newline.  A canonical coefficient holds
+    only digits, "-" and "/", which JSON writes as they are, so each is
+    quoted without the escaper."""
+    inner = newline + "  "
+    item = inner + "  "
+    return (
+        "{" + inner + '"coeffs": [' + item + '"' + ('",' + item + '"').join(x["coeffs"]) + '"'
+        + inner + "]," + inner + '"conductor": ' + int.__repr__(x["conductor"])
+        + newline + "}"
+    )
+
+
+def _matrix_text(x: _Matrix, newline: str) -> str:
+    """The JSON of a `_Matrix`, its keys in sorted order, each row a list
+    of `_scalar_text`s."""
+    inner = newline + "  "
+    row, entry = inner + "  ", inner + "    "
+    return (
+        "{" + inner + '"conductor": ' + int.__repr__(x["conductor"])
+        + "," + inner + '"dim": ' + int.__repr__(x["dim"])
+        + "," + inner + '"entries": [' + row
+        + ("," + row).join(
+            "[" + entry + ("," + entry).join([_scalar_text(e, entry) for e in r]) + row + "]"
+            for r in x["entries"]
+        )
+        + inner + "]" + newline + "}"
+    )
+
+
 def _write(x: Any, out: list[str], newline: str) -> None:
     """Append the JSON of x, whose first line is already indented and whose
     later lines start with newline."""
     if type(x) is _Scalar:
-        inner = newline + "  "
-        item = inner + "  "
-        out.append(
-            "{" + inner + '"coeffs": [' + item + ("," + item).join(map(_ESCAPE, x["coeffs"]))
-            + inner + "]," + inner + '"conductor": ' + int.__repr__(x["conductor"])
-            + newline + "}"
-        )
+        out.append(_scalar_text(x, newline))
+    elif type(x) is _Matrix:
+        out.append(_matrix_text(x, newline))
     elif isinstance(x, str):
         out.append(_ESCAPE(x))
     elif x is None or x is True or x is False or isinstance(x, float):

@@ -1128,14 +1128,14 @@ def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch
 
 def test_extend_forms_each_product_once(tmp_path, monkeypatch):
     """No `extend` command forms a sum of products twice from the same
-    operands, compared by value.  A standard extension makes 6: (AB)^3's
-    two, S = kAB, S^2 and the completion's two.  The VB3 lift reuses S'A
-    and BS', which verifying the input's L1 kept, and reads Tr(S) off its
-    certificate: 12 in `verify`, (AB)^3's two, S, S^2 and the completion's
+    operands, compared by value, on an input whose field holds omega and
+    on one it is adjoined to: the command promotes its input once, so the
+    k-search and the builder share its matrices.  A standard extension
+    makes 6: AB, (AB)^3's two, S^2 and the completion's two.  The VB3 lift
+    decides S'A = BS' on residues, forms BS' and S = kB(BS'), and reads
+    Tr(S) off its certificate: AB and S1 S2 in `verify`, whose equations
+    are compared unformed, (AB)^3's two, BS', S, S^2 and the completion's
     two."""
-    rep, out = str(tmp_path / "rep60.json"), str(tmp_path / "out.json")
-    binomial = ["binomial", "--lambda", "z60", "(2*z60^6)", "(4*z60^11)", "--c", "(4*z60^12)"]
-    assert main(["construct", *binomial, "--out", rep]) == 0
     products, packed_product = [], cyclotomic.packed_product
 
     def values(operand):
@@ -1149,10 +1149,15 @@ def test_extend_forms_each_product_once(tmp_path, monkeypatch):
     for module in (cyclotomic, linalg, extend, modular):
         if getattr(module, "packed_product", None) is packed_product:
             monkeypatch.setattr(module, "packed_product", recorded)
-    counts = {}
-    for mode in ("standard", "vb3"):
-        products.clear()
-        assert main(["extend", rep, "--mode", mode, "--out", out]) == 0
-        assert len(set(products)) == len(products)
-        counts[mode] = len(products)
-    assert counts["standard"] == 6 and counts["vb3"] <= 18
+    binomial = ["binomial", "--lambda", "z60", "(2*z60^6)", "(4*z60^11)", "--c", "(4*z60^12)"]
+    out = str(tmp_path / "out.json")
+    for construct in (binomial, ["perm3", "--t", "8"]):
+        rep = str(tmp_path / f"{construct[0]}.json")
+        assert main(["construct", *construct, "--out", rep]) == 0
+        counts = {}
+        for mode in ("standard", "vb3"):
+            products.clear()
+            assert main(["extend", rep, "--mode", mode, "--out", out]) == 0
+            assert len(set(products)) == len(products)
+            counts[mode] = len(products)
+        assert counts == {"standard": 6, "vb3": 9}

@@ -1,6 +1,8 @@
 """Property tests of the Kronecker-packed product behind every exact sum
 of products: CMatrix @, `dot`, `CMatrix.apply`, `extend._combination` and
-the exact rows of `uniqueness_linearized`.
+the exact rows of `uniqueness_linearized`; and of `packed_equal`, which
+compares two such products on their residues, against `==` of the formed
+products.
 
 The reference is the schoolbook sum of CycNum products, built from `*` and
 `+` alone, so it shares no code with the packing and unpacking.  The same
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, extend, linalg, modular, sampling
+from loopbraid import catalog, cyclotomic, extend, linalg, modular, sampling
 from loopbraid.cyclotomic import (
     _REMAINDER_BITS,
     CycNum,
@@ -29,6 +31,8 @@ from loopbraid.cyclotomic import (
     _slot_bits,
     dot,
     euler_phi,
+    make_root_of_unity,
+    packed_equal,
 )
 from loopbraid.errors import ConductorMismatch, MinPolyMismatch
 from loopbraid.linalg import CMatrix, matrix_rank
@@ -314,6 +318,109 @@ def test_plain_vectors_of_another_conductor_are_refused():
         linalg._exact_ring(12).mul([[x12, x3], [x3, x12]], m.rows)
     with pytest.raises(ConductorMismatch):
         extend._combination([x3], [m])
+
+
+# -- two products compared on their residues ------------------------------------
+
+COMPARED = (3, 12, 60)
+
+
+def fold_bits(n: int) -> int:
+    """A coefficient size whose products take the fold route at n: the
+    slots of a product of two such scalars are wider than
+    _REMAINDER_BITS / phi."""
+    return _REMAINDER_BITS // (2 * euler_phi(n)) + 8
+
+
+@st.composite
+def compared_products(draw):
+    """(x, y, u, v): x @ y against u @ v, where u @ v is x @ y itself with
+    other factors, other denominators and other convolutions (x D and
+    D^-1 y for a diagonal D of rationals times roots of unity), x @ y with
+    one coefficient of one factor moved by one, x @ y with a row of x set
+    to zero, or x @ y again."""
+    n = draw(st.sampled_from(COMPARED))
+    d = draw(st.integers(1, 4))
+    fold = draw(st.booleans())
+    zero_share = draw(st.sampled_from([0.0, 0.3]))
+    phi, bits = euler_phi(n), fold_bits(n) if fold else 8
+
+    def scalar(corner):
+        if not (fold and corner) and draw(st.floats(0, 1)) < zero_share:
+            return CycNum.zero(n)
+        coeffs = [draw(st.integers(-(2**bits), 2**bits)) for _ in range(phi)]
+        if fold:
+            coeffs[0] = 2**bits  # in every nonzero entry, and x and y hold one at (0, 0)
+        return CycNum(n, coeffs, draw(st.sampled_from([1, 2, 3, 12, 2**61 - 1])))
+
+    def matrix():
+        return CMatrix([[scalar(i == j == 0) for j in range(d)] for i in range(d)], n)
+
+    x, y = matrix(), matrix()
+    mode = draw(st.sampled_from(["rescaled", "perturbed", "zeroed", "same"]))
+    if mode == "rescaled":
+        scales = [
+            make_root_of_unity(n, draw(st.integers(0, n - 1)))
+            * Fraction(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.sampled_from([1, 4, 7])))
+            for _ in range(d)
+        ]
+        u = x @ CMatrix.diagonal(scales, n)
+        v = CMatrix.diagonal([c.inv() for c in scales], n) @ y
+        return x, y, u, v
+    if mode == "perturbed":
+        i, j, c = (draw(st.integers(0, top)) for top in (d - 1, d - 1, phi - 1))
+        left = draw(st.booleans())
+        rows = [list(r) for r in (x if left else y).rows]
+        e = rows[i][j]
+        num = list(e._num)
+        num[c] += draw(st.sampled_from([-1, 1])) * e._den
+        rows[i][j] = CycNum(n, num, e._den)
+        moved = CMatrix(rows, n)
+        return (x, y, moved, y) if left else (x, y, x, moved)
+    if mode == "zeroed":  # a zero row of x @ y, against x @ y
+        i = draw(st.integers(0, d - 1))
+        rows = [list(r) for r in x.rows]
+        rows[i] = [CycNum.zero(n)] * d
+        return CMatrix(rows, n), y, x, y
+    return x, y, x, y
+
+
+@PROPERTY
+@given(compared_products())
+def test_residue_comparison_is_equality_of_the_formed_products(case):
+    x, y, u, v = case
+    n = x.conductor
+    if x[0, 0]._num[0] == 2 ** fold_bits(n):
+        bound = x.dim * euler_phi(n) * _Side(x.rows, n).top * _Side(y.columns(), n).top
+        assert cyclotomic._route(_field(n), bound)[1] == 0  # the fold route
+    want = (x @ y) == (u @ v)
+    assert linalg.products_equal(x, y, u, v) is want
+    assert packed_equal(x.rows, y.columns(), u.rows, v.columns()) is want
+
+
+def test_residue_comparison_edge_cases():
+    n = 12
+    one, zero = CMatrix.identity(2, n), CMatrix.zero(2, n)
+    w = make_root_of_unity(n, 1)
+    x = CMatrix([[1, w], [0, Fraction(1, 3)]], n)
+    # a zero entry is equal to a zero entry only, either way round
+    assert not linalg.products_equal(zero, one, one, one)
+    assert not linalg.products_equal(one, one, zero, one)
+    assert linalg.products_equal(zero, x, x, zero)
+    # (x/2)(2I) = x I over other denominators, and x/2 I is not x I
+    half = x.scalar_mul(Fraction(1, 2))
+    assert linalg.products_equal(half, one.scalar_mul(2), x, one)
+    assert not linalg.products_equal(half, one, x, one)
+    # denominators past the slots' headroom are compared coefficient by
+    # coefficient: x / big against (x / 2 big)(2I), and against (x / 2 big)(3I)
+    big = 2**70 + 1
+    x_big, x_2big = (x.scalar_mul(Fraction(1, c)) for c in (big, 2 * big))
+    assert linalg.products_equal(x_big, one, x_2big, one.scalar_mul(2))
+    assert not linalg.products_equal(x_big, one, x_2big, one.scalar_mul(3))
+    # one product against another shape or conductor
+    assert not packed_equal(x.rows, x.columns(), x.rows[:1], x.columns())
+    with pytest.raises(ConductorMismatch):
+        linalg.products_equal(x, x, x, x.promote(24))
 
 
 # -- the kernel's other callers --------------------------------------------------

@@ -1,11 +1,12 @@
 """Relation verification, irreducibility, tensor products, restriction."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from loopbraid import catalog, extend
+from loopbraid import catalog, extend, repcore
 from loopbraid.cyclotomic import CycNum, omega
 from loopbraid.errors import (
     ConductorMismatch,
@@ -315,22 +316,47 @@ def test_second_sigma2_equation_is_checked():
 
 
 def test_verify_forms_each_product_once(monkeypatch):
-    calls = []
-    matmul = CMatrix.__matmul__
+    formed, compared = [], []
+    matmul, equal = CMatrix.__matmul__, repcore.products_equal
 
     def counting(self, other):
-        calls.append(1)
+        formed.append(1)
         return matmul(self, other)
 
+    def comparing(*factors):
+        compared.append(1)
+        return equal(*factors)
+
     monkeypatch.setattr(CMatrix, "__matmul__", counting)
+    monkeypatch.setattr(repcore, "products_equal", comparing)
     rep = catalog.perm3(2)
     counts = {}
     for kind in ("B3", "S3", "VB3", "LB3", "SLB3"):
-        calls.clear()
+        formed.clear()
+        compared.clear()
         assert verify(rep, GroupKind[kind]).all_hold
-        counts[kind] = len(calls)
-    # one product per distinct word of two or more letters
-    assert counts == {"B3": 3, "S3": 5, "VB3": 10, "LB3": 12, "SLB3": 15}
+        counts[kind] = (len(formed), len(compared))
+    # (formed, compared): one product per distinct factor of two or more
+    # letters (AB, S1 S2, BA), one comparison per equation
+    assert counts == {"B3": (1, 1), "S3": (1, 3), "VB3": (2, 5), "LB3": (2, 6), "SLB3": (3, 7)}
+
+
+def test_verify_and_the_slb3_test_leave_nothing_to_collect():
+    """Every product that verify and slb3_test form is freed by reference
+    counting when nothing reads it: no reference cycle, such as a closure
+    that refers to itself, holds one for the cyclic collector."""
+    rep = catalog.binomial_rep([1, 2, Fraction(3, 2), 3], 3)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert verify(rep, GroupKind.LB3).all_hold
+        assert not extend.slb3_test(rep, "direct")
+        assert not extend.slb3_test(rep, "commutator")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _I2, _I3 = CMatrix.identity(2, 1), CMatrix.identity(3, 1)
