@@ -7,16 +7,23 @@ pivoting (no stability concerns over an exact field); char_poly is
 Faddeev-LeVerrier.  Vectors are plain tuples of CycNum, and so are the
 char and min polys: their coefficients, lowest degree first.
 
-Every rank-type question (`matrix_rank`, `algebra_dimension` and through
-it `CMatrix.is_cyclic`, `CMatrix.is_diagonalizable`, which asks whether
-p'(M) is invertible for the min poly p, and
-`extend.uniqueness_linearized`) takes one
+Every rank-type question (`matrix_rank`, the span closure behind
+`algebra_dimension`, `repcore.is_irreducible` and `CMatrix.is_cyclic`,
+`CMatrix.is_diagonalizable`, which asks whether p'(M) is invertible for
+the min poly p, and `extend.uniqueness_linearized`) takes one
 route, `_mod_p_first`, the only code that touches `modular`: the question
 is asked first of the images in F_p, where full rank proves full rank
 here.  Anything less is replayed exactly on the verdicts F_p recorded:
 only the rows found independent there are eliminated, and one packed
 product confirms that the others lie in their span.  When it does not,
 the question is answered once more from the start, so every result is exact.
+The two yes/no closure questions, `is_irreducible` (through
+`_is_full_algebra`) and `CMatrix.is_cyclic`, first try a cheap exact
+proof that the closure falls short, before any replay: an eigenvector of
+a triangular generator that spins to a proper invariant subspace
+(`_invariant_subspace`), or a repeated eigenvalue of a triangular matrix
+with two independent eigenvectors (`_repeated_eigenspace`).  A witness is
+one-sided: when none is found the closure is replayed as above.
 A `CMatrix` is immutable and keeps what one command derives from it: its
 products, its `is_cyclic` verdict and its image in F_p.
 """
@@ -351,9 +358,15 @@ class CMatrix:
             k, power = k + 1, power @ self
 
     def is_cyclic(self) -> bool:
-        """min poly == char poly: the powers of M span d dimensions."""
+        """min poly == char poly: the powers of M span d dimensions.
+
+        Decided by the span closure of M's powers, mod p first.  When F_p
+        does not prove d, a triangular M is first searched for an exact
+        witness that it is not cyclic (`_repeated_eigenspace`); finding
+        none proves nothing, and the closure is replayed exactly."""
         if self._cyclic is None:
-            object.__setattr__(self, "_cyclic", algebra_dimension([self]) == self.dim)
+            cyclic = _closure([self], partial(_repeated_eigenspace, self)) == self.dim
+            object.__setattr__(self, "_cyclic", cyclic)
         return self._cyclic
 
     def is_diagonalizable(self) -> bool:
@@ -574,7 +587,7 @@ def _replay(mats, conductor: int, width: int, count, ring: _Ring, verdicts: list
     return _in_span(ech, aside)
 
 
-def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
+def _mod_p_first(mats, conductor: int, width: int, full: int, count, short=None) -> int | None:
     """The one route of every rank-type question: mod p first, then exact.
 
     mats are CMatrix or lists of rows.  count(mats, ring, insert) builds
@@ -601,6 +614,13 @@ def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
     `Echelon`.  Every exact product of the call prepares each operand once
     (`_exact_ring`).  This is the only code in the package that touches
     `modular`.
+
+    short, when given, is a cheap exact proof that the count falls short
+    of full, for a question that only asks whether it is full.  It is
+    tried once F_p has not proved full (a shortfall, or no image), before
+    the replay: when short() is True the call returns None and counts
+    nothing.  It is one-sided: False proves nothing, and the count goes
+    on as above.
     """
 
     def image(m):
@@ -624,8 +644,12 @@ def _mod_p_first(mats, conductor: int, width: int, full: int, count) -> int:
         products = modular._PackedProducts(ech_p)
         ring_p = _Ring(partial(modular.matmul, p=p), ech_p.pack, products.flat, products)
         rank = count(images, ring_p, insert_mod_p)
-        if rank == full or _replay(mats, conductor, width, count, ring, verdicts):
+        if rank == full:
             return rank
+    if short is not None and short():
+        return None
+    if None not in images and _replay(mats, conductor, width, count, ring, verdicts):
+        return rank
     ech = Echelon(width, conductor)
     return count(mats, ring, lambda row: ech.insert(row)[1] is not None)
 
@@ -718,14 +742,10 @@ def _identity(dim: int, conductor: int) -> CMatrix:
     return CMatrix.identity(dim, conductor)
 
 
-def algebra_dimension(gens: Sequence[CMatrix]) -> int:
-    """Dimension of the unital matrix algebra generated by gens.
-
-    The span closure of I and gens on flattened d^2 vectors, through
-    `_mod_p_first`: reaching the cap mod p proves it (d^2 is Burnside's
-    irreducibility; d for one generator is min poly == char poly).
-    Otherwise the exact closure gives the dimension.
-    """
+def _closure(gens: Sequence[CMatrix], short=None) -> int | None:
+    """The span closure of I and gens on flattened d^2 vectors, through
+    `_mod_p_first` with its witness short; None when short proved that
+    the closure falls short of its cap."""
     if not gens:
         raise ValueError("need at least one generator")
     d = gens[0].dim
@@ -738,5 +758,103 @@ def algebra_dimension(gens: Sequence[CMatrix]) -> int:
     # Cayley-Hamilton: the powers of one matrix span at most d dimensions
     full = d if len(gens) == 1 else d * d
     return _mod_p_first(
-        [_identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full)
+        [_identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full), short
+    )
+
+
+def algebra_dimension(gens: Sequence[CMatrix]) -> int:
+    """Dimension of the unital matrix algebra generated by gens.
+
+    The span closure of I and gens on flattened d^2 vectors, through
+    `_mod_p_first`: reaching the cap mod p proves it (d^2 is Burnside's
+    irreducibility; d for one generator is min poly == char poly).
+    Otherwise the exact closure gives the dimension.
+    """
+    return _closure(gens)
+
+
+def _is_full_algebra(gens: Sequence[CMatrix]) -> bool:
+    """Whether gens generate all of M_d (Burnside: absolute irreducibility).
+
+    The span closure reaching d^2 mod p proves it.  When it does not, an
+    invariant subspace spun from an eigenvector (`_invariant_subspace`)
+    proves the converse with no replay; finding none proves nothing, and
+    the closure is replayed exactly.
+    """
+    return _closure(gens, partial(_invariant_subspace, gens)) == gens[0].dim ** 2
+
+
+# -- exact witnesses that a closure falls short ----------------------------------
+
+
+def _triangular_diagonal(m: CMatrix) -> list[CycNum]:
+    """The diagonal of an upper or lower triangular m, its eigenvalues with
+    their multiplicities; empty for any other m."""
+    rows, d = m.rows, m.dim
+    lower = all(rows[i][j].is_zero for i in range(d) for j in range(i + 1, d))
+    if not lower and not all(rows[i][j].is_zero for i in range(d) for j in range(i)):
+        return []
+    return [rows[i][i] for i in range(d)]
+
+
+def _shifted(m: CMatrix, lam: CycNum) -> Echelon:
+    """The rows of m - lam I, eliminated in one `Echelon`."""
+    return Echelon(
+        m.dim,
+        m.conductor,
+        ([x - lam if i == j else x for j, x in enumerate(r)] for i, r in enumerate(m.rows)),
+    )
+
+
+def _spin(v: Vector, gens: Sequence[CMatrix]) -> int:
+    """Dimension of the span of the images of v under every word in gens:
+    the smallest subspace that holds v and is invariant under each of them.
+
+    The span grows in one width-d `Echelon`; every vector that entered it
+    is multiplied by every generator, one packed product per generator
+    and round, until no vector enters or the span fills the space.
+    """
+    d = len(v)
+    ech = Echelon(d, gens[0].conductor, [v])
+    frontier = [v]
+    while frontier and len(ech.rows) < d:
+        images = [w for g in gens for w in zip(*packed_product(g._rows_side(), frontier))]
+        frontier = [w for w in images if len(ech.rows) < d and ech.insert(w)[1] is not None]
+    return len(ech.rows)
+
+
+def _invariant_subspace(gens: Sequence[CMatrix]) -> bool:
+    """An exact proof that gens leave a proper subspace invariant, so that
+    their algebra is not M_d: an eigenvector v of a triangular generator
+    whose spin under all of them (`_spin`) stops short of d.
+
+    Every exact kernel vector of g - lam I is tried, for each distinct
+    diagonal entry lam of each upper or lower triangular g.  When one such
+    g has d distinct diagonal entries the search is complete, since every
+    invariant subspace contains an eigenvector of g; otherwise False
+    proves nothing.
+    """
+    d = gens[0].dim
+    for g in gens:
+        diagonal = _triangular_diagonal(g)
+        for i, lam in enumerate(diagonal):
+            if lam not in diagonal[:i] and any(
+                _spin(v, gens) < d for v in _shifted(g, lam).kernel()
+            ):
+                return True
+    return False
+
+
+def _repeated_eigenspace(m: CMatrix) -> bool:
+    """An exact proof that m is not cyclic: a diagonal entry lam repeated
+    on the diagonal of a triangular m at which m - lam I has a kernel of
+    dimension 2 or more.  An eigenvalue with two independent eigenvectors
+    has two Jordan blocks, so the minimal polynomial has degree below d.
+    False proves nothing."""
+    diagonal = _triangular_diagonal(m)
+    return any(
+        diagonal.index(lam) == i
+        and diagonal.count(lam) > 1
+        and len(_shifted(m, lam).rows) <= m.dim - 2
+        for i, lam in enumerate(diagonal)
     )

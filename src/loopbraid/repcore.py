@@ -31,7 +31,7 @@ from .errors import (
     MissingGenerator,
     NotAWeakening,
 )
-from .linalg import CMatrix, _identity, algebra_dimension, products_equal
+from .linalg import CMatrix, _identity, _is_full_algebra, products_equal
 
 
 class GroupKind(enum.Enum):
@@ -239,9 +239,13 @@ def is_irreducible(rep: LBRep) -> bool:
 
     Certified only in the positive direction (dimension d^2 implies
     absolute irreducibility); a smaller algebra means "not absolutely
-    irreducible", not necessarily reducible over this field.
+    irreducible", not necessarily reducible over this field.  The span
+    closure is decided mod p first; when it falls short there, an
+    eigenvector of a triangular generator that spins to a proper
+    invariant subspace answers False exactly with no replay.  That
+    witness is one-sided: when none is found, the closure is replayed.
     """
-    return algebra_dimension(rep.present()) == rep.dim**2
+    return _is_full_algebra(rep.present())
 
 
 def tensor_product(r1: LBRep, r2: LBRep) -> LBRep:

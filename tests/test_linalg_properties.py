@@ -2,21 +2,24 @@
 kernel, solve_linear and min_poly, at conductors 1 and 12, of the
 characteristic polynomial, whose Faddeev-LeVerrier steps and evaluation run
 through the packed product, of `is_diagonalizable` against sympy on
-conjugated Jordan forms, and of the exact replay of a rank that falls short
-mod p against one plain exact elimination."""
+conjugated Jordan forms, of the exact replay of a rank that falls short
+mod p against one plain exact elimination, and of the exact witnesses that
+answer is_irreducible and is_cyclic before a replay: each agrees with the
+span closure, and finds nothing on an irreducible or cyclic draw."""
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from loopbraid import linalg
-from loopbraid.cyclotomic import CycNum, make_root_of_unity
-from loopbraid.errors import SingularMatrix
+from loopbraid import catalog, linalg
+from loopbraid.cyclotomic import CycNum, common_field, make_root_of_unity
+from loopbraid.errors import ConstraintViolated, SingularMatrix
 from loopbraid.linalg import CMatrix, Echelon, algebra_dimension, matrix_rank, solve_linear
+from loopbraid.repcore import GroupKind, LBRep, is_irreducible, tensor_product
 
 from poly_support import divides, eval_at
 
@@ -259,3 +262,136 @@ def test_replayed_ranks_match_one_exact_elimination():
     # most of the two questions per draw fall short mod p and are answered
     # by a confirmed replay
     assert sum(replays) > len(draws)
+
+
+# -- the exact witnesses that a closure falls short ------------------------------
+
+
+@st.composite
+def triangular_matrices(draw):
+    """An upper or lower triangular d x d matrix, d <= 4, its diagonal drawn
+    from three values, so that eigenvalues repeat, and each entry off it
+    zero a quarter of the time: cyclic or not, and with one eigenvector or
+    more at a repeated eigenvalue."""
+    n = draw(st.sampled_from([1, 12]))
+    d = draw(st.integers(1, 4))
+    rows = [
+        [draw(st.sampled_from([-1, 1, 2])) if i == j else draw(scalars(n)) if j > i else 0
+         for j in range(d)]
+        for i in range(d)
+    ]
+    m = CMatrix(rows, n)
+    return m.transpose() if draw(st.booleans()) else m
+
+
+@PROPERTY
+@given(st.one_of(triangular_matrices(), conjugated_jordan_forms()))
+def test_is_cyclic_is_the_closure_of_powers_reaching_d(m):
+    """is_cyclic, which may answer False by a repeated eigenspace of a
+    triangular m, agrees with the span of m's powers, and that witness
+    finds nothing on a cyclic m."""
+    d = m.dim
+    assert m.is_cyclic() == (algebra_dimension([m]) == d)
+    if m.is_cyclic():
+        assert not linalg._repeated_eigenspace(m)
+
+
+def _units(n: int):
+    """A small nonzero rational times a root of unity of order n."""
+    return st.builds(
+        lambda q, den, k: make_root_of_unity(n, k) * Fraction(q, den),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 2), st.integers(0, n - 1),
+    )
+
+
+@st.composite
+def triangular_reps(draw, max_dim: int = 4):
+    """A catalog pair in ordered triangular form at N = 3, A upper and B
+    lower triangular: tw2 of either family (1 is reducible), tw3, tw4 or a
+    binomial pair, of dimension at most max_dim.  A draw that breaks its
+    family's constraint is rejected."""
+    u = _units(3)
+    sizes = {"tw2": 2, "tw2-family1": 2, "tw3": 3, "tw4": 4, "binomial": 2}
+    family = draw(st.sampled_from([f for f, d in sizes.items() if d <= max_dim]))
+    try:
+        if family == "tw2":
+            return catalog.tw2(draw(u), draw(u), family=2)
+        if family == "tw2-family1":
+            l2 = draw(u)
+            return catalog.tw2(-l2 * make_root_of_unity(3, draw(st.integers(1, 2))), l2, family=1)
+        if family == "tw3":
+            return catalog.tw3(draw(u), draw(u), draw(u))
+        if family == "tw4":
+            l1, l2, l3, g2 = (draw(u) for _ in range(4))
+            return catalog.tw4([l1, l2, l3, g2 * g2 / (l1 * l2 * l3)], g2)
+        # lambda_i lambda_(d-i) = c, and lambda_(d/2)^2 = c for even d
+        d = draw(st.integers(1, min(max_dim, 4) - 1))
+        lams = [draw(u) for _ in range(d // 2 + 1)]
+        c = lams[-1] * lams[-1] if d % 2 == 0 else draw(u)
+        lams += [c / x for x in reversed(lams[: (d + 1) // 2])]
+        return LBRep(GroupKind.B3, *catalog.binomial_pair(lams, c))
+    except ConstraintViolated:
+        reject()
+
+
+def _direct_sum(r1: LBRep, r2: LBRep) -> LBRep:
+    """The B3 pair diag(A1, A2), diag(B1, B2), in one field."""
+    (r1, r2), n = common_field(r1, r2)
+    return LBRep(GroupKind.B3, *(
+        linalg._block_diagonal([x.rows, y.rows], n) for x, y in ((r1.A, r2.A), (r1.B, r2.B))
+    ))
+
+
+@st.composite
+def representations(draw):
+    """A triangular catalog draw, perm3, a direct sum of two draws or the
+    tensor square of a 2-dimensional one (d <= 5), and half of the time a
+    dense conjugate of it, P X P^-1 with P = L U for unit triangular L, U
+    over Z, on which no witness is searched."""
+    if draw(st.integers(0, 4)) == 0:
+        t = draw(_units(3))
+        assume(not t.is_one)
+        rep = catalog.perm3(t)
+    else:
+        rep = draw(triangular_reps())
+    shape = draw(st.sampled_from(["plain", "sum", "square"]))
+    if shape == "sum" and rep.dim <= 3:
+        rep = _direct_sum(rep, draw(triangular_reps(max_dim=5 - rep.dim)))
+    elif shape == "square" and rep.dim == 2:
+        rep = tensor_product(rep, rep)
+    if draw(st.booleans()):
+        d, n = rep.dim, rep.conductor
+
+        def unit_triangular(lower: bool) -> CMatrix:
+            def entry(i, k):
+                return 1 if i == k else draw(st.integers(-2, 2)) if (i > k) == lower else 0
+
+            return CMatrix.build(d, n, entry)
+
+        p = unit_triangular(True) @ unit_triangular(False)
+        pi = p.inverse()
+        rep = LBRep(rep.target, **{g: p @ x @ pi for g, x in rep.images().items()})
+    return rep
+
+
+@PROPERTY
+@given(representations())
+def test_witnesses_agree_with_the_closure(rep):
+    """is_irreducible, which may answer False by an eigenvector that spins
+    to a proper invariant subspace, agrees with Burnside's count, and so
+    does is_cyclic on each generator."""
+    gens, d = rep.present(), rep.dim
+    assert is_irreducible(rep) == (algebra_dimension(gens) == d * d)
+    for g in gens:
+        assert g.is_cyclic() == (algebra_dimension([g]) == d)
+
+
+@PROPERTY
+@given(triangular_reps())
+def test_witnesses_find_nothing_on_irreducible_and_cyclic_draws(rep):
+    gens, d = rep.present(), rep.dim
+    if algebra_dimension(gens) == d * d:
+        assert not linalg._invariant_subspace(gens)
+    for g in gens:
+        if algebra_dimension([g]) == d:
+            assert not linalg._repeated_eigenspace(g)

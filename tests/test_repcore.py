@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from loopbraid import catalog, extend, repcore
-from loopbraid.cyclotomic import CycNum, omega
+from loopbraid import catalog, extend, linalg, repcore
+from loopbraid.cli import parse_scalar
+from loopbraid.cyclotomic import CycNum, common_field, omega
 from loopbraid.errors import (
     ConductorMismatch,
     ConstraintViolated,
@@ -15,7 +16,7 @@ from loopbraid.errors import (
     MissingGenerator,
     NotAWeakening,
 )
-from loopbraid.linalg import CMatrix, matrix_rank, solve_linear
+from loopbraid.linalg import CMatrix, algebra_dimension, matrix_rank, solve_linear
 from loopbraid.repcore import (
     GroupKind,
     LBRep,
@@ -175,6 +176,69 @@ def test_irreducibility_conjugation_invariant():
     gi = g.inverse()
     conj = LBRep(target=GroupKind.B3, A=g @ rep.A @ gi, B=g @ rep.B @ gi)
     assert is_irreducible(rep) == is_irreducible(conj) is True
+
+
+def _direct_sum(r1: LBRep, r2: LBRep) -> LBRep:
+    """The B3 pair diag(A1, A2), diag(B1, B2), in one field."""
+    (r1, r2), n = common_field(r1, r2)
+    return LBRep(GroupKind.B3, *(
+        linalg._block_diagonal([x.rows, y.rows], n) for x, y in ((r1.A, r2.A), (r1.B, r2.B))
+    ))
+
+
+def _reducible_triangular_inputs() -> dict[str, LBRep]:
+    base = catalog.tw2(3, Fraction(-1, 2), family=2)
+    ext, _ = standard_extensions(base.A, base.B)[0]
+    lams = ["(-1/5*z12^2)", "3", "(-1/5*z12^10)", "(1/75*z12^8)", "(-1/5*z12^6)"]
+    a, b = catalog.binomial_pair([parse_scalar(x) for x in lams], parse_scalar("(1/25*z12^8)"))
+    return {
+        "square": tensor_product(ext, ext),
+        "sum": _direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3)),
+        "family1": catalog.tw2(-omega(3), 1, family=1),
+        # the A and B of `construct binomial --lambda <lams> --c
+        # "(1/25*z12^8)"`, reducible; with S1 and S2 it is irreducible
+        "binomial": LBRep(target=GroupKind.B3, A=a, B=b),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reducible_triangular_inputs()))
+def test_reducible_triangular_inputs_skip_the_replay(name, monkeypatch):
+    """An eigenvector of a triangular generator spins to a proper invariant
+    subspace, which answers is_irreducible without replaying the closure;
+    on the tensor square a repeated eigenspace of A answers is_cyclic."""
+    rep = _reducible_triangular_inputs()[name]
+
+    def no_replay(*args):
+        raise AssertionError("the closure was replayed")
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_replay", no_replay)
+        assert is_irreducible(rep) is False
+        if name == "square":
+            assert rep.A.is_cyclic() is False
+    # the exact count agrees
+    assert algebra_dimension(rep.present()) < rep.dim**2
+    if name == "square":
+        assert algebra_dimension([rep.A]) < rep.dim
+
+
+def test_witnesses_leave_a_dense_input_to_the_replay(monkeypatch):
+    """Only a triangular matrix is searched for a witness: on a dense one
+    neither search eliminates anything, and the replay answers."""
+    rep = _direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3))
+    g = CMatrix.build(rep.dim, rep.conductor, lambda i, j: 1 + i * j + (i == j))
+    gi = g.inverse()
+    dense = LBRep(target=GroupKind.B3, A=g @ rep.A @ gi, B=g @ rep.B @ gi)
+    # a constant diagonal: 1 is the one eigenvalue, in one Jordan block
+    flat = CMatrix([[1, 1, 0], [0, 1, 0], [1, 0, 1]], 1)
+    replays, replay = [], linalg._replay
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "Echelon", lambda *a: pytest.fail("a witness eliminated"))
+        assert not linalg._invariant_subspace(dense.present())
+        assert not linalg._repeated_eigenspace(flat)
+    monkeypatch.setattr(linalg, "_replay", lambda *a: replays.append(1) or replay(*a))
+    assert is_irreducible(dense) is False
+    assert len(replays) == 1
 
 
 def test_tensor_with_trivial_is_identity():
