@@ -240,7 +240,7 @@ def _extend_vb3(rep: LBRep, args) -> dict:
         raise ValueError("input does not verify LB3")
     # a given k goes to vb3_lift, which checks it, without the search
     k = parse_scalar(args.k) if args.k is not None else _k_search(rep, "no VB3 lift")[0][0]
-    built, cert = extend.vb3_lift(rep, k, l1_verified=True)
+    built, cert = extend.vb3_lift(rep, k)
     return {"k": k, "representation": built, "trace_of_S": cert.S.trace()}
 
 

@@ -592,9 +592,7 @@ def slb3_test(rep: LBRep, route: str = "direct") -> bool:
     raise ValueError(f"unknown route {route!r}")
 
 
-def vb3_lift(
-    rep: LBRep, k: CycNum, *, l1_verified: bool = False
-) -> tuple[LBRep, ExtensionCertificate]:
+def vb3_lift(rep: LBRep, k: CycNum) -> tuple[LBRep, ExtensionCertificate]:
     """Twist a loop extension into a virtual one: new S = k B^2 S', and its
     certificate, as `build_standard_extension` returns one.
 
@@ -604,13 +602,11 @@ def vb3_lift(
     which holds exactly when k is a standard-extension candidate for
     (A, B).  The new S keeps the trace of kAB, and a fresh involution
     completes it.  S'A = BS' is decided by `products_equal`, which forms
-    neither side, and S is formed as k B (B S').  l1_verified says that
-    the caller has just verified L1, S1 S2 A = B S1 S2, on this rep (as
-    `verify` does for LB3), so the check is not made twice.
+    neither side, and S is formed as k B (B S').
     """
     (rep, k), _ = common_field(rep, k, extra=3)
     a, b, s_in = rep.A, rep.B, rep.S
-    if not l1_verified and not products_equal(s_in, a, b, s_in):
+    if not products_equal(s_in, a, b, s_in):
         raise ConstraintViolated("new S fails SA = BS; input was not LB3")
     s = (b @ (b @ s_in)).scalar_mul(k)
     params, m_inv = _seed_params(s)

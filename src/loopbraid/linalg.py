@@ -7,8 +7,8 @@ pivoting (no stability concerns over an exact field); char_poly is
 Faddeev-LeVerrier.  Vectors are plain tuples of CycNum, and so are the
 char and min polys: their coefficients, lowest degree first.
 
-Every rank-type question (`matrix_rank`, the span closure behind
-`algebra_dimension`, `repcore.is_irreducible` and `CMatrix.is_cyclic`,
+Every rank-type question (`matrix_rank`, `algebra_dimension` and through
+it `repcore.is_irreducible` and `CMatrix.is_cyclic`,
 `CMatrix.is_diagonalizable`, which asks whether p'(M) is invertible for
 the min poly p, and `extend.uniqueness_linearized`) takes one
 route, `_mod_p_first`, the only code that touches `modular`: the question
@@ -17,10 +17,10 @@ here.  Anything less is replayed exactly on the verdicts F_p recorded:
 only the rows found independent there are eliminated, and one packed
 product confirms that the others lie in their span.  When it does not,
 the question is answered once more from the start, so every result is exact.
-The two yes/no closure questions, `is_irreducible` (through
-`_is_full_algebra`) and `CMatrix.is_cyclic`, first try a cheap exact
-proof that the closure falls short, before any replay: an eigenvector of
-a triangular generator that spins to a proper invariant subspace
+The two yes/no closure questions, `is_irreducible` and
+`CMatrix.is_cyclic`, pass `algebra_dimension` a witness, a cheap exact
+proof that the closure falls short, tried before any replay: an
+eigenvector of a triangular generator that spins to a proper invariant subspace
 (`_invariant_subspace`), or a repeated eigenvalue of a triangular matrix
 with two independent eigenvectors (`_repeated_eigenspace`).  A witness is
 one-sided: when none is found the closure is replayed as above.
@@ -365,8 +365,8 @@ class CMatrix:
         witness that it is not cyclic (`_repeated_eigenspace`); finding
         none proves nothing, and the closure is replayed exactly."""
         if self._cyclic is None:
-            cyclic = _closure([self], partial(_repeated_eigenspace, self)) == self.dim
-            object.__setattr__(self, "_cyclic", cyclic)
+            cyclic = algebra_dimension([self], _short=partial(_repeated_eigenspace, self))
+            object.__setattr__(self, "_cyclic", cyclic == self.dim)
         return self._cyclic
 
     def is_diagonalizable(self) -> bool:
@@ -742,10 +742,19 @@ def _identity(dim: int, conductor: int) -> CMatrix:
     return CMatrix.identity(dim, conductor)
 
 
-def _closure(gens: Sequence[CMatrix], short=None) -> int | None:
-    """The span closure of I and gens on flattened d^2 vectors, through
-    `_mod_p_first` with its witness short; None when short proved that
-    the closure falls short of its cap."""
+def algebra_dimension(gens: Sequence[CMatrix], *, _short=None) -> int | None:
+    """Dimension of the unital matrix algebra generated by gens.
+
+    The span closure of I and gens on flattened d^2 vectors, through
+    `_mod_p_first`: reaching the cap mod p proves it (d^2 is Burnside's
+    irreducibility; d for one generator is min poly == char poly).
+    Otherwise the exact closure gives the dimension.
+
+    _short is `_mod_p_first`'s witness, for the yes/no questions
+    `repcore.is_irreducible` and `CMatrix.is_cyclic`: None is returned
+    when it proved that the closure falls short of its cap.  Without it
+    the count is always exact.
+    """
     if not gens:
         raise ValueError("need at least one generator")
     d = gens[0].dim
@@ -758,30 +767,8 @@ def _closure(gens: Sequence[CMatrix], short=None) -> int | None:
     # Cayley-Hamilton: the powers of one matrix span at most d dimensions
     full = d if len(gens) == 1 else d * d
     return _mod_p_first(
-        [_identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full), short
+        [_identity(d, n), *gens], n, d * d, full, partial(_span_closure, full=full), _short
     )
-
-
-def algebra_dimension(gens: Sequence[CMatrix]) -> int:
-    """Dimension of the unital matrix algebra generated by gens.
-
-    The span closure of I and gens on flattened d^2 vectors, through
-    `_mod_p_first`: reaching the cap mod p proves it (d^2 is Burnside's
-    irreducibility; d for one generator is min poly == char poly).
-    Otherwise the exact closure gives the dimension.
-    """
-    return _closure(gens)
-
-
-def _is_full_algebra(gens: Sequence[CMatrix]) -> bool:
-    """Whether gens generate all of M_d (Burnside: absolute irreducibility).
-
-    The span closure reaching d^2 mod p proves it.  When it does not, an
-    invariant subspace spun from an eigenvector (`_invariant_subspace`)
-    proves the converse with no replay; finding none proves nothing, and
-    the closure is replayed exactly.
-    """
-    return _closure(gens, partial(_invariant_subspace, gens)) == gens[0].dim ** 2
 
 
 # -- exact witnesses that a closure falls short ----------------------------------

@@ -17,10 +17,10 @@ witness that the closure falls short, an invariant subspace spun from an
 eigenvector or a repeated eigenspace of a triangular matrix; it can only
 prove a shortfall, and when none is found the replay runs.  This module
 has one caller, `linalg._mod_p_first`, the route of every rank-type
-question: `linalg.matrix_rank`, the span closure (`linalg._closure`,
-behind `algebra_dimension`, `is_irreducible` and `CMatrix.is_cyclic`)
-and `extend.uniqueness_linearized`, whose whole system is built from the
-images of A and B.
+question: `linalg.matrix_rank`, the span closure of
+`linalg.algebra_dimension` (behind `is_irreducible` and
+`CMatrix.is_cyclic`) and `extend.uniqueness_linearized`, whose whole
+system is built from the images of A and B.
 
 Residues are plain Python ints: p > 2^31, so a product of two residues
 does not fit a machine word.  A row of `EchelonModP` is one packed

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 from .cyclotomic import common_field
 from .errors import (
@@ -31,7 +32,13 @@ from .errors import (
     MissingGenerator,
     NotAWeakening,
 )
-from .linalg import CMatrix, _identity, _is_full_algebra, products_equal
+from .linalg import (
+    CMatrix,
+    _identity,
+    _invariant_subspace,
+    algebra_dimension,
+    products_equal,
+)
 
 
 class GroupKind(enum.Enum):
@@ -245,7 +252,8 @@ def is_irreducible(rep: LBRep) -> bool:
     invariant subspace answers False exactly with no replay.  That
     witness is one-sided: when none is found, the closure is replayed.
     """
-    return _is_full_algebra(rep.present())
+    gens = rep.present()
+    return algebra_dimension(gens, _short=partial(_invariant_subspace, gens)) == rep.dim**2
 
 
 def tensor_product(r1: LBRep, r2: LBRep) -> LBRep:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopbraid import catalog, cli, cyclotomic, extend, linalg, modular, repcore, sampling
+from loopbraid import catalog, cli, cyclotomic, extend, linalg, modular, sampling
 from loopbraid.cli import main, parse_scalar
 from loopbraid.cyclotomic import CycNum, euler_phi, make_root_of_unity
 from loopbraid.linalg import CMatrix
@@ -217,9 +217,7 @@ def test_extend_vb3_reads_the_trace_without_forming_s(tmp_path, capsys, monkeypa
     capsys.readouterr()
     built, products, sums = [], [], []
     lift, matmul, dot = extend.vb3_lift, CMatrix.__matmul__, cyclotomic.dot
-    monkeypatch.setattr(
-        extend, "vb3_lift", lambda rep, k, **kw: built.append(lift(rep, k, **kw)) or built[-1]
-    )
+    monkeypatch.setattr(extend, "vb3_lift", lambda rep, k: built.append(lift(rep, k)) or built[-1])
     monkeypatch.setattr(CMatrix, "__matmul__", lambda x, y: products.append((x, y)) or matmul(x, y))
     monkeypatch.setattr(cyclotomic, "dot", lambda xs, ys: sums.append(len(xs)) or dot(xs, ys))
     code, out = run(["extend", str(rep_file), "--mode", "vb3"], capsys)
@@ -1087,18 +1085,18 @@ def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch
 
     loaded, reduced, products, closures, witnesses = [], [], [], [], []
     load_rep, reduce_rows = cli._load_rep, modular.reduce_rows
-    packed_product, closure = linalg.packed_product, linalg._closure
+    packed_product, algebra_dimension = linalg.packed_product, linalg.algebra_dimension
     repeated_eigenspace = linalg._repeated_eigenspace
 
     def recorded(log, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             log.append(args)  # holding the operands, so no id is reused
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(modular, "reduce_rows", recorded(reduced, reduce_rows))
     monkeypatch.setattr(linalg, "packed_product", recorded(products, packed_product))
-    monkeypatch.setattr(linalg, "_closure", recorded(closures, closure))
+    monkeypatch.setattr(linalg, "algebra_dimension", recorded(closures, algebra_dimension))
     monkeypatch.setattr(
         linalg, "_repeated_eigenspace", recorded(witnesses, repeated_eigenspace)
     )
@@ -1126,7 +1124,7 @@ def test_analyze_forms_each_image_product_and_verdict_once(tmp_path, monkeypatch
         assert len(set(identities)) == len(identities)
         pairs = [(id(x), id(y)) for x, y in products]
         assert len(set(pairs)) == len(pairs)
-        assert sum(len(gens) == 1 and gens[0] is rep.B for gens, *_ in closures) == 1
+        assert sum(len(gens) == 1 and gens[0] is rep.B for gens, in closures) == 1
         assert sum(m is rep.B for m, in witnesses) == (path == square)
         assert rep.A @ rep.B is rep.A @ rep.B
     assert digests == [
@@ -1144,11 +1142,8 @@ def test_extend_forms_each_product_once(tmp_path, monkeypatch):
     decides S'A = BS' on residues, forms BS' and S = kB(BS'), and reads
     Tr(S) off its certificate: AB and S1 S2 in `verify`, whose equations
     are compared unformed, (AB)^3's two, BS', S, S^2 and the completion's
-    two.  L1 is decided once per VB3 command: `verify` compares its sides
-    and the lift, told so, does not compare S'A with BS' again, so the
-    binomial's command makes 6 residue comparisons, all distinct."""
+    two."""
     products, packed_product = [], cyclotomic.packed_product
-    compared, products_equal = [], linalg.products_equal
 
     def values(operand):
         vectors = operand.vectors if isinstance(operand, cyclotomic._Side) else operand
@@ -1158,15 +1153,9 @@ def test_extend_forms_each_product_once(tmp_path, monkeypatch):
         products.append((values(rows), values(cols)))
         return packed_product(rows, cols)
 
-    def recorded_compare(*operands):
-        compared.append(operands)  # holding the operands, so no id is reused
-        return products_equal(*operands)
-
     for module in (cyclotomic, linalg, extend, modular):
         if getattr(module, "packed_product", None) is packed_product:
             monkeypatch.setattr(module, "packed_product", recorded)
-    for module in (linalg, repcore, extend):
-        monkeypatch.setattr(module, "products_equal", recorded_compare)
     binomial = ["binomial", "--lambda", "z60", "(2*z60^6)", "(4*z60^11)", "--c", "(4*z60^12)"]
     out = str(tmp_path / "out.json")
     for construct in (binomial, ["perm3", "--t", "8"]):
@@ -1175,10 +1164,7 @@ def test_extend_forms_each_product_once(tmp_path, monkeypatch):
         counts = {}
         for mode in ("standard", "vb3"):
             products.clear()
-            compared.clear()
             assert main(["extend", rep, "--mode", mode, "--out", out]) == 0
             assert len(set(products)) == len(products)
             counts[mode] = len(products)
         assert counts == {"standard": 6, "vb3": 9}
-        if construct is binomial:
-            assert len({tuple(map(id, ops)) for ops in compared}) == len(compared) == 6

@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from loopbraid import catalog, linalg
-from loopbraid.cyclotomic import CycNum, common_field, make_root_of_unity
+from loopbraid.cyclotomic import CycNum, make_root_of_unity
 from loopbraid.errors import ConstraintViolated, SingularMatrix
 from loopbraid.linalg import CMatrix, Echelon, algebra_dimension, matrix_rank, solve_linear
 from loopbraid.repcore import GroupKind, LBRep, is_irreducible, tensor_product
 
 from poly_support import divides, eval_at
+from sum_support import direct_sum
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -334,14 +335,6 @@ def triangular_reps(draw, max_dim: int = 4):
         reject()
 
 
-def _direct_sum(r1: LBRep, r2: LBRep) -> LBRep:
-    """The B3 pair diag(A1, A2), diag(B1, B2), in one field."""
-    (r1, r2), n = common_field(r1, r2)
-    return LBRep(GroupKind.B3, *(
-        linalg._block_diagonal([x.rows, y.rows], n) for x, y in ((r1.A, r2.A), (r1.B, r2.B))
-    ))
-
-
 @st.composite
 def representations(draw):
     """A triangular catalog draw, perm3, a direct sum of two draws or the
@@ -356,7 +349,7 @@ def representations(draw):
         rep = draw(triangular_reps())
     shape = draw(st.sampled_from(["plain", "sum", "square"]))
     if shape == "sum" and rep.dim <= 3:
-        rep = _direct_sum(rep, draw(triangular_reps(max_dim=5 - rep.dim)))
+        rep = direct_sum(rep, draw(triangular_reps(max_dim=5 - rep.dim)))
     elif shape == "square" and rep.dim == 2:
         rep = tensor_product(rep, rep)
     if draw(st.booleans()):

@@ -8,7 +8,7 @@ import pytest
 
 from loopbraid import catalog, extend, linalg, repcore
 from loopbraid.cli import parse_scalar
-from loopbraid.cyclotomic import CycNum, common_field, omega
+from loopbraid.cyclotomic import CycNum, omega
 from loopbraid.errors import (
     ConductorMismatch,
     ConstraintViolated,
@@ -30,6 +30,7 @@ from loopbraid.repcore import (
 from loopbraid.sampling import draw_tw3, rng_for
 
 from extension_support import l2_equivalence, standard_extensions
+from sum_support import direct_sum
 
 
 def trivial_rep(d=2, target=GroupKind.SLB3):
@@ -178,14 +179,6 @@ def test_irreducibility_conjugation_invariant():
     assert is_irreducible(rep) == is_irreducible(conj) is True
 
 
-def _direct_sum(r1: LBRep, r2: LBRep) -> LBRep:
-    """The B3 pair diag(A1, A2), diag(B1, B2), in one field."""
-    (r1, r2), n = common_field(r1, r2)
-    return LBRep(GroupKind.B3, *(
-        linalg._block_diagonal([x.rows, y.rows], n) for x, y in ((r1.A, r2.A), (r1.B, r2.B))
-    ))
-
-
 def _reducible_triangular_inputs() -> dict[str, LBRep]:
     base = catalog.tw2(3, Fraction(-1, 2), family=2)
     ext, _ = standard_extensions(base.A, base.B)[0]
@@ -193,7 +186,7 @@ def _reducible_triangular_inputs() -> dict[str, LBRep]:
     a, b = catalog.binomial_pair([parse_scalar(x) for x in lams], parse_scalar("(1/25*z12^8)"))
     return {
         "square": tensor_product(ext, ext),
-        "sum": _direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3)),
+        "sum": direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3)),
         "family1": catalog.tw2(-omega(3), 1, family=1),
         # the A and B of `construct binomial --lambda <lams> --c
         # "(1/25*z12^8)"`, reducible; with S1 and S2 it is irreducible
@@ -225,7 +218,7 @@ def test_reducible_triangular_inputs_skip_the_replay(name, monkeypatch):
 def test_witnesses_leave_a_dense_input_to_the_replay(monkeypatch):
     """Only a triangular matrix is searched for a witness: on a dense one
     neither search eliminates anything, and the replay answers."""
-    rep = _direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3))
+    rep = direct_sum(catalog.tw2(2, 3), catalog.tw3(1, 2, 3))
     g = CMatrix.build(rep.dim, rep.conductor, lambda i, j: 1 + i * j + (i == j))
     gi = g.inverse()
     dense = LBRep(target=GroupKind.B3, A=g @ rep.A @ gi, B=g @ rep.B @ gi)
