@@ -355,15 +355,15 @@ def _sides(
 
 
 def _route(fld: _Field, bound: int) -> tuple[int, int, int, object]:
-    """(K, modulus, mid, read) for packed sums of products in the field
-    fld whose convolution slots are at most bound, length * phi *
-    max|a| * max|b|: the one slot-width and reduction setup, behind
-    `packed_product` and `packed_equal`.
+    """(K, modulus, mid, read) for packed values in the field fld whose
+    convolution slots are at most bound: a sum of products, length * phi *
+    max|a| * max|b|, or a difference of two scaled sums (`packed_equal`).
+    The one slot-width and reduction setup.
 
     On the remainder route modulus is Phi_n(2^K) and mid its half, and
-    read takes the symmetric residue r(2^K) of the reduced product r to
-    its phi coefficients.  On the fold route modulus is 0 and read takes
-    the raw sum C(2^K) to C's 2 phi - 1 slots, which the caller folds with
+    read takes the symmetric residue r(2^K) of the reduced value r to its
+    phi coefficients.  On the fold route modulus is 0 and read takes the
+    raw C(2^K) to C's 2 phi - 1 slots, which the caller folds with
     `_reduce`.
     """
     phi = fld.phi
@@ -375,6 +375,21 @@ def _route(fld: _Field, bound: int) -> tuple[int, int, int, object]:
     return k, 0, 0, _slot_reader(k, 2 * phi - 1)
 
 
+def _sums(rows: _Side, cols: _Side, k: int):
+    """Row by row, the list of each entry's packed sum of the products
+    row[t] * col[t] at slot width k, with its denominator d_i e_j."""
+    pcols = list(zip(cols.pack(k), cols.dens))
+    for pa, da in zip(rows.pack(k), rows.dens):
+        line = []
+        for pb, db in pcols:
+            acc = 0
+            for a, b in zip(pa, pb):
+                if a and b:
+                    acc += a * b
+            line.append((acc, da * db))
+        yield line
+
+
 def packed_product(
     rows: Sequence[Sequence["CycNum"]] | _Side, cols: Sequence[Sequence["CycNum"]] | _Side
 ) -> list[list["CycNum"]]:
@@ -384,17 +399,17 @@ def packed_product(
     Each row is scaled to one common denominator and each column to
     another, and the phi numerators c_j of an entry are packed into one
     integer sum c_j 2^(K j).  An output entry's convolution C is then the
-    sum acc of d big-integer products, C(2^K), whose 2 phi - 1 slots are
-    each at most s = length * phi * max|a| * max|b| in absolute value.
-    The reduced product r = C mod Phi_N has r(2^K) = acc mod Phi_N(2^K),
-    so one big-integer remainder, taken as the symmetric residue, leaves
-    r(2^K), and only phi slots are read back.  Folding multiplies the
-    bound by `_Field.growth`, g_N, so K is the bit length of s * g_N plus
-    a sign bit, rounded up to 8, 16, 32 or 64 bits when one of them holds
-    it and phi of them stay within `_REMAINDER_BITS`, so that one struct
-    unpack reads every slot, else to whole bytes (`_route`).  rows and
-    cols are each a `_Side`, which keeps that scaling and packing, or a
-    list of vectors, prepared here.
+    sum acc of d big-integer products (`_sums`), C(2^K), whose 2 phi - 1
+    slots are each at most s = length * phi * max|a| * max|b| in absolute
+    value.  The reduced product r = C mod Phi_N has r(2^K) = acc mod
+    Phi_N(2^K), so one big-integer remainder, taken as the symmetric
+    residue, leaves r(2^K), and only phi slots are read back.  Folding
+    multiplies the bound by `_Field.growth`, g_N, so K is the bit length
+    of s * g_N plus a sign bit, rounded up to 8, 16, 32 or 64 bits when
+    one of them holds it and phi of them stay within `_REMAINDER_BITS`, so
+    that one struct unpack reads every slot, else to whole bytes
+    (`_route`).  rows and cols are each a `_Side`, which keeps that
+    scaling and packing, or a list of vectors, prepared here.
     `_packed_modulus` checks that the symmetric residue is exact at (N, K).
     Division is quadratic in CPython, so when Phi_N(2^K) has more than
     `_REMAINDER_BITS` bits the entry instead reads all 2 phi - 1 slots, K
@@ -406,16 +421,11 @@ def packed_product(
     n = rows.conductor
     fld = _field(n)
     k, modulus, mid, read = _route(fld, rows.length * fld.phi * rows.top * cols.top)
-    pcols = list(zip(cols.pack(k), cols.dens))
     zero = CycNum.zero(n)
     out = []
-    for pa, da in zip(rows.pack(k), rows.dens):
+    for sums in _sums(rows, cols, k):
         line = []
-        for pb, db in pcols:
-            acc = 0
-            for a, b in zip(pa, pb):
-                if a and b:
-                    acc += a * b
+        for acc, den in sums:
             if not acc:
                 line.append(zero)
                 continue
@@ -426,7 +436,7 @@ def packed_product(
                 num = read(acc)
             else:
                 num = _reduce(read(acc), fld)
-            line.append(_new(n, num, da * db))
+            line.append(_new(n, num, den))
         out.append(line)
     return out
 
@@ -438,17 +448,19 @@ def packed_equal(
     other_cols: Sequence[Sequence["CycNum"]] | _Side,
 ) -> bool:
     """Whether packed_product(rows, cols) == packed_product(other_rows,
-    other_cols), decided on the packed residues of `packed_product`'s
-    setup (`_route`, at one K for both) and forming no CycNum.
+    other_cols), decided on the packed sums of `_sums` and forming no
+    CycNum.
 
-    Entry (i, j) of each product is r / D: r the reduced product, read
-    from its residue, and D = d_i e_j, the row's and the column's common
-    denominators.  So r / D = r' / D' iff r D' = r' D.  On the remainder
-    route the residue v is r(2^K) with every |r_j| < 2^(K-1), and r D' has
-    every coefficient below 2^(K-1) too whenever D' times the bound on r
-    is, which makes v D' = r D' (2^K) a faithful encoding: the two sides
-    are then compared as integers, v D' = v' D.  Otherwise, and on the
-    fold route, the coefficients are read back and compared.
+    Entry (i, j) of each product is C / D: C the packed convolution and
+    D = d_i e_j, the row's and the column's common denominators.  So
+    C / D = C' / D' iff diff = C D' - C' D reduces to zero mod Phi_N.  K
+    is `_route`'s for the bound of diff, phi (l t_r t_c max D' +
+    l' t_r' t_c' max D): l the sum's length, t_r and t_c the rows' and the
+    columns' largest scaled numerator, max D the largest row denominator
+    times the largest column denominator.  On the remainder route diff
+    reduces to zero iff diff % Phi_N(2^K) is 0, since `_packed_modulus`
+    makes the residue faithful at K; on the fold route iff `_reduce` of
+    its slots is.
     """
     rows, cols = _sides(rows, cols)
     other_rows, other_cols = _sides(other_rows, other_cols)
@@ -458,39 +470,19 @@ def packed_equal(
     if (len(rows.vectors), len(cols.vectors)) != (len(other_rows.vectors), len(other_cols.vectors)):
         return False
     fld = _field(n)
-    bound = rows.length * fld.phi * rows.top * cols.top
-    other = other_rows.length * fld.phi * other_rows.top * other_cols.top
-    k, modulus, mid, read = _route(fld, max(bound, other))
-    # every |r_j| is at most bound * g_N: r D' is exact for D' <= lim, and
-    # r' D for D <= other_lim
-    half = (1 << (k - 1)) - 1
-    lim, other_lim = (half // max(1, b * fld.growth) for b in (bound, other))
-    pcols = list(zip(cols.pack(k), cols.dens, other_cols.pack(k), other_cols.dens))
-    for pa, da, pc, dc in zip(rows.pack(k), rows.dens, other_rows.pack(k), other_rows.dens):
-        for pb, db, pd, dd in pcols:
-            acc = other_acc = 0
-            for a, b in zip(pa, pb):
-                if a and b:
-                    acc += a * b
-            for a, b in zip(pc, pd):
-                if a and b:
-                    other_acc += a * b
-            den, other_den = da * db, dc * dd
-            if modulus:
-                acc %= modulus
-                if acc > mid:
-                    acc -= modulus
-                other_acc %= modulus
-                if other_acc > mid:
-                    other_acc -= modulus
-                if den == other_den or (other_den <= lim and den <= other_lim):
-                    if acc * other_den != other_acc * den:
-                        return False
-                    continue
-                num, other_num = read(acc), read(other_acc)
-            else:
-                num, other_num = _reduce(read(acc), fld), _reduce(read(other_acc), fld)
-            if [c * other_den for c in num] != [c * den for c in other_num]:
+    top_den, other_top_den = (
+        max(r.dens, default=1) * max(c.dens, default=1)
+        for r, c in ((rows, cols), (other_rows, other_cols))
+    )
+    bound = fld.phi * (
+        rows.length * rows.top * cols.top * other_top_den
+        + other_rows.length * other_rows.top * other_cols.top * top_den
+    )
+    k, modulus, _, read = _route(fld, bound)
+    for sums, other_sums in zip(_sums(rows, cols, k), _sums(other_rows, other_cols, k)):
+        for (acc, den), (other_acc, other_den) in zip(sums, other_sums):
+            diff = acc * other_den - other_acc * den
+            if diff and (diff % modulus if modulus else any(_reduce(read(diff), fld))):
                 return False
     return True
 

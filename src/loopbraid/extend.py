@@ -73,7 +73,8 @@ from .errors import (
     WrongForm,
 )
 from .linalg import (
-    CMatrix, Vector, _block_diagonal, _mod_p_first, matrix_rank, products_equal, solve_linear,
+    CMatrix, Vector, _block_diagonal, _mod_p_first, _shifted, matrix_rank, products_equal,
+    solve_linear,
 )
 from .repcore import GroupKind, LBRep, relation_holds, verify
 
@@ -227,9 +228,9 @@ def _eigenbasis(s: CMatrix) -> tuple[ExtensionParams, CMatrix]:
     The 1-, w- and w^2-eigenspaces fill the space iff S^3 = I, and then
     Tr(S) = l + t_w w + t_w2 w^2 is rational iff t_w = t_w2 = t.
     M^-1 S M = diag(I_l, w I_t, w^2 I_t) holds by construction.  Each
-    kernel vector of S - uI holds 1 at its own free column f, its last
-    nonzero entry, and 0 at the block's other free columns
-    (`Echelon.kernel`), so its row of M^-1 is row f of the projector
+    kernel vector of S - uI (`linalg._shifted`) holds 1 at its own free
+    column f, its last nonzero entry, and 0 at the block's other free
+    columns (`Echelon.kernel`), so its row of M^-1 is row f of the projector
     P_u = (I + u^-1 S + u^-2 S^2) / 3 onto the u-eigenspace: one product,
     S^2, and d rows, with no elimination.
     """
@@ -263,14 +264,6 @@ def _eigenbasis(s: CMatrix) -> tuple[ExtensionParams, CMatrix]:
                 row.append(_new(n, num, 3 * den))
             m_inv.append(row)
     return ExtensionParams(M=m, G=g, a=ell, N=nmat), CMatrix._of(m_inv, n)
-
-
-def _shifted(s: CMatrix, u) -> CMatrix:
-    """S - uI, formed on the diagonal alone."""
-    rows = [list(r) for r in s.rows]
-    for i, r in enumerate(rows):
-        r[i] = r[i] - u
-    return CMatrix._of(rows, s.conductor)
 
 
 def _diag_pattern(ell: int, t: int, conductor: int) -> CMatrix:
@@ -337,7 +330,8 @@ def build_standard_extension(
         if not 0 <= params.a <= ell:
             raise BadBasisChange("need 0 <= a <= l")
         m_inv = m.inverse()
-        if m_inv @ s @ m != _diag_pattern(ell, t, n):
+        # M is invertible, so M^-1 S M = D iff M D = S M
+        if not products_equal(m, _diag_pattern(ell, t, n), s, m):
             raise BadBasisChange("M^-1 S M != diag(I_l, w I_t, w^2 I_t)")
         if not all(x is None or x.is_identity for x in (g, nmat)):
             ident = [[int(i == j) for j in range(t)] for i in range(t)]
@@ -378,7 +372,8 @@ def s3_completion_check(s: CMatrix, s1: CMatrix) -> bool:
     exactly when S1 fixes P_1 and swaps P_w with P_w2.
     """
     (s, s1), n = common_field(s, s1)
-    if s.matpow(3) != CMatrix.identity(s.dim, n):
+    ident = CMatrix.identity(s.dim, n)
+    if not products_equal(s @ s, s, ident, ident):
         raise NotOrderThree("S^3 != I")
     return verify(LBRep(target=GroupKind.S3, S1=s1, S2=s1 @ s)).all_hold
 
@@ -695,8 +690,8 @@ def certify_no_extension(
     verdicts = []
     for coeffs in cands:
         s = _combination(coeffs, basis)
-        intertwines = s @ a == b @ s
-        cubes = s.matpow(3) == ident
+        intertwines = products_equal(s, a, b, s)
+        cubes = products_equal(s @ s, s, ident, ident)
         tr = s.trace()
         verdicts.append(
             CandidateVerdict(

@@ -411,16 +411,53 @@ def test_residue_comparison_edge_cases():
     half = x.scalar_mul(Fraction(1, 2))
     assert linalg.products_equal(half, one.scalar_mul(2), x, one)
     assert not linalg.products_equal(half, one, x, one)
-    # denominators past the slots' headroom are compared coefficient by
-    # coefficient: x / big against (x / 2 big)(2I), and against (x / 2 big)(3I)
+    # denominators far wider than the slots widen K to the difference
+    # C D' - C' D: x / big against (x / 2 big)(2I), and against (x / 2 big)(3I)
     big = 2**70 + 1
     x_big, x_2big = (x.scalar_mul(Fraction(1, c)) for c in (big, 2 * big))
     assert linalg.products_equal(x_big, one, x_2big, one.scalar_mul(2))
     assert not linalg.products_equal(x_big, one, x_2big, one.scalar_mul(3))
+    # x / 2^40 y against x y / 2^40 on the remainder route: the difference
+    # needs some 40 bits more than either product
+    y = CMatrix([[w, -3], [Fraction(5, 7), w * w]], n)
+    bound = 2 * euler_phi(n) * _Side(x.rows, n).top * _Side(y.columns(), n).top
+    assert cyclotomic._route(_field(n), bound)[1] != 0
+    scaled = [m.scalar_mul(Fraction(1, 2**40)) for m in (x, y)]
+    assert linalg.products_equal(scaled[0], y, x, scaled[1])
+    assert not linalg.products_equal(scaled[0], y, x, y.scalar_mul(Fraction(1, 2**41)))
+    # at the slot width K of either product alone, z^3 - (z^2 - 1) / 2^K
+    # evaluates to Phi_12(2^K) / 2^K: only the denominator's bits in K keep
+    # the two unequal products apart
+    k = cyclotomic._route(_field(n), euler_phi(n))[0]
+    lower = CycNum(n, [-1, 0, 1, 0], 2**k)
+    assert not packed_equal([[lower]], [[CycNum.one(n)]], [[w**3]], [[CycNum.one(n)]])
     # one product against another shape or conductor
     assert not packed_equal(x.rows, x.columns(), x.rows[:1], x.columns())
     with pytest.raises(ConductorMismatch):
         linalg.products_equal(x, x, x, x.promote(24))
+
+
+def test_products_equal_forms_no_scalar(monkeypatch):
+    # z^3 z^3 = -1 and (B z^3)(B z^3) = -B^2, the second on the fold route:
+    # equal products whose convolutions differ, and unequal ones
+    n = 12
+    big = 2 ** fold_bits(n)
+    w3, one = make_root_of_unity(n, 3), CycNum.one(n)
+    assert cyclotomic._route(_field(n), euler_phi(n) * big * big)[1] == 0
+    pairs = [
+        (w3, w3, -one, one, True),
+        (w3, w3, one, one, False),
+        (w3 * big, w3 * big, -one * big, one * big, True),
+        (w3 * big, w3 * big, one * big, one * big, False),
+    ]
+    mats = [([CMatrix([[x]], n) for x in pair[:4]], pair[4]) for pair in pairs]
+
+    def formed(*args):
+        raise AssertionError("products_equal formed a CycNum")
+
+    monkeypatch.setattr(cyclotomic, "_new", formed)
+    for (a, b, c, d), want in mats:
+        assert linalg.products_equal(a, b, c, d) is want
 
 
 # -- the kernel's other callers --------------------------------------------------
